@@ -3,6 +3,7 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from phaserep import (
     standard_phases,
     twirled_mean_fidelity,
 )
+import phaserep
 from phaserep import cli
 from phaserep.cli import main
 
@@ -294,3 +296,11 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "replicate.csv").is_file()
+
+
+def test_version_matches_pyproject():
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(__file__).resolve().parents[1]
+    with open(root / "pyproject.toml", "rb") as fh:
+        project = tomllib.load(fh)["project"]
+    assert phaserep.__version__ == project["version"]

@@ -113,6 +113,29 @@ def test_probability_deficit_matches_postselection_loss():
     assert np.max(np.abs(per_setting - 36.0 * channel.trace)) < 1e-10
 
 
+@pytest.mark.parametrize("drop_input", [False, True])
+def test_factored_kernels_match_the_dense_matrix(rng, drop_input):
+    # the one-input-dropped design is not square (35 inputs x 36
+    # outcomes), so a slip in the row order cannot cancel out
+    design = default_design()
+    if drop_input:
+        kets, settings = _copy_design_parts(design)
+        design = TomographyDesign(kets[:-1], settings)
+    g = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
+    chi = g + g.conj().T
+    weights = rng.exponential(size=design.size)
+    weights[rng.random(design.size) < 0.5] = 0.0
+
+    p_dense = (design.matrix @ chi.reshape(-1)).real
+    p = design.traces(chi)
+    assert p.shape == (design.size,)
+    assert np.max(np.abs(p - p_dense)) <= 1e-13 * np.max(np.abs(p_dense))
+
+    r_dense = (weights @ design.matrix).reshape(16, 16).T
+    r = design.weighted_sum(weights)
+    assert np.max(np.abs(r - r_dense)) <= 1e-13 * np.max(np.abs(r_dense))
+
+
 def test_probabilities_reject_single_qubit_channels():
     design = default_design()
     chi = choi_from_kraus([phase_gate(0.3)])
@@ -257,6 +280,76 @@ def test_sparse_counts_still_reconstruct():
     chi = result.chi.matrix
     assert abs(np.trace(chi).real - 1.0) < 1e-10
     assert np.linalg.eigvalsh(chi).min() > -1e-8
+
+
+def _dense_rrhor(dataset, design, max_iterations=5000, gain_tolerance=1e-10):
+    """Reference RrhoR ascent with matvecs on the dense design matrix."""
+    counts = dataset.counts
+    total = max(dataset.total, 1.0)
+    active = counts > 0.0
+    a_active = design.matrix[active]
+    n_active = counts[active]
+
+    def probs(mat):
+        return np.clip((a_active @ mat.reshape(-1)).real, 1e-300, None)
+
+    def loglik(mat):
+        return math.fsum((n_active * np.log(probs(mat))).tolist())
+
+    chi = np.eye(16, dtype=np.complex128) / 16.0
+    ll = loglik(chi)
+    for iterations in range(1, max_iterations + 1):
+        r = ((n_active / probs(chi)) @ a_active).reshape(16, 16).T
+        r = 0.5 * (r + r.conj().T)
+        step = r @ chi @ r
+        step = 0.5 * (step + step.conj().T)
+        step = step / np.trace(step).real
+        ll_new = loglik(step)
+        if ll_new < ll - 1e-9 * (1.0 + abs(ll)):
+            eps = 1.0
+            while eps > 1e-8:
+                mixed = (np.eye(16) + eps * r / total) / (1.0 + eps)
+                cand = mixed @ chi @ mixed.conj().T
+                cand = 0.5 * (cand + cand.conj().T)
+                cand = cand / np.trace(cand).real
+                ll_cand = loglik(cand)
+                if ll_cand >= ll - 1e-12 * (1.0 + abs(ll)):
+                    step, ll_new = cand, ll_cand
+                    break
+                eps *= 0.5
+            else:
+                raise RuntimeError("dilution failed")
+        gain = ll_new - ll
+        chi, ll = step, ll_new
+        if gain / total < gain_tolerance:
+            return chi, True, iterations
+    return chi, False, max_iterations
+
+
+@pytest.mark.parametrize("rate,seed", [(1e3, 3), (1e4, 4), (1e5, 5),
+                                       (20.0, 6), (None, 2)])
+def test_mle_matches_the_dense_reference(rate, seed):
+    design = default_design()
+    if rate is None:
+        # counts on five rows only: the plain step lowers the
+        # likelihood and the dilution fallback is taken
+        rng = np.random.default_rng(seed)
+        counts = np.zeros(design.size)
+        counts[rng.choice(design.size, 5, replace=False)] = rng.integers(
+            1, 1000, 5)
+        ds = TomographyDataset(0.0, counts, 1.0)
+    else:
+        channel = replication_experiment_channel(0.8,
+                                                 OpticsParams.measured())
+        ds = simulate_counts(channel, design, rate, seed)
+    if rate is None or rate < 100.0:
+        # mostly empty rows: zero weights in the factored R
+        assert np.mean(ds.counts == 0.0) > 0.5
+    chi, converged, iterations = _dense_rrhor(ds, design)
+    result = mle_reconstruct(ds, design)
+    assert result.iterations == iterations
+    assert result.converged == converged
+    assert np.max(np.abs(result.chi.matrix - chi)) <= 1e-12
 
 
 def test_mle_respects_iteration_cap():
