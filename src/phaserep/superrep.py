@@ -6,9 +6,12 @@ the available gate copies act on the ancilla, and V is applied again.
 On the ancilla-|0> sector this realizes the diagonal map with phase
 multiple f(w): 0 below the window, w - m_min inside, N above.
 
-Fidelity with the ideal M-fold gate is a binomial sum over weights,
-evaluated in log space so that wide registers (M ~ 1000) remain exact to
-double precision; no state vectors are ever built on that path.
+Fidelity with the ideal M-fold gate is a binomial sum over weights.  The
+weights C(M, w) / 2^M are built once per protocol size from exact
+integer binomials, each correctly rounded to a double, and every phase
+then costs two dot products; the result is accurate to about 1e-16 for
+wide registers (M ~ 1000 and beyond), and no state vectors are ever
+built on that path.
 """
 from __future__ import annotations
 
@@ -17,7 +20,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import gammaln
 
 from .gates import as_radians
 from .qmat import Operator
@@ -151,28 +153,48 @@ def sandwich_restricted(spec: ReplicationSpec, phi: float) -> Operator:
     return Operator(np.diag(sector), spec.replicas)
 
 
+def _fidelity_terms(spec: ReplicationSpec
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """Weights c_w = C(M, w) / 2^M and phase offsets g_w = f(w) - w.
+
+    The binomials are exact integers and each quotient by 2^M is
+    correctly rounded, so a weight carries at most one rounding; weights
+    below the smallest subnormal are exact zeros.  When the window
+    covers every weight, g is constant and the sum is a single unit
+    phasor, returned as the one term (1, 0).
+    """
+    m = spec.replicas
+    offsets = np.array(phase_profile(spec).values, dtype=np.int64) \
+        - np.arange(m + 1)
+    if offsets.min() == offsets.max():
+        return np.ones(1), np.zeros(1, dtype=np.int64)
+    scale = 1 << m
+    binomial, weights = 1, []
+    for w in range(m + 1):
+        weights.append(binomial / scale)
+        binomial = binomial * (m - w) // (w + 1)
+    return np.array(weights), offsets
+
+
+def _fidelity(weights: np.ndarray, offsets: np.ndarray, phi: float
+              ) -> float:
+    """|sum_w c_w e^{i g_w phi}|^2 from two dot products."""
+    angles = offsets * phi
+    re = float(weights @ np.cos(angles))
+    im = float(weights @ np.sin(angles))
+    return re * re + im * im
+
+
 def replication_fidelity(spec: ReplicationSpec, phi: float) -> float:
     """Gate fidelity of the replicated map with the M-fold ideal gate.
 
-    Equals |sum_w C(M,w) 2^{-M} e^{i (f(w)-w) phi}|^2; binomial weights
-    are accumulated in log space and compensated-summed.  When the
-    window covers every weight (copies >= replicas) the sum telescopes
-    to exactly 1.
+    Equals |sum_w C(M,w) 2^{-M} e^{i (f(w)-w) phi}|^2.  The weights are
+    exact integer binomials correctly rounded to doubles and the sum is
+    two dot products, accurate to about 1e-16.  When the window covers
+    every weight (copies >= replicas) the sum telescopes to exactly 1.
     """
-    phi = as_radians(phi)
-    m = spec.replicas
-    f = np.array(phase_profile(spec).values, dtype=np.int64)
-    g = f - np.arange(m + 1)
-    if g.max() == g.min():
-        return 1.0
-    w = np.arange(m + 1, dtype=np.float64)
-    logc = (gammaln(m + 1.0) - gammaln(w + 1.0) - gammaln(m - w + 1.0)
-            - m * math.log(2.0))
-    c = np.exp(logc)
-    angles = g * phi
-    re = math.fsum((c * np.cos(angles)).tolist())
-    im = math.fsum((c * np.sin(angles)).tolist())
-    return re * re + im * im
+    weights, offsets = _fidelity_terms(spec)
+    return _fidelity(weights, offsets, as_radians(phi))
 
 
 def default_phi_grid() -> np.ndarray:
@@ -183,13 +205,18 @@ def default_phi_grid() -> np.ndarray:
 def worst_case_fidelity(
     spec: ReplicationSpec, phi_grid: Sequence[float] | None = None
 ) -> tuple[float, float]:
-    """(phi, fidelity) at the grid point of lowest fidelity."""
+    """(phi, fidelity) at the grid point of lowest fidelity.
+
+    The weights are built once per call; each grid point then costs the
+    same two dot products as ``replication_fidelity``.
+    """
     grid = default_phi_grid() if phi_grid is None else np.asarray(
         phi_grid, dtype=np.float64
     )
     if grid.size == 0:
         raise ValueError("phi grid must not be empty")
-    values = [replication_fidelity(spec, p) for p in grid]
+    weights, offsets = _fidelity_terms(spec)
+    values = [_fidelity(weights, offsets, as_radians(p)) for p in grid]
     i = int(np.argmin(values))
     return float(grid[i]), values[i]
 

@@ -81,7 +81,10 @@ class TomographyDesign:
         # p_j = A_j . vec(chi) with A_j = vec(O_j^T)
         self.matrix = self.operators.transpose(0, 2, 1).reshape(
             n_in * n_out, 256)
-        self.rank = int(np.linalg.matrix_rank(self.matrix))
+        # matrix is the Kronecker product of the two factors up to a
+        # fixed column permutation, and rank(A (x) B) = rank A * rank B
+        self.rank = int(np.linalg.matrix_rank(self.input_factor)
+                        * np.linalg.matrix_rank(self.outcome_factor))
         total = self.operators.sum(axis=0)
         scale = float(np.trace(total).real) / 16.0
         self.uniform = bool(np.max(np.abs(total - scale * np.eye(16)))

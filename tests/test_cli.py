@@ -298,6 +298,16 @@ def test_module_entry_point(tmp_path):
     assert (tmp_path / "replicate.csv").is_file()
 
 
+def test_import_loads_no_scipy():
+    # a fresh interpreter, so modules imported by other tests do not count
+    code = ("import sys, phaserep, phaserep.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_version_matches_pyproject():
     tomllib = pytest.importorskip("tomllib")
     root = Path(__file__).resolve().parents[1]

@@ -9,6 +9,7 @@ from phaserep.gates import phase_gate, toffoli
 from phaserep.qmat import Operator
 from phaserep.superrep import (
     ReplicationSpec,
+    _fidelity_terms,
     ancilla_imprint,
     asymptotic_sweep,
     build_V,
@@ -141,21 +142,46 @@ def test_replicated_map_is_diagonal_phase_imprint():
         assert abs(diag[m] - expected) < 1e-14
 
 
+def _mp_fidelity(spec, phi):
+    """The fidelity's binomial sum in 50-digit arithmetic."""
+    profile = phase_profile(spec)
+    m = spec.replicas
+    with mpmath.workdps(50):
+        acc = mpmath.mpc(0)
+        for w in range(m + 1):
+            acc += (
+                mpmath.binomial(m, w)
+                * mpmath.expjpi(mpmath.mpf(phi) * (profile(w) - w)
+                                / mpmath.pi)
+            )
+        return float(abs(acc / mpmath.mpf(2) ** m) ** 2)
+
+
 def test_fidelity_against_high_precision_sum():
-    mpmath.mp.dps = 50
-    for n, m in ((1, 2), (2, 4), (3, 9), (4, 6), (10, 100)):
+    for n, m in ((1, 2), (2, 4), (3, 9), (4, 6), (10, 100), (100, 1000),
+                 (158, 1986)):
         spec = ReplicationSpec(copies=n, replicas=m)
-        profile = phase_profile(spec)
         for phi in (0.3, 0.9, 2.2):
-            acc = mpmath.mpc(0)
-            for w in range(m + 1):
-                acc += (
-                    mpmath.binomial(m, w)
-                    * mpmath.expjpi(mpmath.mpf(phi) * (profile(w) - w)
-                                    / mpmath.pi)
-                )
-            expected = float(abs(acc / mpmath.mpf(2) ** m) ** 2)
+            expected = _mp_fidelity(spec, phi)
             assert abs(replication_fidelity(spec, phi) - expected) < 1e-13
+
+
+def test_very_wide_register_weights_and_worst_case():
+    spec = ReplicationSpec(copies=400, replicas=8000)
+    m = spec.replicas
+    weights, _ = _fidelity_terms(spec)
+    assert math.fsum(weights) == 1.0
+    assert np.array_equal(weights, weights[::-1])
+    # a weight is zero exactly when C(M, w) / 2^M rounds below the
+    # smallest subnormal, 2^-1074
+    binomial = 1
+    for w in range(m + 1):
+        assert (weights[w] == 0.0) == ((binomial << 1075) <= (1 << m))
+        binomial = binomial * (m - w) // (w + 1)
+    assert np.count_nonzero(weights == 0.0) > 0
+    phi, fid = worst_case_fidelity(spec)
+    assert abs(fid - _mp_fidelity(spec, phi)) < 1e-13
+    assert fid == replication_fidelity(spec, phi)
 
 
 def test_fidelity_closed_form_matches_dense_trace():

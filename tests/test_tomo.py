@@ -65,6 +65,18 @@ def test_default_design_is_identifiable_and_uniform():
     assert design.operator_sum_scale == pytest.approx(324.0, abs=1e-9)
 
 
+def test_rank_from_factors_matches_the_dense_matrix():
+    # the full, one-input-dropped and single-setting (rank-deficient)
+    # designs, against an SVD of the dense matrix
+    kets, settings = _copy_design_parts(default_design())
+    designs = [default_design(), TomographyDesign(kets[1:], settings),
+               TomographyDesign(kets, settings[:1])]
+    for design in designs:
+        assert design.rank == np.linalg.matrix_rank(design.matrix)
+    assert [d.rank for d in designs] == [256, 256, 64]
+    assert not designs[2].identifiable
+
+
 def test_input_states_span_the_operator_space():
     design = default_design()
     gram = np.array([np.outer(k, k.conj()).reshape(-1)
