@@ -6,6 +6,11 @@ reconstruction maximizes the Poisson likelihood over positive
 semidefinite process matrices with an RrhoR fixed-point ascent.  Counts
 are kept as floats so that the exact expected-count (infinite-statistics)
 limit runs through the same code path.
+
+One solver advances any number of independent reconstructions as a
+stack: a single dataset is a batch of one, and the bootstrap trials and
+the phases of a pipeline run are each solved as one batch.  Each
+reconstruction's result is bit-identical whatever else is in its batch.
 """
 from __future__ import annotations
 
@@ -112,23 +117,33 @@ class TomographyDesign:
         return (input_id * self.n_settings + setting_id) * 4 + outcome_id
 
     def traces(self, chi: np.ndarray) -> np.ndarray:
-        """Re Tr[chi O_j] for every row, for a 16 x 16 Hermitian chi.
+        """Re Tr[chi O_j] for every row, for Hermitian chi of shape
+        (..., 16, 16); the leading axes index independent matrices.
 
-        Equals ``(matrix @ chi.reshape(-1)).real`` up to rounding.
+        Equals ``(matrix @ chi.reshape(-1)).real`` up to rounding, and
+        each matrix's row is bit-identical whatever else is stacked
+        with it.
         """
+        lead = chi.shape[:-2]
         # Tr[chi O_j] = sum chi[a b, c d] rho_i^T[c, a] d Pi_k[d, b]:
         # regroup chi as (c a),(d b) and contract with the two factors
-        g = chi.reshape(4, 4, 4, 4).transpose(2, 0, 3, 1).reshape(16, 16)
-        return (self.input_factor @ g @ self.outcome_factor).real.reshape(-1)
+        g = chi.reshape(-1, 4, 4, 4, 4).transpose(0, 3, 1, 4, 2).reshape(
+            -1, 16, 16)
+        p = (self.input_factor @ g @ self.outcome_factor).real
+        return p.reshape(lead + (self.size,))
 
     def weighted_sum(self, weights: np.ndarray) -> np.ndarray:
-        """sum_j w_j O_j for real weights given in row order.
+        """sum_j w_j O_j for real weights of shape (..., rows) in row
+        order; the leading axes index independent weight vectors.
 
         Equals ``(weights @ matrix).reshape(16, 16).T`` up to rounding.
         """
-        w = weights.reshape(self.input_factor.shape[0], -1)
+        lead = weights.shape[:-1]
+        w = weights.reshape(-1, self.input_factor.shape[0],
+                            self.outcome_factor.shape[1])
         g = self.input_factor.T @ w @ self.outcome_factor.T
-        return g.reshape(4, 4, 4, 4).transpose(0, 2, 1, 3).reshape(16, 16)
+        g = g.reshape(-1, 4, 4, 4, 4).transpose(0, 1, 3, 2, 4)
+        return g.reshape(lead + (16, 16))
 
     def probabilities(self, channel: ProcessMatrix) -> np.ndarray:
         """Outcome probabilities under the channel, in row order.
@@ -231,21 +246,157 @@ class MleOptions:
 
 @dataclass(frozen=True)
 class MleResult:
+    """One reconstruction and its deterministic diagnostics.
+
+    ``dilutions`` counts the iterations that took the dilution fallback.
+    ``optimality_gap`` is lambda_max(R) / N_total - 1 at the returned
+    chi: it is >= 0 for any unit-trace chi (Tr[R chi] = N_total) and 0
+    exactly at the maximum; an empty dataset, whose likelihood is flat,
+    reports 0.
+    """
+
     chi: ProcessMatrix
     converged: bool
     iterations: int
     log_likelihood: float
     ll_trace: np.ndarray
+    dilutions: int
+    optimality_gap: float
 
 
-def _log_likelihood(counts: np.ndarray, probs: np.ndarray) -> float:
-    # Poisson likelihood with the global scale profiled out; only the
-    # shape term sum n_j ln p_j depends on chi once sum_j O_j ~ identity.
-    active = counts > 0.0
-    p = probs[active]
-    if np.any(p <= 0.0):
-        return -math.inf
-    return math.fsum((counts[active] * np.log(p)).tolist())
+def _dagger(m: np.ndarray) -> np.ndarray:
+    return m.conj().swapaxes(-1, -2)
+
+
+def _unit_trace(m: np.ndarray) -> np.ndarray:
+    """The Hermitian part of each matrix, scaled to unit trace."""
+    m = 0.5 * (m + _dagger(m))
+    return m / np.trace(m, axis1=-2, axis2=-1).real[..., None, None]
+
+
+def _mle_batch(counts: np.ndarray, design: TomographyDesign,
+               options: MleOptions) -> list[MleResult]:
+    """RrhoR ascent for every row of ``counts`` (trials x design rows).
+
+    The trials still running advance together as (trials, 16, 16)
+    stacks.  Every step acts on each matrix or count row on its own, so
+    a trial's result is bit-identical to a solve of that row alone.  A
+    trial leaves the stack when it meets the stopping test.
+    """
+    if not design.identifiable:
+        raise ValueError(
+            "unidentifiable model: the design does not span the space of "
+            "two-qubit process matrices (rank "
+            f"{design.rank} < 256)"
+        )
+    if not design.uniform:
+        raise ValueError(
+            "the RrhoR update requires the design operators to sum to a "
+            "multiple of the identity"
+        )
+    if counts.shape[1] != design.size:
+        raise ValueError("dataset does not match the design size")
+
+    def probs(chi: np.ndarray) -> np.ndarray:
+        return np.maximum(design.traces(chi), 1e-300)
+
+    def log_likelihood(n: np.ndarray, p: np.ndarray) -> np.ndarray:
+        # Poisson likelihood with the global scale profiled out; only the
+        # shape term sum n_j ln p_j depends on chi once sum_j O_j ~
+        # identity.  Empty rows add an exact 0 since p >= 1e-300.
+        return np.sum(n * np.log(p), axis=1)
+
+    n_trials = counts.shape[0]
+    n_total = counts.sum(axis=1)
+    chi_out = np.empty((n_trials, 16, 16), dtype=np.complex128)
+    chi_out[:] = np.eye(16) / 16.0
+    p_out = np.ones_like(counts)
+    ll_out = np.zeros(n_trials)
+    iterations = np.zeros(n_trials, dtype=int)
+    dilutions = np.zeros(n_trials, dtype=int)
+    # a trial without counts has a flat likelihood: it keeps the seed
+    # and counts as converged after 0 iterations
+    converged = n_total == 0.0
+    ll_traces = [[0.0] for _ in range(n_trials)]
+
+    live = np.flatnonzero(~converged)
+    n = counts[live]
+    total = np.maximum(n_total[live], 1.0)
+    chi = chi_out[live]
+    p = probs(chi)
+    ll = log_likelihood(n, p)
+    for k, v in zip(live.tolist(), ll.tolist()):
+        ll_traces[k][0] = v
+
+    def retire(leaving: np.ndarray) -> None:
+        gone = live[leaving]
+        chi_out[gone], p_out[gone], ll_out[gone] = (
+            chi[leaving], p[leaving], ll[leaving])
+
+    for it in range(1, options.max_iterations + 1):
+        if live.size == 0:
+            break
+        # R = sum_j (n_j / p_j) O_j; rows without counts have weight 0
+        r = design.weighted_sum(n / p)
+        r = 0.5 * (r + _dagger(r))
+        step = _unit_trace(r @ chi @ r)
+        p_new = probs(step)
+        ll_new = log_likelihood(n, p_new)
+        pending = np.flatnonzero(ll_new < ll - 1e-9 * (1.0 + np.abs(ll)))
+        dilutions[live[pending]] += 1
+        # dilution fallback: shrink toward the identity direction
+        eps = 1.0
+        while pending.size:
+            if eps <= 1e-8:
+                raise RuntimeError(
+                    "likelihood decreased and dilution could not restore "
+                    "monotonicity"
+                )
+            mixed = (np.eye(16) + eps * r[pending]
+                     / total[pending, None, None]) / (1.0 + eps)
+            cand = _unit_trace(mixed @ chi[pending] @ _dagger(mixed))
+            p_cand = probs(cand)
+            ll_cand = log_likelihood(n[pending], p_cand)
+            ll_old = ll[pending]
+            ok = ll_cand >= ll_old - 1e-12 * (1.0 + np.abs(ll_old))
+            taken = pending[ok]
+            step[taken], p_new[taken], ll_new[taken] = (
+                cand[ok], p_cand[ok], ll_cand[ok])
+            pending = pending[~ok]
+            eps *= 0.5
+        gain = ll_new - ll
+        chi, ll, p = step, ll_new, p_new
+        for k, v in zip(live.tolist(), ll.tolist()):
+            ll_traces[k].append(v)
+        iterations[live] = it
+        done = gain / total < options.gain_tolerance
+        if done.any():
+            converged[live[done]] = True
+            retire(done)
+            keep = ~done
+            live, n, total, chi, ll, p = (
+                live[keep], n[keep], total[keep], chi[keep], ll[keep],
+                p[keep])
+    retire(np.ones(live.size, dtype=bool))
+
+    # one stacked eigvalsh of R at every returned chi
+    gaps = np.zeros(n_trials)
+    solved = np.flatnonzero(n_total > 0.0)
+    if solved.size:
+        r = design.weighted_sum(counts[solved] / p_out[solved])
+        lam = np.linalg.eigvalsh(0.5 * (r + _dagger(r)))[:, -1]
+        gaps[solved] = lam / n_total[solved] - 1.0
+
+    results = []
+    for k in range(n_trials):
+        ll_trace = np.array(ll_traces[k])
+        ll_trace.setflags(write=False)
+        results.append(MleResult(
+            ProcessMatrix(chi_out[k], 2, "trace_one"), bool(converged[k]),
+            int(iterations[k]), float(ll_out[k]), ll_trace,
+            int(dilutions[k]), float(gaps[k]),
+        ))
+    return results
 
 
 def mle_reconstruct(
@@ -266,88 +417,13 @@ def mle_reconstruct(
     (``TomographyDesign.traces`` and ``weighted_sum``), not the dense
     design matrix, and the probabilities computed to test the accepted
     step (plain or diluted) are reused for the next iteration's R.
+
+    This is a batch of one of the solver that ``monte_carlo_errors`` and
+    ``experiment_pipeline`` run on many count vectors at once; the
+    result is bit-identical to the one the same counts get there.
     """
-    options = options or MleOptions()
-    if not design.identifiable:
-        raise ValueError(
-            "unidentifiable model: the design does not span the space of "
-            "two-qubit process matrices (rank "
-            f"{design.rank} < 256)"
-        )
-    if not design.uniform:
-        raise ValueError(
-            "the RrhoR update requires the design operators to sum to a "
-            "multiple of the identity"
-        )
-    counts = dataset.counts
-    if counts.shape[0] != design.size:
-        raise ValueError("dataset does not match the design size")
-
-    chi = np.eye(16, dtype=np.complex128) / 16.0
-    total = max(dataset.total, 1.0)
-    active = counts > 0.0
-    n_active = counts[active]
-    # rows without counts keep weight 0 and so drop out of R
-    weights = np.zeros(design.size)
-
-    def r_operator(probs_active: np.ndarray) -> np.ndarray:
-        weights[active] = n_active / probs_active
-        r = design.weighted_sum(weights)
-        return 0.5 * (r + r.conj().T)
-
-    def probs(mat: np.ndarray) -> np.ndarray:
-        return np.clip(design.traces(mat)[active], 1e-300, None)
-
-    if n_active.size == 0:
-        # no information at all: the flat likelihood keeps the seed state
-        return MleResult(ProcessMatrix(chi, 2, "trace_one"), True, 0, 0.0,
-                         np.zeros(1))
-
-    ll = _log_likelihood(counts, design.probabilities(
-        ProcessMatrix(chi, 2, "trace_one")))
-    trace = [ll]
-    converged = False
-    iterations = 0
-    p = probs(chi)
-    for iterations in range(1, options.max_iterations + 1):
-        r = r_operator(p)
-        step = r @ chi @ r
-        step = 0.5 * (step + step.conj().T)
-        step = step / np.trace(step).real
-        p_new = probs(step)
-        ll_new = math.fsum((n_active * np.log(p_new)).tolist())
-        if ll_new < ll - 1e-9 * (1.0 + abs(ll)):
-            # dilution fallback: shrink toward the identity direction
-            eps = 1.0
-            while eps > 1e-8:
-                mixed = (np.eye(16) + eps * r / total) / (1.0 + eps)
-                cand = mixed @ chi @ mixed.conj().T
-                cand = 0.5 * (cand + cand.conj().T)
-                cand = cand / np.trace(cand).real
-                p_cand = probs(cand)
-                ll_cand = math.fsum((n_active * np.log(p_cand)).tolist())
-                if ll_cand >= ll - 1e-12 * (1.0 + abs(ll)):
-                    step, ll_new, p_new = cand, ll_cand, p_cand
-                    break
-                eps *= 0.5
-            else:
-                raise RuntimeError(
-                    "likelihood decreased and dilution could not restore "
-                    "monotonicity"
-                )
-        gain = ll_new - ll
-        chi, ll, p = step, ll_new, p_new
-        trace.append(ll)
-        if gain / total < options.gain_tolerance:
-            converged = True
-            break
-
-    ll_trace = np.array(trace)
-    ll_trace.setflags(write=False)
-    return MleResult(
-        ProcessMatrix(chi, 2, "trace_one"), converged, iterations, ll,
-        ll_trace,
-    )
+    return _mle_batch(dataset.counts[None, :], design,
+                      options or MleOptions())[0]
 
 
 @dataclass(frozen=True)
@@ -366,25 +442,24 @@ def monte_carlo_errors(
 ) -> dict[str, FidelityStats]:
     """Poissonian bootstrap of the reconstruction's fidelity error bars.
 
-    Each trial resamples every count around the observed value, reruns
-    the reconstruction, and evaluates the process fidelity with each
-    target; returns per-target mean and sample standard deviation.
+    Each trial resamples every count around the observed value from its
+    own spawned stream; all trials are then reconstructed as one batch
+    (each with the result it would get alone) and evaluated by process
+    fidelity with each target.  Returns per-target mean and sample
+    standard deviation.
     """
     if trials < 2:
         raise ValueError("need at least 2 Monte Carlo trials")
     if not isinstance(seed, np.random.SeedSequence):
         seed = np.random.SeedSequence(seed)
-    streams = seed.spawn(trials)
-    values: dict[str, list[float]] = {name: [] for name in targets}
-    for stream in streams:
-        rng = np.random.default_rng(stream)
-        resampled = TomographyDataset(
-            dataset.phase, rng.poisson(dataset.counts).astype(np.float64),
-            dataset.rate,
-        )
-        result = mle_reconstruct(resampled, design, options)
-        for name, target in targets.items():
-            values[name].append(process_fidelity(result.chi, target))
+    resampled = np.array(
+        [np.random.default_rng(stream).poisson(dataset.counts)
+         for stream in seed.spawn(trials)], dtype=np.float64)
+    results = _mle_batch(resampled, design, options or MleOptions())
+    values = {
+        name: [process_fidelity(result.chi, target) for result in results]
+        for name, target in targets.items()
+    }
     return {
         name: FidelityStats(float(np.mean(v)), float(np.std(v, ddof=1)))
         for name, v in values.items()
@@ -458,19 +533,28 @@ def experiment_pipeline(
 
     ``trials`` >= 2 adds Monte Carlo error bars (otherwise the std
     columns are NaN).  All randomness derives from ``seed`` through
-    per-phase spawned streams, so reruns are bit-identical.
+    per-phase spawned streams, so reruns are bit-identical.  Every
+    phase's counts are drawn first and the main reconstructions are then
+    solved as one batch, and each phase's bootstrap trials as another;
+    no result depends on what else is in its batch.
     """
     phases = tuple(as_radians(p) for p in (
         standard_phases() if phases is None else phases))
     design = design or default_design()
-    root = np.random.SeedSequence(seed)
+    options = options or MleOptions()
+    streams = [s.spawn(2) for s in
+               np.random.SeedSequence(seed).spawn(len(phases))]
+    datasets = [
+        simulate_counts(replication_experiment_channel(phi, params), design,
+                        rate, count_stream, phase=phi)
+        for phi, (count_stream, _) in zip(phases, streams)
+    ]
+    results = _mle_batch(
+        np.array([d.counts for d in datasets]).reshape(-1, design.size),
+        design, options)
     rows = []
-    for phi, stream in zip(phases, root.spawn(len(phases))):
-        count_stream, mc_stream = stream.spawn(2)
-        channel = replication_experiment_channel(phi, params)
-        dataset = simulate_counts(channel, design, rate, count_stream,
-                                  phase=phi)
-        result = mle_reconstruct(dataset, design, options)
+    for phi, dataset, result, (_, mc_stream) in zip(phases, datasets,
+                                                    results, streams):
         u = phase_gate(phi)
         targets = {"cu": cu_phase(phi), "uu": kron(u, u)}
         f_cu = process_fidelity(result.chi, targets["cu"])

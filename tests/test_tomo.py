@@ -29,7 +29,12 @@ from phaserep import (
     write_datasets_csv,
 )
 from phaserep.qmat import PROJECTOR_KETS
-from phaserep.tomo import MEASUREMENT_BASES, SINGLE_QUBIT_STATES, TomographyDesign
+from phaserep.tomo import (
+    MEASUREMENT_BASES,
+    SINGLE_QUBIT_STATES,
+    TomographyDesign,
+    _mle_batch,
+)
 
 
 def _copy_design_parts(design):
@@ -146,6 +151,14 @@ def test_factored_kernels_match_the_dense_matrix(rng, drop_input):
     r_dense = (weights @ design.matrix).reshape(16, 16).T
     r = design.weighted_sum(weights)
     assert np.max(np.abs(r - r_dense)) <= 1e-13 * np.max(np.abs(r_dense))
+
+    # a leading batch axis stacks independent inputs; each result is the
+    # one its input gets alone
+    p_batch = design.traces(np.stack([2.0 * chi, chi]))
+    r_batch = design.weighted_sum(np.stack([2.0 * weights, weights]))
+    assert p_batch.shape == (2, design.size) and r_batch.shape == (2, 16, 16)
+    assert np.array_equal(p_batch[1], p)
+    assert np.array_equal(r_batch[1], r)
 
 
 def test_probabilities_reject_single_qubit_channels():
@@ -373,6 +386,66 @@ def test_mle_respects_iteration_cap():
     assert result.iterations == 3
 
 
+def _five_row_counts(design, seed):
+    # counts on five rows only: the plain step lowers the likelihood and
+    # the dilution fallback is taken
+    rng = np.random.default_rng(seed)
+    counts = np.zeros(design.size)
+    counts[rng.choice(design.size, 5, replace=False)] = rng.integers(
+        1, 1000, 5)
+    return counts
+
+
+def test_batched_solve_matches_single_solves():
+    design = default_design()
+    channel = replication_experiment_channel(0.8, OpticsParams.measured())
+    counts = [simulate_counts(channel, design, rate, seed).counts
+              for rate, seed in ((1e3, 3), (1e4, 4), (1e5, 5))]
+    counts += [_five_row_counts(design, 2), np.zeros(design.size)]
+    capped = simulate_counts(channel, design, 1e4, 6).counts
+    options = MleOptions(max_iterations=3)
+
+    singles = [mle_reconstruct(TomographyDataset(0.0, c, 1.0), design)
+               for c in counts]
+    singles.append(mle_reconstruct(TomographyDataset(0.0, capped, 1.0),
+                                   design, options))
+    batch = _mle_batch(np.array(counts), design, MleOptions())
+    # the capped solve runs with its own options, inside a mixed batch
+    batch.append(_mle_batch(np.array([counts[1], capped, counts[3]]),
+                            design, options)[1])
+
+    for alone, stacked in zip(singles, batch):
+        assert np.array_equal(alone.chi.matrix, stacked.chi.matrix)
+        assert alone.iterations == stacked.iterations
+        assert alone.converged == stacked.converged
+        assert np.array_equal(alone.ll_trace, stacked.ll_trace)
+        assert alone.dilutions == stacked.dilutions
+        assert alone.optimality_gap == stacked.optimality_gap
+    assert [r.converged for r in singles] == [True] * 5 + [False]
+    assert singles[3].dilutions >= 1
+    assert singles[4].iterations == 0 and singles[4].optimality_gap == 0.0
+    assert np.array_equal(singles[4].chi.matrix, np.eye(16) / 16.0)
+    assert singles[5].iterations == 3
+
+
+def test_optimality_gap_matches_the_dense_formula():
+    design = default_design()
+    channel = replication_experiment_channel(0.8, OpticsParams.measured())
+    ds = simulate_counts(channel, design, 1e4, 4)
+    result = mle_reconstruct(ds, design)
+    assert result.converged and result.dilutions == 0
+    assert 0.0 <= result.optimality_gap <= 1e-3
+
+    active = ds.counts > 0.0
+    ops = design.operators[active]
+    n = ds.counts[active]
+    p = np.einsum("ab,jba->j", result.chi.matrix, ops).real
+    r = np.einsum("j,jab->ab", n / p, ops)
+    r = 0.5 * (r + r.conj().T)
+    gap = np.linalg.eigvalsh(r)[-1] / n.sum() - 1.0
+    assert abs(result.optimality_gap - gap) <= 1e-10
+
+
 # ------------------------------------------------------------ error bars
 
 
@@ -398,6 +471,34 @@ def test_monte_carlo_is_seed_deterministic():
         assert a[name].std == b[name].std
         assert 0.0 <= a[name].mean <= 1.0
         assert a[name].std >= 0.0
+
+
+def test_bootstrap_of_sparse_counts_has_empty_resamples():
+    design = default_design()
+    counts = np.zeros(design.size)
+    counts[[5, 400]] = 1.0
+    ds = TomographyDataset(0.3, counts, 1.0)
+    targets = {"cu": cu_phase(0.3)}
+    # each resample is empty with probability e^-2, two of these 16 are
+    trials, seed = 16, 4
+    # the resamples monte_carlo_errors draws: one spawned stream each
+    resampled = np.array([
+        np.random.default_rng(s).poisson(counts)
+        for s in np.random.SeedSequence(seed).spawn(trials)], dtype=float)
+    empty = resampled.sum(axis=1) == 0.0
+    assert 0 < empty.sum() < trials
+
+    results = _mle_batch(resampled, design, MleOptions())
+    for result, is_empty in zip(results, empty):
+        assert result.converged
+        if is_empty:
+            assert result.iterations == 0
+            assert np.array_equal(result.chi.matrix, np.eye(16) / 16.0)
+    stats = monte_carlo_errors(ds, design, trials, targets, seed)
+    fids = [process_fidelity(r.chi, targets["cu"]) for r in results]
+    assert stats["cu"].mean == float(np.mean(fids))
+    assert stats["cu"].std == float(np.std(fids, ddof=1))
+    assert math.isfinite(stats["cu"].mean) and math.isfinite(stats["cu"].std)
 
 
 # ------------------------------------------------------------------- fit
@@ -488,6 +589,31 @@ def test_pipeline_adds_error_bars_when_asked():
     for row in report.rows:
         assert math.isfinite(row.f_cu_std) and row.f_cu_std >= 0.0
         assert math.isfinite(row.f_uu_std) and row.f_uu_std >= 0.0
+
+
+def test_pipeline_matches_per_phase_solves_and_bootstraps():
+    params = OpticsParams.measured()
+    phases = [0.0, math.pi / 4, math.pi / 2]
+    design = default_design()
+    report = experiment_pipeline(params, phases=phases, rate=1e3, trials=3,
+                                 seed=11)
+    streams = np.random.SeedSequence(11).spawn(len(phases))
+    for phi, stream, row in zip(phases, streams, report.rows):
+        count_stream, mc_stream = stream.spawn(2)
+        ds = simulate_counts(replication_experiment_channel(phi, params),
+                             design, 1e3, count_stream, phase=phi)
+        result = mle_reconstruct(ds, design)
+        u = phase_gate(phi)
+        targets = {"cu": cu_phase(phi), "uu": kron(u, u)}
+        stats = monte_carlo_errors(ds, design, 3, targets, mc_stream)
+        assert np.array_equal(row.dataset.counts, ds.counts)
+        assert np.array_equal(row.chi.matrix, result.chi.matrix)
+        assert row.iterations == result.iterations
+        assert row.converged == result.converged
+        assert row.f_cu == process_fidelity(result.chi, targets["cu"])
+        assert row.f_uu == process_fidelity(result.chi, targets["uu"])
+        assert row.f_cu_std == stats["cu"].std
+        assert row.f_uu_std == stats["uu"].std
 
 
 # ------------------------------------------------------------------- csv
