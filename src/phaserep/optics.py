@@ -5,24 +5,36 @@ Encoding: the signal photon carries two qubits — spatial path (upper
 |1>) — and the idler photon's polarization is the target qubit.  Only
 the lower signal path overlaps the idler on a partially polarizing beam
 splitter (PPBS, reflectances R_H and R_V); the upper path traverses an
-identical splitter against vacuum, so single-photon attenuation is path
-independent.  Ideal balancing attenuators of amplitude sqrt(1/3) act on
-the horizontal modes, and ideal polarization Hadamards sandwich the
-idler, turning the postselected controlled-controlled-Z into a Toffoli.
+identical splitter against vacuum (the ``x`` modes), so single-photon
+attenuation is path independent.  Ideal balancing attenuators of
+amplitude sqrt(1/3) act on the horizontal modes, and ideal polarization
+Hadamards sandwich the idler, turning the postselected
+controlled-controlled-Z into a Toffoli.
+
+The network is linear, so one single-photon transfer matrix over the
+modes uH uV lH lV iH iV xH xV describes it:
+T = Had_i · Atten · PPBS · Had_i, with T[out, in].  A coincidence
+keeps one photon in the signal modes (first four) and one in the idler
+modes (iH, iV).  For distinguishable photons the two ways to get there
+are separate classes: both transmit, with map T[sig, sig] ⊗ T[idl, idl],
+or both reflect, so the signal photon leaves in the idler arm and the
+idler photon in the signal arm.  For indistinguishable photons the
+amplitude of output modes (m, n) from input modes (s, i) is the 2×2
+permanent T[m, s] T[n, i] + T[n, s] T[m, i], the coherent sum of the
+two classes (Scheel, quant-ph/0406127).
 
 At the design point (R_V = 2/3, R_H = 0, full interference) the
 coincidence-basis map is exactly Toffoli/3: success probability 1/9 for
-every input.  Partial photon distinguishability is a two-point mixture:
-weight V of the fully interfering (bosonic) sector and 1-V of the
-distinguishable sector, in which the transmit-transmit and
-reflect-reflect coincidence classes contribute incoherently.
+every input.  Partial photon distinguishability is a two-sector
+mixture: weight V of the interfering (bosonic) map and 1-V of the
+distinguishable sector, whose transmit-transmit and reflect-reflect
+classes contribute incoherently.
 """
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -30,15 +42,22 @@ from .choi import ProcessMatrix, choi_from_kraus
 from .gates import as_radians
 from .qmat import Operator
 
-MODES = ("uH", "uV", "lH", "lV", "iH", "iV", "xH", "xV")
-SECTORS = ("interfering", "distinguishable")
-
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 _SQRT_THIRD = 1.0 / math.sqrt(3.0)
 
-# Balancing attenuators on the horizontal modes (fixed at the ideal
-# design value; they are alignment elements, not noise parameters).
-ATTENUATION = {"uH": _SQRT_THIRD, "lH": _SQRT_THIRD, "iH": _SQRT_THIRD}
+# Mode slices of the transfer matrix: signal (uH uV lH lV) and idler
+# (iH iV); xH xV complete the upper path's splitter.
+_SIG = slice(0, 4)
+_IDL = slice(4, 6)
+
+# Balancing attenuators on the horizontal modes uH, lH, iH (fixed at the
+# ideal design value; they are alignment elements, not noise parameters).
+_ATTENUATION = np.diag([_SQRT_THIRD, 1.0, _SQRT_THIRD, 1.0,
+                        _SQRT_THIRD, 1.0, 1.0, 1.0])
+
+_IDLER_HADAMARD = np.eye(8)
+_IDLER_HADAMARD[_IDL, _IDL] = [[_SQRT_HALF, _SQRT_HALF],
+                               [_SQRT_HALF, -_SQRT_HALF]]
 
 
 @dataclass(frozen=True)
@@ -69,135 +88,26 @@ class OpticsParams:
                    phase_jitter_sigma=phase_jitter_sigma)
 
 
-ModeMap = Mapping[str, Sequence[tuple[str, complex]]]
+def ppbs_matrix(params: OpticsParams) -> np.ndarray:
+    """Unitary 8x8 single-photon matrix of the PPBS, indexed [out, in].
 
-
-@dataclass
-class OpticalState:
-    """Amplitudes over one- or two-photon occupation patterns.
-
-    Keys are mode tuples.  In the ``interfering`` sector two-photon keys
-    are unordered (stored sorted) with the bosonic convention that a
-    doubly occupied mode ``(m, m)`` holds the amplitude of
-    (a_m^dag)^2 |0> / sqrt(2); in the ``distinguishable`` sector keys
-    are ordered per photon label.  Total squared amplitude may drop
-    below 1 under attenuation and postselection, never above.
+    Each polarization couples l with i and u with x: transmission
+    sqrt(1 - R), reflection i sqrt(R).
     """
-
-    amplitudes: dict[tuple[str, ...], complex]
-    sector: str = "interfering"
-
-    def __post_init__(self):
-        if self.sector not in SECTORS:
-            raise ValueError(f"sector must be one of {SECTORS}")
-        sizes = set()
-        for key in self.amplitudes:
-            if any(m not in MODES for m in key):
-                raise ValueError(f"unknown mode in key {key!r}")
-            if self.sector == "interfering" and len(key) == 2:
-                if key != tuple(sorted(key)):
-                    raise ValueError("bosonic two-photon keys are sorted")
-            sizes.add(len(key))
-        if len(sizes) > 1 or (sizes and sizes - {1, 2}):
-            raise ValueError("state must hold one or two photons")
-        if self.norm_squared() > 1.0 + 1e-10:
-            raise ValueError("total squared amplitude exceeds 1")
-
-    def norm_squared(self) -> float:
-        return float(sum(abs(a) ** 2 for a in self.amplitudes.values()))
-
-    def transformed(self, mode_map: ModeMap) -> "OpticalState":
-        """Apply a single-photon linear-optical element to each photon."""
-
-        def images(mode):
-            return mode_map.get(mode, ((mode, 1.0),))
-
-        out: dict = defaultdict(complex)
-        if not self.amplitudes:
-            return OpticalState({}, self.sector)
-        if len(next(iter(self.amplitudes))) == 1:
-            for (mode,), amp in self.amplitudes.items():
-                for mode2, c in images(mode):
-                    out[(mode2,)] += amp * c
-            return OpticalState(dict(out), self.sector)
-
-        # Expand to the ordered two-photon tensor, transform each leg,
-        # then fold back (resymmetrizing in the bosonic sector).
-        psi: dict = defaultdict(complex)
-        for (a, b), amp in self.amplitudes.items():
-            if self.sector == "interfering" and a != b:
-                psi[(a, b)] += amp * _SQRT_HALF
-                psi[(b, a)] += amp * _SQRT_HALF
-            else:
-                psi[(a, b)] += amp
-        psi2: dict = defaultdict(complex)
-        for (a, b), c0 in psi.items():
-            for a2, ca in images(a):
-                for b2, cb in images(b):
-                    psi2[(a2, b2)] += c0 * ca * cb
-        if self.sector == "distinguishable":
-            out.update(psi2)
-        else:
-            for (a, b), val in psi2.items():
-                if a == b:
-                    out[(a, b)] += val
-                else:
-                    out[tuple(sorted((a, b)))] += val * _SQRT_HALF
-        cleaned = {k: v for k, v in out.items() if abs(v) > 1e-15}
-        return OpticalState(cleaned, self.sector)
-
-    def attenuated(self, factors: Mapping[str, float]) -> "OpticalState":
-        """Lossy element: scale each mode's amplitude by its factor <= 1."""
-        if any(f > 1.0 + 1e-12 for f in factors.values()):
-            raise ValueError("attenuation factors must not exceed 1")
-        out = {}
-        for key, amp in self.amplitudes.items():
-            for mode in key:
-                amp = amp * factors.get(mode, 1.0)
-            out[key] = amp
-        return OpticalState(out, self.sector)
-
-
-def _ppbs_map(params: OpticsParams) -> ModeMap:
-    mode_map = {}
-    for pol, refl in (("H", params.r_h), ("V", params.r_v)):
+    ppbs = np.zeros((8, 8), dtype=np.complex128)
+    for pol, refl in ((0, params.r_h), (1, params.r_v)):
         t = math.sqrt(1.0 - refl)
-        r = math.sqrt(refl)
-        mode_map["l" + pol] = (("l" + pol, t), ("i" + pol, 1j * r))
-        mode_map["i" + pol] = (("i" + pol, t), ("l" + pol, 1j * r))
-        mode_map["u" + pol] = (("u" + pol, t), ("x" + pol, 1j * r))
-        mode_map["x" + pol] = (("x" + pol, t), ("u" + pol, 1j * r))
-    return mode_map
+        r = 1j * math.sqrt(refl)
+        for a, b in ((2 + pol, 4 + pol), (pol, 6 + pol)):
+            ppbs[a, a] = ppbs[b, b] = t
+            ppbs[a, b] = ppbs[b, a] = r
+    return ppbs
 
 
-_IDLER_HADAMARD: ModeMap = {
-    "iH": (("iH", _SQRT_HALF), ("iV", _SQRT_HALF)),
-    "iV": (("iH", _SQRT_HALF), ("iV", -_SQRT_HALF)),
-}
-
-
-def ppbs_transform(state: OpticalState, params: OpticsParams
-                   ) -> OpticalState:
-    """Beam-splitter action of the PPBS on all mode pairs it couples.
-
-    Unitary on the full mode space (the ``x`` modes complete the upper
-    path's splitter), so the norm is preserved until postselection.
-    """
-    return state.transformed(_ppbs_map(params))
-
-
-def _basis_modes(index: int) -> tuple[str, str]:
-    s, p, q = (index >> 2) & 1, (index >> 1) & 1, index & 1
-    signal = ("l" if s else "u") + ("V" if p else "H")
-    idler = "i" + ("V" if q else "H")
-    return signal, idler
-
-
-def _qubit_index(signal_mode: str, idler_mode: str) -> int:
-    s = 1 if signal_mode[0] == "l" else 0
-    p = 1 if signal_mode[1] == "V" else 0
-    q = 1 if idler_mode[1] == "V" else 0
-    return 4 * s + 2 * p + q
+def transfer_matrix(params: OpticsParams) -> np.ndarray:
+    """Single-photon transfer matrix T of the whole network, [out, in]."""
+    return (_IDLER_HADAMARD @ _ATTENUATION @ ppbs_matrix(params)
+            @ _IDLER_HADAMARD)
 
 
 def sector_operators(
@@ -206,38 +116,21 @@ def sector_operators(
     """Unweighted coincidence maps of the gate network, by sector.
 
     Returns (interfering, transmit-transmit, reflect-reflect) 8x8
-    matrices.  The interfering map is the coherent sum of the two
-    distinguishable-sector classes.
+    matrices on the qubit basis |s p q> (signal mode 2s+p, idler
+    polarization q).  The interfering map is the 2x2 permanent, i.e. the
+    coherent sum of the two distinguishable-sector classes.
     """
-    m_int = np.zeros((8, 8), dtype=np.complex128)
-    k_tt = np.zeros((8, 8), dtype=np.complex128)
-    k_rr = np.zeros((8, 8), dtype=np.complex128)
-    for col in range(8):
-        signal, idler = _basis_modes(col)
-        for sector in SECTORS:
-            if sector == "interfering":
-                key = tuple(sorted((signal, idler)))
-            else:
-                key = (signal, idler)  # photon 1 = signal, photon 2 = idler
-            state = OpticalState({key: 1.0}, sector)
-            state = state.transformed(_IDLER_HADAMARD)
-            state = ppbs_transform(state, params)
-            state = state.attenuated(ATTENUATION)
-            state = state.transformed(_IDLER_HADAMARD)
-            for (m1, m2), amp in state.amplitudes.items():
-                regions = (m1[0], m2[0])
-                if sector == "interfering":
-                    if regions[0] in "ul" and regions[1] == "i":
-                        m_int[_qubit_index(m1, m2), col] += amp
-                    elif regions[0] == "i" and regions[1] in "ul":
-                        m_int[_qubit_index(m2, m1), col] += amp
-                else:
-                    if regions[0] in "ul" and regions[1] == "i":
-                        k_tt[_qubit_index(m1, m2), col] += amp
-                    elif regions[0] == "i" and regions[1] in "ul":
-                        # photon labels swapped across the output regions
-                        k_rr[_qubit_index(m2, m1), col] += amp
-    return m_int, k_tt, k_rr
+    t = transfer_matrix(params)
+    # rows (m, n): signal output mode m, idler output mode n; columns
+    # (s, i): signal and idler input modes.  Transmit-transmit is
+    # T[m, s] T[n, i] = T[sig, sig] (x) T[idl, idl]; in reflect-reflect
+    # the signal photon exits in idler mode n and the idler photon in
+    # signal mode m.
+    k_tt = np.einsum("ms,ni->mnsi", t[_SIG, _SIG],
+                     t[_IDL, _IDL]).reshape(8, 8)
+    k_rr = np.einsum("ns,mi->mnsi", t[_IDL, _SIG],
+                     t[_SIG, _IDL]).reshape(8, 8)
+    return k_tt + k_rr, k_tt, k_rr
 
 
 def effective_toffoli(

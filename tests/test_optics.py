@@ -7,14 +7,13 @@ import pytest
 from phaserep.choi import choi_from_kraus, process_fidelity
 from phaserep.gates import cu_phase, toffoli
 from phaserep.optics import (
-    MODES,
-    OpticalState,
     OpticsParams,
     dephase_spatial,
     effective_toffoli,
-    ppbs_transform,
+    ppbs_matrix,
     replication_experiment_channel,
     sector_operators,
+    transfer_matrix,
 )
 from phaserep.qmat import kron, Operator
 
@@ -40,47 +39,140 @@ def test_preset_values():
         == (0.660, 0.017, 0.958)
 
 
-def test_optical_state_validation():
-    with pytest.raises(ValueError):
-        OpticalState({("bogus",): 1.0}, "interfering")
-    with pytest.raises(ValueError):
-        OpticalState({("uV", "uH"): 1.0}, "interfering")  # unsorted pair
-    with pytest.raises(ValueError):
-        OpticalState({("uH",): 1.0}, "elsewhere")
+# mode indices of the transfer matrix (uH uV lH lV iH iV xH xV)
+L_V, I_H, I_V = 3, 4, 5
+
+
+def _perm2(u, rows, cols):
+    (m, n), (a, b) = rows, cols
+    return u[m, a] * u[n, b] + u[n, a] * u[m, b]
+
+
+def _fock_reference(params):
+    """Coincidence maps from the two-photon Fock state, built explicitly.
+
+    The network's elements are composed here, not taken from the module;
+    T (x) T acts on the ordered photon pair (signal, idler), and the
+    bosonic sector is symmetrized before and after by hand.
+    """
+    h = 1.0 / math.sqrt(2.0)
+    a = 1.0 / math.sqrt(3.0)
+    had = np.eye(8)
+    had[I_H:I_V + 1, I_H:I_V + 1] = [[h, h], [h, -h]]
+    att = np.diag([a, 1.0, a, 1.0, a, 1.0, 1.0, 1.0])
+    t = had @ att @ ppbs_matrix(params) @ had
+    pair_map = np.kron(t, t)
+    m_int, k_tt, k_rr = (np.zeros((8, 8), dtype=complex) for _ in range(3))
+    for col in range(8):
+        sig, idl = col >> 1, 4 + (col & 1)
+        ordered = np.zeros(64)
+        ordered[8 * sig + idl] = 1.0
+        symmetric = np.zeros(64)
+        symmetric[8 * sig + idl] = symmetric[8 * idl + sig] = h
+        dist = (pair_map @ ordered).reshape(8, 8)
+        bos = (pair_map @ symmetric).reshape(8, 8)
+        for m in range(4):
+            for n in (I_H, I_V):
+                row = 2 * m + n - I_H
+                k_tt[row, col] = dist[m, n]
+                k_rr[row, col] = dist[n, m]
+                m_int[row, col] = h * (bos[m, n] + bos[n, m])
+    return m_int, k_tt, k_rr
+
+
+def _random_params(seed):
+    r_v, r_h, vis = np.random.default_rng(seed).uniform(size=3)
+    return OpticsParams(r_v=r_v, r_h=r_h, visibility=vis)
 
 
 def test_single_photon_splitting_amplitudes():
     params = OpticsParams.ideal()
-    state = OpticalState({("lV",): 1.0}, "interfering")
-    out = ppbs_transform(state, params)
     t = math.sqrt(1.0 - params.r_v)
     r = math.sqrt(params.r_v)
-    assert out.amplitudes[("lV",)] == pytest.approx(t, abs=1e-12)
-    assert out.amplitudes[("iV",)] == pytest.approx(1j * r, abs=1e-12)
-    assert out.norm_squared() == pytest.approx(1.0, abs=1e-12)
+    ppbs = ppbs_matrix(params)
+    assert ppbs[L_V, L_V] == pytest.approx(t, abs=1e-15)
+    assert ppbs[I_V, L_V] == pytest.approx(1j * r, abs=1e-15)
+    assert np.linalg.norm(ppbs[:, L_V]) == pytest.approx(1.0, abs=1e-15)
+    # in T the idler Hadamard splits the reflected amplitude over iH, iV;
+    # lV carries no attenuator
+    big_t = transfer_matrix(params)
+    assert big_t[L_V, L_V] == pytest.approx(t, abs=1e-15)
+    assert big_t[I_H, L_V] == pytest.approx(1j * r / math.sqrt(2.0),
+                                            abs=1e-15)
+    assert big_t[I_V, L_V] == pytest.approx(-1j * r / math.sqrt(2.0),
+                                            abs=1e-15)
 
 
 def test_two_photon_interference_amplitude():
     # both photons V in opposite ports of the R_V = 2/3 splitter: the
-    # bunching-interference coincidence amplitude is t^2 - R = -1/3
-    params = OpticsParams.ideal()
-    state = OpticalState({("iV", "lV"): 1.0}, "interfering")
-    out = ppbs_transform(state, params)
-    assert out.amplitudes[("iV", "lV")] == pytest.approx(-1.0 / 3.0,
-                                                         abs=1e-12)
+    # coincidence amplitude is the permanent t^2 + (i r)^2 = -1/3
+    ppbs = ppbs_matrix(OpticsParams.ideal())
+    amp = _perm2(ppbs, (I_V, L_V), (I_V, L_V))
+    assert amp == pytest.approx(-1.0 / 3.0, abs=1e-15)
 
 
-def test_transform_preserves_norm_in_both_sectors(rng):
-    bosonic = sorted({tuple(sorted((a, b))) for a in MODES for b in MODES})
-    ordered = [(a, b) for a in MODES for b in MODES]
-    for sector, pairs in (("interfering", bosonic),
-                          ("distinguishable", ordered)):
-        amp = rng.normal(size=len(pairs)) + 1j * rng.normal(size=len(pairs))
-        amp /= np.linalg.norm(amp)
-        state = OpticalState(
-            {pair: a for pair, a in zip(pairs, amp)}, sector)
-        out = ppbs_transform(state, OpticsParams.measured())
-        assert out.norm_squared() == pytest.approx(1.0, abs=1e-12)
+def test_transform_preserves_norm_in_both_sectors():
+    # distinguishable sector: U (x) U is unitary exactly when U is
+    pairs = [(a, b) for a in range(8) for b in range(a, 8)]
+    for params in (OpticsParams.measured(), _random_params(1)):
+        u = ppbs_matrix(params)
+        assert np.max(np.abs(u.conj().T @ u - np.eye(8))) <= 1e-15
+        # bosonic sector: permanents over the normalized symmetric basis
+        sym = np.array([
+            [_perm2(u, (m, n), (a, b))
+             / math.sqrt((1 + (a == b)) * (1 + (m == n)))
+             for (a, b) in pairs]
+            for (m, n) in pairs])
+        assert np.max(np.abs(sym.conj().T @ sym - np.eye(len(pairs)))) \
+            <= 1e-15
+
+
+@pytest.mark.parametrize(
+    "params",
+    [OpticsParams.ideal(), OpticsParams.measured()]
+    + [_random_params(seed) for seed in range(24)])
+def test_sector_operators_match_fock_reference(params):
+    for got, want in zip(sector_operators(params), _fock_reference(params)):
+        assert np.max(np.abs(got - want)) <= 1e-15
+
+
+def test_lossless_splitter_edge_has_no_exchange():
+    # R_V = R_H = 0: the PPBS is the identity, so only the attenuators and
+    # the idler Hadamards remain
+    params = OpticsParams(r_v=0.0, r_h=0.0, visibility=1.0)
+    m_int, k_tt, k_rr = sector_operators(params)
+    assert np.all(k_rr == 0.0)
+    a = 1.0 / math.sqrt(3.0)
+    idler = np.array([[a + 1.0, a - 1.0], [a - 1.0, a + 1.0]]) / 2.0
+    want = np.kron(np.diag([a, 1.0, a, 1.0]), idler)
+    assert np.max(np.abs(k_tt - want)) <= 1e-15
+    assert np.max(np.abs(m_int - want)) <= 1e-15
+
+
+def test_full_reflection_edge_has_no_transmission():
+    params = OpticsParams(r_v=1.0, r_h=1.0, visibility=1.0)
+    m_int, k_tt, k_rr = sector_operators(params)
+    assert np.all(k_tt == 0.0)
+    assert np.array_equal(m_int, k_rr)
+
+
+def test_zero_visibility_keeps_two_kraus_operators():
+    kraus, _ = effective_toffoli(
+        dataclasses.replace(OpticsParams.measured(), visibility=0.0))
+    assert len(kraus) == 2
+
+
+@pytest.mark.parametrize("params", [
+    OpticsParams(r_v=0.0, r_h=0.0, visibility=1.0),
+    OpticsParams(r_v=1.0, r_h=1.0, visibility=1.0),
+    OpticsParams(r_v=0.0, r_h=0.0, visibility=0.0),
+    OpticsParams(r_v=1.0, r_h=1.0, visibility=0.0),
+    dataclasses.replace(OpticsParams.measured(), visibility=0.0),
+])
+def test_edge_success_is_a_probability(params):
+    _, success = effective_toffoli(params)
+    assert math.isfinite(success)
+    assert 0.0 <= success <= 1.0
 
 
 def test_interfering_operator_splits_into_transmit_and_swap():
