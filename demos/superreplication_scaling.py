@@ -1,6 +1,6 @@
 """How N catalyst copies drive M nearly perfect replicas.
 
-Builds the imprinting unitary for small sizes, spells out the weight
+Builds the imprinting permutation for small sizes, spells out the weight
 window and phase profile that make the construction work, and sweeps
 the closed-form worst-case fidelity along M = N^(2-alpha) to show the
 infidelity collapsing as N grows.
@@ -27,15 +27,16 @@ def small_cases() -> None:
     print("windows and phase profiles:")
     for copies, replicas in ((1, 2), (2, 4), (3, 9)):
         spec = ReplicationSpec(copies, replicas)
-        profile = phase_profile(spec)
-        imprints = [format(ancilla_imprint(spec, w), f"0{copies}b")
-                    for w in range(replicas + 1)]
+        imprints = [format(k, f"0{copies}b")
+                    for k in ancilla_imprint(spec).tolist()]
         print(f"  {copies} -> {replicas}: window "
-              f"[{spec.m_min}, {spec.m_max}), f = {list(profile.values)}, "
+              f"[{spec.m_min}, {spec.m_max}), "
+              f"f = {phase_profile(spec).tolist()}, "
               f"ancilla patterns {imprints}")
 
-    v = build_V(ReplicationSpec(1, 2))
-    same = np.array_equal(v.matrix, toffoli().matrix)
+    # V is a permutation: compare it with the Toffoli's column -> row map
+    perm = build_V(ReplicationSpec(1, 2))
+    same = np.array_equal(perm, np.argmax(toffoli().matrix, axis=0))
     print(f"\nimprinting unitary for 1 -> 2 equals the Toffoli: {same}")
 
 

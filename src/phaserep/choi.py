@@ -9,21 +9,14 @@ sub-normalized matrices and are first-class citizens here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .qmat import Operator, QuantumState, UNITARY_ATOL
+from .qmat import Operator, QuantumState
 
-NORMALIZATIONS = ("trace_one", "trace_d")
-
-
-def _phi_vector(qubits: int) -> np.ndarray:
-    # |Phi> = 2^{-n/2} sum_m |m>|m>
-    d = 2 ** qubits
-    vec = np.zeros(d * d, dtype=np.complex128)
-    vec[:: d + 1] = 1.0 / np.sqrt(d)
-    return vec
+# the one trace convention, recorded in serialized process matrices
+_NORMALIZATION = "trace_one"
 
 
 def choi_vector(u: Operator) -> np.ndarray:
@@ -33,32 +26,18 @@ def choi_vector(u: Operator) -> np.ndarray:
     return u.matrix.T.reshape(-1) / np.sqrt(d)
 
 
-def choi_state(u: Operator) -> QuantumState:
-    """Choi state |Phi_U> = (I ⊗ U)|Phi> of a unitary."""
-    if not u.is_unitary():
-        raise ValueError("choi_state requires a unitary operator")
-    return QuantumState("pure", choi_vector(u), 2 * u.qubits)
-
-
 @dataclass(frozen=True)
 class ProcessMatrix:
-    """Choi matrix of an n-qubit channel with a normalization tag.
+    """Choi matrix of an n-qubit channel.
 
-    ``normalization`` names the convention family: under ``trace_one`` a
-    trace-preserving channel has unit trace (sub-normalized postselected
-    maps have smaller trace); ``trace_d`` is the unnormalized-EPR variant
-    where a trace-preserving channel has trace 2^n.
+    A trace-preserving channel has unit trace; sub-normalized
+    postselected maps have smaller trace.
     """
 
     matrix: np.ndarray
     qubits: int
-    normalization: str = "trace_one"
 
     def __post_init__(self):
-        if self.normalization not in NORMALIZATIONS:
-            raise ValueError(
-                f"normalization must be one of {NORMALIZATIONS}"
-            )
         m = np.array(self.matrix, dtype=np.complex128)
         d2 = 4 ** self.qubits
         if m.shape != (d2, d2):
@@ -85,12 +64,12 @@ class ProcessMatrix:
         return float(np.trace(self.matrix).real)
 
     def normalized(self) -> "ProcessMatrix":
-        """Rescale to unit trace (``trace_one`` tag)."""
+        """Rescale to unit trace."""
         tr = self.trace
         if tr <= 0.0:
             raise ValueError("cannot normalize a process matrix with "
                              "non-positive trace")
-        return ProcessMatrix(self.matrix / tr, self.qubits, "trace_one")
+        return ProcessMatrix(self.matrix / tr, self.qubits)
 
 
 def choi_from_kraus(
@@ -117,7 +96,7 @@ def choi_from_kraus(
     for m in mats:
         v = m.T.reshape(-1) / np.sqrt(d)
         chi += np.outer(v, v.conj())
-    return ProcessMatrix(chi, n, "trace_one")
+    return ProcessMatrix(chi, n)
 
 
 def gate_fidelity(u1: Operator, u2: Operator) -> float:
@@ -164,10 +143,7 @@ def apply_channel(
             raise ValueError("state and channel dimensions differ")
     d = chi.dim
     chi4 = chi.matrix.reshape(d, d, d, d)
-    out = np.einsum("mn,manb->ab", rho_m, chi4)
-    if chi.normalization == "trace_one":
-        out = out * d
-    return out
+    return np.einsum("mn,manb->ab", rho_m, chi4) * d
 
 
 def process_matrix_to_json(
@@ -176,7 +152,7 @@ def process_matrix_to_json(
     """JSON-safe dict with real/imag parts and the convention metadata."""
     doc = {
         "qubits": chi.qubits,
-        "normalization": chi.normalization,
+        "normalization": _NORMALIZATION,
         "convention": "first register is the reference (identity) side",
         "real": chi.matrix.real.tolist(),
         "imag": chi.matrix.imag.tolist(),
@@ -187,7 +163,16 @@ def process_matrix_to_json(
 
 
 def process_matrix_from_json(doc: dict) -> ProcessMatrix:
+    """Inverse of ``process_matrix_to_json``.
+
+    Only the unit-trace convention is understood; a document tagged with
+    any other normalization raises ``ValueError``.
+    """
+    if doc.get("normalization") != _NORMALIZATION:
+        raise ValueError(
+            f"unsupported process-matrix normalization "
+            f"{doc.get('normalization')!r}; expected {_NORMALIZATION!r}")
     m = np.array(doc["real"], dtype=np.float64) + 1j * np.array(
         doc["imag"], dtype=np.float64
     )
-    return ProcessMatrix(m, int(doc["qubits"]), doc["normalization"])
+    return ProcessMatrix(m, int(doc["qubits"]))

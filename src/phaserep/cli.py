@@ -31,15 +31,14 @@ from typing import Sequence
 import numpy as np
 
 from . import tomo
-from .choi import ProcessMatrix, choi_from_kraus, process_fidelity, \
-    process_matrix_to_json
+from .choi import choi_from_kraus, process_fidelity, process_matrix_to_json
 from .gates import baseline_measure_prepare, baseline_single_copy, \
     cu_phase, fidelity_replicas, optimal_cloner_fidelity, phase_gate, \
     toffoli, twirled_mean_fidelity
 from .optics import OpticsParams, effective_toffoli, \
     replication_experiment_channel
 from .qmat import kron, set_register_cap
-from .superrep import asymptotic_sweep, default_phi_grid
+from .superrep import asymptotic_sweep
 from .svgplot import Series, heatmap_grid, line_plot
 
 ARTIFACT_VERSION = 1
@@ -371,8 +370,7 @@ def cmd_replicate(config: RunConfig) -> int:
 def cmd_superrep(config: RunConfig) -> int:
     """Worst-case replication fidelity along an N -> M = N^(2-alpha) law."""
     out = _prepare_out_dir(config)
-    grid = default_phi_grid() if config.phi_grid_size == 513 \
-        else np.linspace(0.0, math.pi, config.phi_grid_size)
+    grid = np.linspace(0.0, math.pi, config.phi_grid_size)
     sweep = asymptotic_sweep(config.alpha, list(config.n_list),
                              phi_grid=grid,
                              m_list=list(config.m_list)

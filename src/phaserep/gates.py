@@ -29,37 +29,21 @@ from .qmat import (
 )
 
 
-@dataclass(frozen=True)
-class PhaseAngle:
-    """Phase in radians, reduced to [0, 2*pi) on construction."""
-
-    radians: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "radians", normalize_phase(self.radians))
-
-
-def as_radians(phi: "float | PhaseAngle") -> float:
-    if isinstance(phi, PhaseAngle):
-        return phi.radians
-    return normalize_phase(float(phi))
-
-
 _H = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
 _X = np.array([[0.0, 1.0], [1.0, 0.0]])
 _P0 = np.array([[1.0, 0.0], [0.0, 0.0]])
 _P1 = np.array([[0.0, 0.0], [0.0, 1.0]])
 
 
-def phase_gate(phi: "float | PhaseAngle") -> Operator:
+def phase_gate(phi: float) -> Operator:
     """diag(1, e^{i*phi}) on one qubit."""
-    phi = as_radians(phi)
+    phi = normalize_phase(phi)
     return Operator(np.diag([1.0, np.exp(1j * phi)]), 1)
 
 
-def cu_phase(phi: "float | PhaseAngle") -> Operator:
+def cu_phase(phi: float) -> Operator:
     """Controlled phase gate diag(1, 1, 1, e^{i*phi}) on two qubits."""
-    phi = as_radians(phi)
+    phi = normalize_phase(phi)
     return Operator(np.diag([1.0, 1.0, 1.0, np.exp(1j * phi)]), 2)
 
 
@@ -91,16 +75,14 @@ def _signal_from_collapsed(vec: np.ndarray, ket: np.ndarray) -> np.ndarray:
     return vec.reshape(4, 2) @ ket.conj()
 
 
-def replicate_unitary_form(
-    phi: "float | PhaseAngle", psi_in: QuantumState
-) -> QuantumState:
+def replicate_unitary_form(phi: float, psi_in: QuantumState) -> QuantumState:
     """Unitary-form replication: Toffoli, phase on ancilla, Toffoli.
 
     Simulates the full 3-qubit circuit with the ancilla in |0>, verifies
     that the ancilla disentangles back to |0>, and returns the two-qubit
     signal state, which equals cu_phase(phi) applied to the input.
     """
-    phi = as_radians(phi)
+    phi = normalize_phase(phi)
     if psi_in.kind != "pure" or psi_in.qubits != 2:
         raise ValueError("input must be a pure 2-qubit state")
     t = toffoli()
@@ -132,7 +114,7 @@ class ReplicationOutcome:
 
 
 def replicate_measured_form(
-    phi: "float | PhaseAngle",
+    phi: float,
     psi_in: QuantumState,
     apply_feedforward: bool = False,
 ) -> tuple[ReplicationOutcome, ReplicationOutcome]:
@@ -144,7 +126,7 @@ def replicate_measured_form(
     ``apply_feedforward`` is set.  Each branch fires with probability 1/2
     regardless of the input state.
     """
-    phi = as_radians(phi)
+    phi = normalize_phase(phi)
     if psi_in.kind != "pure" or psi_in.qubits != 2:
         raise ValueError("input must be a pure 2-qubit state")
     t = toffoli()
@@ -175,18 +157,17 @@ def replicate_measured_form(
     return outcomes[0], outcomes[1]
 
 
-def fidelity_replicas(phi: "float | PhaseAngle") -> float:
+def fidelity_replicas(phi: float) -> float:
     """Gate fidelity of cu_phase(phi) with two ideal copies of the gate.
 
     Closed form (test oracle): (5 + 3 cos phi) / 8.
     """
-    phi = as_radians(phi)
+    phi = normalize_phase(phi)
     u = phase_gate(phi)
     return gate_fidelity(cu_phase(phi), kron(u, u))
 
 
-def twirled_mean_fidelity(grid_size: int, phi: "float | PhaseAngle" = 0.0
-                          ) -> float:
+def twirled_mean_fidelity(grid_size: int, phi: float = 0.0) -> float:
     """Replica fidelity averaged over a uniform random-phase twirl.
 
     The twirl angle theta runs over a uniform grid of ``grid_size`` points
@@ -195,14 +176,14 @@ def twirled_mean_fidelity(grid_size: int, phi: "float | PhaseAngle" = 0.0
     """
     if grid_size < 2:
         raise ValueError("twirl grid needs at least 2 points")
-    phi = as_radians(phi)
+    phi = normalize_phase(phi)
     thetas = 2.0 * math.pi * np.arange(grid_size) / grid_size
     return float(np.mean([fidelity_replicas(phi + t) for t in thetas]))
 
 
-def baseline_single_copy(phi: "float | PhaseAngle") -> float:
+def baseline_single_copy(phi: float) -> float:
     """Fidelity of applying the gate to one qubit only; cos^2(phi/2)."""
-    phi = as_radians(phi)
+    phi = normalize_phase(phi)
     u = phase_gate(phi)
     return gate_fidelity(kron(u, Operator.identity(1)), kron(u, u))
 
@@ -230,7 +211,14 @@ def baseline_measure_prepare() -> float:
                       for k in range(nodes))
 
 
-def optimal_cloner(phi: "float | PhaseAngle") -> list[Operator]:
+# the cloner circuit's phase-independent gates, built once
+_CLONER_BEFORE_PHASE = (_ancilla_gate(_H, control=0),
+                        _ancilla_gate(_H, control=1), toffoli().matrix)
+_CLONER_AFTER_PHASE = (_ancilla_gate(_X, control=0),
+                       _ancilla_gate(_X, control=1))
+
+
+def optimal_cloner(phi: float) -> list[Operator]:
     """Effective two-qubit maps of the optimal 1->2 phase-gate cloner.
 
     Circuit: controlled-Hadamard from each signal qubit onto a |0>
@@ -244,15 +232,10 @@ def optimal_cloner(phi: "float | PhaseAngle") -> list[Operator]:
     the one whose phase-averaged fidelity attains (3 + 2*sqrt(2))/8;
     other orientations fall short and are rejected by the tests.
     """
-    phi = as_radians(phi)
-    circuit = [
-        _ancilla_gate(_H, control=0),
-        _ancilla_gate(_H, control=1),
-        toffoli().matrix,
-        np.kron(np.eye(4), phase_gate(phi).matrix),
-        _ancilla_gate(_X, control=0),
-        _ancilla_gate(_X, control=1),
-    ]
+    phi = normalize_phase(phi)
+    circuit = [*_CLONER_BEFORE_PHASE,
+               np.kron(np.eye(4), phase_gate(phi).matrix),
+               *_CLONER_AFTER_PHASE]
     w = np.eye(8, dtype=np.complex128)
     for gate in circuit:
         w = gate @ w
@@ -260,9 +243,9 @@ def optimal_cloner(phi: "float | PhaseAngle") -> list[Operator]:
     return [Operator(w4[:, b, :, 0], 2) for b in (0, 1)]
 
 
-def optimal_cloner_fidelity(phi: "float | PhaseAngle") -> float:
+def optimal_cloner_fidelity(phi: float) -> float:
     """Process fidelity of the cloner channel with phase_gate(phi)^{x2}."""
-    phi = as_radians(phi)
+    phi = normalize_phase(phi)
     chi = choi_from_kraus(optimal_cloner(phi))
     u = phase_gate(phi)
     return process_fidelity(chi, kron(u, u))

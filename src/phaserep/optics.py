@@ -39,8 +39,7 @@ from typing import Sequence
 import numpy as np
 
 from .choi import ProcessMatrix, choi_from_kraus
-from .gates import as_radians
-from .qmat import Operator
+from .qmat import Operator, normalize_phase
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 _SQRT_THIRD = 1.0 / math.sqrt(3.0)
@@ -188,7 +187,7 @@ def dephase_spatial(
         chi = p_keep * channel.matrix + (1.0 - p_keep) * (
             zz @ channel.matrix @ zz
         )
-        return ProcessMatrix(chi, n, channel.normalization)
+        return ProcessMatrix(chi, n)
     mats = [k.matrix if isinstance(k, Operator) else np.asarray(k)
             for k in channel]
     n = int(round(math.log2(mats[0].shape[0])))
@@ -208,7 +207,7 @@ def replication_experiment_channel(
     false, for success-rate comparisons), applies the configured spatial
     dephasing, and returns the sub-normalized process matrix.
     """
-    phi = as_radians(phi)
+    phi = normalize_phase(phi)
     kraus3, _ = effective_toffoli(params)
     phase = np.exp(1j * phi)
     kraus2 = []

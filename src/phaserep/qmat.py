@@ -55,33 +55,6 @@ def normalize_phase(phi: float) -> float:
 
 
 @dataclass(frozen=True)
-class BasisIndex:
-    """Computational basis label: ``value`` interpreted in ``width`` bits."""
-
-    value: int
-    width: int
-
-    def __post_init__(self):
-        if self.width < 1:
-            raise ValueError("basis index width must be positive")
-        if not 0 <= self.value < 2 ** self.width:
-            raise ValueError(
-                f"basis value {self.value} does not fit in {self.width} bits"
-            )
-
-    def bit(self, qubit: int) -> int:
-        """Bit of the given qubit (qubit 0 is the most significant)."""
-        if not 0 <= qubit < self.width:
-            raise ValueError("qubit index out of range")
-        return (self.value >> (self.width - 1 - qubit)) & 1
-
-
-def hamming_weight(m: BasisIndex) -> int:
-    """Number of set bits in the basis label."""
-    return m.value.bit_count()
-
-
-@dataclass(frozen=True)
 class Operator:
     """A linear operator on a register of ``qubits`` qubits."""
 

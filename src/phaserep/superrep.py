@@ -4,7 +4,9 @@ A permutation unitary V copies the Hamming weight w of the M-qubit
 register (clipped to the window [m_min, m_max)) into an N-qubit ancilla,
 the available gate copies act on the ancilla, and V is applied again.
 On the ancilla-|0> sector this realizes the diagonal map with phase
-multiple f(w): 0 below the window, w - m_min inside, N above.
+multiple f(w): 0 below the window, w - m_min inside, N above.  V is
+kept as its index permutation and every map as its diagonal, so nothing
+here builds a 2^(M+N)-wide matrix.
 
 Fidelity with the ideal M-fold gate is a binomial sum over weights.  The
 weights C(M, w) / 2^M are built once per protocol size from exact
@@ -21,8 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .gates import as_radians
-from .qmat import Operator
+from .qmat import _check_width, normalize_phase
 
 
 @dataclass(frozen=True)
@@ -47,42 +48,25 @@ class ReplicationSpec:
         return (self.replicas + self.copies + 1) // 2
 
 
-@dataclass(frozen=True)
-class PhaseProfile:
-    """Phase multiple f(w) per Hamming weight w (index = weight)."""
+def phase_profile(spec: ReplicationSpec) -> np.ndarray:
+    """f(w) = 0 / (w - m_min) / copies below/inside/above the window.
 
-    values: tuple[int, ...]
-
-    def __post_init__(self):
-        if any(b < a for a, b in zip(self.values, self.values[1:])):
-            raise ValueError("phase profile must be non-decreasing")
-
-    def __call__(self, weight: int) -> int:
-        return self.values[weight]
-
-
-def phase_profile(spec: ReplicationSpec) -> PhaseProfile:
-    """f(w) = 0 / (w - m_min) / copies below/inside/above the window."""
-    values = []
-    for w in range(spec.replicas + 1):
-        if w < spec.m_min:
-            values.append(0)
-        elif w < spec.m_max:
-            values.append(w - spec.m_min)
-        else:
-            values.append(spec.copies)
-    return PhaseProfile(tuple(values))
-
-
-def ancilla_imprint(spec: ReplicationSpec, weight: int) -> int:
-    """Ancilla bit pattern k for weight w: unary prefix of f(w) ones.
-
-    The |k| = f(w) set bits are placed at the most significant ancilla
-    positions; any placement gives the same replicated map, this one
-    makes V deterministic.
+    Returned as an int64 array indexed by the Hamming weight w.
     """
-    count = phase_profile(spec)(weight)
-    return (1 << spec.copies) - (1 << (spec.copies - count))
+    weights = np.arange(spec.replicas + 1, dtype=np.int64)
+    return np.clip(weights - spec.m_min, 0, spec.copies)
+
+
+def ancilla_imprint(spec: ReplicationSpec) -> np.ndarray:
+    """Ancilla bit pattern k(w) = 2^N - 2^(N - f(w)) for every weight w.
+
+    The |k| = f(w) set bits are a unary prefix at the most significant
+    ancilla positions; any placement gives the same replicated map, this
+    one makes V deterministic.  The patterns are int64, so an ancilla
+    wider than 62 qubits raises ``OverflowError``.
+    """
+    n = spec.copies
+    return (1 << n) - (1 << (n - phase_profile(spec)))
 
 
 def _weight_table(bits: int) -> np.ndarray:
@@ -92,39 +76,26 @@ def _weight_table(bits: int) -> np.ndarray:
     return w
 
 
-def _permutation(spec: ReplicationSpec) -> np.ndarray:
-    """Index permutation of V: column index -> row index."""
-    n, m = spec.copies, spec.replicas
-    mask = (1 << n) - 1
-    k_by_weight = np.array(
-        [ancilla_imprint(spec, w) for w in range(m + 1)], dtype=np.int64
-    )
-    cols = np.arange(1 << (m + n), dtype=np.int64)
-    sys = cols >> n
-    anc = cols & mask
-    k = k_by_weight[_weight_table(m)[sys]]
-    return (sys << n) | (anc ^ k)
+def build_V(spec: ReplicationSpec) -> np.ndarray:
+    """Imprinting unitary V on replicas + copies qubits, as a permutation.
 
-
-def build_V(spec: ReplicationSpec) -> Operator:
-    """Imprinting unitary V on replicas + copies qubits.
-
-    Acts as |m>|n> -> |m>|n xor k(m)>, an involution; the system register
-    occupies the most significant qubits, the ancilla the least.
+    Returns the int64 array p with V|c> = |p[c]>.  V acts as
+    |m>|n> -> |m>|n xor k(|m|)>, an involution; the system register
+    occupies the most significant qubits, the ancilla the least, so
+    p[c] = c xor k(|c >> copies|).
     """
-    perm = _permutation(spec)
-    dim = perm.shape[0]
-    mat = np.zeros((dim, dim))
-    mat[perm, np.arange(dim)] = 1.0
-    return Operator(mat, spec.replicas + spec.copies)
+    n, m = spec.copies, spec.replicas
+    _check_width(m + n)
+    k = ancilla_imprint(spec)[_weight_table(m)]
+    return np.arange(1 << (m + n), dtype=np.int64) ^ np.repeat(k, 1 << n)
 
 
-def replicated_map(spec: ReplicationSpec, phi: float) -> Operator:
-    """Diagonal map e^{i f(|m|) phi} induced on the replica register."""
-    phi = as_radians(phi)
-    f = np.array(phase_profile(spec).values, dtype=np.int64)
-    diag = np.exp(1j * phi * f[_weight_table(spec.replicas)])
-    return Operator(np.diag(diag), spec.replicas)
+def replicated_map(spec: ReplicationSpec, phi: float) -> np.ndarray:
+    """Diagonal e^{i f(|m|) phi} of the map induced on the replicas."""
+    phi = normalize_phase(phi)
+    m = spec.replicas
+    _check_width(m)
+    return np.exp(1j * phi * phase_profile(spec)[_weight_table(m)])
 
 
 def sandwich_diagonal(spec: ReplicationSpec, phi: float) -> np.ndarray:
@@ -132,25 +103,15 @@ def sandwich_diagonal(spec: ReplicationSpec, phi: float) -> np.ndarray:
 
     V conjugates the ancilla-diagonal phase e^{i phi |n|}, so the result
     is again diagonal with entry e^{i phi |n xor k(m)|} at |m>|n>; this
-    is computed through the explicit permutation of V, independently of
-    the phase-profile shortcut, and is what the replicated-map tests
-    compare against.
+    is computed by gathering through the permutation of V, independently
+    of the phase-profile shortcut, and is what the replicated-map tests
+    compare against.  Its ancilla-|0> sector, the entries at m << copies,
+    is the replicated map.
     """
-    phi = as_radians(phi)
+    phi = normalize_phase(phi)
     n = spec.copies
-    perm = _permutation(spec)
-    anc_weight = _weight_table(n)[
-        np.arange(perm.shape[0], dtype=np.int64) & ((1 << n) - 1)
-    ]
-    return np.exp(1j * phi * anc_weight[perm])
-
-
-def sandwich_restricted(spec: ReplicationSpec, phi: float) -> Operator:
-    """The sandwich restricted to the ancilla-|0> sector (an M-qubit map)."""
-    full = sandwich_diagonal(spec, phi)
-    sector = full[np.arange(1 << spec.replicas, dtype=np.int64)
-                  << spec.copies]
-    return Operator(np.diag(sector), spec.replicas)
+    perm = build_V(spec)
+    return np.exp(1j * phi * _weight_table(n)[perm & ((1 << n) - 1)])
 
 
 def _fidelity_terms(spec: ReplicationSpec
@@ -164,8 +125,7 @@ def _fidelity_terms(spec: ReplicationSpec
     phasor, returned as the one term (1, 0).
     """
     m = spec.replicas
-    offsets = np.array(phase_profile(spec).values, dtype=np.int64) \
-        - np.arange(m + 1)
+    offsets = phase_profile(spec) - np.arange(m + 1)
     if offsets.min() == offsets.max():
         return np.ones(1), np.zeros(1, dtype=np.int64)
     scale = 1 << m
@@ -194,7 +154,7 @@ def replication_fidelity(spec: ReplicationSpec, phi: float) -> float:
     every weight (copies >= replicas) the sum telescopes to exactly 1.
     """
     weights, offsets = _fidelity_terms(spec)
-    return _fidelity(weights, offsets, as_radians(phi))
+    return _fidelity(weights, offsets, normalize_phase(phi))
 
 
 def default_phi_grid() -> np.ndarray:
@@ -216,7 +176,7 @@ def worst_case_fidelity(
     if grid.size == 0:
         raise ValueError("phi grid must not be empty")
     weights, offsets = _fidelity_terms(spec)
-    values = [_fidelity(weights, offsets, as_radians(p)) for p in grid]
+    values = [_fidelity(weights, offsets, normalize_phase(p)) for p in grid]
     i = int(np.argmin(values))
     return float(grid[i]), values[i]
 

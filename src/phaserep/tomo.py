@@ -23,9 +23,9 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .choi import ProcessMatrix, choi_from_kraus, process_fidelity
-from .gates import as_radians, cu_phase, phase_gate
+from .gates import cu_phase, phase_gate
 from .optics import OpticsParams, replication_experiment_channel
-from .qmat import PROJECTOR_KETS, Operator, kron
+from .qmat import PROJECTOR_KETS, Operator, kron, normalize_phase
 
 SINGLE_QUBIT_STATES = ("0", "1", "+", "-", "+i", "-i")
 MEASUREMENT_BASES = ("x", "y", "z")
@@ -154,8 +154,6 @@ class TomographyDesign:
         if channel.qubits != 2:
             raise ValueError("design covers two-qubit channels only")
         p = (self.matrix @ channel.matrix.reshape(-1)).real
-        if channel.normalization == "trace_d":
-            p = p / 4.0
         return np.clip(p, 0.0, None)
 
 
@@ -392,7 +390,7 @@ def _mle_batch(counts: np.ndarray, design: TomographyDesign,
         ll_trace = np.array(ll_traces[k])
         ll_trace.setflags(write=False)
         results.append(MleResult(
-            ProcessMatrix(chi_out[k], 2, "trace_one"), bool(converged[k]),
+            ProcessMatrix(chi_out[k], 2), bool(converged[k]),
             int(iterations[k]), float(ll_out[k]), ll_trace,
             int(dilutions[k]), float(gaps[k]),
         ))
@@ -478,7 +476,8 @@ class FitResult:
 def fit_cosine(
     phases: Sequence[float], fidelities: Sequence[float]
 ) -> FitResult:
-    phases = np.asarray([as_radians(p) for p in phases], dtype=np.float64)
+    phases = np.asarray([normalize_phase(p) for p in phases],
+                        dtype=np.float64)
     values = np.asarray(fidelities, dtype=np.float64)
     if phases.shape != values.shape:
         raise ValueError("phases and fidelities must pair up")
@@ -538,7 +537,7 @@ def experiment_pipeline(
     solved as one batch, and each phase's bootstrap trials as another;
     no result depends on what else is in its batch.
     """
-    phases = tuple(as_radians(p) for p in (
+    phases = tuple(normalize_phase(p) for p in (
         standard_phases() if phases is None else phases))
     design = design or default_design()
     options = options or MleOptions()

@@ -7,7 +7,6 @@ from phaserep.choi import (
     ProcessMatrix,
     apply_channel,
     choi_from_kraus,
-    choi_state,
     choi_vector,
     gate_fidelity,
     process_fidelity,
@@ -25,14 +24,9 @@ def test_choi_vector_of_identity_is_bell_state():
     assert np.max(np.abs(vec - np.array([S, 0.0, 0.0, S]))) < 1e-14
 
 
-def test_choi_state_of_x_gate():
-    state = choi_state(X)
-    assert np.max(np.abs(state.data - np.array([0.0, S, S, 0.0]))) < 1e-14
-
-
-def test_choi_state_rejects_non_unitary():
-    with pytest.raises(ValueError):
-        choi_state(Operator(np.diag([1.0, 0.5]), 1))
+def test_choi_vector_of_x_gate():
+    vec = choi_vector(X)
+    assert np.max(np.abs(vec - np.array([0.0, S, S, 0.0]))) < 1e-14
 
 
 def test_process_matrix_validation():
@@ -118,13 +112,14 @@ def test_apply_channel_scales_with_postselected_kraus():
     assert np.max(np.abs(out - 0.25 * rho)) < 1e-14
 
 
-def test_apply_channel_trace_d_convention():
-    chi = choi_from_kraus([X])
-    chi_d = ProcessMatrix(chi.matrix * 2.0, 1, "trace_d")
-    rho = np.diag([0.7, 0.3]).astype(np.complex128)
-    a = apply_channel(chi, rho)
-    b = apply_channel(chi_d, rho)
-    assert np.max(np.abs(a - b)) < 1e-13
+def test_json_rejects_other_normalizations():
+    doc = process_matrix_to_json(choi_from_kraus([X]))
+    for tag in ("trace_d", None):
+        with pytest.raises(ValueError, match="normalization"):
+            process_matrix_from_json(dict(doc, normalization=tag))
+    del doc["normalization"]
+    with pytest.raises(ValueError, match="normalization"):
+        process_matrix_from_json(doc)
 
 
 def test_normalized_rescales_trace():
@@ -139,7 +134,7 @@ def test_json_round_trip():
     back = process_matrix_from_json(doc)
     assert np.array_equal(back.matrix, chi.matrix)
     assert back.qubits == chi.qubits
-    assert back.normalization == chi.normalization
+    assert doc["normalization"] == "trace_one"
     assert doc["metadata"]["label"] == "test"
 
 

@@ -6,8 +6,6 @@ import pytest
 
 from phaserep.choi import choi_from_kraus, gate_fidelity, process_fidelity
 from phaserep.gates import (
-    PhaseAngle,
-    as_radians,
     baseline_measure_prepare,
     baseline_single_copy,
     controlled_z,
@@ -53,13 +51,6 @@ def test_toffoli_is_permutation_flipping_target():
     expected = np.eye(8)
     expected[[6, 7]] = expected[[7, 6]]
     assert np.array_equal(t, expected)
-
-
-def test_phase_angle_reduces_modulo_full_turn():
-    assert PhaseAngle(2.0 * math.pi).radians == pytest.approx(0.0)
-    assert as_radians(PhaseAngle(-math.pi / 2)) \
-        == pytest.approx(3 * math.pi / 2)
-    assert as_radians(1.25) == 1.25
 
 
 def test_two_copy_fidelity_closed_form():

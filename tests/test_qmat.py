@@ -2,10 +2,8 @@ import numpy as np
 import pytest
 
 from phaserep.qmat import (
-    BasisIndex,
     Operator,
     QuantumState,
-    hamming_weight,
     kron,
     kron_state,
     normalize_phase,
@@ -45,25 +43,11 @@ def test_qubit_zero_is_most_significant():
     assert np.array_equal(state.data, expected)
 
 
-def test_basis_index_bits():
-    idx = BasisIndex(6, 3)  # 110
-    assert (idx.bit(0), idx.bit(1), idx.bit(2)) == (1, 1, 0)
-
-
-def test_basis_index_range_checked():
-    with pytest.raises(ValueError):
-        BasisIndex(8, 3)
-
-
-def test_hamming_weight():
-    weights = [hamming_weight(BasisIndex(v, 4)) for v in (0, 1, 2, 3, 7, 12)]
-    assert weights == [0, 1, 1, 2, 3, 2]
-
-
 def test_normalize_phase_wraps_into_period():
     assert normalize_phase(2.0 * np.pi) == pytest.approx(0.0, abs=1e-12)
     assert normalize_phase(-np.pi / 2) == pytest.approx(3 * np.pi / 2)
     assert normalize_phase(4 * np.pi + 1.0) == pytest.approx(1.0)
+    assert normalize_phase(1.25) == 1.25
 
 
 def test_operator_validation():

@@ -6,7 +6,7 @@ import pytest
 
 from phaserep.choi import gate_fidelity
 from phaserep.gates import phase_gate, toffoli
-from phaserep.qmat import Operator
+from phaserep.qmat import Operator, set_register_cap
 from phaserep.superrep import (
     ReplicationSpec,
     _fidelity_terms,
@@ -19,7 +19,6 @@ from phaserep.superrep import (
     replicated_map,
     replication_fidelity,
     sandwich_diagonal,
-    sandwich_restricted,
     worst_case_fidelity,
 )
 
@@ -52,61 +51,82 @@ def test_window_bounds_hand_table():
         assert spec.m_max - spec.m_min == n
 
 
+def _dense_v(perm):
+    """Dense 0/1 matrix V with V[perm[c], c] = 1, scattered from perm."""
+    mat = np.zeros((perm.size, perm.size))
+    mat[perm, np.arange(perm.size)] = 1.0
+    return mat
+
+
 def test_phase_profile_piecewise_window():
     profile = phase_profile(ReplicationSpec(copies=2, replicas=4))
-    assert [profile(w) for w in range(5)] == [0, 0, 1, 2, 2]
-    assert profile.values == (0, 0, 1, 2, 2)
+    assert profile.dtype == np.int64
+    assert profile.tolist() == [0, 0, 1, 2, 2]
 
 
 def test_phase_profile_is_monotone_clamped():
     for spec in _all_specs(9):
-        values = phase_profile(spec).values
+        values = phase_profile(spec)
+        assert values.shape == (spec.replicas + 1,)
         assert 0 <= values[0] <= spec.copies
         assert values[-1] == min(spec.copies, spec.replicas - spec.m_min)
-        assert all(b - a in (0, 1) for a, b in zip(values, values[1:]))
+        assert set(np.diff(values).tolist()) <= {0, 1}
 
 
 def test_ancilla_imprint_is_unary_prefix():
     spec = ReplicationSpec(copies=3, replicas=4)
     # f(w) leading ancilla bits set: f=(0,0,1,2,3) for the (3,4) window
-    assert [ancilla_imprint(spec, w) for w in range(5)] == [0, 0, 4, 6, 7]
+    assert ancilla_imprint(spec).tolist() == [0, 0, 4, 6, 7]
 
 
 def test_build_v_for_one_to_two_is_toffoli():
-    v = build_V(ReplicationSpec(copies=1, replicas=2))
-    assert np.array_equal(v.matrix, toffoli().matrix)
+    perm = build_V(ReplicationSpec(copies=1, replicas=2))
+    assert perm.tolist() == [0, 1, 2, 3, 4, 5, 7, 6]
+    assert np.array_equal(_dense_v(perm), toffoli().matrix)
 
 
 def test_build_v_is_permutation_and_involution():
     for spec in _all_specs(10):
-        mat = build_V(spec).matrix
-        assert np.array_equal(mat, mat.astype(bool).astype(float))
-        assert np.array_equal(mat.sum(axis=0), np.ones(mat.shape[0]))
-        assert np.array_equal(mat.sum(axis=1), np.ones(mat.shape[0]))
-        assert np.array_equal(mat @ mat, np.eye(mat.shape[0]))
+        perm = build_V(spec)
+        identity = np.arange(1 << (spec.copies + spec.replicas))
+        assert perm.dtype == np.int64
+        assert np.array_equal(np.sort(perm), identity)
+        assert np.array_equal(perm[perm], identity)
 
 
 def test_build_v_case_table_on_cleared_ancilla():
     # V|m>|0> = |m>|k(|m|)> with the imprint's weight equal to f(|m|)
     for spec in _all_specs(10):
-        n, m_qubits = spec.copies, spec.replicas
-        mat = build_V(spec).matrix
+        n = spec.copies
+        perm = build_V(spec)
+        imprint = ancilla_imprint(spec)
         profile = phase_profile(spec)
-        for m in range(1 << m_qubits):
-            col = m << n
-            k = ancilla_imprint(spec, m.bit_count())
-            assert k.bit_count() == profile(m.bit_count())
-            expected_row = (m << n) | k
-            assert mat[expected_row, col] == 1.0
+        for m in range(1 << spec.replicas):
+            k = int(imprint[m.bit_count()])
+            assert k.bit_count() == profile[m.bit_count()]
+            assert perm[m << n] == (m << n) | k
 
 
 def test_build_v_xor_extension_off_cleared_sector():
     spec = ReplicationSpec(copies=2, replicas=3)
-    mat = build_V(spec).matrix
+    perm = build_V(spec)
+    imprint = ancilla_imprint(spec)
     for m in range(8):
-        k = ancilla_imprint(spec, m.bit_count())
+        k = int(imprint[m.bit_count()])
         for anc in range(4):
-            assert mat[(m << 2) | (anc ^ k), (m << 2) | anc] == 1.0
+            assert perm[(m << 2) | anc] == (m << 2) | (anc ^ k)
+
+
+def test_wide_specs_hit_the_register_cap_before_allocating():
+    # 2^50 entries could never be allocated; the cap must refuse first
+    set_register_cap(4)
+    spec = ReplicationSpec(copies=20, replicas=30)
+    with pytest.raises(ValueError, match="cap"):
+        build_V(spec)
+    with pytest.raises(ValueError, match="cap"):
+        sandwich_diagonal(spec, 0.3)
+    with pytest.raises(ValueError, match="cap"):
+        replicated_map(spec, 0.3)
 
 
 def test_sandwich_matches_literal_dense_product():
@@ -114,7 +134,7 @@ def test_sandwich_matches_literal_dense_product():
     rng = np.random.default_rng(7)
     for spec in _all_specs(9):
         phi = float(rng.uniform(0.0, 2.0 * math.pi))
-        v = build_V(spec).matrix
+        v = _dense_v(build_V(spec))
         u_n = np.array([[1.0]])
         for _ in range(spec.copies):
             u_n = np.kron(u_n, phase_gate(phi).matrix)
@@ -126,19 +146,22 @@ def test_sandwich_matches_literal_dense_product():
 def test_sandwich_restriction_equals_replicated_map():
     rng = np.random.default_rng(11)
     for spec in _all_specs(12):
+        # full-register indices |m>|0> of the ancilla-|0> sector
+        sector = np.arange(1 << spec.replicas) << spec.copies
         for phi in rng.uniform(0.0, 2.0 * math.pi, size=4):
-            got = sandwich_restricted(spec, float(phi)).matrix
-            want = replicated_map(spec, float(phi)).matrix
+            got = sandwich_diagonal(spec, float(phi))[sector]
+            want = replicated_map(spec, float(phi))
             assert np.max(np.abs(got - want)) < 1e-12
 
 
 def test_replicated_map_is_diagonal_phase_imprint():
     spec = ReplicationSpec(copies=2, replicas=4)
     phi = 0.9
-    diag = np.diag(replicated_map(spec, phi).matrix)
+    diag = replicated_map(spec, phi)
     profile = phase_profile(spec)
+    assert diag.shape == (16,)
     for m in range(16):
-        expected = np.exp(1j * phi * profile(m.bit_count()))
+        expected = np.exp(1j * phi * profile[m.bit_count()])
         assert abs(diag[m] - expected) < 1e-14
 
 
@@ -151,7 +174,7 @@ def _mp_fidelity(spec, phi):
         for w in range(m + 1):
             acc += (
                 mpmath.binomial(m, w)
-                * mpmath.expjpi(mpmath.mpf(phi) * (profile(w) - w)
+                * mpmath.expjpi(mpmath.mpf(phi) * (int(profile[w]) - w)
                                 / mpmath.pi)
             )
         return float(abs(acc / mpmath.mpf(2) ** m) ** 2)
@@ -194,7 +217,8 @@ def test_fidelity_closed_form_matches_dense_trace():
         for _ in range(spec.replicas):
             target = np.kron(target, phase_gate(phi).matrix)
         dense = gate_fidelity(
-            replicated_map(spec, phi), Operator(target, spec.replicas))
+            Operator(np.diag(replicated_map(spec, phi)), spec.replicas),
+            Operator(target, spec.replicas))
         assert abs(replication_fidelity(spec, phi) - dense) < 1e-10
 
 
