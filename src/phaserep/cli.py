@@ -45,7 +45,6 @@ ARTIFACT_VERSION = 1
 OUT_DIR_ENV = "PHASEREP_OUT_DIR"
 
 _OPTICS_KEYS = ("r_v", "r_h", "visibility", "phase_jitter_sigma")
-_SCAN_PARAMETERS = _OPTICS_KEYS
 
 # config keys accepted per command (shared keys first)
 _COMMON_KEYS = ("out_dir", "seed", "phases", "rate", "trials", "preset",
@@ -180,7 +179,8 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         rate = float(rate)
     except (TypeError, ValueError):
         raise ConfigError("rate must be a number") from None
-    _require(rate > 0.0, "rate must be positive")
+    _require(math.isfinite(rate) and rate > 0.0,
+             "rate must be a positive finite number")
     trials = pick("trials", args.trials, 0)
     _require(isinstance(trials, int) and trials >= 0,
              "trials must be a non-negative integer")
@@ -188,6 +188,8 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     preset = pick("preset", args.preset, "ideal")
     svg = bool(args.svg or file_values.get("svg", False))
     phases = _parse_phases(pick("phases", args.phases, "standard"))
+    _require(all(math.isfinite(p) for p in phases),
+             "phases must be finite numbers")
     optics = _resolve_optics(preset, file_values.get("optics"))
     register_cap = file_values.get("register_cap")
     if register_cap is not None:
@@ -212,14 +214,15 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
              "phi_grid_size must be an integer >= 2")
 
     parameter = file_values.get("parameter", "visibility")
-    _require(parameter in _SCAN_PARAMETERS,
-             "parameter must be one of: " + ", ".join(_SCAN_PARAMETERS))
+    _require(parameter in _OPTICS_KEYS,
+             "parameter must be one of: " + ", ".join(_OPTICS_KEYS))
     values = file_values.get("values", [1.0, 0.95, 0.9, 0.85, 0.8])
     _require(isinstance(values, list) and values
              and all(isinstance(v, (int, float)) for v in values),
              "values must be a non-empty list of numbers")
     phi = file_values.get("phi", math.pi / 2.0)
-    _require(isinstance(phi, (int, float)), "phi must be a number")
+    _require(isinstance(phi, (int, float)) and math.isfinite(phi),
+             "phi must be a finite number")
 
     return RunConfig(
         command=command,
@@ -270,22 +273,17 @@ def _config_digest(config: RunConfig) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-def _metadata_lines(config: RunConfig) -> list[str]:
-    return [
-        f"# artifact_version: {ARTIFACT_VERSION}",
-        f"# command: {config.command}",
-        f"# seed: {config.seed}",
-        f"# config_sha256: {_config_digest(config)}",
-    ]
-
-
-def _metadata_dict(config: RunConfig) -> dict:
+def _metadata(config: RunConfig) -> dict:
     return {
         "artifact_version": ARTIFACT_VERSION,
         "command": config.command,
         "seed": config.seed,
         "config_sha256": _config_digest(config),
     }
+
+
+def _metadata_lines(meta: dict) -> list[str]:
+    return [f"# {key}: {value}" for key, value in meta.items()]
 
 
 def _write_text(path: Path, text: str) -> None:
@@ -295,9 +293,9 @@ def _write_text(path: Path, text: str) -> None:
     os.replace(tmp, path)
 
 
-def _csv_text(config: RunConfig, columns: Sequence[str],
+def _csv_text(meta: dict, columns: Sequence[str],
               rows: Sequence[Sequence]) -> str:
-    lines = list(_metadata_lines(config))
+    lines = _metadata_lines(meta)
     lines.append(",".join(columns))
     for row in rows:
         cells = []
@@ -331,6 +329,7 @@ def _prepare_out_dir(config: RunConfig) -> Path:
 def cmd_replicate(config: RunConfig) -> int:
     """Phase sweep: ideal and noisy replication fidelities vs baselines."""
     out = _prepare_out_dir(config)
+    meta = _metadata(config)
     mp = baseline_measure_prepare()
     twirl = twirled_mean_fidelity(64)
     rows = []
@@ -350,7 +349,7 @@ def cmd_replicate(config: RunConfig) -> int:
     columns = ["phi", "f_uu_ideal", "f_uu_noisy", "f_cu_noisy",
                "baseline_single_copy", "baseline_measure_prepare",
                "twirled_mean", "optimal_cloner"]
-    _write_text(out / "replicate.csv", _csv_text(config, columns, rows))
+    _write_text(out / "replicate.csv", _csv_text(meta, columns, rows))
     if config.svg:
         phis = [r[0] for r in rows]
         svg = line_plot(
@@ -370,6 +369,7 @@ def cmd_replicate(config: RunConfig) -> int:
 def cmd_superrep(config: RunConfig) -> int:
     """Worst-case replication fidelity along an N -> M = N^(2-alpha) law."""
     out = _prepare_out_dir(config)
+    meta = _metadata(config)
     grid = np.linspace(0.0, math.pi, config.phi_grid_size)
     sweep = asymptotic_sweep(config.alpha, list(config.n_list),
                              phi_grid=grid,
@@ -378,7 +378,7 @@ def cmd_superrep(config: RunConfig) -> int:
     rows = [[r.copies, r.replicas, r.alpha, r.worst_phi, r.worst_fidelity]
             for r in sweep]
     columns = ["n", "m", "alpha", "phi", "fidelity"]
-    _write_text(out / "superrep.csv", _csv_text(config, columns, rows))
+    _write_text(out / "superrep.csv", _csv_text(meta, columns, rows))
     if config.svg:
         svg = line_plot(
             [Series("worst-case fidelity", [r[0] for r in rows],
@@ -398,18 +398,18 @@ def cmd_tomo(config: RunConfig) -> int:
         config.optics, config.phases, config.rate, config.trials,
         config.seed, design=design,
     )
-    meta = _metadata_dict(config)
+    meta = _metadata(config)
 
     counts_tmp = out / "counts.csv.tmp"
     tomo.write_datasets_csv(counts_tmp, [r.dataset for r in report.rows],
-                            design, header_lines=_metadata_lines(config))
+                            design, header_lines=_metadata_lines(meta))
     os.replace(counts_tmp, out / "counts.csv")
 
     columns = ["phi", "f_cu", "f_cu_std", "f_uu", "f_uu_std",
                "iterations", "converged"]
     rows = [[r.phi, r.f_cu, r.f_cu_std, r.f_uu, r.f_uu_std, r.iterations,
              r.converged] for r in report.rows]
-    _write_text(out / "fidelities.csv", _csv_text(config, columns, rows))
+    _write_text(out / "fidelities.csv", _csv_text(meta, columns, rows))
 
     for k, row in enumerate(report.rows):
         doc = {
@@ -423,7 +423,7 @@ def cmd_tomo(config: RunConfig) -> int:
             svg = heatmap_grid(
                 [row.chi.matrix, row.chi_ideal.matrix],
                 ["reconstructed |chi|", "ideal |chi|"],
-                title=f"process matrix, phase {_fmt_phase(row.phi)}",
+                title=f"process matrix, phase {row.phi:.4f}",
             )
             _write_text(out / f"chi_{k:02d}.svg", svg)
 
@@ -473,13 +473,10 @@ def cmd_tomo(config: RunConfig) -> int:
     return 0
 
 
-def _fmt_phase(phi: float) -> str:
-    return format(phi, ".4f")
-
-
 def cmd_optics_scan(config: RunConfig) -> int:
     """Sweep one imperfection parameter and record gate fidelities."""
     out = _prepare_out_dir(config)
+    meta = _metadata(config)
     rows = []
     for value in config.scan_values:
         try:
@@ -495,7 +492,7 @@ def cmd_optics_scan(config: RunConfig) -> int:
         rows.append([config.scan_parameter, value, f_toffoli, f_cu,
                      success])
     columns = ["parameter", "value", "f_toffoli", "f_cu", "success"]
-    _write_text(out / "optics_scan.csv", _csv_text(config, columns, rows))
+    _write_text(out / "optics_scan.csv", _csv_text(meta, columns, rows))
     if config.svg:
         values = [r[1] for r in rows]
         svg = line_plot(

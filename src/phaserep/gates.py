@@ -24,7 +24,6 @@ from .qmat import (
     kron,
     kron_state,
     normalize_phase,
-    partial_trace,
     project_and_renormalize,
 )
 
@@ -83,18 +82,17 @@ def replicate_unitary_form(phi: float, psi_in: QuantumState) -> QuantumState:
     signal state, which equals cu_phase(phi) applied to the input.
     """
     phi = normalize_phase(phi)
-    if psi_in.kind != "pure" or psi_in.qubits != 2:
+    if psi_in.qubits != 2:
         raise ValueError("input must be a pure 2-qubit state")
     t = toffoli()
     u_anc = kron(Operator.identity(2), phase_gate(phi))
     state = kron_state(psi_in, QuantumState.basis(1, 0))
     state = t.apply(u_anc.apply(t.apply(state)))
-    anc = partial_trace(state, keep=[2])
-    if anc.data[0, 0].real < 1.0 - 1e-10:
+    # columns: ancilla |0> and |1> components of the signal
+    split = state.data.reshape(4, 2)
+    if np.vdot(split[:, 1], split[:, 1]).real > 1e-10:
         raise RuntimeError("ancilla failed to disentangle to |0>")
-    collapsed, _ = project_and_renormalize(state, 2, "0")
-    ket0 = np.array([1.0, 0.0], dtype=np.complex128)
-    return QuantumState.pure(_signal_from_collapsed(collapsed.data, ket0))
+    return QuantumState.pure(split[:, 0])
 
 
 @dataclass(frozen=True)
@@ -127,7 +125,7 @@ def replicate_measured_form(
     regardless of the input state.
     """
     phi = normalize_phase(phi)
-    if psi_in.kind != "pure" or psi_in.qubits != 2:
+    if psi_in.qubits != 2:
         raise ValueError("input must be a pure 2-qubit state")
     t = toffoli()
     u_anc = kron(Operator.identity(2), phase_gate(phi))

@@ -73,8 +73,10 @@ class OpticsParams:
             val = getattr(self, name)
             if not 0.0 <= val <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {val}")
-        if self.phase_jitter_sigma < 0.0:
-            raise ValueError("phase_jitter_sigma must be non-negative")
+        # written so that NaN fails too
+        if not self.phase_jitter_sigma >= 0.0:
+            raise ValueError("phase_jitter_sigma must be non-negative, "
+                             f"got {self.phase_jitter_sigma}")
 
     @classmethod
     def ideal(cls) -> "OpticsParams":
@@ -155,45 +157,25 @@ def effective_toffoli(
     return kraus, success
 
 
-def _z_on_qubit(qubits: int, qubit: int) -> np.ndarray:
-    z = np.eye(1)
-    for i in range(qubits):
-        z = np.kron(z, np.diag([1.0, -1.0]) if i == qubit else np.eye(2))
-    return z
-
-
 def dephase_spatial(
-    channel: "ProcessMatrix | Sequence[Operator | np.ndarray]",
-    sigma: float,
-    qubit: int = 0,
-):
-    """Gaussian phase jitter on the spatial qubit, applied analytically.
+    kraus: Sequence[np.ndarray], sigma: float
+) -> list[np.ndarray]:
+    """Gaussian phase jitter on the spatial qubit (qubit 0), analytically.
 
     A random phase e^{i theta} with theta ~ Normal(0, sigma^2) on the
     |1> path damps spatial coherences by lambda = e^{-sigma^2/2};
     equivalently a phase-flip channel with flip weight (1-lambda)/2.
-    Accepts and returns either a ProcessMatrix or a Kraus list.
+    Takes and returns a Kraus list.
     """
-    if sigma < 0.0:
+    if not sigma >= 0.0:
         raise ValueError("sigma must be non-negative")
     if sigma == 0.0:
-        return channel
+        return kraus
     lam = math.exp(-0.5 * sigma * sigma)
     p_keep = 0.5 * (1.0 + lam)
-    if isinstance(channel, ProcessMatrix):
-        n = channel.qubits
-        d = 2 ** n
-        zz = np.kron(np.eye(d), _z_on_qubit(n, qubit))
-        chi = p_keep * channel.matrix + (1.0 - p_keep) * (
-            zz @ channel.matrix @ zz
-        )
-        return ProcessMatrix(chi, n)
-    mats = [k.matrix if isinstance(k, Operator) else np.asarray(k)
-            for k in channel]
-    n = int(round(math.log2(mats[0].shape[0])))
-    z = _z_on_qubit(n, qubit)
-    out = [Operator(math.sqrt(p_keep) * m, n) for m in mats]
-    out += [Operator(math.sqrt(1.0 - p_keep) * (z @ m), n) for m in mats]
+    z = np.kron(np.diag([1.0, -1.0]), np.eye(kraus[0].shape[0] // 2))
+    out = [math.sqrt(p_keep) * m for m in kraus]
+    out += [math.sqrt(1.0 - p_keep) * (z @ m) for m in kraus]
     return out
 
 
@@ -220,5 +202,5 @@ def replication_experiment_channel(
         else:
             kraus2.extend([b[:, 0, :], b[:, 1, :]])
     if params.phase_jitter_sigma > 0.0:
-        kraus2 = dephase_spatial(kraus2, params.phase_jitter_sigma, qubit=0)
+        kraus2 = dephase_spatial(kraus2, params.phase_jitter_sigma)
     return choi_from_kraus(kraus2)

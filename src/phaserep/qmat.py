@@ -13,15 +13,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
-# Centralised numerical tolerances.  Functions that take an ``atol`` argument
-# default to these values.
+# Default ``atol`` of the phase-insensitive operator comparison.
 UNITARY_ATOL = 1e-10
-NORM_ATOL = 1e-12
-PSD_EIG_FLOOR = -1e-10
 
 _register_cap = 24
 
@@ -82,16 +78,6 @@ class Operator:
     def identity(cls, qubits: int) -> "Operator":
         return cls(np.eye(2 ** qubits), qubits)
 
-    def adjoint(self) -> "Operator":
-        return Operator(self.matrix.conj().T, self.qubits)
-
-    def is_unitary(self, atol: float = UNITARY_ATOL) -> bool:
-        d = self.dim
-        return bool(
-            np.max(np.abs(self.matrix.conj().T @ self.matrix - np.eye(d)))
-            <= atol
-        )
-
     def __matmul__(self, other: "Operator") -> "Operator":
         if not isinstance(other, Operator):
             return NotImplemented
@@ -102,10 +88,7 @@ class Operator:
     def apply(self, state: "QuantumState") -> "QuantumState":
         if state.qubits != self.qubits:
             raise ValueError("operator and state widths differ")
-        if state.kind == "pure":
-            return QuantumState.pure(self.matrix @ state.data)
-        rho = self.matrix @ state.data @ self.matrix.conj().T
-        return QuantumState.mixed(rho)
+        return QuantumState.pure(self.matrix @ state.data)
 
     def equals_up_to_global_phase(
         self, other: "Operator", atol: float = UNITARY_ATOL
@@ -126,42 +109,25 @@ class Operator:
 
 @dataclass(frozen=True)
 class QuantumState:
-    """Pure state vector or density matrix on a qubit register.
+    """Pure state of a qubit register; ``data`` is a unit vector.
 
-    ``kind`` is ``"pure"`` (``data`` is a unit vector) or ``"mixed"``
-    (``data`` is a unit-trace positive semidefinite matrix).
+    Mixedness enters the package only as Kraus operators, turned into a
+    process matrix by ``choi.choi_from_kraus``.
     """
 
-    kind: str
     data: np.ndarray
     qubits: int
 
     def __post_init__(self):
         _check_width(self.qubits)
-        d = 2 ** self.qubits
         arr = np.array(self.data, dtype=np.complex128)
-        if self.kind == "pure":
-            if arr.shape != (d,):
-                raise ValueError("pure state must be a vector of length 2**n")
-            norm = np.linalg.norm(arr)
-            if abs(norm - 1.0) > 1e-9:
-                raise ValueError(f"pure state norm {norm} is not 1")
-            # Snap tiny drift so long pipelines stay normalised.
-            arr = arr / norm
-        elif self.kind == "mixed":
-            if arr.shape != (d, d):
-                raise ValueError("mixed state must be a 2**n square matrix")
-            if np.max(np.abs(arr - arr.conj().T)) > 1e-9:
-                raise ValueError("density matrix must be Hermitian")
-            tr = np.trace(arr).real
-            if abs(tr - 1.0) > 1e-9:
-                raise ValueError(f"density matrix trace {tr} is not 1")
-            arr = arr / tr
-            low = float(np.min(np.linalg.eigvalsh(arr)))
-            if low < PSD_EIG_FLOOR:
-                raise ValueError(f"density matrix has eigenvalue {low} < 0")
-        else:
-            raise ValueError("state kind must be 'pure' or 'mixed'")
+        if arr.shape != (2 ** self.qubits,):
+            raise ValueError("pure state must be a vector of length 2**n")
+        norm = np.linalg.norm(arr)
+        if abs(norm - 1.0) > 1e-9:
+            raise ValueError(f"pure state norm {norm} is not 1")
+        # Snap tiny drift so long pipelines stay normalised.
+        arr = arr / norm
         arr.setflags(write=False)
         object.__setattr__(self, "data", arr)
 
@@ -173,24 +139,17 @@ class QuantumState:
     def pure(cls, vector: np.ndarray) -> "QuantumState":
         vector = np.asarray(vector)
         n = int(round(math.log2(vector.shape[0])))
-        return cls("pure", vector, n)
-
-    @classmethod
-    def mixed(cls, rho: np.ndarray) -> "QuantumState":
-        rho = np.asarray(rho)
-        n = int(round(math.log2(rho.shape[0])))
-        return cls("mixed", rho, n)
+        return cls(vector, n)
 
     @classmethod
     def basis(cls, qubits: int, index: int) -> "QuantumState":
         vec = np.zeros(2 ** qubits, dtype=np.complex128)
         vec[index] = 1.0
-        return cls("pure", vec, qubits)
+        return cls(vec, qubits)
 
     def density(self) -> np.ndarray:
-        if self.kind == "pure":
-            return np.outer(self.data, self.data.conj())
-        return np.array(self.data)
+        """The projector |psi><psi|."""
+        return np.outer(self.data, self.data.conj())
 
 
 def kron(a: Operator, b: Operator) -> Operator:
@@ -199,34 +158,7 @@ def kron(a: Operator, b: Operator) -> Operator:
 
 
 def kron_state(a: QuantumState, b: QuantumState) -> QuantumState:
-    if a.kind == "pure" and b.kind == "pure":
-        return QuantumState.pure(np.kron(a.data, b.data))
-    return QuantumState.mixed(np.kron(a.density(), b.density()))
-
-
-_LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
-
-
-def partial_trace(state: QuantumState, keep: Iterable[int]) -> QuantumState:
-    """Reduced density matrix over the kept qubits (ascending order)."""
-    keep_list = sorted(set(int(q) for q in keep))
-    n = state.qubits
-    if not keep_list:
-        raise ValueError("keep set must not be empty")
-    if keep_list[0] < 0 or keep_list[-1] >= n:
-        raise ValueError("kept qubit index out of range")
-    if 2 * n > len(_LETTERS):
-        raise ValueError("register too wide for partial trace")
-    keep_set = set(keep_list)
-    rho = state.density().reshape([2] * (2 * n))
-    row = [_LETTERS[i] for i in range(n)]
-    col = [_LETTERS[i] if i not in keep_set else _LETTERS[n + i]
-           for i in range(n)]
-    out = [_LETTERS[i] for i in keep_list] + [_LETTERS[n + i]
-                                              for i in keep_list]
-    reduced = np.einsum("".join(row + col) + "->" + "".join(out), rho)
-    k = len(keep_list)
-    return QuantumState.mixed(reduced.reshape(2 ** k, 2 ** k))
+    return QuantumState.pure(np.kron(a.data, b.data))
 
 
 _S = 1.0 / math.sqrt(2.0)
@@ -255,20 +187,10 @@ def project_and_renormalize(
     if not 0 <= qubit < n:
         raise ValueError("qubit index out of range")
     ket = PROJECTOR_KETS[projector]
-    if state.kind == "pure":
-        psi = state.data.reshape([2] * n)
-        amp = np.tensordot(ket.conj(), psi, axes=([0], [qubit]))
-        p = float(np.vdot(amp, amp).real)
-        if p < 1e-14:
-            raise ValueError("impossible outcome: projection probability is 0")
-        collapsed = np.moveaxis(np.multiply.outer(ket, amp), 0, qubit)
-        return QuantumState.pure(collapsed.reshape(-1) / math.sqrt(p)), p
-    proj = np.outer(ket, ket.conj())
-    full = np.kron(
-        np.kron(np.eye(2 ** qubit), proj), np.eye(2 ** (n - qubit - 1))
-    )
-    rho = full @ state.density() @ full
-    p = float(np.trace(rho).real)
+    psi = state.data.reshape([2] * n)
+    amp = np.tensordot(ket.conj(), psi, axes=([0], [qubit]))
+    p = float(np.vdot(amp, amp).real)
     if p < 1e-14:
         raise ValueError("impossible outcome: projection probability is 0")
-    return QuantumState.mixed(rho / p), p
+    collapsed = np.moveaxis(np.multiply.outer(ket, amp), 0, qubit)
+    return QuantumState.pure(collapsed.reshape(-1) / math.sqrt(p)), p

@@ -260,6 +260,25 @@ def test_flag_validation_exits_1(tmp_path):
     assert main(["no-such-command"]) == 1
 
 
+@pytest.mark.parametrize("argv, config, key", [
+    (["replicate", "--phases", "nan"], None, "phases"),
+    (["replicate", "--phases", "0.5,inf"], None, "phases"),
+    (["tomo", "--rate", "inf"], None, "rate"),
+    (["optics-scan"], {"phi": math.nan}, "phi"),
+    (["replicate", "--phases", "0.5,1.0"],
+     {"optics": {"phase_jitter_sigma": math.nan}}, "phase_jitter_sigma"),
+], ids=["nan-phase", "inf-phase", "inf-rate", "nan-phi", "nan-jitter"])
+def test_non_finite_numbers_are_rejected(tmp_path, capsys, argv, config,
+                                         key):
+    out = tmp_path / "out"
+    argv = argv + ["--out-dir", str(out)]
+    if config is not None:
+        argv += ["--config", _write_config(tmp_path, config)]
+    assert main(argv) == 1
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_register_cap_is_applied(tmp_path):
     # a cap of 2 qubits makes the three-qubit gate network unbuildable
     cfg = _write_config(tmp_path, {"register_cap": 2})

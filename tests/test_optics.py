@@ -28,6 +28,9 @@ def test_params_validated():
     with pytest.raises(ValueError):
         OpticsParams(r_v=0.5, r_h=0.0, visibility=1.0,
                      phase_jitter_sigma=-0.5)
+    # a NaN sigma must not pass as "no jitter"
+    with pytest.raises(ValueError, match="phase_jitter_sigma"):
+        OpticsParams.measured(phase_jitter_sigma=math.nan)
 
 
 def test_preset_values():
@@ -285,8 +288,9 @@ def test_raising_reflectivity_above_ideal_also_degrades():
 def test_dephasing_scales_spatial_coherence():
     phi = 0.8
     sigma = 0.6
-    chi = choi_from_kraus([cu_phase(phi)])
-    dephased = dephase_spatial(chi, sigma)
+    kraus = [cu_phase(phi).matrix]
+    chi = choi_from_kraus(kraus)
+    dephased = choi_from_kraus(dephase_spatial(kraus, sigma))
     # the |0x><1y| blocks of the chi matrix shrink by exp(-sigma^2/2)
     factor = math.exp(-sigma * sigma / 2.0)
     got = dephased.matrix
@@ -299,21 +303,10 @@ def test_dephasing_scales_spatial_coherence():
 
 
 def test_dephasing_identity_at_zero_sigma():
-    chi = choi_from_kraus([cu_phase(0.3)])
-    assert dephase_spatial(chi, 0.0) is chi
+    kraus = [cu_phase(0.3).matrix]
+    assert dephase_spatial(kraus, 0.0) is kraus
     with pytest.raises(ValueError):
-        dephase_spatial(chi, -0.1)
-
-
-def test_dephasing_kraus_path_matches_matrix_path():
-    phi = 1.9
-    sigma = 0.5
-    kraus = [cu_phase(phi)]
-    via_kraus = choi_from_kraus(
-        [k if isinstance(k, np.ndarray) else k.matrix
-         for k in dephase_spatial(kraus, sigma)])
-    via_matrix = dephase_spatial(choi_from_kraus(kraus), sigma)
-    assert np.max(np.abs(via_kraus.matrix - via_matrix.matrix)) < 1e-12
+        dephase_spatial(kraus, -0.1)
 
 
 def test_measured_point_regression_values():

@@ -7,7 +7,6 @@ from phaserep.qmat import (
     kron,
     kron_state,
     normalize_phase,
-    partial_trace,
     project_and_renormalize,
     register_cap,
     set_register_cap,
@@ -57,17 +56,6 @@ def test_operator_validation():
         Operator(np.eye(4), 1)  # size/qubits mismatch
 
 
-def test_operator_unitarity_flag():
-    assert Operator(X, 1).is_unitary()
-    assert not Operator(2.0 * X, 1).is_unitary()
-
-
-def test_adjoint_inverts_unitary():
-    u = Operator(np.array([[1.0, 0.0], [0.0, np.exp(0.3j)]]), 1)
-    prod = u.adjoint() @ u
-    assert np.max(np.abs(prod.matrix - np.eye(2))) < 1e-14
-
-
 def test_equals_up_to_global_phase():
     u = Operator(X, 1)
     assert u.equals_up_to_global_phase(Operator(np.exp(0.7j) * X, 1))
@@ -83,44 +71,10 @@ def test_pure_state_norm_checked():
     assert abs(np.linalg.norm(state.data) - 1.0) < 1e-13
 
 
-def test_mixed_state_validation():
-    with pytest.raises(ValueError):
-        QuantumState.mixed(np.array([[1.0, 1.0], [0.0, 0.0]]))  # not herm
-    with pytest.raises(ValueError):
-        QuantumState.mixed(np.diag([1.5, -0.5]))  # not PSD
-    with pytest.raises(ValueError):
-        QuantumState.mixed(np.diag([0.6, 0.6]))  # trace != 1
-
-
 def test_density_of_pure_state():
     plus = np.array([1.0, 1.0]) / np.sqrt(2.0)
     rho = QuantumState.pure(plus).density()
     assert np.max(np.abs(rho - 0.5 * np.ones((2, 2)))) < 1e-14
-
-
-def test_partial_trace_bell_state_is_maximally_mixed():
-    bell = np.zeros(4, dtype=np.complex128)
-    bell[0] = bell[3] = 1.0 / np.sqrt(2.0)
-    state = QuantumState.pure(bell)
-    for keep in ([0], [1]):
-        red = partial_trace(state, keep)
-        assert np.max(np.abs(red.data - 0.5 * np.eye(2))) < 1e-14
-
-
-def test_partial_trace_keeps_requested_qubit():
-    one = QuantumState.pure(np.array([0.0, 1.0], dtype=np.complex128))
-    zero = QuantumState.pure(np.array([1.0, 0.0], dtype=np.complex128))
-    state = kron_state(one, zero)  # |10>
-    rho0 = partial_trace(state, [0])
-    rho1 = partial_trace(state, [1])
-    assert np.max(np.abs(rho0.data - np.diag([0.0, 1.0]))) < 1e-14
-    assert np.max(np.abs(rho1.data - np.diag([1.0, 0.0]))) < 1e-14
-
-
-def test_partial_trace_requires_kept_qubit():
-    state = QuantumState.basis(2, 0)
-    with pytest.raises(ValueError):
-        partial_trace(state, [])
 
 
 def test_projection_probabilities_sum_to_one(rng):
@@ -148,13 +102,6 @@ def test_projection_impossible_outcome():
         project_and_renormalize(zero, 0, "1")
 
 
-def test_projection_on_mixed_state():
-    rho = QuantumState.mixed(np.diag([0.25, 0.75]))
-    collapsed, prob = project_and_renormalize(rho, 0, "1")
-    assert prob == pytest.approx(0.75, abs=1e-12)
-    assert np.max(np.abs(collapsed.data - np.diag([0.0, 1.0]))) < 1e-12
-
-
 def test_register_cap_guard():
     set_register_cap(4)
     assert register_cap() == 4
@@ -162,12 +109,3 @@ def test_register_cap_guard():
         Operator(np.eye(32), 5)
     with pytest.raises(ValueError):
         set_register_cap(0)
-
-
-def test_kron_state_of_density_matrices():
-    a = QuantumState.mixed(np.diag([0.5, 0.5]))
-    b = QuantumState.basis(1, 1)
-    joint = kron_state(a, b)
-    assert joint.qubits == 2
-    assert np.max(np.abs(joint.data - np.diag([0.0, 0.5, 0.0, 0.5]))) \
-        < 1e-14
