@@ -31,12 +31,12 @@ from phaserep import (
 
 def design_point() -> None:
     kraus, success = effective_toffoli(OpticsParams.ideal())
-    scaled = kraus[0].matrix * 3.0
+    scaled = kraus[0] * 3.0
     print("ideal parameters:")
     print(f"  Kraus operators: {len(kraus)}")
     print(f"  success probability: {success:.6f} (= 1/9)")
     print(f"  3 * K equals the Toffoli exactly: "
-          f"{np.max(np.abs(scaled - toffoli().matrix)) < 1e-12}")
+          f"{np.max(np.abs(scaled - toffoli())) < 1e-12}")
     projected = replication_experiment_channel(0.7, OpticsParams.ideal())
     full = replication_experiment_channel(0.7, OpticsParams.ideal(),
                                           project=False)

@@ -46,8 +46,8 @@ def branch_walkthrough(phi: float) -> None:
     psi = kron_state(QuantumState.pure(plus), QuantumState.pure(plus))
 
     unitary = replicate_unitary_form(phi, psi)
-    reference = cu_phase(phi).apply(psi)
-    overlap = abs(np.vdot(reference.data, unitary.data)) ** 2
+    reference = cu_phase(phi) @ psi.data
+    overlap = abs(np.vdot(reference, unitary.data)) ** 2
     print(f"\nunitary form at phi = {phi:.4f}: "
           f"overlap with the controlled gate output = {overlap:.12f}")
 
@@ -59,7 +59,7 @@ def branch_walkthrough(phi: float) -> None:
 
     corrected = replicate_measured_form(phi, psi, apply_feedforward=True)
     for outcome in corrected:
-        match = abs(np.vdot(reference.data, outcome.state.data)) ** 2
+        match = abs(np.vdot(reference, outcome.state.data)) ** 2
         print(f"  with feed-forward, branch {outcome.branch:>5} matches "
               f"the unitary form: overlap {match:.12f}")
 

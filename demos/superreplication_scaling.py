@@ -36,7 +36,7 @@ def small_cases() -> None:
 
     # V is a permutation: compare it with the Toffoli's column -> row map
     perm = build_V(ReplicationSpec(1, 2))
-    same = np.array_equal(perm, np.argmax(toffoli().matrix, axis=0))
+    same = np.array_equal(perm, np.argmax(toffoli(), axis=0))
     print(f"\nimprinting unitary for 1 -> 2 equals the Toffoli: {same}")
 
 

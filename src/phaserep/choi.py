@@ -13,17 +13,19 @@ from typing import Sequence
 
 import numpy as np
 
-from .qmat import Operator, QuantumState
+from .qmat import QuantumState
 
 # the one trace convention, recorded in serialized process matrices
 _NORMALIZATION = "trace_one"
 
 
-def choi_vector(u: Operator) -> np.ndarray:
+def choi_vector(u: np.ndarray) -> np.ndarray:
     """(I ⊗ U)|Phi> as a flat length-4^n vector; no unitarity check."""
-    d = u.dim
+    d = u.shape[0]
+    if u.shape != (d, d):
+        raise ValueError("choi_vector requires a square matrix")
     # component at index m*d + a is U[a, m] / sqrt(d)
-    return u.matrix.T.reshape(-1) / np.sqrt(d)
+    return u.T.reshape(-1) / np.sqrt(d)
 
 
 @dataclass(frozen=True)
@@ -47,10 +49,16 @@ class ProcessMatrix:
             )
         if np.max(np.abs(m - m.conj().T)) > 1e-10:
             raise ValueError("process matrix must be Hermitian")
-        low = float(np.min(np.linalg.eigvalsh(m)))
-        scale = max(1.0, float(np.trace(m).real))
-        if low < -1e-8 * scale:
-            raise ValueError(f"process matrix has eigenvalue {low} < 0")
+        # PSD up to 1e-8 * scale: one Cholesky factorization of the
+        # shifted matrix; the eigenvalues only word the rejection
+        tol = 1e-8 * max(1.0, float(np.trace(m).real))
+        try:
+            np.linalg.cholesky(m + tol * np.eye(d2))
+        except np.linalg.LinAlgError:
+            low = float(np.min(np.linalg.eigvalsh(m)))
+            if low < -tol:
+                raise ValueError(
+                    f"process matrix has eigenvalue {low} < 0") from None
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
@@ -72,18 +80,13 @@ class ProcessMatrix:
         return ProcessMatrix(self.matrix / tr, self.qubits)
 
 
-def choi_from_kraus(
-    operators: Sequence[Operator | np.ndarray],
-) -> ProcessMatrix:
+def choi_from_kraus(operators: Sequence[np.ndarray]) -> ProcessMatrix:
     """chi = sum_k (I ⊗ K_k)|Phi><Phi|(I ⊗ K_k)†, unnormalized trace.
 
     The trace equals sum_k Tr[K_k† K_k] / 2^n, i.e. 1 for a
     trace-preserving set and less for postselected maps.
     """
-    mats = []
-    for op in operators:
-        mats.append(op.matrix if isinstance(op, Operator) else
-                    np.asarray(op, dtype=np.complex128))
+    mats = [np.asarray(op, dtype=np.complex128) for op in operators]
     if not mats:
         raise ValueError("need at least one Kraus operator")
     d = mats[0].shape[0]
@@ -99,21 +102,21 @@ def choi_from_kraus(
     return ProcessMatrix(chi, n)
 
 
-def gate_fidelity(u1: Operator, u2: Operator) -> float:
+def gate_fidelity(u1: np.ndarray, u2: np.ndarray) -> float:
     """|Tr[U2† U1]|² / 2^{2n} — overlap of the two Choi states.
 
     Both operators are expected to be unitary (not re-verified here, to
-    keep wide-register sweeps cheap); dimensions must match.
+    keep wide-register sweeps cheap); their shapes must match.
     """
-    if u1.qubits != u2.qubits:
+    if u1.shape != u2.shape:
         raise ValueError("gate_fidelity requires equal dimensions")
-    tr = np.trace(u2.matrix.conj().T @ u1.matrix)
-    return float(abs(tr) ** 2) / (u1.dim ** 2)
+    tr = np.trace(u2.conj().T @ u1)
+    return float(abs(tr) ** 2) / (u1.shape[0] ** 2)
 
 
-def process_fidelity(chi: ProcessMatrix, u: Operator) -> float:
+def process_fidelity(chi: ProcessMatrix, u: np.ndarray) -> float:
     """F = <Phi_U| chi |Phi_U> / Tr[chi]; invariant under chi rescaling."""
-    if u.qubits != chi.qubits:
+    if u.shape != (chi.dim, chi.dim):
         raise ValueError("process_fidelity requires matching qubit counts")
     tr = chi.trace
     if tr <= 0.0:

@@ -37,7 +37,7 @@ from .gates import baseline_measure_prepare, baseline_single_copy, \
     toffoli, twirled_mean_fidelity
 from .optics import OpticsParams, effective_toffoli, \
     replication_experiment_channel
-from .qmat import kron, set_register_cap
+from .qmat import kron, register_cap, set_register_cap
 from .superrep import asymptotic_sweep
 from .svgplot import Series, heatmap_grid, line_plot
 
@@ -97,26 +97,41 @@ def _schema_hint(command: str) -> str:
     )
 
 
+def _require(condition: bool, message: str) -> None:
+    if not condition:
+        raise ConfigError(message)
+
+
+def _number(key: str, value, integer: bool = False):
+    """The one check of a numeric config value: a number but not a
+    boolean, finite, and an int where ``integer`` is set.  Returns an
+    int or a float."""
+    kinds = int if integer else (int, float)
+    _require(isinstance(value, kinds) and not isinstance(value, bool),
+             f"{key} must be {'an integer' if integer else 'a number'}, "
+             f"got {value!r}")
+    if integer:
+        return value
+    try:
+        value = float(value)
+    except OverflowError:  # an int beyond the float range
+        value = math.inf
+    _require(math.isfinite(value),
+             f"{key} must be a finite number, got {value!r}")
+    return value
+
+
 def _parse_phases(raw) -> tuple[float, ...]:
     if isinstance(raw, str):
         if raw.strip() == "standard":
             return tomo.standard_phases()
-        parts = [p for p in raw.split(",") if p.strip()]
         try:
-            return tuple(float(p) for p in parts)
+            raw = [float(p) for p in raw.split(",") if p.strip()]
         except ValueError:
             raise ConfigError(f"cannot parse phase list: {raw!r}") from None
-    if isinstance(raw, (list, tuple)) and raw:
-        try:
-            return tuple(float(p) for p in raw)
-        except (TypeError, ValueError):
-            raise ConfigError("phases must be numbers") from None
-    raise ConfigError("phases must be 'standard' or a non-empty list")
-
-
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise ConfigError(message)
+    _require(isinstance(raw, (list, tuple)) and len(raw) > 0,
+             "phases must be 'standard' or a non-empty list")
+    return tuple(_number("phases", p) for p in raw)
 
 
 def _load_config_file(path: str, command: str) -> dict:
@@ -150,10 +165,10 @@ def _resolve_optics(preset: str, overrides: dict | None) -> OpticsParams:
             _require(key in _OPTICS_KEYS,
                      f"unknown optics key {key!r}; accepted: "
                      + ", ".join(_OPTICS_KEYS))
+        values = {k: _number(f"optics.{k}", v) for k, v in overrides.items()}
         try:
-            params = dataclasses.replace(
-                params, **{k: float(v) for k, v in overrides.items()})
-        except (TypeError, ValueError) as exc:
+            params = dataclasses.replace(params, **values)
+        except ValueError as exc:
             raise ConfigError(f"invalid optics parameters: {exc}") from None
     return params
 
@@ -171,58 +186,48 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 
     out_dir = pick("out_dir", args.out_dir,
                    os.environ.get(OUT_DIR_ENV, "phaserep-out"))
-    seed = pick("seed", args.seed, 0)
-    _require(isinstance(seed, int) and seed >= 0,
-             "seed must be a non-negative integer")
-    rate = pick("rate", args.rate, 1e4)
-    try:
-        rate = float(rate)
-    except (TypeError, ValueError):
-        raise ConfigError("rate must be a number") from None
-    _require(math.isfinite(rate) and rate > 0.0,
-             "rate must be a positive finite number")
-    trials = pick("trials", args.trials, 0)
-    _require(isinstance(trials, int) and trials >= 0,
-             "trials must be a non-negative integer")
+    seed = _number("seed", pick("seed", args.seed, 0), integer=True)
+    _require(seed >= 0, "seed must be a non-negative integer")
+    rate = _number("rate", pick("rate", args.rate, 1e4))
+    _require(rate > 0.0, "rate must be a positive finite number")
+    trials = _number("trials", pick("trials", args.trials, 0), integer=True)
+    _require(trials >= 0, "trials must be a non-negative integer")
     _require(trials != 1, "trials must be 0 (no error bars) or at least 2")
     preset = pick("preset", args.preset, "ideal")
     svg = bool(args.svg or file_values.get("svg", False))
     phases = _parse_phases(pick("phases", args.phases, "standard"))
-    _require(all(math.isfinite(p) for p in phases),
-             "phases must be finite numbers")
     optics = _resolve_optics(preset, file_values.get("optics"))
-    register_cap = file_values.get("register_cap")
-    if register_cap is not None:
-        _require(isinstance(register_cap, int),
-                 "register_cap must be an integer")
+    cap = file_values.get("register_cap")
+    if cap is not None:
+        cap = _number("register_cap", cap, integer=True)
 
-    alpha = file_values.get("alpha", 0.5)
-    _require(isinstance(alpha, (int, float)) and alpha > 0.0,
-             "alpha must be a positive number")
+    alpha = _number("alpha", file_values.get("alpha", 0.5))
+    _require(alpha > 0.0, "alpha must be a positive number")
     n_list = file_values.get("n_list", [4, 9, 16, 25])
     _require(isinstance(n_list, list) and n_list
-             and all(isinstance(n, int) and n >= 1 for n in n_list),
+             and all(_number("n_list", n, integer=True) >= 1
+                     for n in n_list),
              "n_list must be a non-empty list of positive integers")
     m_list = file_values.get("m_list")
     if m_list is not None:
         _require(isinstance(m_list, list)
-                 and all(isinstance(m, int) and m >= 1 for m in m_list)
+                 and all(_number("m_list", m, integer=True) >= 1
+                         for m in m_list)
                  and len(m_list) == len(n_list),
                  "m_list must be positive integers paired with n_list")
-    phi_grid_size = file_values.get("phi_grid_size", 513)
-    _require(isinstance(phi_grid_size, int) and phi_grid_size >= 2,
-             "phi_grid_size must be an integer >= 2")
+    phi_grid_size = _number("phi_grid_size",
+                            file_values.get("phi_grid_size", 513),
+                            integer=True)
+    _require(phi_grid_size >= 2, "phi_grid_size must be an integer >= 2")
 
     parameter = file_values.get("parameter", "visibility")
     _require(parameter in _OPTICS_KEYS,
              "parameter must be one of: " + ", ".join(_OPTICS_KEYS))
     values = file_values.get("values", [1.0, 0.95, 0.9, 0.85, 0.8])
-    _require(isinstance(values, list) and values
-             and all(isinstance(v, (int, float)) for v in values),
+    _require(isinstance(values, list) and values,
              "values must be a non-empty list of numbers")
-    phi = file_values.get("phi", math.pi / 2.0)
-    _require(isinstance(phi, (int, float)) and math.isfinite(phi),
-             "phi must be a finite number")
+    values = [_number("values", v) for v in values]
+    phi = _number("phi", file_values.get("phi", math.pi / 2.0))
 
     return RunConfig(
         command=command,
@@ -234,14 +239,14 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         preset=preset,
         svg=svg,
         optics=optics,
-        register_cap=register_cap,
-        alpha=float(alpha),
+        register_cap=cap,
+        alpha=alpha,
         n_list=tuple(n_list),
         m_list=tuple(m_list) if m_list is not None else None,
         phi_grid_size=phi_grid_size,
         scan_parameter=parameter,
-        scan_values=tuple(float(v) for v in values),
-        scan_phi=float(phi),
+        scan_values=tuple(values),
+        scan_phi=phi,
     )
 
 
@@ -553,6 +558,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
+    previous_cap = register_cap()
     try:
         args = parser.parse_args(argv)
         config = resolve_config(args)
@@ -571,6 +577,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (RuntimeError, ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        # the cap is process-wide; a call must not change it for the next
+        set_register_cap(previous_cap)
 
 
 if __name__ == "__main__":

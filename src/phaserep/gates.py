@@ -19,7 +19,6 @@ import numpy as np
 from .choi import choi_from_kraus, gate_fidelity, process_fidelity
 from .qmat import (
     PROJECTOR_KETS,
-    Operator,
     QuantumState,
     kron,
     kron_state,
@@ -34,30 +33,30 @@ _P0 = np.array([[1.0, 0.0], [0.0, 0.0]])
 _P1 = np.array([[0.0, 0.0], [0.0, 1.0]])
 
 
-def phase_gate(phi: float) -> Operator:
+def phase_gate(phi: float) -> np.ndarray:
     """diag(1, e^{i*phi}) on one qubit."""
     phi = normalize_phase(phi)
-    return Operator(np.diag([1.0, np.exp(1j * phi)]), 1)
+    return np.diag([1.0, np.exp(1j * phi)])
 
 
-def cu_phase(phi: float) -> Operator:
+def cu_phase(phi: float) -> np.ndarray:
     """Controlled phase gate diag(1, 1, 1, e^{i*phi}) on two qubits."""
     phi = normalize_phase(phi)
-    return Operator(np.diag([1.0, 1.0, 1.0, np.exp(1j * phi)]), 2)
+    return np.diag([1.0, 1.0, 1.0, np.exp(1j * phi)])
 
 
-def controlled_z() -> Operator:
+def controlled_z() -> np.ndarray:
     """diag(1, 1, 1, -1); the measured-form feed-forward correction."""
     # written out rather than cu_phase(pi) so the -1 entry is exact
-    return Operator(np.diag([1.0, 1.0, 1.0, -1.0]), 2)
+    return np.diag(np.array([1.0, 1.0, 1.0, -1.0], dtype=np.complex128))
 
 
-def toffoli() -> Operator:
+def toffoli() -> np.ndarray:
     """Three-qubit gate flipping qubit 2 iff qubits 0 and 1 are |1>."""
-    m = np.eye(8)
+    m = np.eye(8, dtype=np.complex128)
     m[6, 6] = m[7, 7] = 0.0
     m[6, 7] = m[7, 6] = 1.0
-    return Operator(m, 3)
+    return m
 
 
 def _ancilla_gate(single: np.ndarray, control: int) -> np.ndarray:
@@ -85,9 +84,10 @@ def replicate_unitary_form(phi: float, psi_in: QuantumState) -> QuantumState:
     if psi_in.qubits != 2:
         raise ValueError("input must be a pure 2-qubit state")
     t = toffoli()
-    u_anc = kron(Operator.identity(2), phase_gate(phi))
+    u_anc = kron(np.eye(4), phase_gate(phi))
     state = kron_state(psi_in, QuantumState.basis(1, 0))
-    state = t.apply(u_anc.apply(t.apply(state)))
+    for gate in (t, u_anc, t):
+        state = QuantumState.pure(gate @ state.data)
     # columns: ancilla |0> and |1> components of the signal
     split = state.data.reshape(4, 2)
     if np.vdot(split[:, 1], split[:, 1]).real > 1e-10:
@@ -106,7 +106,7 @@ class ReplicationOutcome:
     """
 
     branch: str
-    effective_operator: Operator
+    effective_operator: np.ndarray
     branch_probability: float
     state: QuantumState
 
@@ -128,8 +128,10 @@ def replicate_measured_form(
     if psi_in.qubits != 2:
         raise ValueError("input must be a pure 2-qubit state")
     t = toffoli()
-    u_anc = kron(Operator.identity(2), phase_gate(phi))
-    state = u_anc.apply(t.apply(kron_state(psi_in, QuantumState.basis(1, 0))))
+    u_anc = kron(np.eye(4), phase_gate(phi))
+    state = kron_state(psi_in, QuantumState.basis(1, 0))
+    for gate in (t, u_anc):
+        state = QuantumState.pure(gate @ state.data)
 
     cz = controlled_z()
     outcomes = []
@@ -139,13 +141,11 @@ def replicate_measured_form(
         signal = signal / np.linalg.norm(signal)
         effective = cu_phase(phi)
         if branch == "minus":
-            effective = Operator(
-                np.diag([1.0, 1.0, 1.0, -np.exp(1j * phi)]), 2
-            )
+            effective = np.diag([1.0, 1.0, 1.0, -np.exp(1j * phi)])
             if apply_feedforward:
-                signal = cz.matrix @ signal
+                signal = cz @ signal
                 effective = cz @ effective
-        expected = effective.matrix @ psi_in.data
+        expected = effective @ psi_in.data
         if abs(abs(np.vdot(expected, signal)) - 1.0) > 1e-10:
             raise RuntimeError("branch state disagrees with its operator")
         outcomes.append(
@@ -183,7 +183,7 @@ def baseline_single_copy(phi: float) -> float:
     """Fidelity of applying the gate to one qubit only; cos^2(phi/2)."""
     phi = normalize_phase(phi)
     u = phase_gate(phi)
-    return gate_fidelity(kron(u, Operator.identity(1)), kron(u, u))
+    return gate_fidelity(kron(u, np.eye(2)), kron(u, u))
 
 
 def measure_prepare_integrand(delta: float) -> float:
@@ -211,12 +211,12 @@ def baseline_measure_prepare() -> float:
 
 # the cloner circuit's phase-independent gates, built once
 _CLONER_BEFORE_PHASE = (_ancilla_gate(_H, control=0),
-                        _ancilla_gate(_H, control=1), toffoli().matrix)
+                        _ancilla_gate(_H, control=1), toffoli())
 _CLONER_AFTER_PHASE = (_ancilla_gate(_X, control=0),
                        _ancilla_gate(_X, control=1))
 
 
-def optimal_cloner(phi: float) -> list[Operator]:
+def optimal_cloner(phi: float) -> list[np.ndarray]:
     """Effective two-qubit maps of the optimal 1->2 phase-gate cloner.
 
     Circuit: controlled-Hadamard from each signal qubit onto a |0>
@@ -232,13 +232,13 @@ def optimal_cloner(phi: float) -> list[Operator]:
     """
     phi = normalize_phase(phi)
     circuit = [*_CLONER_BEFORE_PHASE,
-               np.kron(np.eye(4), phase_gate(phi).matrix),
+               np.kron(np.eye(4), phase_gate(phi)),
                *_CLONER_AFTER_PHASE]
     w = np.eye(8, dtype=np.complex128)
     for gate in circuit:
         w = gate @ w
     w4 = w.reshape(4, 2, 4, 2)
-    return [Operator(w4[:, b, :, 0], 2) for b in (0, 1)]
+    return [w4[:, b, :, 0] for b in (0, 1)]
 
 
 def optimal_cloner_fidelity(phi: float) -> float:

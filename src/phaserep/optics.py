@@ -39,7 +39,7 @@ from typing import Sequence
 import numpy as np
 
 from .choi import ProcessMatrix, choi_from_kraus
-from .qmat import Operator, normalize_phase
+from .qmat import normalize_phase
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 _SQRT_THIRD = 1.0 / math.sqrt(3.0)
@@ -136,7 +136,7 @@ def sector_operators(
 
 def effective_toffoli(
     params: OpticsParams,
-) -> tuple[list[Operator], float]:
+) -> tuple[list[np.ndarray], float]:
     """Coincidence-basis three-qubit channel of the optical network.
 
     Returns the weighted Kraus operators of the sector mixture together
@@ -147,12 +147,12 @@ def effective_toffoli(
     v = params.visibility
     kraus = []
     if v > 0.0:
-        kraus.append(Operator(math.sqrt(v) * m_int, 3))
+        kraus.append(math.sqrt(v) * m_int)
     if v < 1.0:
         w = math.sqrt(1.0 - v)
-        kraus.append(Operator(w * k_tt, 3))
-        kraus.append(Operator(w * k_rr, 3))
-    gram = sum(k.matrix.conj().T @ k.matrix for k in kraus)
+        kraus.append(w * k_tt)
+        kraus.append(w * k_rr)
+    gram = sum(k.conj().T @ k for k in kraus)
     success = float(np.trace(gram).real) / 8.0
     return kraus, success
 
@@ -195,7 +195,7 @@ def replication_experiment_channel(
     kraus2 = []
     for k in kraus3:
         # idler enters in |0>; apply the phase gate to its output leg
-        b = k.matrix.reshape(4, 2, 4, 2)[:, :, :, 0].copy()
+        b = k.reshape(4, 2, 4, 2)[:, :, :, 0].copy()
         b[:, 1, :] *= phase
         if project:
             kraus2.append((b[:, 0, :] + b[:, 1, :]) * _SQRT_HALF)

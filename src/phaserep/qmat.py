@@ -5,8 +5,10 @@ Conventions used throughout the package:
 * Qubit 0 is the most significant bit of a computational basis index, so the
   basis label ``|q0 q1 ... q(n-1)>`` reads left to right like the integer's
   binary expansion.
-* All matrices and vectors are complex128 ndarrays.  Wrapped values are
-  frozen after construction; every operation returns fresh objects.
+* All matrices and vectors are complex128 ndarrays.  Gates and Kraus
+  operators are plain arrays, whose qubit count is read from their
+  shape; a ``QuantumState`` is frozen after construction.  Every
+  operation returns fresh objects.
 * Register sizes are capped (default 24 qubits) to bound memory.
 """
 from __future__ import annotations
@@ -15,9 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-# Default ``atol`` of the phase-insensitive operator comparison.
-UNITARY_ATOL = 1e-10
 
 _register_cap = 24
 
@@ -48,63 +47,6 @@ def _check_width(qubits: int) -> None:
 def normalize_phase(phi: float) -> float:
     """Reduce a phase angle in radians to [0, 2*pi)."""
     return float(phi) % (2.0 * math.pi)
-
-
-@dataclass(frozen=True)
-class Operator:
-    """A linear operator on a register of ``qubits`` qubits."""
-
-    matrix: np.ndarray
-    qubits: int
-
-    def __post_init__(self):
-        _check_width(self.qubits)
-        m = np.array(self.matrix, dtype=np.complex128)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("operator matrix must be square")
-        if m.shape[0] != 2 ** self.qubits:
-            raise ValueError(
-                f"matrix dimension {m.shape[0]} does not match "
-                f"{self.qubits} qubits"
-            )
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    @classmethod
-    def identity(cls, qubits: int) -> "Operator":
-        return cls(np.eye(2 ** qubits), qubits)
-
-    def __matmul__(self, other: "Operator") -> "Operator":
-        if not isinstance(other, Operator):
-            return NotImplemented
-        if other.qubits != self.qubits:
-            raise ValueError("operator widths differ")
-        return Operator(self.matrix @ other.matrix, self.qubits)
-
-    def apply(self, state: "QuantumState") -> "QuantumState":
-        if state.qubits != self.qubits:
-            raise ValueError("operator and state widths differ")
-        return QuantumState.pure(self.matrix @ state.data)
-
-    def equals_up_to_global_phase(
-        self, other: "Operator", atol: float = UNITARY_ATOL
-    ) -> bool:
-        """Phase-insensitive equality, usable for any nonzero operators."""
-        if other.qubits != self.qubits:
-            return False
-        overlap = np.trace(self.matrix.conj().T @ other.matrix)
-        if abs(overlap) < atol:
-            # No aligning phase exists unless both operators vanish.
-            return bool(
-                np.max(np.abs(self.matrix)) <= atol
-                and np.max(np.abs(other.matrix)) <= atol
-            )
-        phase = overlap / abs(overlap)
-        return bool(np.max(np.abs(self.matrix * phase - other.matrix)) <= atol)
 
 
 @dataclass(frozen=True)
@@ -152,9 +94,11 @@ class QuantumState:
         return np.outer(self.data, self.data.conj())
 
 
-def kron(a: Operator, b: Operator) -> Operator:
-    """Tensor product; ``a`` supplies the more significant qubits."""
-    return Operator(np.kron(a.matrix, b.matrix), a.qubits + b.qubits)
+def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Tensor product of two gates; ``a`` supplies the more significant
+    qubits.  The product's width is checked against the cap first."""
+    _check_width(int(round(math.log2(a.shape[0] * b.shape[0]))))
+    return np.kron(a, b)
 
 
 def kron_state(a: QuantumState, b: QuantumState) -> QuantumState:

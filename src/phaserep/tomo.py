@@ -25,7 +25,7 @@ import numpy as np
 from .choi import ProcessMatrix, choi_from_kraus, process_fidelity
 from .gates import cu_phase, phase_gate
 from .optics import OpticsParams, replication_experiment_channel
-from .qmat import PROJECTOR_KETS, Operator, kron, normalize_phase
+from .qmat import PROJECTOR_KETS, kron, normalize_phase
 
 SINGLE_QUBIT_STATES = ("0", "1", "+", "-", "+i", "-i")
 MEASUREMENT_BASES = ("x", "y", "z")
@@ -434,7 +434,7 @@ def monte_carlo_errors(
     dataset: TomographyDataset,
     design: TomographyDesign,
     trials: int,
-    targets: Mapping[str, Operator],
+    targets: Mapping[str, np.ndarray],
     seed,
     options: MleOptions | None = None,
 ) -> dict[str, FidelityStats]:

@@ -129,7 +129,7 @@ def test_criterion_05_imprinting_unitary():
     perm = build_V(ReplicationSpec(1, 2))
     dense = np.zeros((8, 8))
     dense[perm, np.arange(8)] = 1.0
-    if not np.array_equal(dense, toffoli().matrix):
+    if not np.array_equal(dense, toffoli()):
         problems.append("one-into-two imprinting unitary is not the Toffoli")
     for total in range(2, 11):
         for copies in range(1, total):
@@ -195,7 +195,7 @@ def test_criterion_06_sandwich_equivalence(rng):
                     break
                 if replicas <= 10:
                     target = reduce(
-                        np.kron, [np.diag(phase_gate(phi).matrix)] * replicas)
+                        np.kron, [np.diag(phase_gate(phi))] * replicas)
                     f_block = abs(np.vdot(target, block)) ** 2 \
                         / 4.0 ** replicas
                     err = abs(f_block

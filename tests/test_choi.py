@@ -13,20 +13,25 @@ from phaserep.choi import (
     process_matrix_from_json,
     process_matrix_to_json,
 )
-from phaserep.qmat import Operator, QuantumState
+from phaserep.qmat import QuantumState
 
-X = Operator(np.array([[0.0, 1.0], [1.0, 0.0]]), 1)
+X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
 S = 1.0 / np.sqrt(2.0)
 
 
 def test_choi_vector_of_identity_is_bell_state():
-    vec = choi_vector(Operator.identity(1))
+    vec = choi_vector(np.eye(2))
     assert np.max(np.abs(vec - np.array([S, 0.0, 0.0, S]))) < 1e-14
 
 
 def test_choi_vector_of_x_gate():
     vec = choi_vector(X)
     assert np.max(np.abs(vec - np.array([0.0, S, S, 0.0]))) < 1e-14
+
+
+def test_choi_vector_requires_square_matrix():
+    with pytest.raises(ValueError, match="square"):
+        choi_vector(np.zeros((2, 4)))
 
 
 def test_process_matrix_validation():
@@ -50,20 +55,20 @@ def test_choi_from_kraus_bit_flip_mixture():
     p = 0.3
     chi = choi_from_kraus([
         np.sqrt(1.0 - p) * np.eye(2),
-        np.sqrt(p) * X.matrix,
+        np.sqrt(p) * X,
     ])
     assert chi.trace == pytest.approx(1.0, abs=1e-12)
-    assert process_fidelity(chi, Operator.identity(1)) \
+    assert process_fidelity(chi, np.eye(2)) \
         == pytest.approx(1.0 - p, abs=1e-12)
     assert process_fidelity(chi, X) == pytest.approx(p, abs=1e-12)
 
 
 def test_gate_fidelity_against_closed_forms():
-    ident = Operator.identity(1)
+    ident = np.eye(2)
     assert gate_fidelity(ident, X) == pytest.approx(0.0, abs=1e-14)
     assert gate_fidelity(X, X) == pytest.approx(1.0, abs=1e-14)
     for theta in (0.2, 1.1, 2.9):
-        rz = Operator(np.diag([1.0, cmath.exp(1j * theta)]), 1)
+        rz = np.diag([1.0, cmath.exp(1j * theta)])
         # |tr diag(1, e^{i t})|^2 / 4 = cos^2(t/2)
         assert gate_fidelity(rz, ident) \
             == pytest.approx(np.cos(theta / 2.0) ** 2, abs=1e-12)
@@ -71,12 +76,30 @@ def test_gate_fidelity_against_closed_forms():
 
 def test_gate_fidelity_requires_matching_width():
     with pytest.raises(ValueError):
-        gate_fidelity(Operator.identity(1), Operator.identity(2))
+        gate_fidelity(np.eye(2), np.eye(4))
 
 
 def test_process_fidelity_of_exact_channel():
     chi = choi_from_kraus([X])
     assert process_fidelity(chi, X) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_process_fidelity_requires_matching_width():
+    chi = choi_from_kraus([X])
+    for wrong in (np.eye(4), np.eye(2)[:, :1], np.ones(2)):
+        with pytest.raises(ValueError, match="qubit counts"):
+            process_fidelity(chi, wrong)
+
+
+def test_choi_from_kraus_validates_shapes():
+    with pytest.raises(ValueError, match="at least one"):
+        choi_from_kraus([])
+    with pytest.raises(ValueError, match="share one dimension"):
+        choi_from_kraus([np.zeros((2, 4))])
+    with pytest.raises(ValueError, match="share one dimension"):
+        choi_from_kraus([X, np.eye(4)])
+    with pytest.raises(ValueError, match="power of 2"):
+        choi_from_kraus([np.eye(3)])
 
 
 def test_process_fidelity_rejects_zero_trace():

@@ -20,6 +20,7 @@ from phaserep import (
     process_fidelity,
     process_matrix_from_json,
     read_datasets_csv,
+    register_cap,
     replication_experiment_channel,
     standard_phases,
     twirled_mean_fidelity,
@@ -267,7 +268,31 @@ def test_flag_validation_exits_1(tmp_path):
     (["optics-scan"], {"phi": math.nan}, "phi"),
     (["replicate", "--phases", "0.5,1.0"],
      {"optics": {"phase_jitter_sigma": math.nan}}, "phase_jitter_sigma"),
-], ids=["nan-phase", "inf-phase", "inf-rate", "nan-phi", "nan-jitter"])
+    # JSON booleans are ints to Python but never numbers here
+    (["replicate"], {"phases": [True]}, "phases"),
+    (["replicate", "--phases", "0.5"], {"seed": True}, "seed"),
+    (["replicate", "--phases", "0.5"], {"rate": True}, "rate"),
+    (["replicate", "--phases", ","], None, "phases"),
+    (["replicate", "--phases", "0.5"], {"trials": False}, "trials"),
+    (["replicate", "--phases", "0.5"], {"register_cap": True},
+     "register_cap"),
+    (["replicate", "--phases", "0.5"], {"optics": {"visibility": True}},
+     "visibility"),
+    (["replicate", "--phases", "0.5"],
+     {"optics": {"phase_jitter_sigma": math.inf}}, "phase_jitter_sigma"),
+    (["superrep"], {"alpha": math.inf}, "alpha"),
+    (["superrep"], {"alpha": True}, "alpha"),
+    (["superrep"], {"alpha": 10 ** 400}, "alpha"),
+    (["superrep"], {"n_list": [True]}, "n_list"),
+    (["superrep"], {"n_list": [4], "m_list": [True]}, "m_list"),
+    (["optics-scan"], {"values": [True]}, "values"),
+    (["optics-scan"], {"parameter": "phase_jitter_sigma",
+                       "values": [math.inf]}, "values"),
+    (["optics-scan"], {"phi": True}, "phi"),
+], ids=["nan-phase", "inf-phase", "inf-rate", "nan-phi", "nan-jitter",
+        "bool-phase", "bool-seed", "bool-rate", "empty-phases", "bool-trials", "bool-cap",
+        "bool-visibility", "inf-jitter", "inf-alpha", "bool-alpha",
+        "huge-alpha", "bool-n", "bool-m", "bool-value", "inf-value", "bool-phi"])
 def test_non_finite_numbers_are_rejected(tmp_path, capsys, argv, config,
                                          key):
     out = tmp_path / "out"
@@ -280,10 +305,22 @@ def test_non_finite_numbers_are_rejected(tmp_path, capsys, argv, config,
 
 
 def test_register_cap_is_applied(tmp_path):
-    # a cap of 2 qubits makes the three-qubit gate network unbuildable
-    cfg = _write_config(tmp_path, {"register_cap": 2})
+    # a cap of 1 qubit makes kron refuse the two-copy target U (x) U
+    cfg = _write_config(tmp_path, {"register_cap": 1})
     assert main(["replicate", "--out-dir", str(tmp_path), "--phases", "0.5",
                  "--config", cfg]) == 1
+
+
+def test_register_cap_does_not_outlive_the_call(tmp_path):
+    # the cap is process-wide; one main() call must leave it as it was
+    before = register_cap()
+    cfg = _write_config(tmp_path, {"register_cap": 1})
+    assert main(["replicate", "--out-dir", str(tmp_path / "capped"),
+                 "--phases", "0.5", "--config", cfg]) == 1
+    assert register_cap() == before
+    assert main(["replicate", "--out-dir", str(tmp_path / "plain"),
+                 "--phases", "0.5"]) == 0
+    assert register_cap() == before
 
 
 def test_out_dir_env_fallback(tmp_path, monkeypatch):

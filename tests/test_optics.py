@@ -15,7 +15,6 @@ from phaserep.optics import (
     sector_operators,
     transfer_matrix,
 )
-from phaserep.qmat import kron, Operator
 
 
 def test_params_validated():
@@ -208,7 +207,7 @@ def test_distinguishable_swap_exchanges_polarizations(params):
 def test_ideal_point_is_exact_scaled_toffoli():
     kraus, success = effective_toffoli(OpticsParams.ideal())
     assert len(kraus) == 1
-    assert np.max(np.abs(kraus[0].matrix - toffoli().matrix / 3.0)) < 1e-12
+    assert np.max(np.abs(kraus[0] - toffoli() / 3.0)) < 1e-12
     assert success == pytest.approx(1.0 / 9.0, abs=1e-12)
     chi = choi_from_kraus(kraus)
     assert process_fidelity(chi, toffoli()) == pytest.approx(1.0, abs=1e-12)
@@ -219,7 +218,7 @@ def test_ideal_success_is_input_independent():
     for basis in range(8):
         vec = np.zeros(8)
         vec[basis] = 1.0
-        prob = sum(np.linalg.norm(k.matrix @ vec) ** 2 for k in kraus)
+        prob = sum(np.linalg.norm(k @ vec) ** 2 for k in kraus)
         assert prob == pytest.approx(1.0 / 9.0, abs=1e-12)
 
 
@@ -288,7 +287,7 @@ def test_raising_reflectivity_above_ideal_also_degrades():
 def test_dephasing_scales_spatial_coherence():
     phi = 0.8
     sigma = 0.6
-    kraus = [cu_phase(phi).matrix]
+    kraus = [cu_phase(phi)]
     chi = choi_from_kraus(kraus)
     dephased = choi_from_kraus(dephase_spatial(kraus, sigma))
     # the |0x><1y| blocks of the chi matrix shrink by exp(-sigma^2/2)
@@ -303,7 +302,7 @@ def test_dephasing_scales_spatial_coherence():
 
 
 def test_dephasing_identity_at_zero_sigma():
-    kraus = [cu_phase(0.3).matrix]
+    kraus = [cu_phase(0.3)]
     assert dephase_spatial(kraus, 0.0) is kraus
     with pytest.raises(ValueError):
         dephase_spatial(kraus, -0.1)

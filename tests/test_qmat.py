@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from phaserep.qmat import (
-    Operator,
     QuantumState,
     kron,
     kron_state,
@@ -27,9 +26,9 @@ def test_kron_matches_hand_expansion():
         ],
         dtype=np.complex128,
     )
-    got = kron(Operator(X, 1), Operator(Z, 1))
-    assert got.qubits == 2
-    assert np.array_equal(got.matrix, expected)
+    got = kron(X, Z)
+    assert got.shape == (4, 4)
+    assert np.array_equal(got, expected)
 
 
 def test_qubit_zero_is_most_significant():
@@ -47,19 +46,6 @@ def test_normalize_phase_wraps_into_period():
     assert normalize_phase(-np.pi / 2) == pytest.approx(3 * np.pi / 2)
     assert normalize_phase(4 * np.pi + 1.0) == pytest.approx(1.0)
     assert normalize_phase(1.25) == 1.25
-
-
-def test_operator_validation():
-    with pytest.raises(ValueError):
-        Operator(np.zeros((2, 3)), 1)
-    with pytest.raises(ValueError):
-        Operator(np.eye(4), 1)  # size/qubits mismatch
-
-
-def test_equals_up_to_global_phase():
-    u = Operator(X, 1)
-    assert u.equals_up_to_global_phase(Operator(np.exp(0.7j) * X, 1))
-    assert not u.equals_up_to_global_phase(Operator(Z, 1))
 
 
 def test_pure_state_norm_checked():
@@ -105,7 +91,11 @@ def test_projection_impossible_outcome():
 def test_register_cap_guard():
     set_register_cap(4)
     assert register_cap() == 4
+    # the product's width is refused before np.kron allocates it
     with pytest.raises(ValueError, match="cap"):
-        Operator(np.eye(32), 5)
+        kron(np.eye(8), np.eye(4))
+    assert kron(np.eye(4), np.eye(4)).shape == (16, 16)
+    with pytest.raises(ValueError, match="cap"):
+        QuantumState.basis(5, 0)
     with pytest.raises(ValueError):
         set_register_cap(0)

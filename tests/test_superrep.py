@@ -6,7 +6,7 @@ import pytest
 
 from phaserep.choi import gate_fidelity
 from phaserep.gates import phase_gate, toffoli
-from phaserep.qmat import Operator, set_register_cap
+from phaserep.qmat import set_register_cap
 from phaserep.superrep import (
     ReplicationSpec,
     _fidelity_terms,
@@ -82,7 +82,7 @@ def test_ancilla_imprint_is_unary_prefix():
 def test_build_v_for_one_to_two_is_toffoli():
     perm = build_V(ReplicationSpec(copies=1, replicas=2))
     assert perm.tolist() == [0, 1, 2, 3, 4, 5, 7, 6]
-    assert np.array_equal(_dense_v(perm), toffoli().matrix)
+    assert np.array_equal(_dense_v(perm), toffoli())
 
 
 def test_build_v_is_permutation_and_involution():
@@ -137,7 +137,7 @@ def test_sandwich_matches_literal_dense_product():
         v = _dense_v(build_V(spec))
         u_n = np.array([[1.0]])
         for _ in range(spec.copies):
-            u_n = np.kron(u_n, phase_gate(phi).matrix)
+            u_n = np.kron(u_n, phase_gate(phi))
         dense = v @ np.kron(np.eye(1 << spec.replicas), u_n) @ v
         diag = sandwich_diagonal(spec, phi)
         assert np.max(np.abs(dense - np.diag(diag))) < 1e-12
@@ -215,10 +215,8 @@ def test_fidelity_closed_form_matches_dense_trace():
         phi = float(rng.uniform(0.0, 2.0 * math.pi))
         target = np.array([[1.0]])
         for _ in range(spec.replicas):
-            target = np.kron(target, phase_gate(phi).matrix)
-        dense = gate_fidelity(
-            Operator(np.diag(replicated_map(spec, phi)), spec.replicas),
-            Operator(target, spec.replicas))
+            target = np.kron(target, phase_gate(phi))
+        dense = gate_fidelity(np.diag(replicated_map(spec, phi)), target)
         assert abs(replication_fidelity(spec, phi) - dense) < 1e-10
 
 
