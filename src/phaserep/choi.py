@@ -47,6 +47,9 @@ class ProcessMatrix:
                 f"process matrix for {self.qubits} qubits must be "
                 f"{d2}x{d2}"
             )
+        # NaN passes the tolerance tests below, so reject it first
+        if not np.all(np.isfinite(m)):
+            raise ValueError("process matrix entries must be finite")
         if np.max(np.abs(m - m.conj().T)) > 1e-10:
             raise ValueError("process matrix must be Hermitian")
         # PSD up to 1e-8 * scale: one Cholesky factorization of the

@@ -7,10 +7,12 @@ Subcommands
     optics-scan  single-parameter imperfection sweep of the optical gate
 
 Configuration comes from an optional JSON file (--config) overridden by
-command-line flags; unknown config keys are rejected.  Every output file
-carries a metadata header (artifact version, seed, config hash) and all
-floats are written with 17 significant digits, so reruns with the same
-seed and config are byte-identical and values round-trip exactly.
+command-line flags.  Each command accepts only the keys it reads (plus
+out_dir and svg) and rejects any other.  Every output file carries a
+metadata header (artifact version, command, the tomo seed, and a hash of
+the command's keys) and all floats are written with 17 significant
+digits, so reruns with the same config are byte-identical and values
+round-trip exactly.
 
 Exit codes: 0 success, 1 invalid configuration or unusable paths,
 2 runtime or numerical failure.
@@ -24,8 +26,8 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Sequence
 
 import numpy as np
@@ -37,24 +39,42 @@ from .gates import baseline_measure_prepare, baseline_single_copy, \
     toffoli, twirled_mean_fidelity
 from .optics import OpticsParams, effective_toffoli, \
     replication_experiment_channel
-from .qmat import kron, register_cap, set_register_cap
+from .qmat import kron
 from .superrep import asymptotic_sweep
 from .svgplot import Series, heatmap_grid, line_plot
 
-ARTIFACT_VERSION = 1
+ARTIFACT_VERSION = 2
 OUT_DIR_ENV = "PHASEREP_OUT_DIR"
 
 _OPTICS_KEYS = ("r_v", "r_h", "visibility", "phase_jitter_sigma")
 
-# config keys accepted per command (shared keys first)
-_COMMON_KEYS = ("out_dir", "seed", "phases", "rate", "trials", "preset",
-                "svg", "optics", "register_cap")
+# the result-affecting config keys each command reads; these and only
+# these go into its config hash
 _COMMAND_KEYS = {
-    "replicate": _COMMON_KEYS,
-    "superrep": _COMMON_KEYS + ("alpha", "n_list", "m_list",
-                                "phi_grid_size"),
-    "tomo": _COMMON_KEYS,
-    "optics-scan": _COMMON_KEYS + ("parameter", "values", "phi"),
+    "replicate": ("phases", "preset", "optics"),
+    "superrep": ("alpha", "n_list", "m_list", "phi_grid_size"),
+    "tomo": ("seed", "phases", "rate", "trials", "preset", "optics"),
+    "optics-scan": ("preset", "optics", "parameter", "values", "phi"),
+}
+# where and what to write; accepted by every command, hashed by none
+_OUTPUT_KEYS = ("out_dir", "svg")
+
+_DEFAULTS = {
+    "seed": 0, "phases": "standard", "rate": 1e4, "trials": 0,
+    "preset": "ideal", "optics": None,
+    "alpha": 0.5, "n_list": [4, 9, 16, 25], "m_list": None,
+    "phi_grid_size": 513,
+    "parameter": "visibility", "values": [1.0, 0.95, 0.9, 0.85, 0.8],
+    "phi": math.pi / 2.0,
+}
+
+# the keys that also have a command-line flag, as add_argument options
+_FLAGS = {
+    "seed": {"type": int, "help": "master RNG seed"},
+    "phases": {"help": "comma-separated radians, or 'standard' (k*pi/8)"},
+    "rate": {"type": float, "help": "expected counts per input/setting"},
+    "trials": {"type": int, "help": "Monte Carlo trials (0 = no error bars)"},
+    "preset": {"choices": ("ideal", "measured"), "help": "optics preset"},
 }
 
 
@@ -69,32 +89,9 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    out_dir: Path
-    seed: int
-    phases: tuple[float, ...]
-    rate: float
-    trials: int
-    preset: str
-    svg: bool
-    optics: OpticsParams
-    register_cap: int | None
-    alpha: float
-    n_list: tuple[int, ...]
-    m_list: tuple[int, ...] | None
-    phi_grid_size: int
-    scan_parameter: str
-    scan_values: tuple[float, ...]
-    scan_phi: float
-
-
 def _schema_hint(command: str) -> str:
-    return (
-        "expected a JSON object; accepted keys for "
-        f"'{command}': {', '.join(_COMMAND_KEYS[command])}"
-    )
+    keys = ", ".join(_OUTPUT_KEYS + _COMMAND_KEYS[command])
+    return f"expected a JSON object; accepted keys for '{command}': {keys}"
 
 
 def _require(condition: bool, message: str) -> None:
@@ -146,7 +143,7 @@ def _load_config_file(path: str, command: str) -> dict:
     if not isinstance(doc, dict):
         raise ConfigError(_schema_hint(command))
     for key in doc:
-        if key not in _COMMAND_KEYS[command]:
+        if key not in _OUTPUT_KEYS + _COMMAND_KEYS[command]:
             raise ConfigError(
                 f"unknown config key {key!r} for command '{command}'; "
                 + _schema_hint(command)
@@ -173,118 +170,108 @@ def _resolve_optics(preset: str, overrides: dict | None) -> OpticsParams:
     return params
 
 
-def resolve_config(args: argparse.Namespace) -> RunConfig:
-    """Merge defaults, config-file values, and flag overrides (flags win)."""
+def _resolve(key: str, value, params: dict):
+    """Check one key's merged value and return its resolved form;
+    ``params`` holds the keys before it in the command's table."""
+    if key == "seed":
+        value = _number(key, value, integer=True)
+        _require(value >= 0, "seed must be a non-negative integer")
+    elif key == "phases":
+        value = _parse_phases(value)
+    elif key == "rate":
+        value = _number(key, value)
+        _require(value > 0.0, "rate must be a positive finite number")
+    elif key == "trials":
+        value = _number(key, value, integer=True)
+        _require(value >= 0, "trials must be a non-negative integer")
+        _require(value != 1,
+                 "trials must be 0 (no error bars) or at least 2")
+    elif key == "optics":  # also checks the preset, which precedes it
+        value = _resolve_optics(params["preset"], value)
+    elif key == "alpha":
+        value = _number(key, value)
+        _require(value > 0.0, "alpha must be a positive number")
+    elif key == "n_list":
+        _require(isinstance(value, list) and value
+                 and all(_number(key, n, integer=True) >= 1
+                         for n in value),
+                 "n_list must be a non-empty list of positive integers")
+    elif key == "m_list" and value is not None:
+        _require(isinstance(value, list)
+                 and all(_number(key, m, integer=True) >= 1
+                         for m in value)
+                 and len(value) == len(params["n_list"]),
+                 "m_list must be positive integers paired with n_list")
+    elif key == "phi_grid_size":
+        value = _number(key, value, integer=True)
+        _require(value >= 2, "phi_grid_size must be an integer >= 2")
+    elif key == "parameter":
+        _require(value in _OPTICS_KEYS,
+                 "parameter must be one of: " + ", ".join(_OPTICS_KEYS))
+    elif key == "values":
+        _require(isinstance(value, list) and value,
+                 "values must be a non-empty list of numbers")
+        value = [_number(key, v) for v in value]
+    elif key == "phi":
+        value = _number(key, value)
+    return value
+
+
+def resolve_config(args: argparse.Namespace) -> SimpleNamespace:
+    """Merge defaults, config-file values, and flag overrides (flags win)
+    for the keys the command reads, and check each.  The result has
+    ``command``, ``out_dir``, ``svg`` and the command's keys."""
     command = args.command
     file_values = _load_config_file(args.config, command) \
         if args.config else {}
 
-    def pick(key, flag_value, default):
+    def pick(key, default):
+        flag_value = getattr(args, key, None)
         if flag_value is not None:
             return flag_value
         return file_values.get(key, default)
 
-    out_dir = pick("out_dir", args.out_dir,
-                   os.environ.get(OUT_DIR_ENV, "phaserep-out"))
-    seed = _number("seed", pick("seed", args.seed, 0), integer=True)
-    _require(seed >= 0, "seed must be a non-negative integer")
-    rate = _number("rate", pick("rate", args.rate, 1e4))
-    _require(rate > 0.0, "rate must be a positive finite number")
-    trials = _number("trials", pick("trials", args.trials, 0), integer=True)
-    _require(trials >= 0, "trials must be a non-negative integer")
-    _require(trials != 1, "trials must be 0 (no error bars) or at least 2")
-    preset = pick("preset", args.preset, "ideal")
+    params: dict = {}
+    for key in _COMMAND_KEYS[command]:
+        params[key] = _resolve(key, pick(key, _DEFAULTS[key]), params)
+    out_dir = pick("out_dir", os.environ.get(OUT_DIR_ENV, "phaserep-out"))
     svg = bool(args.svg or file_values.get("svg", False))
-    phases = _parse_phases(pick("phases", args.phases, "standard"))
-    optics = _resolve_optics(preset, file_values.get("optics"))
-    cap = file_values.get("register_cap")
-    if cap is not None:
-        cap = _number("register_cap", cap, integer=True)
-
-    alpha = _number("alpha", file_values.get("alpha", 0.5))
-    _require(alpha > 0.0, "alpha must be a positive number")
-    n_list = file_values.get("n_list", [4, 9, 16, 25])
-    _require(isinstance(n_list, list) and n_list
-             and all(_number("n_list", n, integer=True) >= 1
-                     for n in n_list),
-             "n_list must be a non-empty list of positive integers")
-    m_list = file_values.get("m_list")
-    if m_list is not None:
-        _require(isinstance(m_list, list)
-                 and all(_number("m_list", m, integer=True) >= 1
-                         for m in m_list)
-                 and len(m_list) == len(n_list),
-                 "m_list must be positive integers paired with n_list")
-    phi_grid_size = _number("phi_grid_size",
-                            file_values.get("phi_grid_size", 513),
-                            integer=True)
-    _require(phi_grid_size >= 2, "phi_grid_size must be an integer >= 2")
-
-    parameter = file_values.get("parameter", "visibility")
-    _require(parameter in _OPTICS_KEYS,
-             "parameter must be one of: " + ", ".join(_OPTICS_KEYS))
-    values = file_values.get("values", [1.0, 0.95, 0.9, 0.85, 0.8])
-    _require(isinstance(values, list) and values,
-             "values must be a non-empty list of numbers")
-    values = [_number("values", v) for v in values]
-    phi = _number("phi", file_values.get("phi", math.pi / 2.0))
-
-    return RunConfig(
-        command=command,
-        out_dir=Path(out_dir),
-        seed=int(seed),
-        phases=phases,
-        rate=rate,
-        trials=int(trials),
-        preset=preset,
-        svg=svg,
-        optics=optics,
-        register_cap=cap,
-        alpha=alpha,
-        n_list=tuple(n_list),
-        m_list=tuple(m_list) if m_list is not None else None,
-        phi_grid_size=phi_grid_size,
-        scan_parameter=parameter,
-        scan_values=tuple(values),
-        scan_phi=phi,
-    )
+    return SimpleNamespace(command=command, out_dir=Path(out_dir), svg=svg,
+                           **params)
 
 
 def _f17(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _config_digest(config: RunConfig) -> str:
-    # hash only result-affecting parameters so runs into different
-    # directories stay byte-identical
-    doc = {
-        "command": config.command,
-        "seed": config.seed,
-        "phases": [_f17(p) for p in config.phases],
-        "rate": _f17(config.rate),
-        "trials": config.trials,
-        "optics": {k: _f17(getattr(config.optics, k))
-                   for k in _OPTICS_KEYS},
-        "register_cap": config.register_cap,
-        "alpha": _f17(config.alpha),
-        "n_list": list(config.n_list),
-        "m_list": list(config.m_list) if config.m_list is not None else None,
-        "phi_grid_size": config.phi_grid_size,
-        "parameter": config.scan_parameter,
-        "values": [_f17(v) for v in config.scan_values],
-        "phi": _f17(config.scan_phi),
-    }
+def _canonical(value):
+    # floats as 17-digit strings, the optics as its four fields
+    if isinstance(value, OpticsParams):
+        return {k: _f17(getattr(value, k)) for k in _OPTICS_KEYS}
+    if isinstance(value, float):
+        return _f17(value)
+    if isinstance(value, (list, tuple)):
+        return [_canonical(v) for v in value]
+    return value
+
+
+def _config_digest(config: SimpleNamespace) -> str:
+    # hash exactly the command's result-affecting keys, so runs into
+    # different directories, with or without figures, stay byte-identical
+    doc = {"command": config.command}
+    doc.update((k, _canonical(getattr(config, k)))
+               for k in _COMMAND_KEYS[config.command])
     canonical = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-def _metadata(config: RunConfig) -> dict:
-    return {
-        "artifact_version": ARTIFACT_VERSION,
-        "command": config.command,
-        "seed": config.seed,
-        "config_sha256": _config_digest(config),
-    }
+def _metadata(config: SimpleNamespace) -> dict:
+    meta = {"artifact_version": ARTIFACT_VERSION,
+            "command": config.command}
+    if hasattr(config, "seed"):
+        meta["seed"] = config.seed
+    meta["config_sha256"] = _config_digest(config)
+    return meta
 
 
 def _metadata_lines(meta: dict) -> list[str]:
@@ -321,7 +308,7 @@ def _json_text(doc: dict) -> str:
     return json.dumps(doc, indent=1, sort_keys=True) + "\n"
 
 
-def _prepare_out_dir(config: RunConfig) -> Path:
+def _prepare_out_dir(config: SimpleNamespace) -> Path:
     try:
         config.out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -331,7 +318,7 @@ def _prepare_out_dir(config: RunConfig) -> Path:
     return config.out_dir
 
 
-def cmd_replicate(config: RunConfig) -> int:
+def cmd_replicate(config: SimpleNamespace) -> int:
     """Phase sweep: ideal and noisy replication fidelities vs baselines."""
     out = _prepare_out_dir(config)
     meta = _metadata(config)
@@ -371,7 +358,7 @@ def cmd_replicate(config: RunConfig) -> int:
     return 0
 
 
-def cmd_superrep(config: RunConfig) -> int:
+def cmd_superrep(config: SimpleNamespace) -> int:
     """Worst-case replication fidelity along an N -> M = N^(2-alpha) law."""
     out = _prepare_out_dir(config)
     meta = _metadata(config)
@@ -395,7 +382,7 @@ def cmd_superrep(config: RunConfig) -> int:
     return 0
 
 
-def cmd_tomo(config: RunConfig) -> int:
+def cmd_tomo(config: SimpleNamespace) -> int:
     """Simulated counts -> MLE reconstruction -> fidelities and fit."""
     out = _prepare_out_dir(config)
     design = tomo.default_design()
@@ -411,9 +398,9 @@ def cmd_tomo(config: RunConfig) -> int:
     os.replace(counts_tmp, out / "counts.csv")
 
     columns = ["phi", "f_cu", "f_cu_std", "f_uu", "f_uu_std",
-               "iterations", "converged"]
+               "iterations", "converged", "optimality_gap"]
     rows = [[r.phi, r.f_cu, r.f_cu_std, r.f_uu, r.f_uu_std, r.iterations,
-             r.converged] for r in report.rows]
+             r.converged, r.optimality_gap] for r in report.rows]
     _write_text(out / "fidelities.csv", _csv_text(meta, columns, rows))
 
     for k, row in enumerate(report.rows):
@@ -449,6 +436,7 @@ def cmd_tomo(config: RunConfig) -> int:
                 "f_uu_std": _std(r.f_uu_std),
                 "iterations": r.iterations,
                 "converged": r.converged,
+                "optimality_gap": _f17(r.optimality_gap),
             }
             for r in report.rows
         ],
@@ -478,24 +466,23 @@ def cmd_tomo(config: RunConfig) -> int:
     return 0
 
 
-def cmd_optics_scan(config: RunConfig) -> int:
+def cmd_optics_scan(config: SimpleNamespace) -> int:
     """Sweep one imperfection parameter and record gate fidelities."""
     out = _prepare_out_dir(config)
     meta = _metadata(config)
     rows = []
-    for value in config.scan_values:
+    for value in config.values:
         try:
             params = dataclasses.replace(
-                config.optics, **{config.scan_parameter: value})
+                config.optics, **{config.parameter: value})
         except ValueError as exc:
             raise ConfigError(
                 f"scan value {value!r} rejected: {exc}") from None
         kraus, success = effective_toffoli(params)
         f_toffoli = process_fidelity(choi_from_kraus(kraus), toffoli())
-        channel = replication_experiment_channel(config.scan_phi, params)
-        f_cu = process_fidelity(channel, cu_phase(config.scan_phi))
-        rows.append([config.scan_parameter, value, f_toffoli, f_cu,
-                     success])
+        channel = replication_experiment_channel(config.phi, params)
+        f_cu = process_fidelity(channel, cu_phase(config.phi))
+        rows.append([config.parameter, value, f_toffoli, f_cu, success])
     columns = ["parameter", "value", "f_toffoli", "f_cu", "success"]
     _write_text(out / "optics_scan.csv", _csv_text(meta, columns, rows))
     if config.svg:
@@ -508,8 +495,8 @@ def cmd_optics_scan(config: RunConfig) -> int:
                 Series("success probability", values,
                        [r[4] for r in rows]),
             ],
-            title=f"imperfection sweep: {config.scan_parameter}",
-            xlabel=config.scan_parameter, ylabel="value",
+            title=f"imperfection sweep: {config.parameter}",
+            xlabel=config.parameter, ylabel="value",
         )
         _write_text(out / "optics_scan.svg", svg)
     return 0
@@ -541,16 +528,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out-dir", dest="out_dir",
                        help=f"output directory (default ${OUT_DIR_ENV} "
                             "or ./phaserep-out)")
-        p.add_argument("--seed", type=int, help="master RNG seed")
-        p.add_argument("--phases",
-                       help="comma-separated radians, or 'standard' for "
-                            "the eight k*pi/8 settings")
-        p.add_argument("--rate", type=float,
-                       help="expected counts per input/setting pair")
-        p.add_argument("--trials", type=int,
-                       help="Monte Carlo trials for error bars (0 = off)")
-        p.add_argument("--preset", choices=("ideal", "measured"),
-                       help="optics parameter preset")
+        for key in _COMMAND_KEYS[name]:
+            if key in _FLAGS:
+                p.add_argument(f"--{key}", **_FLAGS[key])
         p.add_argument("--svg", action="store_true", default=None,
                        help="also emit SVG figures")
     return parser
@@ -558,17 +538,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
-    previous_cap = register_cap()
     try:
         args = parser.parse_args(argv)
         config = resolve_config(args)
-        if config.register_cap is not None:
-            set_register_cap(config.register_cap)
         return _COMMANDS[config.command](config)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:
@@ -577,9 +551,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (RuntimeError, ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 2
-    finally:
-        # the cap is process-wide; a call must not change it for the next
-        set_register_cap(previous_cap)
 
 
 if __name__ == "__main__":

@@ -38,17 +38,17 @@ class TomographyDesign:
     Probabilities are linear in the process matrix: p_j = Tr[chi O_j]
     with O_j = d * (rho_i^T (x) Pi_k), row j = i * n_outcomes + k for
     input i and outcome k (outcomes run over settings, then the four
-    projectors of each setting).  The stacked (rows x 256) coefficient
-    matrix, its rank (identifiability), and whether the O_j sum to a
+    projectors of each setting).  The stacked operators (rows x 16 x
+    16), their rank (identifiability), and whether they sum to a
     multiple of the identity (required by the plain RrhoR update) are
     computed once at construction.
 
     Because every O_j is a Kronecker product, the design also keeps its
     two factors: ``input_factor`` (n_inputs x 16, the flattened rho_i^T)
     and ``outcome_factor`` (16 x n_outcomes, the flattened d * Pi_k).
-    ``traces`` and ``weighted_sum`` evaluate the two linear maps the
-    reconstruction needs through these factors, at about a tenth of the
-    multiply-adds of a product with the dense ``matrix``.
+    ``traces`` and ``weighted_sum`` evaluate the two linear maps through
+    these factors, at about a tenth of the multiply-adds of a product
+    with the dense (rows x 256) coefficient matrix.
     """
 
     def __init__(
@@ -83,11 +83,9 @@ class TomographyDesign:
         self.operators = (
             rho_t[:, None, :, None, :, None] * projs[None, :, None, :, None, :]
         ).reshape(n_in * n_out, 16, 16)
-        # p_j = A_j . vec(chi) with A_j = vec(O_j^T)
-        self.matrix = self.operators.transpose(0, 2, 1).reshape(
-            n_in * n_out, 256)
-        # matrix is the Kronecker product of the two factors up to a
-        # fixed column permutation, and rank(A (x) B) = rank A * rank B
+        # the dense coefficient matrix p_j = vec(O_j^T) . vec(chi) is the
+        # Kronecker product of the two factors up to a fixed column
+        # permutation, and rank(A (x) B) = rank A * rank B
         self.rank = int(np.linalg.matrix_rank(self.input_factor)
                         * np.linalg.matrix_rank(self.outcome_factor))
         total = self.operators.sum(axis=0)
@@ -120,9 +118,8 @@ class TomographyDesign:
         """Re Tr[chi O_j] for every row, for Hermitian chi of shape
         (..., 16, 16); the leading axes index independent matrices.
 
-        Equals ``(matrix @ chi.reshape(-1)).real`` up to rounding, and
-        each matrix's row is bit-identical whatever else is stacked
-        with it.
+        Equals the dense sum over Tr[chi O_j] up to rounding, and each
+        matrix's row is bit-identical whatever else is stacked with it.
         """
         lead = chi.shape[:-2]
         # Tr[chi O_j] = sum chi[a b, c d] rho_i^T[c, a] d Pi_k[d, b]:
@@ -136,7 +133,7 @@ class TomographyDesign:
         """sum_j w_j O_j for real weights of shape (..., rows) in row
         order; the leading axes index independent weight vectors.
 
-        Equals ``(weights @ matrix).reshape(16, 16).T`` up to rounding.
+        Equals the dense sum over w_j O_j up to rounding.
         """
         lead = weights.shape[:-1]
         w = weights.reshape(-1, self.input_factor.shape[0],
@@ -150,11 +147,14 @@ class TomographyDesign:
 
         Sub-normalized (postselected) channels yield probabilities that
         do not sum to 1 per setting; that deficit is physical loss.
+        Values <= 1e-12 are returned as 0.0: on the standard design the
+        rounding residue of an exact zero stays below 1e-18, and the
+        physical probabilities of the presets are above 1e-7.
         """
         if channel.qubits != 2:
             raise ValueError("design covers two-qubit channels only")
-        p = (self.matrix @ channel.matrix.reshape(-1)).real
-        return np.clip(p, 0.0, None)
+        p = self.traces(channel.matrix)
+        return np.where(p > 1e-12, p, 0.0)
 
 
 _default_design: TomographyDesign | None = None
@@ -212,7 +212,8 @@ def expected_counts(
     rate: float,
     phase: float = 0.0,
 ) -> TomographyDataset:
-    """Noise-free dataset: exact Poisson means, no sampling."""
+    """Noise-free dataset: exact Poisson means, no sampling; a row the
+    channel cannot reach gets exactly 0 (see ``probabilities``)."""
     if rate <= 0.0:
         raise ValueError("rate must be positive")
     return TomographyDataset(phase, rate * design.probabilities(channel),
@@ -502,6 +503,7 @@ class PhaseReport:
     f_uu_std: float
     iterations: int
     converged: bool
+    optimality_gap: float
 
 
 @dataclass(frozen=True)
@@ -567,7 +569,7 @@ def experiment_pipeline(
         chi_ideal = choi_from_kraus([targets["cu"]])
         rows.append(PhaseReport(phi, result.chi, chi_ideal, dataset, f_cu,
                                 f_uu, f_cu_std, f_uu_std, result.iterations,
-                                result.converged))
+                                result.converged, result.optimality_gap))
     fit = None
     if np.unique(np.round(phases, 12)).size >= 2:
         fit = fit_cosine(phases, [r.f_uu for r in rows])
@@ -585,7 +587,7 @@ def write_datasets_csv(path, datasets: Sequence[TomographyDataset],
             fh.write(line.rstrip("\n") + "\n")
         fh.write("# phase_values: " + json.dumps(phases) + "\n")
         fh.write("# rates: " + json.dumps([d.rate for d in datasets]) + "\n")
-        writer = csv.writer(fh)
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(
             ["phase_id", "input_id", "setting_id", "outcome_id", "count"])
         for phase_id, ds in enumerate(datasets):

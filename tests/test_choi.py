@@ -1,4 +1,6 @@
 import cmath
+import json
+import math
 
 import numpy as np
 import pytest
@@ -159,6 +161,23 @@ def test_json_round_trip():
     assert back.qubits == chi.qubits
     assert doc["normalization"] == "trace_one"
     assert doc["metadata"]["label"] == "test"
+
+
+def test_json_with_nan_is_rejected():
+    doc = json.loads(json.dumps(process_matrix_to_json(
+        ProcessMatrix(np.eye(4) / 4.0, 1))))
+    doc["real"][0][0] = math.nan
+    text = json.dumps(doc)
+    assert "NaN" in text
+    with pytest.raises(ValueError, match="finite"):
+        process_matrix_from_json(json.loads(text))
+
+
+def test_infinite_entries_are_rejected():
+    m = np.eye(4) / 4.0
+    m[0, 0] = math.inf
+    with pytest.raises(ValueError, match="finite"):
+        ProcessMatrix(m, 1)
 
 
 def test_psd_floor_tolerates_numerical_negatives():

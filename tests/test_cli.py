@@ -1,6 +1,7 @@
 """End-to-end command-line runs, driven in-process through main(argv)."""
 import json
 import math
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -20,7 +21,6 @@ from phaserep import (
     process_fidelity,
     process_matrix_from_json,
     read_datasets_csv,
-    register_cap,
     replication_experiment_channel,
     standard_phases,
     twirled_mean_fidelity,
@@ -56,9 +56,9 @@ def _write_config(tmp_path, doc):
 def test_replicate_writes_expected_table(tmp_path):
     assert main(["replicate", "--out-dir", str(tmp_path)]) == 0
     header, columns, rows = _read_csv(tmp_path / "replicate.csv")
-    assert "# artifact_version: 1" in header
+    assert "# artifact_version: 2" in header
     assert "# command: replicate" in header
-    assert "# seed: 0" in header
+    assert not any(h.startswith("# seed:") for h in header)  # tomo only
     assert any(h.startswith("# config_sha256: ") for h in header)
     assert columns == ["phi", "f_uu_ideal", "f_uu_noisy", "f_cu_noisy",
                        "baseline_single_copy", "baseline_measure_prepare",
@@ -163,6 +163,8 @@ def test_tomo_artifacts_and_reproducibility(tmp_path):
 
     report = json.loads((d1 / "report.json").read_text())
     assert report["metadata"]["command"] == "tomo"
+    assert report["metadata"]["artifact_version"] == 2
+    assert report["metadata"]["seed"] == 3
     assert len(report["rows"]) == 2
     assert set(report["fit"]) == {"offset", "amplitude", "residual_rms"}
     assert 0.0 <= float(report["mean_f_cu"]) <= 1.0
@@ -182,10 +184,22 @@ def test_tomo_artifacts_and_reproducibility(tmp_path):
 
     _, columns, rows = _read_csv(d1 / "fidelities.csv")
     assert columns == ["phi", "f_cu", "f_cu_std", "f_uu", "f_uu_std",
-                       "iterations", "converged"]
+                       "iterations", "converged", "optimality_gap"]
     assert [r["converged"] for r in rows] == ["1", "1"]
-    for r in rows:
+    for r, row_doc in zip(rows, report["rows"]):
         assert math.isnan(float(r["f_cu_std"]))  # no trials requested
+        assert math.isfinite(float(r["optimality_gap"]))
+        assert row_doc["optimality_gap"] == r["optimality_gap"]
+
+
+def test_tomo_artifacts_have_one_line_terminator(tmp_path):
+    assert main(["tomo", "--out-dir", str(tmp_path), "--phases", "0.5",
+                 "--rate", "100", "--trials", "2", "--svg"]) == 0
+    paths = sorted(tmp_path.iterdir())
+    assert {p.name for p in paths} >= {"counts.csv", "fidelities.csv",
+                                       "report.json", "chi_00.json"}
+    for path in paths:
+        assert b"\r" not in path.read_bytes(), path.name
 
 
 def test_tomo_error_bars_and_single_phase_fit(tmp_path):
@@ -255,7 +269,7 @@ def test_flag_validation_exits_1(tmp_path):
     out = str(tmp_path)
     assert main(["replicate", "--out-dir", out, "--phases", "abc"]) == 1
     assert main(["tomo", "--out-dir", out, "--trials", "1"]) == 1
-    assert main(["replicate", "--out-dir", out, "--rate", "-5"]) == 1
+    assert main(["tomo", "--out-dir", out, "--rate", "-5"]) == 1
     assert main(["replicate", "--bogus-flag"]) == 1
     assert main([]) == 1
     assert main(["no-such-command"]) == 1
@@ -270,12 +284,10 @@ def test_flag_validation_exits_1(tmp_path):
      {"optics": {"phase_jitter_sigma": math.nan}}, "phase_jitter_sigma"),
     # JSON booleans are ints to Python but never numbers here
     (["replicate"], {"phases": [True]}, "phases"),
-    (["replicate", "--phases", "0.5"], {"seed": True}, "seed"),
-    (["replicate", "--phases", "0.5"], {"rate": True}, "rate"),
+    (["tomo", "--phases", "0.5"], {"seed": True}, "seed"),
+    (["tomo", "--phases", "0.5"], {"rate": True}, "rate"),
     (["replicate", "--phases", ","], None, "phases"),
-    (["replicate", "--phases", "0.5"], {"trials": False}, "trials"),
-    (["replicate", "--phases", "0.5"], {"register_cap": True},
-     "register_cap"),
+    (["tomo", "--phases", "0.5"], {"trials": False}, "trials"),
     (["replicate", "--phases", "0.5"], {"optics": {"visibility": True}},
      "visibility"),
     (["replicate", "--phases", "0.5"],
@@ -290,7 +302,7 @@ def test_flag_validation_exits_1(tmp_path):
                        "values": [math.inf]}, "values"),
     (["optics-scan"], {"phi": True}, "phi"),
 ], ids=["nan-phase", "inf-phase", "inf-rate", "nan-phi", "nan-jitter",
-        "bool-phase", "bool-seed", "bool-rate", "empty-phases", "bool-trials", "bool-cap",
+        "bool-phase", "bool-seed", "bool-rate", "empty-phases", "bool-trials",
         "bool-visibility", "inf-jitter", "inf-alpha", "bool-alpha",
         "huge-alpha", "bool-n", "bool-m", "bool-value", "inf-value", "bool-phi"])
 def test_non_finite_numbers_are_rejected(tmp_path, capsys, argv, config,
@@ -304,23 +316,81 @@ def test_non_finite_numbers_are_rejected(tmp_path, capsys, argv, config,
     assert not out.exists()
 
 
-def test_register_cap_is_applied(tmp_path):
-    # a cap of 1 qubit makes kron refuse the two-copy target U (x) U
-    cfg = _write_config(tmp_path, {"register_cap": 1})
-    assert main(["replicate", "--out-dir", str(tmp_path), "--phases", "0.5",
-                 "--config", cfg]) == 1
+# the result-affecting keys each command reads, and a value of each that
+# differs from its default
+COMMAND_KEYS = {
+    "replicate": ("phases", "preset", "optics"),
+    "superrep": ("alpha", "n_list", "m_list", "phi_grid_size"),
+    "tomo": ("seed", "phases", "rate", "trials", "preset", "optics"),
+    "optics-scan": ("preset", "optics", "parameter", "values", "phi"),
+}
+CHANGED = {
+    "seed": 7, "phases": [0.25], "rate": 500.0, "trials": 2,
+    "preset": "measured", "optics": {"visibility": 0.9},
+    "alpha": 0.7, "n_list": [4, 9], "m_list": [5, 20, 60, 120],
+    "phi_grid_size": 17,
+    "parameter": "r_v", "values": [0.6], "phi": 0.4,
+}
+FLAGS = {
+    "replicate": {"--config", "--out-dir", "--svg", "--phases", "--preset"},
+    "superrep": {"--config", "--out-dir", "--svg"},
+    "tomo": {"--config", "--out-dir", "--svg", "--seed", "--phases",
+             "--rate", "--trials", "--preset"},
+    "optics-scan": {"--config", "--out-dir", "--svg", "--preset"},
+}
 
 
-def test_register_cap_does_not_outlive_the_call(tmp_path):
-    # the cap is process-wide; one main() call must leave it as it was
-    before = register_cap()
-    cfg = _write_config(tmp_path, {"register_cap": 1})
-    assert main(["replicate", "--out-dir", str(tmp_path / "capped"),
-                 "--phases", "0.5", "--config", cfg]) == 1
-    assert register_cap() == before
-    assert main(["replicate", "--out-dir", str(tmp_path / "plain"),
-                 "--phases", "0.5"]) == 0
-    assert register_cap() == before
+def _digest(tmp_path, command, doc, flags=()):
+    args = cli.build_parser().parse_args(
+        [command, "--config", _write_config(tmp_path, doc), *flags])
+    return cli._config_digest(cli.resolve_config(args))
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_KEYS))
+def test_config_digest_covers_exactly_the_command_keys(tmp_path, command):
+    assert cli._COMMAND_KEYS[command] == COMMAND_KEYS[command]
+    base = _digest(tmp_path, command, {})
+    digests = {base}
+    for key in COMMAND_KEYS[command]:
+        digests.add(_digest(tmp_path, command, {key: CHANGED[key]}))
+    assert len(digests) == 1 + len(COMMAND_KEYS[command])
+    # where and whether to draw leave the hash alone
+    assert _digest(tmp_path, command, {"out_dir": "elsewhere",
+                                       "svg": True}) == base
+    assert _digest(tmp_path, command, {},
+                   ["--out-dir", "other", "--svg"]) == base
+
+
+@pytest.mark.parametrize("command", sorted(FLAGS))
+def test_help_lists_only_the_command_flags(capsys, command):
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--help"])
+    assert exit_info.value.code == 0
+    shown = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+    assert shown == FLAGS[command] | {"--help"}
+
+
+@pytest.mark.parametrize("argv, config, key", [
+    (["replicate", "--seed", "3"], None, "seed"),
+    (["superrep", "--rate", "10"], None, "rate"),
+    (["optics-scan", "--phases", "0.5"], None, "phases"),
+    (["replicate"], {"rate": 2000}, "rate"),
+    (["superrep"], {"preset": "measured"}, "preset"),
+    (["optics-scan"], {"trials": 2}, "trials"),
+    (["tomo"], {"alpha": 0.5}, "alpha"),
+    (["replicate"], {"register_cap": 1}, "register_cap"),
+], ids=["replicate-seed-flag", "superrep-rate-flag", "scan-phases-flag",
+        "replicate-rate-key", "superrep-preset-key", "scan-trials-key",
+        "tomo-alpha-key", "register-cap-key"])
+def test_keys_of_other_commands_are_rejected(tmp_path, capsys, argv, config,
+                                             key):
+    out = tmp_path / "out"
+    argv = argv + ["--out-dir", str(out)]
+    if config is not None:
+        argv += ["--config", _write_config(tmp_path, config)]
+    assert main(argv) == 1
+    assert key in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_out_dir_env_fallback(tmp_path, monkeypatch):

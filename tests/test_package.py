@@ -1,5 +1,7 @@
 import ast
 import importlib
+import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -8,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import phaserep
+from phaserep import cli, default_design
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -44,6 +47,51 @@ def test_benchmark_trace_targets_resolve():
             owner = getattr(owner, attr, None)
             assert owner is not None, f"{target} does not resolve"
         assert callable(owner), f"{target} is not callable"
+
+
+def _perfbench_workloads():
+    # perfbench/workloads.py imports only the standard library; load it by
+    # path so the benchmark package need not be importable
+    path = ROOT / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_workloads",
+                                                  path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
+
+
+def test_benchmark_ops_are_valid_cli_calls(tmp_path):
+    # every op's flags and config must pass the parser and the config
+    # checks; the ops themselves are not run
+    workloads = _perfbench_workloads()
+    config_path = tmp_path / "config.json"
+    checked = 0
+    for name in workloads.WORKLOADS:
+        for op in workloads.build(name, 0):
+            if op.config is not None:
+                config_path.write_text(json.dumps(op.config))
+            argv = op.argv(tmp_path / "out", config_path)
+            cli.resolve_config(cli.build_parser().parse_args(argv))
+            checked += 1
+    assert checked > 0
+    assert not (tmp_path / "out").exists()
+
+
+def test_benchmark_checks_read_only_existing_design_attributes():
+    # perfbench/checks.py reads the tomography design by attribute; a
+    # removed attribute must fail here, not as failed benchmark ops
+    tree = ast.parse((ROOT / "perfbench" / "checks.py").read_text())
+    attrs = {node.attr for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute)
+             and isinstance(node.value, ast.Name)
+             and node.value.id == "design"}
+    assert "operators" in attrs
+    design = default_design()
+    assert [a for a in sorted(attrs) if not hasattr(design, a)] == []
 
 
 def test_demos_are_found():

@@ -1,4 +1,5 @@
 """Tomography design, likelihood ascent, error bars, and the pipeline."""
+import dataclasses
 import math
 
 import numpy as np
@@ -41,6 +42,13 @@ def _copy_design_parts(design):
     return list(design.input_kets), [[p for p in s] for s in design.settings]
 
 
+def _dense_matrix(design):
+    """The rows x 256 coefficient matrix with p_j = A_j . vec(chi), built
+    from the design's operators as the reference for its factored maps:
+    A_j = vec(O_j^T)."""
+    return design.operators.transpose(0, 2, 1).reshape(design.size, 256)
+
+
 def _uhlmann(a: np.ndarray, b: np.ndarray) -> float:
     wa, va = np.linalg.eigh(a)
     sqrt_a = (va * np.sqrt(np.clip(wa, 0.0, None))) @ va.conj().T
@@ -57,7 +65,7 @@ def test_default_design_dimensions():
     assert design.n_settings == len(MEASUREMENT_BASES) ** 2 == 9
     assert design.size == 36 * 9 * 4 == 1296
     assert design.operators.shape == (1296, 16, 16)
-    assert design.matrix.shape == (1296, 256)
+    assert _dense_matrix(design).shape == (1296, 256)
 
 
 def test_default_design_is_identifiable_and_uniform():
@@ -77,7 +85,7 @@ def test_rank_from_factors_matches_the_dense_matrix():
     designs = [default_design(), TomographyDesign(kets[1:], settings),
                TomographyDesign(kets, settings[:1])]
     for design in designs:
-        assert design.rank == np.linalg.matrix_rank(design.matrix)
+        assert design.rank == np.linalg.matrix_rank(_dense_matrix(design))
     assert [d.rank for d in designs] == [256, 256, 64]
     assert not designs[2].identifiable
 
@@ -143,12 +151,13 @@ def test_factored_kernels_match_the_dense_matrix(rng, drop_input):
     weights = rng.exponential(size=design.size)
     weights[rng.random(design.size) < 0.5] = 0.0
 
-    p_dense = (design.matrix @ chi.reshape(-1)).real
+    dense = _dense_matrix(design)
+    p_dense = (dense @ chi.reshape(-1)).real
     p = design.traces(chi)
     assert p.shape == (design.size,)
     assert np.max(np.abs(p - p_dense)) <= 1e-13 * np.max(np.abs(p_dense))
 
-    r_dense = (weights @ design.matrix).reshape(16, 16).T
+    r_dense = (weights @ dense).reshape(16, 16).T
     r = design.weighted_sum(weights)
     assert np.max(np.abs(r - r_dense)) <= 1e-13 * np.max(np.abs(r_dense))
 
@@ -159,6 +168,25 @@ def test_factored_kernels_match_the_dense_matrix(rng, drop_input):
     assert p_batch.shape == (2, design.size) and r_batch.shape == (2, 16, 16)
     assert np.array_equal(p_batch[1], p)
     assert np.array_equal(r_batch[1], r)
+
+
+@pytest.mark.parametrize("params", [
+    OpticsParams.ideal(), OpticsParams.measured(),
+    dataclasses.replace(OpticsParams.measured(), phase_jitter_sigma=0.65),
+], ids=["ideal", "measured", "measured-sigma-0.65"])
+def test_probabilities_match_the_dense_reference(params):
+    # through the factored traces, rounding residue of an exact zero
+    # snapped to 0.0: exact zeros where the dense reference is <= 1e-12,
+    # and rounding-level agreement everywhere else
+    design = default_design()
+    dense = _dense_matrix(design)
+    for phi in standard_phases():
+        channel = replication_experiment_channel(phi, params)
+        reference = (dense @ channel.matrix.reshape(-1)).real
+        p = design.probabilities(channel)
+        assert np.max(np.abs(p - reference)) <= 1e-15
+        assert np.all(p[reference <= 1e-12] == 0.0)
+        assert np.all(p[reference > 1e-12] > 0.0)
 
 
 def test_probabilities_reject_single_qubit_channels():
@@ -312,7 +340,7 @@ def _dense_rrhor(dataset, design, max_iterations=5000, gain_tolerance=1e-10):
     counts = dataset.counts
     total = max(dataset.total, 1.0)
     active = counts > 0.0
-    a_active = design.matrix[active]
+    a_active = _dense_matrix(design)[active]
     n_active = counts[active]
 
     def probs(mat):
@@ -610,6 +638,7 @@ def test_pipeline_matches_per_phase_solves_and_bootstraps():
         assert np.array_equal(row.chi.matrix, result.chi.matrix)
         assert row.iterations == result.iterations
         assert row.converged == result.converged
+        assert row.optimality_gap == result.optimality_gap
         assert row.f_cu == process_fidelity(result.chi, targets["cu"])
         assert row.f_uu == process_fidelity(result.chi, targets["uu"])
         assert row.f_cu_std == stats["cu"].std
