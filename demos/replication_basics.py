@@ -13,15 +13,15 @@ import math
 import numpy as np
 
 from phaserep import (
-    QuantumState,
+    ReplicationSpec,
     baseline_measure_prepare,
     baseline_single_copy,
+    controlled_z,
     cu_phase,
     fidelity_replicas,
-    kron_state,
     optimal_cloner_fidelity,
     replicate_measured_form,
-    replicate_unitary_form,
+    replicated_map,
     standard_phases,
     twirled_mean_fidelity,
 )
@@ -43,24 +43,26 @@ def fidelity_table() -> None:
 def branch_walkthrough(phi: float) -> None:
     # a generic product input: |+> on each copy slot
     plus = np.array([1.0, 1.0]) / math.sqrt(2.0)
-    psi = kron_state(QuantumState.pure(plus), QuantumState.pure(plus))
+    psi = np.kron(plus, plus)
+    reference = cu_phase(phi) @ psi
 
-    unitary = replicate_unitary_form(phi, psi)
-    reference = cu_phase(phi) @ psi.data
-    overlap = abs(np.vdot(reference, unitary.data)) ** 2
+    # the 1->2 circuits are the N = 1, M = 2 case of superreplication
+    unitary = replicated_map(ReplicationSpec(1, 2), phi) * psi
+    overlap = abs(np.vdot(reference, unitary)) ** 2
     print(f"\nunitary form at phi = {phi:.4f}: "
           f"overlap with the controlled gate output = {overlap:.12f}")
 
-    plus_branch, minus_branch = replicate_measured_form(phi, psi)
+    branches = dict(zip(("plus", "minus"), replicate_measured_form(phi)))
     print("measured form, no feed-forward:")
-    for outcome in (plus_branch, minus_branch):
-        print(f"  branch {outcome.branch:>5}: "
-              f"probability {outcome.branch_probability:.6f}")
+    for name, kraus in branches.items():
+        probability = np.linalg.norm(kraus @ psi) ** 2
+        print(f"  branch {name:>5}: probability {probability:.6f}")
 
-    corrected = replicate_measured_form(phi, psi, apply_feedforward=True)
-    for outcome in corrected:
-        match = abs(np.vdot(reference, outcome.state.data)) ** 2
-        print(f"  with feed-forward, branch {outcome.branch:>5} matches "
+    corrections = {"plus": np.eye(4), "minus": controlled_z()}
+    for name, kraus in branches.items():
+        out = corrections[name] @ kraus @ psi
+        match = abs(np.vdot(reference, out / np.linalg.norm(out))) ** 2
+        print(f"  with feed-forward, branch {name:>5} matches "
               f"the unitary form: overlap {match:.12f}")
 
 

@@ -19,7 +19,6 @@ from .choi import (
     process_matrix_to_json,
 )
 from .gates import (
-    ReplicationOutcome,
     baseline_measure_prepare,
     baseline_single_copy,
     controlled_z,
@@ -29,7 +28,6 @@ from .gates import (
     optimal_cloner_fidelity,
     phase_gate,
     replicate_measured_form,
-    replicate_unitary_form,
     toffoli,
     twirled_mean_fidelity,
 )
@@ -41,13 +39,8 @@ from .optics import (
     sector_operators,
 )
 from .qmat import (
-    QuantumState,
     kron,
-    kron_state,
     normalize_phase,
-    project_and_renormalize,
-    register_cap,
-    set_register_cap,
 )
 from .superrep import (
     ReplicationSpec,
@@ -95,8 +88,6 @@ __all__ = [
     "PhaseReport",
     "PipelineReport",
     "ProcessMatrix",
-    "QuantumState",
-    "ReplicationOutcome",
     "ReplicationSpec",
     "SweepRow",
     "TomographyDataset",
@@ -122,7 +113,6 @@ __all__ = [
     "fit_cosine",
     "gate_fidelity",
     "kron",
-    "kron_state",
     "mle_reconstruct",
     "monte_carlo_errors",
     "normalize_phase",
@@ -133,17 +123,13 @@ __all__ = [
     "process_fidelity",
     "process_matrix_from_json",
     "process_matrix_to_json",
-    "project_and_renormalize",
     "read_datasets_csv",
-    "register_cap",
     "replicate_measured_form",
-    "replicate_unitary_form",
     "replicated_map",
     "replication_experiment_channel",
     "replication_fidelity",
     "sandwich_diagonal",
     "sector_operators",
-    "set_register_cap",
     "simulate_counts",
     "standard_phases",
     "toffoli",

@@ -13,8 +13,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .qmat import QuantumState
-
 # the one trace convention, recorded in serialized process matrices
 _NORMALIZATION = "trace_one"
 
@@ -130,26 +128,19 @@ def process_fidelity(chi: ProcessMatrix, u: np.ndarray) -> float:
     return min(max(f, 0.0), 1.0)
 
 
-def apply_channel(
-    chi: ProcessMatrix, rho: QuantumState | np.ndarray
-) -> np.ndarray:
+def apply_channel(chi: ProcessMatrix, rho: np.ndarray) -> np.ndarray:
     """Act with the channel on a density matrix.
 
     Returns the bare output density matrix, possibly sub-normalized when
     the channel is trace-nonincreasing (its trace is then the success
     probability of the postselected map).
     """
-    if isinstance(rho, QuantumState):
-        if rho.qubits != chi.qubits:
-            raise ValueError("state and channel qubit counts differ")
-        rho_m = rho.density()
-    else:
-        rho_m = np.asarray(rho, dtype=np.complex128)
-        if rho_m.shape != (chi.dim, chi.dim):
-            raise ValueError("state and channel dimensions differ")
+    rho = np.asarray(rho, dtype=np.complex128)
+    if rho.shape != (chi.dim, chi.dim):
+        raise ValueError("state and channel dimensions differ")
     d = chi.dim
     chi4 = chi.matrix.reshape(d, d, d, d)
-    return np.einsum("mn,manb->ab", rho_m, chi4) * d
+    return np.einsum("mn,manb->ab", rho, chi4) * d
 
 
 def process_matrix_to_json(

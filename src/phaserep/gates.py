@@ -1,10 +1,14 @@
 """Phase gates, the 1->2 replication circuits, baselines, and the cloner.
 
 A phase gate diag(1, e^{i*phi}) can be replicated onto two qubits with a
-single ancilla: Toffoli, phase gate on the ancilla, Toffoli (unitary form),
-or Toffoli, phase gate, ancilla measurement in the |+/-> basis with a
-conditional controlled-Z correction (measured form).  Both realize the
-two-qubit gate diag(1, 1, 1, e^{i*phi}).
+single ancilla; both circuits are the ``ReplicationSpec(1, 2)`` case of
+``superrep``, whose imprinting unitary V is the Toffoli.  The unitary
+form (Toffoli, phase gate on the ancilla, Toffoli) is
+``replicated_map(ReplicationSpec(1, 2), phi)``, the diagonal
+(1, 1, 1, e^{i*phi}).  The measured form (Toffoli, phase gate, ancilla
+measurement in the |+/-> basis) is the Kraus pair of
+``replicate_measured_form``; a controlled-Z on the minus branch makes
+both branches realize that same two-qubit gate.
 
 Fidelities between constructions are Choi gate fidelities (see ``choi``);
 the closed forms quoted in the docstrings serve as test oracles only.
@@ -12,19 +16,12 @@ the closed forms quoted in the docstrings serve as test oracles only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .choi import choi_from_kraus, gate_fidelity, process_fidelity
-from .qmat import (
-    PROJECTOR_KETS,
-    QuantumState,
-    kron,
-    kron_state,
-    normalize_phase,
-    project_and_renormalize,
-)
+from .qmat import kron, normalize_phase
+from .superrep import ReplicationSpec, build_V
 
 
 _H = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
@@ -68,91 +65,23 @@ def _ancilla_gate(single: np.ndarray, control: int) -> np.ndarray:
                    np.kron(_P0, np.eye(2)) + np.kron(_P1, single))
 
 
-def _signal_from_collapsed(vec: np.ndarray, ket: np.ndarray) -> np.ndarray:
-    # vec = signal (x) ket on (2+1) qubits; recover the signal vector
-    return vec.reshape(4, 2) @ ket.conj()
+def replicate_measured_form(phi: float) -> tuple[np.ndarray, np.ndarray]:
+    """Kraus pair of the measured-form circuit, the ReplicationSpec(1, 2)
+    case of superreplication.
 
-
-def replicate_unitary_form(phi: float, psi_in: QuantumState) -> QuantumState:
-    """Unitary-form replication: Toffoli, phase on ancilla, Toffoli.
-
-    Simulates the full 3-qubit circuit with the ancilla in |0>, verifies
-    that the ancilla disentangles back to |0>, and returns the two-qubit
-    signal state, which equals cu_phase(phi) applied to the input.
+    Returns the (plus, minus) branches <+/-|_a (I (x) U) V |0>_a, read off
+    the permutation of V = ``build_V(ReplicationSpec(1, 2))``, the Toffoli:
+    V|m>|0> = |m>|k(m)> imprints k(m) = 1 on |11> only, and the branch
+    amplitude of |m> is (+/-e^{i*phi})^{k(m)} / sqrt(2).  So plus is
+    cu_phase(phi)/sqrt(2) and minus is diag(1, 1, 1, -e^{i*phi})/sqrt(2);
+    ``controlled_z() @ minus`` equals plus.  Each branch satisfies
+    K^dagger K = I/2, so it fires with probability 1/2 whatever the input.
     """
     phi = normalize_phase(phi)
-    if psi_in.qubits != 2:
-        raise ValueError("input must be a pure 2-qubit state")
-    t = toffoli()
-    u_anc = kron(np.eye(4), phase_gate(phi))
-    state = kron_state(psi_in, QuantumState.basis(1, 0))
-    for gate in (t, u_anc, t):
-        state = QuantumState.pure(gate @ state.data)
-    # columns: ancilla |0> and |1> components of the signal
-    split = state.data.reshape(4, 2)
-    if np.vdot(split[:, 1], split[:, 1]).real > 1e-10:
-        raise RuntimeError("ancilla failed to disentangle to |0>")
-    return QuantumState.pure(split[:, 0])
-
-
-@dataclass(frozen=True)
-class ReplicationOutcome:
-    """One ancilla-measurement branch of the measured-form circuit.
-
-    ``effective_operator`` is the unitary the branch enacts on the signal
-    qubits (the 1/sqrt(2) branch amplitude is reported separately as
-    ``branch_probability``); ``state`` is the simulated post-measurement
-    signal state with any requested feed-forward already applied.
-    """
-
-    branch: str
-    effective_operator: np.ndarray
-    branch_probability: float
-    state: QuantumState
-
-
-def replicate_measured_form(
-    phi: float,
-    psi_in: QuantumState,
-    apply_feedforward: bool = False,
-) -> tuple[ReplicationOutcome, ReplicationOutcome]:
-    """Measured-form replication: Toffoli, phase on ancilla, |+/-> readout.
-
-    Returns the (plus, minus) branches.  The plus branch enacts
-    cu_phase(phi); the minus branch enacts diag(1,1,1,-e^{i*phi}) and is
-    corrected to cu_phase(phi) by a controlled-Z when
-    ``apply_feedforward`` is set.  Each branch fires with probability 1/2
-    regardless of the input state.
-    """
-    phi = normalize_phase(phi)
-    if psi_in.qubits != 2:
-        raise ValueError("input must be a pure 2-qubit state")
-    t = toffoli()
-    u_anc = kron(np.eye(4), phase_gate(phi))
-    state = kron_state(psi_in, QuantumState.basis(1, 0))
-    for gate in (t, u_anc):
-        state = QuantumState.pure(gate @ state.data)
-
-    cz = controlled_z()
-    outcomes = []
-    for branch, label in (("plus", "+"), ("minus", "-")):
-        collapsed, prob = project_and_renormalize(state, 2, label)
-        signal = _signal_from_collapsed(collapsed.data, PROJECTOR_KETS[label])
-        signal = signal / np.linalg.norm(signal)
-        effective = cu_phase(phi)
-        if branch == "minus":
-            effective = np.diag([1.0, 1.0, 1.0, -np.exp(1j * phi)])
-            if apply_feedforward:
-                signal = cz @ signal
-                effective = cz @ effective
-        expected = effective @ psi_in.data
-        if abs(abs(np.vdot(expected, signal)) - 1.0) > 1e-10:
-            raise RuntimeError("branch state disagrees with its operator")
-        outcomes.append(
-            ReplicationOutcome(branch, effective, prob,
-                               QuantumState.pure(signal))
-        )
-    return outcomes[0], outcomes[1]
+    imprint = build_V(ReplicationSpec(1, 2))[0::2] & 1
+    phase = np.exp(1j * phi)
+    return tuple(np.diag(np.where(imprint, sign * phase, 1.0))
+                 / math.sqrt(2.0) for sign in (1.0, -1.0))
 
 
 def fidelity_replicas(phi: float) -> float:

@@ -601,33 +601,40 @@ def write_datasets_csv(path, datasets: Sequence[TomographyDataset],
 
 def read_datasets_csv(path, design: TomographyDesign
                       ) -> list[TomographyDataset]:
-    phases: list[float] = []
-    rates: list[float] = []
-    rows = []
+    """Inverse of ``write_datasets_csv``.
+
+    The file must hold both the ``# phase_values:`` and ``# rates:``
+    headers with one entry per phase, and under the column names, for
+    phase ids 0..P-1 in turn, every design row exactly once in design
+    order (``row_index``).  A missing, repeated or misplaced row, or a
+    missing header, raises ``ValueError``.
+    """
+    headers = {}
+    lines = []
     with open(path, newline="") as fh:
         for line in fh:
-            if line.startswith("# phase_values:"):
-                phases = json.loads(line.split(":", 1)[1])
-            elif line.startswith("# rates:"):
-                rates = json.loads(line.split(":", 1)[1])
-            elif line.startswith("#"):
-                continue
-            else:
-                rows.append(line)
-    datasets = []
-    reader = csv.DictReader(rows)
-    counts_by_phase: dict[int, np.ndarray] = {}
-    for rec in reader:
-        pid = int(rec["phase_id"])
-        if pid not in counts_by_phase:
-            counts_by_phase[pid] = np.zeros(design.size)
-        j = design.row_index(int(rec["input_id"]), int(rec["setting_id"]),
-                             int(rec["outcome_id"]))
-        counts_by_phase[pid][j] = float(rec["count"])
-    for pid in sorted(counts_by_phase):
-        datasets.append(TomographyDataset(
-            phases[pid] if pid < len(phases) else float(pid),
-            counts_by_phase[pid],
-            rates[pid] if pid < len(rates) else float("nan"),
-        ))
-    return datasets
+            if line.startswith(("# phase_values:", "# rates:")):
+                key, value = line[2:].split(":", 1)
+                headers[key] = json.loads(value)
+            elif not line.startswith("#"):
+                lines.append(line)
+    if set(headers) != {"phase_values", "rates"} \
+            or len(headers["phase_values"]) != len(headers["rates"]):
+        raise ValueError("counts file needs '# phase_values:' and "
+                         "'# rates:' headers with one entry per phase")
+    phases, rates = headers["phase_values"], headers["rates"]
+    # the first line left is the column names
+    data = np.array([line.split(",") for line in lines[1:]],
+                    dtype=np.float64).reshape(-1, 5)
+    # (phase, input, setting, outcome) in row-major order, the order in
+    # which row_index numbers a phase block's rows 0..size-1
+    index = np.indices((len(phases), design.n_inputs, design.n_settings, 4)
+                       ).reshape(4, -1).T
+    if data.shape[0] != index.shape[0] \
+            or not np.array_equal(data[:, :4], index):
+        raise ValueError(
+            f"counts rows must list phase ids 0..{len(phases) - 1}, each "
+            f"with its {design.size} design rows once and in order")
+    counts = data[:, 4].reshape(len(phases), design.size)
+    return [TomographyDataset(phi, c, rate)
+            for phi, c, rate in zip(phases, counts, rates)]

@@ -1,8 +1,6 @@
 import numpy as np
 import pytest
 
-from phaserep.qmat import register_cap, set_register_cap
-
 # one "[criterion NN] PASS/FAIL" line per acceptance check, echoed after the
 # run so the verdicts survive output capture
 acceptance_lines: list[str] = []
@@ -13,14 +11,6 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in acceptance_lines:
             terminalreporter.write_line(line)
-
-
-@pytest.fixture(autouse=True)
-def restore_register_cap():
-    # several tests shrink the cap to exercise its guard
-    cap = register_cap()
-    yield
-    set_register_cap(cap)
 
 
 @pytest.fixture

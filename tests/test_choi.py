@@ -15,7 +15,6 @@ from phaserep.choi import (
     process_matrix_from_json,
     process_matrix_to_json,
 )
-from phaserep.qmat import QuantumState
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
 S = 1.0 / np.sqrt(2.0)
@@ -113,7 +112,8 @@ def test_process_fidelity_rejects_zero_trace():
 
 def test_apply_channel_reproduces_unitary_conjugation(rng):
     v = rng.normal(size=4) + 1j * rng.normal(size=4)
-    state = QuantumState.pure(v / np.linalg.norm(v))
+    v /= np.linalg.norm(v)
+    rho = np.outer(v, v.conj())
     u = np.array(
         [
             [1, 0, 0, 0],
@@ -124,8 +124,8 @@ def test_apply_channel_reproduces_unitary_conjugation(rng):
         dtype=np.complex128,
     )
     chi = choi_from_kraus([u])
-    out = apply_channel(chi, state)
-    expected = u @ state.density() @ u.conj().T
+    out = apply_channel(chi, rho)
+    expected = u @ rho @ u.conj().T
     assert np.max(np.abs(out - expected)) < 1e-12
 
 

@@ -16,11 +16,11 @@ from phaserep.gates import (
     optimal_cloner_fidelity,
     phase_gate,
     replicate_measured_form,
-    replicate_unitary_form,
     toffoli,
     twirled_mean_fidelity,
 )
-from phaserep.qmat import QuantumState, kron
+from phaserep.qmat import kron
+from phaserep.superrep import ReplicationSpec, replicated_map
 
 EIGHT_PHASES = [k * math.pi / 8.0 for k in range(8)]
 
@@ -39,7 +39,13 @@ def _equal_up_to_global_phase(a, b, atol=1e-10):
 
 def _random_two_qubit_state(rng):
     v = rng.normal(size=4) + 1j * rng.normal(size=4)
-    return QuantumState.pure(v / np.linalg.norm(v))
+    return v / np.linalg.norm(v)
+
+
+def _literal_circuit(phi):
+    """W = (I_4 (x) U) Toffoli from plain np.kron; reshaped to
+    (4, 2, 4, 2) it is indexed [signal', ancilla', signal, ancilla]."""
+    return np.kron(np.eye(4), phase_gate(phi)) @ toffoli()
 
 
 def test_phase_gate_matrix():
@@ -71,47 +77,49 @@ def test_two_copy_fidelity_closed_form():
         assert abs(fidelity_replicas(phi) - expected) < 1e-10
 
 
-def test_replicate_unitary_form_acts_as_controlled_phase(rng):
-    phi = 1.1
-    for _ in range(5):
-        state = _random_two_qubit_state(rng)
-        out = replicate_unitary_form(phi, state)
-        expected = cu_phase(phi) @ state.data
-        overlap = abs(np.vdot(expected, out.data))
-        assert overlap == pytest.approx(1.0, abs=1e-10)
+def test_unitary_form_is_the_replicated_map():
+    # Toffoli, U on the ancilla, Toffoli: the ancilla |0> returns to |0>
+    # and the signal sees the N = 1, M = 2 replicated map
+    for phi in (0.0, 1.1, 2.5, 4.0):
+        s4 = (toffoli() @ _literal_circuit(phi)).reshape(4, 2, 4, 2)
+        assert np.max(np.abs(s4[:, 1, :, 0])) == 0.0
+        assert np.max(np.abs(s4[:, 0, :, 0] - cu_phase(phi))) < 1e-15
+        replicated = np.diag(replicated_map(ReplicationSpec(1, 2), phi))
+        assert np.max(np.abs(replicated - cu_phase(phi))) < 1e-15
 
 
-def test_replicate_measured_form_branches(rng):
-    phi = 0.9
-    state = _random_two_qubit_state(rng)
-    plus, minus = replicate_measured_form(phi, state)
-    assert plus.branch == "plus"
-    assert minus.branch == "minus"
-    assert plus.branch_probability == pytest.approx(0.5, abs=1e-12)
-    assert minus.branch_probability == pytest.approx(0.5, abs=1e-12)
-    assert _equal_up_to_global_phase(plus.effective_operator, cu_phase(phi))
-    wrong_sign = np.diag([1, 1, 1, -cmath.exp(1j * phi)])
-    assert _equal_up_to_global_phase(minus.effective_operator, wrong_sign)
-    assert not _equal_up_to_global_phase(minus.effective_operator,
-                                         cu_phase(phi))
+def test_replicate_measured_form_branches():
+    for phi in (0.0, 0.9, 2.2, math.pi, 5.5):
+        plus, minus = replicate_measured_form(phi)
+        w4 = _literal_circuit(phi).reshape(4, 2, 4, 2)
+        literal_plus = (w4[:, 0, :, 0] + w4[:, 1, :, 0]) / math.sqrt(2.0)
+        literal_minus = (w4[:, 0, :, 0] - w4[:, 1, :, 0]) / math.sqrt(2.0)
+        assert np.max(np.abs(plus - literal_plus)) < 1e-15
+        assert np.max(np.abs(minus - literal_minus)) < 1e-15
+        wrong_sign = np.diag([1, 1, 1, -cmath.exp(1j * phi)])
+        assert np.max(np.abs(math.sqrt(2.0) * plus - cu_phase(phi))) < 1e-15
+        assert np.max(np.abs(math.sqrt(2.0) * minus - wrong_sign)) < 1e-15
+        assert not _equal_up_to_global_phase(minus, plus)
 
 
-def test_measured_form_feedforward_corrects_minus_branch(rng):
-    phi = 2.2
-    state = _random_two_qubit_state(rng)
-    _, minus = replicate_measured_form(phi, state, apply_feedforward=True)
-    assert _equal_up_to_global_phase(minus.effective_operator, cu_phase(phi))
-    expected = cu_phase(phi) @ state.data
-    assert abs(np.vdot(expected, minus.state.data)) \
-        == pytest.approx(1.0, abs=1e-10)
+def test_measured_form_feedforward_corrects_minus_branch():
+    for phi in (0.4, 2.2, 3.9):
+        plus, minus = replicate_measured_form(phi)
+        assert np.max(np.abs(controlled_z() @ minus - plus)) < 1e-15
+        chi = choi_from_kraus([plus, controlled_z() @ minus])
+        assert chi.trace == pytest.approx(1.0, abs=1e-14)
+        assert process_fidelity(chi, cu_phase(phi)) \
+            == pytest.approx(1.0, abs=1e-14)
 
 
 def test_branch_probabilities_are_input_independent(rng):
-    phi = 0.4
-    for _ in range(4):
-        state = _random_two_qubit_state(rng)
-        plus, _ = replicate_measured_form(phi, state)
-        assert plus.branch_probability == pytest.approx(0.5, abs=1e-12)
+    for phi in (0.4, 1.7):
+        for k in replicate_measured_form(phi):
+            assert np.max(np.abs(k.conj().T @ k - np.eye(4) / 2)) < 1e-15
+            for _ in range(4):
+                psi = _random_two_qubit_state(rng)
+                assert np.linalg.norm(k @ psi) ** 2 \
+                    == pytest.approx(0.5, abs=1e-14)
 
 
 def test_twirled_mean_is_five_eighths_for_any_phase():

@@ -6,7 +6,7 @@ import pytest
 
 from phaserep.choi import gate_fidelity
 from phaserep.gates import phase_gate, toffoli
-from phaserep.qmat import set_register_cap
+from phaserep.qmat import REGISTER_CAP
 from phaserep.superrep import (
     ReplicationSpec,
     _fidelity_terms,
@@ -118,15 +118,20 @@ def test_build_v_xor_extension_off_cleared_sector():
 
 
 def test_wide_specs_hit_the_register_cap_before_allocating():
-    # 2^50 entries could never be allocated; the cap must refuse first
-    set_register_cap(4)
-    spec = ReplicationSpec(copies=20, replicas=30)
-    with pytest.raises(ValueError, match="cap"):
-        build_V(spec)
-    with pytest.raises(ValueError, match="cap"):
-        sandwich_diagonal(spec, 0.3)
-    with pytest.raises(ValueError, match="cap"):
-        replicated_map(spec, 0.3)
+    # 2^50 entries could never be allocated; the cap must refuse first,
+    # and at its boundary: V needs replicas + copies qubits, the
+    # replicated map only the replicas
+    wide = ReplicationSpec(copies=20, replicas=30)
+    edge = ReplicationSpec(copies=1, replicas=REGISTER_CAP)
+    past = ReplicationSpec(copies=1, replicas=REGISTER_CAP + 1)
+    for spec in (wide, edge):
+        with pytest.raises(ValueError, match="cap"):
+            build_V(spec)
+        with pytest.raises(ValueError, match="cap"):
+            sandwich_diagonal(spec, 0.3)
+    for spec in (wide, past):
+        with pytest.raises(ValueError, match="cap"):
+            replicated_map(spec, 0.3)
 
 
 def test_sandwich_matches_literal_dense_product():

@@ -664,3 +664,36 @@ def test_counts_csv_round_trip(tmp_path):
         assert loaded.phase == original.phase
         assert loaded.rate == original.rate
         assert np.array_equal(loaded.counts, original.counts)
+
+
+def _corrupted_counts_csv(tmp_path, edit):
+    """Write a two-phase counts file, pass its lines through ``edit``,
+    and return the edited file's path."""
+    design = default_design()
+    chi = choi_from_kraus([cu_phase(0.6)])
+    datasets = [simulate_counts(chi, design, 150.0, 3, phase=0.6),
+                expected_counts(chi, design, 150.0, phase=1.2)]
+    path = tmp_path / "counts.csv"
+    write_datasets_csv(path, datasets, design)
+    lines = edit(path.read_text().splitlines())
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda lines: lines[:-1], "design rows"),
+    (lambda lines: lines + [lines[-1].rsplit(",", 1)[0] + ",99"],
+     "design rows"),
+    (lambda lines: lines[:-2] + [lines[-1], lines[-2]], "design rows"),
+    (lambda lines: [ln for ln in lines if not ln.startswith("# ")],
+     "header"),
+    (lambda lines: [ln for ln in lines if not ln.startswith("# rates:")],
+     "header"),
+    (lambda lines: [ln.replace("[0.6, 1.2]", "[0.6]") for ln in lines],
+     "header"),
+], ids=["truncated", "duplicated", "reordered", "header-less",
+        "rates-missing", "phase-count-short"])
+def test_corrupt_counts_csv_is_rejected(tmp_path, edit, message):
+    path = _corrupted_counts_csv(tmp_path, edit)
+    with pytest.raises(ValueError, match=message):
+        read_datasets_csv(path, default_design())
