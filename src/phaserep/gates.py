@@ -24,12 +24,6 @@ from .qmat import kron, normalize_phase
 from .superrep import ReplicationSpec, build_V
 
 
-_H = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
-_X = np.array([[0.0, 1.0], [1.0, 0.0]])
-_P0 = np.array([[1.0, 0.0], [0.0, 0.0]])
-_P1 = np.array([[0.0, 0.0], [0.0, 1.0]])
-
-
 def phase_gate(phi: float) -> np.ndarray:
     """diag(1, e^{i*phi}) on one qubit."""
     phi = normalize_phase(phi)
@@ -54,15 +48,6 @@ def toffoli() -> np.ndarray:
     m[6, 6] = m[7, 7] = 0.0
     m[6, 7] = m[7, 6] = 1.0
     return m
-
-
-def _ancilla_gate(single: np.ndarray, control: int) -> np.ndarray:
-    # 3-qubit gate applying ``single`` to qubit 2 iff ``control`` is |1>
-    if control == 0:
-        return np.kron(_P0, np.eye(4)) + np.kron(_P1, np.kron(np.eye(2),
-                                                              single))
-    return np.kron(np.eye(2),
-                   np.kron(_P0, np.eye(2)) + np.kron(_P1, single))
 
 
 def replicate_measured_form(phi: float) -> tuple[np.ndarray, np.ndarray]:
@@ -138,36 +123,26 @@ def baseline_measure_prepare() -> float:
                       for k in range(nodes))
 
 
-# the cloner circuit's phase-independent gates, built once
-_CLONER_BEFORE_PHASE = (_ancilla_gate(_H, control=0),
-                        _ancilla_gate(_H, control=1), toffoli())
-_CLONER_AFTER_PHASE = (_ancilla_gate(_X, control=0),
-                       _ancilla_gate(_X, control=1))
-
-
 def optimal_cloner(phi: float) -> list[np.ndarray]:
-    """Effective two-qubit maps of the optimal 1->2 phase-gate cloner.
+    """Kraus pair of the optimal 1->2 phase-gate cloner.
 
     Circuit: controlled-Hadamard from each signal qubit onto a |0>
     ancilla, Toffoli, the phase gate on the ancilla, then a CNOT from
-    each signal qubit onto the ancilla, which is finally discarded.  The
-    returned Kraus pair (one element per ancilla branch) forms a
-    trace-preserving channel whose fidelity with two ideal gate copies is
-    (3 + 2*sqrt(2))/8 at every phi.
+    each signal qubit onto the ancilla, which is finally discarded.
+    Every gate is controlled by the signal qubits, so the ancilla's two
+    branches are diagonal: K_0 = diag(1, e^{i*phi}/sqrt(2),
+    e^{i*phi}/sqrt(2), 0) and K_1 = diag(0, 1/sqrt(2), 1/sqrt(2),
+    e^{i*phi}).  The channel is trace preserving, and its fidelity with
+    two ideal gate copies is (3 + 2*sqrt(2))/8 at every phi.
 
     The control/target orientation (everything targets the ancilla) is
     the one whose phase-averaged fidelity attains (3 + 2*sqrt(2))/8;
     other orientations fall short and are rejected by the tests.
     """
-    phi = normalize_phase(phi)
-    circuit = [*_CLONER_BEFORE_PHASE,
-               np.kron(np.eye(4), phase_gate(phi)),
-               *_CLONER_AFTER_PHASE]
-    w = np.eye(8, dtype=np.complex128)
-    for gate in circuit:
-        w = gate @ w
-    w4 = w.reshape(4, 2, 4, 2)
-    return [w4[:, b, :, 0] for b in (0, 1)]
+    phase = np.exp(1j * normalize_phase(phi))
+    s = 1.0 / math.sqrt(2.0)
+    return [np.diag([1.0, s * phase, s * phase, 0.0]),
+            np.diag([0.0, s, s, phase])]
 
 
 def optimal_cloner_fidelity(phi: float) -> float:

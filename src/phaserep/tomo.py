@@ -14,7 +14,6 @@ reconstruction's result is bit-identical whatever else is in its batch.
 """
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass
@@ -33,78 +32,80 @@ _BASIS_OUTCOMES = {"x": ("+", "-"), "y": ("+i", "-i"), "z": ("0", "1")}
 
 
 class TomographyDesign:
-    """Input states, measurement settings, and their derived operators.
+    """Input states and measurement settings, kept as two factors.
 
     Probabilities are linear in the process matrix: p_j = Tr[chi O_j]
     with O_j = d * (rho_i^T (x) Pi_k), row j = i * n_outcomes + k for
     input i and outcome k (outcomes run over settings, then the four
-    projectors of each setting).  The stacked operators (rows x 16 x
-    16), their rank (identifiability), and whether they sum to a
-    multiple of the identity (required by the plain RrhoR update) are
-    computed once at construction.
-
-    Because every O_j is a Kronecker product, the design also keeps its
-    two factors: ``input_factor`` (n_inputs x 16, the flattened rho_i^T)
-    and ``outcome_factor`` (16 x n_outcomes, the flattened d * Pi_k).
-    ``traces`` and ``weighted_sum`` evaluate the two linear maps through
-    these factors, at about a tenth of the multiply-adds of a product
-    with the dense (rows x 256) coefficient matrix.
+    projectors of each setting).  Every O_j is a Kronecker product, so
+    the design stores only ``input_factor`` (n_inputs x 16, the
+    flattened rho_i^T) and ``outcome_factor`` (16 x n_outcomes, the
+    flattened d * Pi_k), their rank (identifiability), and whether the
+    O_j sum to a multiple of the identity (required by the plain RrhoR
+    update).  ``traces`` and ``weighted_sum`` evaluate the two linear
+    maps through the factors, at about a tenth of the multiply-adds of
+    a product with the dense (rows x 256) coefficient matrix.
     """
 
     def __init__(
         self,
-        input_kets: Sequence[np.ndarray],
-        setting_projectors: Sequence[Sequence[np.ndarray]],
+        kets: Sequence[np.ndarray],
+        settings: Sequence[Sequence[np.ndarray]],
     ):
-        self.input_kets = [np.asarray(k, dtype=np.complex128)
-                           for k in input_kets]
-        self.settings = [
-            [np.asarray(p, dtype=np.complex128) for p in setting]
-            for setting in setting_projectors
-        ]
-        for ket in self.input_kets:
-            if ket.shape != (4,) or abs(np.linalg.norm(ket) - 1.0) > 1e-10:
-                raise ValueError("input states must be normalized 4-vectors")
-        for setting in self.settings:
-            total = sum(setting)
-            if np.max(np.abs(total - np.eye(4))) > 1e-10:
-                raise ValueError("setting projectors must sum to identity")
+        kets = np.asarray(kets, dtype=np.complex128)
+        if kets.ndim != 2 or kets.shape[1] != 4 or np.any(
+                np.abs(np.linalg.norm(kets, axis=1) - 1.0) > 1e-10):
+            raise ValueError("input states must be normalized 4-vectors")
+        try:  # settings of unequal length form no array
+            projs = np.array(settings, dtype=np.complex128)
+        except ValueError:
+            projs = np.empty(0)
+        # row_index and the counts-file layout assume 4 outcomes a setting
+        if projs.ndim != 4 or projs.shape[1:] != (4, 4, 4):
+            raise ValueError("each setting must be exactly 4 projectors "
+                             "of shape 4 x 4")
+        if np.max(np.abs(projs.sum(axis=1) - np.eye(4))) > 1e-10:
+            raise ValueError("setting projectors must sum to identity")
 
-        rho_t = np.array([np.outer(ket, ket.conj()).T
-                          for ket in self.input_kets])
+        # rho_i^T[a, c] = ket[c] * conj(ket[a])
+        rho_t = kets[:, None, :] * kets.conj()[:, :, None]
         # d = 4 is a power of two, so scaling Pi_k instead of the
         # Kronecker product gives bit-identical operators
-        projs = 4.0 * np.array([proj for setting in self.settings
-                                for proj in setting])
+        projs = 4.0 * projs.reshape(-1, 4, 4)
         self.input_factor = rho_t.reshape(-1, 16)
         self.outcome_factor = projs.reshape(-1, 16).T
-        n_in, n_out = len(rho_t), len(projs)
-        # O_j[(a b), (c d)] = rho_i^T[a, c] * d Pi_k[b, d]
-        self.operators = (
-            rho_t[:, None, :, None, :, None] * projs[None, :, None, :, None, :]
-        ).reshape(n_in * n_out, 16, 16)
         # the dense coefficient matrix p_j = vec(O_j^T) . vec(chi) is the
         # Kronecker product of the two factors up to a fixed column
         # permutation, and rank(A (x) B) = rank A * rank B
         self.rank = int(np.linalg.matrix_rank(self.input_factor)
                         * np.linalg.matrix_rank(self.outcome_factor))
-        total = self.operators.sum(axis=0)
+        # sum_j O_j = (sum_i rho_i^T) (x) (sum_k d Pi_k)
+        total = np.kron(rho_t.sum(axis=0), projs.sum(axis=0))
         scale = float(np.trace(total).real) / 16.0
         self.uniform = bool(np.max(np.abs(total - scale * np.eye(16)))
                             <= 1e-8 * scale)
         self.operator_sum_scale = scale
 
     @property
+    def operators(self) -> np.ndarray:
+        """The dense (rows x 16 x 16) stack of the O_j, built on each
+        access as a reference; the solver uses only the factors."""
+        # O_j[(a b), (c d)] = rho_i^T[a, c] * d Pi_k[b, d]
+        rho_t = self.input_factor.reshape(-1, 1, 4, 1, 4, 1)
+        projs = self.outcome_factor.T.reshape(1, -1, 1, 4, 1, 4)
+        return (rho_t * projs).reshape(-1, 16, 16)
+
+    @property
     def n_inputs(self) -> int:
-        return len(self.input_kets)
+        return self.input_factor.shape[0]
 
     @property
     def n_settings(self) -> int:
-        return len(self.settings)
+        return self.outcome_factor.shape[1] // 4
 
     @property
     def size(self) -> int:
-        return self.operators.shape[0]
+        return self.input_factor.shape[0] * self.outcome_factor.shape[1]
 
     @property
     def identifiable(self) -> bool:
@@ -577,26 +578,33 @@ def experiment_pipeline(
                           int(trials), int(seed))
 
 
+def _row_layout(n_phases: int, design: TomographyDesign) -> np.ndarray:
+    """(phase, input, setting, outcome) of every counts-file row, in the
+    row-major order in which ``row_index`` numbers a phase's rows."""
+    return np.indices((n_phases, design.n_inputs, design.n_settings, 4)
+                      ).reshape(4, -1).T
+
+
 def write_datasets_csv(path, datasets: Sequence[TomographyDataset],
                        design: TomographyDesign,
                        header_lines: Sequence[str] = ()) -> None:
-    """Record-per-row CSV of one or more phase datasets."""
-    phases = [d.phase for d in datasets]
+    """Record-per-row CSV of one or more phase datasets, each of which
+    must hold one count per design row."""
+    for phase_id, ds in enumerate(datasets):
+        if ds.counts.size != design.size:
+            raise ValueError(
+                f"dataset of phase id {phase_id} has {ds.counts.size} "
+                f"counts, the design {design.size} rows")
+    counts = [c for ds in datasets for c in ds.counts.tolist()]
+    lines = [line.rstrip("\n") + "\n" for line in header_lines] + [
+        "# phase_values: " + json.dumps([d.phase for d in datasets]) + "\n",
+        "# rates: " + json.dumps([d.rate for d in datasets]) + "\n",
+        "phase_id,input_id,setting_id,outcome_id,count\n",
+    ] + [f"{p},{i},{s},{o},{int(c) if c == int(c) else repr(c)}\n"
+         for (p, i, s, o), c in zip(
+             _row_layout(len(datasets), design).tolist(), counts)]
     with open(path, "w", newline="") as fh:
-        for line in header_lines:
-            fh.write(line.rstrip("\n") + "\n")
-        fh.write("# phase_values: " + json.dumps(phases) + "\n")
-        fh.write("# rates: " + json.dumps([d.rate for d in datasets]) + "\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["phase_id", "input_id", "setting_id", "outcome_id", "count"])
-        for phase_id, ds in enumerate(datasets):
-            for i in range(design.n_inputs):
-                for s in range(design.n_settings):
-                    for o in range(4):
-                        c = float(ds.counts[design.row_index(i, s, o)])
-                        text = repr(int(c)) if c == int(c) else repr(c)
-                        writer.writerow([phase_id, i, s, o, text])
+        fh.write("".join(lines))
 
 
 def read_datasets_csv(path, design: TomographyDesign
@@ -626,10 +634,7 @@ def read_datasets_csv(path, design: TomographyDesign
     # the first line left is the column names
     data = np.array([line.split(",") for line in lines[1:]],
                     dtype=np.float64).reshape(-1, 5)
-    # (phase, input, setting, outcome) in row-major order, the order in
-    # which row_index numbers a phase block's rows 0..size-1
-    index = np.indices((len(phases), design.n_inputs, design.n_settings, 4)
-                       ).reshape(4, -1).T
+    index = _row_layout(len(phases), design)
     if data.shape[0] != index.shape[0] \
             or not np.array_equal(data[:, :4], index):
         raise ValueError(

@@ -162,6 +162,37 @@ def test_cloner_channel_is_trace_preserving():
         assert np.max(np.abs(total - np.eye(4))) < 1e-12
 
 
+def _literal_cloner(phi):
+    """The cloner circuit from plain np.kron on (q0, q1, ancilla): CH from
+    q0 and from q1 onto the ancilla, Toffoli, the phase on the ancilla,
+    CNOT from q0 and from q1; branch b is W[:, b, :, 0]."""
+    i2, i4 = np.eye(2), np.eye(4)
+    p0, p1 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+    had = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
+    x = np.array([[0.0, 1.0], [1.0, 0.0]])
+
+    def from_q0(g):
+        return np.kron(p0, i4) + np.kron(p1, np.kron(i2, g))
+
+    def from_q1(g):
+        return np.kron(i2, np.kron(p0, i2) + np.kron(p1, g))
+
+    tof = np.eye(8) + np.kron(np.kron(p1, p1), x - i2)
+    phase = np.kron(i4, np.diag([1.0, cmath.exp(1j * phi)]))
+    w = np.eye(8)
+    for gate in (from_q0(had), from_q1(had), tof, phase, from_q0(x),
+                 from_q1(x)):
+        w = gate @ w
+    w4 = w.reshape(4, 2, 4, 2)
+    return [w4[:, b, :, 0] for b in (0, 1)]
+
+
+def test_cloner_is_the_literal_circuit():
+    for phi in (0.0, 0.8, math.pi, 5.5, -1.2, 9.0):
+        for got, want in zip(optimal_cloner(phi), _literal_cloner(phi)):
+            assert np.max(np.abs(got - want)) <= 1e-15
+
+
 def test_cloner_fidelity_is_phase_independent_constant():
     expected = (3.0 + 2.0 * math.sqrt(2.0)) / 8.0
     for phi in np.linspace(0.0, 2 * math.pi, 9):

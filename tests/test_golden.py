@@ -8,7 +8,8 @@ and ``# rates:`` lines of ``counts.csv`` are data and stay in.  Strings and
 integers compare exactly.  Floats of the closed-form commands compare to a
 relative tolerance of 1e-13; ``tomo`` artifacts compare exactly.
 ``counts.csv`` (10k rows) and the ``chi_NN.json`` matrices are stored as
-the sha256 of their kept content.
+the sha256 of their kept content, and every ``.svg`` figure as the sha256
+of its bytes.
 
 After a deliberate change of values, regenerate with
 
@@ -33,13 +34,13 @@ CLOSED_FORM_RTOL = 1e-13
 
 # run name -> (argv without --out-dir, config file or None, float rtol)
 RUNS = {
-    "replicate-measured": (["replicate", "--preset", "measured"], None,
-                           CLOSED_FORM_RTOL),
+    "replicate-measured": (["replicate", "--preset", "measured", "--svg"],
+                           None, CLOSED_FORM_RTOL),
     "replicate-measured-phases": (
         ["replicate", "--preset", "measured", "--phases", "7.0,-1.5,0.3"],
         None, CLOSED_FORM_RTOL),
-    "superrep": (["superrep"], None, CLOSED_FORM_RTOL),
-    "optics-scan": (["optics-scan"], None, CLOSED_FORM_RTOL),
+    "superrep": (["superrep", "--svg"], None, CLOSED_FORM_RTOL),
+    "optics-scan": (["optics-scan", "--svg"], None, CLOSED_FORM_RTOL),
     "optics-scan-jitter": (
         ["optics-scan"],
         {"preset": "measured", "parameter": "phase_jitter_sigma",
@@ -47,7 +48,7 @@ RUNS = {
         CLOSED_FORM_RTOL),
     "tomo-measured-jitter": (
         ["tomo", "--preset", "measured", "--rate", "2000", "--seed", "5",
-         "--trials", "3"],
+         "--trials", "3", "--svg"],
         {"optics": {"phase_jitter_sigma": 0.65}},
         0.0),
 }
@@ -71,6 +72,8 @@ def _kept(path: Path):
 
 
 def _record(path: Path) -> dict:
+    if path.suffix == ".svg":
+        return {"sha256": hashlib.sha256(path.read_bytes()).hexdigest()}
     kept = _kept(path)
     if path.name.startswith(_HASHED):
         canonical = json.dumps(kept, sort_keys=True)

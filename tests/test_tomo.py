@@ -35,11 +35,23 @@ from phaserep.tomo import (
     SINGLE_QUBIT_STATES,
     TomographyDesign,
     _mle_batch,
+    _row_layout,
 )
 
 
-def _copy_design_parts(design):
-    return list(design.input_kets), [[p for p in s] for s in design.settings]
+def _design_parts():
+    """The default design's input kets and settings, built from the
+    single-qubit Pauli eigenstates."""
+    singles = [PROJECTOR_KETS[s] for s in SINGLE_QUBIT_STATES]
+    kets = [np.kron(a, b) for a in singles for b in singles]
+    outcomes = {"x": "+-", "y": ("+i", "-i"), "z": "01"}
+    settings = []
+    for b0 in MEASUREMENT_BASES:
+        for b1 in MEASUREMENT_BASES:
+            pairs = [np.kron(PROJECTOR_KETS[o0], PROJECTOR_KETS[o1])
+                     for o0 in outcomes[b0] for o1 in outcomes[b1]]
+            settings.append([np.outer(k, k.conj()) for k in pairs])
+    return kets, settings
 
 
 def _dense_matrix(design):
@@ -81,7 +93,7 @@ def test_default_design_is_identifiable_and_uniform():
 def test_rank_from_factors_matches_the_dense_matrix():
     # the full, one-input-dropped and single-setting (rank-deficient)
     # designs, against an SVD of the dense matrix
-    kets, settings = _copy_design_parts(default_design())
+    kets, settings = _design_parts()
     designs = [default_design(), TomographyDesign(kets[1:], settings),
                TomographyDesign(kets, settings[:1])]
     for design in designs:
@@ -91,10 +103,38 @@ def test_rank_from_factors_matches_the_dense_matrix():
 
 
 def test_input_states_span_the_operator_space():
-    design = default_design()
-    gram = np.array([np.outer(k, k.conj()).reshape(-1)
-                     for k in design.input_kets])
+    kets, _ = _design_parts()
+    gram = np.array([np.outer(k, k.conj()).reshape(-1) for k in kets])
     assert np.linalg.matrix_rank(gram) == 16
+    assert np.linalg.matrix_rank(default_design().input_factor) == 16
+
+
+def test_design_stores_only_its_factors():
+    # the dense operator stack is built on access, not kept
+    sizes = [v.size for v in vars(default_design()).values()
+             if isinstance(v, np.ndarray)]
+    assert sizes and max(sizes) <= 36 * 16
+
+
+def test_operators_are_the_kronecker_stack():
+    kets, settings = _design_parts()
+    reference = np.array([np.kron(np.outer(k, k.conj()).T, 4.0 * proj)
+                          for k in kets for setting in settings
+                          for proj in setting])
+    assert np.array_equal(default_design().operators, reference)
+    assert np.array_equal(TomographyDesign(kets[:-1], settings).operators,
+                          reference[:-36])
+
+
+@pytest.mark.parametrize("drop_input", [False, True])
+def test_operator_sum_from_factors_matches_the_dense_sum(drop_input):
+    kets, settings = _design_parts()
+    design = TomographyDesign(kets[:-1] if drop_input else kets, settings)
+    total = design.operators.sum(axis=0)
+    scale = float(np.trace(total).real) / 16.0
+    assert design.operator_sum_scale == pytest.approx(scale, rel=1e-14)
+    spread = np.max(np.abs(total - scale * np.eye(16)))
+    assert design.uniform == bool(spread <= 1e-8 * scale) == (not drop_input)
 
 
 def test_row_index_layout():
@@ -106,15 +146,31 @@ def test_row_index_layout():
     assert design.row_index(35, 8, 3) == design.size - 1
 
 
+def test_row_index_is_the_position_in_the_row_layout():
+    kets, settings = _design_parts()
+    for design in (default_design(), TomographyDesign(kets[:-1], settings)):
+        layout = _row_layout(2, design)
+        assert layout.shape == (2 * design.size, 4)
+        assert np.array_equal(layout[:, 0],
+                              np.repeat([0, 1], design.size))
+        rows = [design.row_index(i, s, o) for _, i, s, o in layout.tolist()]
+        assert rows == list(range(design.size)) * 2
+
+
 def test_design_rejects_bad_inputs():
-    design = default_design()
-    kets, settings = _copy_design_parts(design)
+    kets, settings = _design_parts()
     with pytest.raises(ValueError, match="normalized"):
         TomographyDesign([2.0 * kets[0]] + kets[1:], settings)
-    broken = [list(s) for s in settings]
-    broken[0] = broken[0][:3]
+    with pytest.raises(ValueError, match="normalized"):
+        TomographyDesign([], settings)
+    p = settings[0]
+    # row_index assumes four outcomes a setting, so a setting of three
+    # (even three that sum to the identity) would misplace every row
+    for first in (p[:3], [p[0] + p[1], p[2], p[3]]):
+        with pytest.raises(ValueError, match="exactly 4 projectors"):
+            TomographyDesign(kets, [first] + settings[1:])
     with pytest.raises(ValueError, match="sum to identity"):
-        TomographyDesign(kets, broken)
+        TomographyDesign(kets, [p[:3] + [np.zeros((4, 4))]] + settings[1:])
 
 
 # --------------------------------------------------------- probabilities
@@ -144,7 +200,7 @@ def test_factored_kernels_match_the_dense_matrix(rng, drop_input):
     # outcomes), so a slip in the row order cannot cancel out
     design = default_design()
     if drop_input:
-        kets, settings = _copy_design_parts(design)
+        kets, settings = _design_parts()
         design = TomographyDesign(kets[:-1], settings)
     g = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
     chi = g + g.conj().T
@@ -241,8 +297,7 @@ def test_simulated_counts_are_seed_deterministic():
 
 
 def test_unidentifiable_design_is_rejected():
-    base = default_design()
-    _, settings = _copy_design_parts(base)
+    _, settings = _design_parts()
     computational = [np.kron(PROJECTOR_KETS[a], PROJECTOR_KETS[b])
                      for a in "01" for b in "01"]
     design = TomographyDesign(computational, settings)
@@ -253,8 +308,7 @@ def test_unidentifiable_design_is_rejected():
 
 
 def test_nonuniform_design_is_rejected():
-    base = default_design()
-    kets, settings = _copy_design_parts(base)
+    kets, settings = _design_parts()
     design = TomographyDesign(kets[:-1], settings)  # drop one input
     assert design.identifiable and not design.uniform
     ds = expected_counts(choi_from_kraus([cu_phase(0.4)]), design, 100.0)
@@ -664,6 +718,18 @@ def test_counts_csv_round_trip(tmp_path):
         assert loaded.phase == original.phase
         assert loaded.rate == original.rate
         assert np.array_equal(loaded.counts, original.counts)
+
+
+@pytest.mark.parametrize("size", [1301, 1291])
+def test_writer_rejects_a_dataset_of_the_wrong_size(tmp_path, size):
+    design = default_design()
+    datasets = [TomographyDataset(0.0, np.ones(design.size), 1.0),
+                TomographyDataset(0.5, np.ones(size), 1.0)]
+    path = tmp_path / "counts.csv"
+    with pytest.raises(ValueError, match=f"phase id 1 has {size} counts, "
+                                         f"the design {design.size} rows"):
+        write_datasets_csv(path, datasets, design)
+    assert not path.exists()
 
 
 def _corrupted_counts_csv(tmp_path, edit):
