@@ -143,20 +143,15 @@ def apply_channel(chi: ProcessMatrix, rho: np.ndarray) -> np.ndarray:
     return np.einsum("mn,manb->ab", rho, chi4) * d
 
 
-def process_matrix_to_json(
-    chi: ProcessMatrix, metadata: dict | None = None
-) -> dict:
+def process_matrix_to_json(chi: ProcessMatrix) -> dict:
     """JSON-safe dict with real/imag parts and the convention metadata."""
-    doc = {
+    return {
         "qubits": chi.qubits,
         "normalization": _NORMALIZATION,
         "convention": "first register is the reference (identity) side",
         "real": chi.matrix.real.tolist(),
         "imag": chi.matrix.imag.tolist(),
     }
-    if metadata:
-        doc["metadata"] = dict(metadata)
-    return doc
 
 
 def process_matrix_from_json(doc: dict) -> ProcessMatrix:

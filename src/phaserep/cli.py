@@ -292,9 +292,7 @@ def _csv_text(meta: dict, columns: Sequence[str],
     for row in rows:
         cells = []
         for cell in row:
-            if isinstance(cell, bool):
-                cells.append(str(int(cell)))
-            elif isinstance(cell, (int, np.integer)):
+            if isinstance(cell, (int, np.integer)):
                 cells.append(str(int(cell)))
             elif isinstance(cell, str):
                 cells.append(cell)

@@ -1,11 +1,13 @@
 """Minimal SVG emitters for line plots and matrix heat maps.
 
 No plotting dependency: figures are assembled as SVG strings and written
-by the caller.  Layout is fixed-margin and intentionally plain — these
-are artifact figures, not a charting toolkit.
+by the caller.  Layout is fixed and intentionally plain — these are
+artifact figures, not a charting toolkit.  Each element kind has one
+template, which takes coordinates already formatted by ``_coord``.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -14,12 +16,14 @@ import numpy as np
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd",
            "#ff7f0e", "#8c564b", "#17becf", "#7f7f7f")
 
-_MARGINS = {"left": 72.0, "right": 18.0, "top": 42.0, "bottom": 52.0}
-
-
-def _esc(text: str) -> str:
-    return (str(text).replace("&", "&amp;").replace("<", "&lt;")
-            .replace(">", "&gt;"))
+# line plot: canvas, margins around the plot area, axis padding fraction
+_WIDTH, _HEIGHT = 640.0, 420.0
+_LEFT, _RIGHT, _TOP, _BOTTOM = 72.0, 18.0, 42.0, 52.0
+_PLOT_W = _WIDTH - _LEFT - _RIGHT
+_PLOT_H = _HEIGHT - _TOP - _BOTTOM
+_PAD_FRACTION = 0.06
+# heat map: side of one matrix cell
+_CELL = 20.0
 
 
 def _fmt(x: float) -> str:
@@ -30,6 +34,38 @@ def _coord(x: float) -> str:
     return format(float(x), ".2f")
 
 
+def _svg(width: float, height: float, body: list[str]) -> str:
+    return "\n".join([
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:g}" '
+        f'height="{height:g}" viewBox="0 0 {width:g} {height:g}">',
+        f'<rect width="{width:g}" height="{height:g}" fill="white"/>',
+        *body, "</svg>\n"])
+
+
+def _text(x: str, y: str, size: int, text, anchor: str = "",
+          transform: str = "") -> str:
+    body = (str(text).replace("&", "&amp;").replace("<", "&lt;")
+            .replace(">", "&gt;"))
+    anchor = f' text-anchor="{anchor}"' if anchor else ""
+    transform = f' transform="{transform}"' if transform else ""
+    return (f'<text x="{x}" y="{y}" font-family="sans-serif" '
+            f'font-size="{size}"{anchor}{transform}>{body}</text>')
+
+
+def _line(x1: str, y1: str, x2: str, y2: str, stroke: str,
+          width: str) -> str:
+    return (f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" '
+            f'stroke="{stroke}" stroke-width="{width}"/>')
+
+
+def _rect(x: str, y: str, width: str, height: str, fill: str,
+          stroke: str, stroke_width: str = "") -> str:
+    if stroke_width:
+        stroke_width = f' stroke-width="{stroke_width}"'
+    return (f'<rect x="{x}" y="{y}" width="{width}" height="{height}" '
+            f'fill="{fill}" stroke="{stroke}"{stroke_width}/>')
+
+
 @dataclass(frozen=True)
 class Series:
     label: str
@@ -38,165 +74,97 @@ class Series:
     yerr: Sequence[float] | None = None
 
 
-def _bounds(values, pad_fraction=0.06):
+def _bounds(values):
     lo = float(min(values))
     hi = float(max(values))
     if hi == lo:
         lo, hi = lo - 0.5, hi + 0.5
-    pad = pad_fraction * (hi - lo)
+    pad = _PAD_FRACTION * (hi - lo)
     return lo - pad, hi + pad
 
 
-def line_plot(
-    series: Sequence[Series],
-    title: str = "",
-    xlabel: str = "",
-    ylabel: str = "",
-    width: float = 640.0,
-    height: float = 420.0,
-) -> str:
+def line_plot(series: Sequence[Series], title: str = "", xlabel: str = "",
+              ylabel: str = "") -> str:
     """Polyline plot with markers, optional error bars, and a legend."""
     if not series:
         raise ValueError("need at least one series")
     xs_all = [float(v) for s in series for v in s.x]
     ys_all = []
-    for s in series:
-        err = s.yerr if s.yerr is not None else [0.0] * len(s.y)
+    errs = [[0.0] * len(s.y) if s.yerr is None else s.yerr for s in series]
+    for s, err in zip(series, errs):
         if len(err) != len(s.y) or len(s.x) != len(s.y):
             raise ValueError("series arrays must have matching lengths")
         for y, e in zip(s.y, err):
-            e = 0.0 if not np.isfinite(e) else float(e)
+            e = float(e) if math.isfinite(e) else 0.0
             ys_all.extend([float(y) - e, float(y) + e])
     x_lo, x_hi = _bounds(xs_all)
     y_lo, y_hi = _bounds(ys_all)
 
-    plot_w = width - _MARGINS["left"] - _MARGINS["right"]
-    plot_h = height - _MARGINS["top"] - _MARGINS["bottom"]
-
     def px(x):
-        return _MARGINS["left"] + (float(x) - x_lo) / (x_hi - x_lo) * plot_w
+        return _LEFT + (float(x) - x_lo) / (x_hi - x_lo) * _PLOT_W
 
     def py(y):
-        return _MARGINS["top"] + (y_hi - float(y)) / (y_hi - y_lo) * plot_h
+        return _TOP + (y_hi - float(y)) / (y_hi - y_lo) * _PLOT_H
 
-    out = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:g}" '
-        f'height="{height:g}" viewBox="0 0 {width:g} {height:g}">',
-        f'<rect width="{width:g}" height="{height:g}" fill="white"/>',
-    ]
+    left, right = _coord(_LEFT), _coord(_LEFT + _PLOT_W)
+    top, bottom = _coord(_TOP), _coord(_TOP + _PLOT_H)
     # frame, grid, ticks
-    out.append(
-        f'<rect x="{_coord(_MARGINS["left"])}" y="{_coord(_MARGINS["top"])}"'
-        f' width="{_coord(plot_w)}" height="{_coord(plot_h)}" fill="none"'
-        ' stroke="#333333" stroke-width="1"/>'
-    )
+    out = [_rect(left, top, _coord(_PLOT_W), _coord(_PLOT_H), "none",
+                 "#333333", "1")]
     for tick in np.linspace(x_lo, x_hi, 5):
-        x = px(tick)
-        out.append(
-            f'<line x1="{_coord(x)}" y1="{_coord(_MARGINS["top"])}" '
-            f'x2="{_coord(x)}" y2="{_coord(_MARGINS["top"] + plot_h)}" '
-            'stroke="#dddddd" stroke-width="0.7"/>'
-        )
-        out.append(
-            f'<text x="{_coord(x)}" y="{_coord(height - 34.0)}" '
-            'font-family="sans-serif" font-size="11" text-anchor="middle">'
-            f'{_esc(_fmt(tick))}</text>'
-        )
+        x = _coord(px(tick))
+        out += [_line(x, top, x, bottom, "#dddddd", "0.7"),
+                _text(x, _coord(_HEIGHT - 34.0), 11, _fmt(tick), "middle")]
     for tick in np.linspace(y_lo, y_hi, 5):
         y = py(tick)
-        out.append(
-            f'<line x1="{_coord(_MARGINS["left"])}" y1="{_coord(y)}" '
-            f'x2="{_coord(_MARGINS["left"] + plot_w)}" y2="{_coord(y)}" '
-            'stroke="#dddddd" stroke-width="0.7"/>'
-        )
-        out.append(
-            f'<text x="{_coord(_MARGINS["left"] - 6.0)}" '
-            f'y="{_coord(y + 3.5)}" font-family="sans-serif" font-size="11" '
-            f'text-anchor="end">{_esc(_fmt(tick))}</text>'
-        )
+        out += [_line(left, _coord(y), right, _coord(y), "#dddddd", "0.7"),
+                _text(_coord(_LEFT - 6.0), _coord(y + 3.5), 11, _fmt(tick),
+                      "end")]
     if title:
-        out.append(
-            f'<text x="{_coord(width / 2)}" y="24" '
-            'font-family="sans-serif" font-size="14" text-anchor="middle">'
-            f'{_esc(title)}</text>'
-        )
+        out.append(_text(_coord(_WIDTH / 2), "24", 14, title, "middle"))
     if xlabel:
-        out.append(
-            f'<text x="{_coord(_MARGINS["left"] + plot_w / 2)}" '
-            f'y="{_coord(height - 12.0)}" font-family="sans-serif" '
-            f'font-size="12" text-anchor="middle">{_esc(xlabel)}</text>'
-        )
+        out.append(_text(_coord(_LEFT + _PLOT_W / 2),
+                         _coord(_HEIGHT - 12.0), 12, xlabel, "middle"))
     if ylabel:
-        cx, cy = 16.0, _MARGINS["top"] + plot_h / 2
-        out.append(
-            f'<text x="{_coord(cx)}" y="{_coord(cy)}" '
-            'font-family="sans-serif" font-size="12" text-anchor="middle" '
-            f'transform="rotate(-90 {_coord(cx)} {_coord(cy)})">'
-            f'{_esc(ylabel)}</text>'
-        )
+        cx, cy = _coord(16.0), _coord(_TOP + _PLOT_H / 2)
+        out.append(_text(cx, cy, 12, ylabel, "middle",
+                         f"rotate(-90 {cx} {cy})"))
 
-    for idx, s in enumerate(series):
+    for idx, (s, err) in enumerate(zip(series, errs)):
         color = PALETTE[idx % len(PALETTE)]
-        points = " ".join(
-            f"{_coord(px(x))},{_coord(py(y))}" for x, y in zip(s.x, s.y))
-        out.append(
-            f'<polyline points="{points}" fill="none" stroke="{color}" '
-            'stroke-width="1.6"/>'
-        )
-        for j, (x, y) in enumerate(zip(s.x, s.y)):
-            out.append(
-                f'<circle cx="{_coord(px(x))}" cy="{_coord(py(y))}" r="2.6" '
-                f'fill="{color}"/>'
-            )
-            if s.yerr is not None and np.isfinite(s.yerr[j]) \
-                    and s.yerr[j] > 0.0:
-                y0, y1 = py(y - s.yerr[j]), py(y + s.yerr[j])
-                xc = px(x)
-                out.append(
-                    f'<line x1="{_coord(xc)}" y1="{_coord(y0)}" '
-                    f'x2="{_coord(xc)}" y2="{_coord(y1)}" '
-                    f'stroke="{color}" stroke-width="1.1"/>'
-                )
-                for yy in (y0, y1):
-                    out.append(
-                        f'<line x1="{_coord(xc - 3.0)}" y1="{_coord(yy)}" '
-                        f'x2="{_coord(xc + 3.0)}" y2="{_coord(yy)}" '
-                        f'stroke="{color}" stroke-width="1.1"/>'
-                    )
+        xs = [_coord(px(x)) for x in s.x]
+        ys = [_coord(py(y)) for y in s.y]
+        points = " ".join(f"{x},{y}" for x, y in zip(xs, ys))
+        out.append(f'<polyline points="{points}" fill="none" '
+                   f'stroke="{color}" stroke-width="1.6"/>')
+        for x, y, e, cx, cy in zip(s.x, s.y, err, xs, ys):
+            out.append(f'<circle cx="{cx}" cy="{cy}" r="2.6" fill="{color}"/>')
+            if math.isfinite(e) and e > 0.0:
+                y0, y1 = _coord(py(y - e)), _coord(py(y + e))
+                lo, hi = _coord(px(x) - 3.0), _coord(px(x) + 3.0)
+                out += [_line(cx, y0, cx, y1, color, "1.1"),
+                        _line(lo, y0, hi, y0, color, "1.1"),
+                        _line(lo, y1, hi, y1, color, "1.1")]
         # legend entry
-        ly = _MARGINS["top"] + 14.0 + 16.0 * idx
-        lx = _MARGINS["left"] + plot_w - 150.0
-        out.append(
-            f'<line x1="{_coord(lx)}" y1="{_coord(ly - 4.0)}" '
-            f'x2="{_coord(lx + 22.0)}" y2="{_coord(ly - 4.0)}" '
-            f'stroke="{color}" stroke-width="1.6"/>'
-        )
-        out.append(
-            f'<text x="{_coord(lx + 28.0)}" y="{_coord(ly)}" '
-            'font-family="sans-serif" font-size="11">'
-            f'{_esc(s.label)}</text>'
-        )
-    out.append("</svg>")
-    return "\n".join(out) + "\n"
+        ly = _TOP + 14.0 + 16.0 * idx
+        lx = _LEFT + _PLOT_W - 150.0
+        out.append(_line(_coord(lx), _coord(ly - 4.0), _coord(lx + 22.0),
+                         _coord(ly - 4.0), color, "1.6"))
+        out.append(_text(_coord(lx + 28.0), _coord(ly), 11, s.label))
+    return _svg(_WIDTH, _HEIGHT, out)
 
 
-def _heat_color(value: float, vmax: float) -> str:
-    # white -> deep blue, linear in |value| / vmax
-    t = 0.0 if vmax <= 0.0 else min(abs(value) / vmax, 1.0)
-    r = round(255 + t * (31 - 255))
-    g = round(255 + t * (78 - 255))
-    b = round(255 + t * (156 - 255))
+def _heat_color(value: float, scale: float) -> str:
+    # white -> deep blue, linear in value / scale for value >= 0
+    t = min(value / scale, 1.0)
+    r, g, b = (round(255 + t * (c - 255)) for c in (31, 78, 156))
     return f"rgb({r},{g},{b})"
 
 
-def heatmap_grid(
-    matrices: Sequence[np.ndarray],
-    titles: Sequence[str],
-    title: str = "",
-    cell: float = 20.0,
-    vmax: float | None = None,
-) -> str:
-    """Side-by-side heat maps of matrix magnitudes on a shared scale."""
+def heatmap_grid(matrices: Sequence[np.ndarray], titles: Sequence[str],
+                 title: str = "") -> str:
+    """Side-by-side heat maps of matrix magnitudes on a shared scale: the
+    largest magnitude, or 1 when every entry is zero."""
     if len(matrices) != len(titles) or not matrices:
         raise ValueError("need one title per matrix")
     mats = [np.abs(np.asarray(m)) for m in matrices]
@@ -204,82 +172,41 @@ def heatmap_grid(
     for m in mats:
         if m.shape != (n, n):
             raise ValueError("matrices must share a square shape")
-    scale = float(vmax) if vmax is not None else \
-        max(float(m.max()) for m in mats)
-    if scale <= 0.0:
-        scale = 1.0
+    scale = max(float(m.max()) for m in mats) or 1.0
 
-    pad, top, label_h = 34.0, 46.0, 24.0
-    panel = n * cell
-    bar_w = 16.0
-    width = pad + len(mats) * (panel + pad) + bar_w + 46.0
-    height = top + label_h + panel + 40.0
-    out = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:g}" '
-        f'height="{height:g}" viewBox="0 0 {width:g} {height:g}">',
-        f'<rect width="{width:g}" height="{height:g}" fill="white"/>',
-    ]
-    if title:
-        out.append(
-            f'<text x="{_coord(width / 2)}" y="26" '
-            'font-family="sans-serif" font-size="14" text-anchor="middle">'
-            f'{_esc(title)}</text>'
-        )
-    for k, (mat, sub) in enumerate(zip(mats, titles)):
-        x0 = pad + k * (panel + pad)
-        y0 = top + label_h
-        out.append(
-            f'<text x="{_coord(x0 + panel / 2)}" y="{_coord(top + 12.0)}" '
-            'font-family="sans-serif" font-size="12" text-anchor="middle">'
-            f'{_esc(sub)}</text>'
-        )
-        for i in range(n):
-            for j in range(n):
-                out.append(
-                    f'<rect x="{_coord(x0 + j * cell)}" '
-                    f'y="{_coord(y0 + i * cell)}" width="{_coord(cell)}" '
-                    f'height="{_coord(cell)}" '
-                    f'fill="{_heat_color(mat[i, j], scale)}" '
-                    'stroke="#cccccc" stroke-width="0.4"/>'
-                )
-        step = 4 if n >= 8 else 1
-        for i in range(0, n, step):
-            out.append(
-                f'<text x="{_coord(x0 - 4.0)}" '
-                f'y="{_coord(y0 + (i + 0.7) * cell)}" '
-                'font-family="sans-serif" font-size="9" text-anchor="end">'
-                f'{i}</text>'
-            )
-            out.append(
-                f'<text x="{_coord(x0 + (i + 0.5) * cell)}" '
-                f'y="{_coord(y0 + panel + 12.0)}" '
-                'font-family="sans-serif" font-size="9" '
-                f'text-anchor="middle">{i}</text>'
-            )
-    # colorbar
+    pad, top, label_h, bar_w = 34.0, 46.0, 24.0, 16.0
+    panel = n * _CELL
     bx = pad + len(mats) * (panel + pad)
     by = top + label_h
-    steps = 32
-    for s in range(steps):
-        frac = 1.0 - s / (steps - 1)
-        out.append(
-            f'<rect x="{_coord(bx)}" '
-            f'y="{_coord(by + s * panel / steps)}" width="{_coord(bar_w)}" '
-            f'height="{_coord(panel / steps + 0.5)}" '
-            f'fill="{_heat_color(frac * scale, scale)}" stroke="none"/>'
-        )
-    out.append(
-        f'<rect x="{_coord(bx)}" y="{_coord(by)}" width="{_coord(bar_w)}" '
-        f'height="{_coord(panel)}" fill="none" stroke="#333333" '
-        'stroke-width="0.7"/>'
-    )
-    out.append(
-        f'<text x="{_coord(bx + bar_w + 4.0)}" y="{_coord(by + 9.0)}" '
-        f'font-family="sans-serif" font-size="10">{_esc(_fmt(scale))}</text>'
-    )
-    out.append(
-        f'<text x="{_coord(bx + bar_w + 4.0)}" y="{_coord(by + panel)}" '
-        'font-family="sans-serif" font-size="10">0</text>'
-    )
-    out.append("</svg>")
-    return "\n".join(out) + "\n"
+    width, height = bx + bar_w + 46.0, by + panel + 40.0
+    out = []
+    if title:
+        out.append(_text(_coord(width / 2), "26", 14, title, "middle"))
+    cell = _coord(_CELL)
+    for k, (mat, sub) in enumerate(zip(mats, titles)):
+        x0 = pad + k * (panel + pad)
+        out.append(_text(_coord(x0 + panel / 2), _coord(top + 12.0), 12,
+                         sub, "middle"))
+        columns = [_coord(x0 + j * _CELL) for j in range(n)]
+        for i, row in enumerate(mat.tolist()):
+            y = _coord(by + i * _CELL)
+            out.extend(_rect(x, y, cell, cell, _heat_color(v, scale),
+                             "#cccccc", "0.4")
+                       for x, v in zip(columns, row))
+        for i in range(0, n, 4 if n >= 8 else 1):
+            out.append(_text(_coord(x0 - 4.0),
+                             _coord(by + (i + 0.7) * _CELL), 9, i, "end"))
+            out.append(_text(_coord(x0 + (i + 0.5) * _CELL),
+                             _coord(by + panel + 12.0), 9, i, "middle"))
+    # colorbar: 32 bands from the scale down to 0, a frame, two labels
+    bar_x, bar_width = _coord(bx), _coord(bar_w)
+    out.extend(_rect(bar_x, _coord(by + s * panel / 32), bar_width,
+                     _coord(panel / 32 + 0.5),
+                     _heat_color((1.0 - s / 31) * scale, scale), "none")
+               for s in range(32))
+    label_x = _coord(bx + bar_w + 4.0)
+    out += [_rect(bar_x, _coord(by), bar_width, _coord(panel), "none",
+                  "#333333", "0.7"),
+            _text(label_x, _coord(by + 9.0), 10, _fmt(scale)),
+            _text(label_x, _coord(by + panel), 10, "0")]
+    return _svg(width, height, out)

@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from numbers import Real
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -198,6 +199,16 @@ class TomographyDataset:
             raise ValueError("counts must be a flat record array")
         if not np.all(np.isfinite(c)) or np.any(c < 0.0):
             raise ValueError("counts must be finite and non-negative")
+        # phase and rate may come from the headers of a counts file
+        def finite(value):
+            return (isinstance(value, Real) and not isinstance(value, bool)
+                    and math.isfinite(value))
+        if not finite(self.phase):
+            raise ValueError(
+                f"phase must be a finite number, not {self.phase!r}")
+        if not (finite(self.rate) and self.rate > 0.0):
+            raise ValueError(
+                f"rate must be a finite number > 0, not {self.rate!r}")
         c.setflags(write=False)
         object.__setattr__(self, "counts", c)
         object.__setattr__(self, "phase", float(self.phase))

@@ -155,12 +155,11 @@ def test_normalized_rescales_trace():
 
 def test_json_round_trip():
     chi = choi_from_kraus([X, 0.2 * np.eye(2)])
-    doc = process_matrix_to_json(chi, metadata={"label": "test"})
+    doc = process_matrix_to_json(chi)
     back = process_matrix_from_json(doc)
     assert np.array_equal(back.matrix, chi.matrix)
     assert back.qubits == chi.qubits
     assert doc["normalization"] == "trace_one"
-    assert doc["metadata"]["label"] == "test"
 
 
 def test_json_with_nan_is_rejected():

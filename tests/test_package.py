@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
@@ -98,14 +99,26 @@ def test_demos_are_found():
     assert len(DEMOS) == 4
 
 
-@pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)
-def test_demo_runs_with_defaults(demo, tmp_path):
+def _run_demo(demo: Path, cwd: Path, *args: str):
     # a fresh interpreter per demo, run outside the repository so nothing
     # it might write lands in the tree
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")]
         + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path,
+    proc = subprocess.run([sys.executable, str(demo), *args], cwd=cwd,
                           env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)
+def test_demo_runs_with_defaults(demo, tmp_path):
+    _run_demo(demo, tmp_path)
+
+
+def test_scaling_demo_writes_its_figure(tmp_path):
+    figure = tmp_path / "f.svg"
+    _run_demo(ROOT / "demos" / "superreplication_scaling.py", tmp_path,
+              "--svg", str(figure))
+    root = ET.parse(figure).getroot()
+    assert root.tag == "{http://www.w3.org/2000/svg}svg"

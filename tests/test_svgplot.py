@@ -1,4 +1,5 @@
 """SVG emitters: well-formedness, escaping, and input validation."""
+import hashlib
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -84,12 +85,6 @@ def test_heatmap_grid_is_well_formed():
     assert "reconstructed" in texts and "ideal" in texts and "chi" in texts
 
 
-def test_heatmap_grid_scale_override():
-    svg = heatmap_grid([np.eye(4)], ["m"], vmax=0.5)
-    assert ">0.5</text>" in svg
-    assert _parse(svg) is not None
-
-
 def test_heatmap_grid_zero_matrix_uses_unit_scale():
     svg = heatmap_grid([np.zeros((4, 4))], ["m"])
     _parse(svg)
@@ -105,3 +100,53 @@ def test_heatmap_grid_input_validation():
         heatmap_grid([np.zeros((4, 2))], ["m"])
     with pytest.raises(ValueError, match="square"):
         heatmap_grid([np.eye(4), np.eye(8)], ["a", "b"])
+
+
+# Figures the golden CLI runs do not draw, each pinned as the sha256 of its
+# bytes, so that any change to the emitters must keep every figure's bytes.
+_NAN = float("nan")
+PINNED_FIGURES = {
+    "heatmap-4x4": (
+        lambda: heatmap_grid([np.outer(np.arange(1, 5), np.arange(4)) / 7.0],
+                             ["m"], title="four"),
+        "ffd5b4102cc6c10e9792fe51b5f68aa4e5de49b67a91c5c5aa1c5eea5fe3cba9"),
+    "heatmap-zero": (
+        lambda: heatmap_grid([np.zeros((4, 4))], ["zero"]),
+        "4a6a09399a9cf318f7df1ae7a203773df2788c017bb6bf7a85c20e953d4d49af"),
+    "heatmap-three-panels": (
+        lambda: heatmap_grid(
+            [np.eye(8), np.full((8, 8), 0.25),
+             np.arange(64).reshape(8, 8) * (1.0 - 1.0j) / 90.0],
+            ["a", "b", "c"], title="three"),
+        "fd1c75c9c4ed8528d9203235c620ca7dad61d797f1d675a4cf9cbfaf2b731a42"),
+    "line-constant": (
+        lambda: line_plot([Series("flat", [0.0, 1.0, 2.0], [0.5, 0.5, 0.5])],
+                          "c", "x", "y"),
+        "e946a151920205144f68d38454fead13c227308ab6ae5c160be2983b166bf768"),
+    "line-odd-error-bars": (
+        lambda: line_plot(
+            [Series("e", [0.0, 1.0, 2.0, 3.0], [0.2, 0.4, 0.3, 0.6],
+                    yerr=[0.05, _NAN, 0.0, -0.1])],
+            "err", "x", "y"),
+        "e5db8cd7ffd4021592c630a2433e48902bf6a95ae047e5460f3109f21707622d"),
+    "line-one-point": (
+        lambda: line_plot([Series("one", [1.0], [2.0])], "p", "x", "y"),
+        "054c9e56526f8f6c136e80fd8d9464d8a61e2a3d171b56e0c3f4a3f788d29ab1"),
+    "line-markup": (
+        lambda: line_plot([Series("<b>&x", [0.0, 1.0], [0.0, 1.0])],
+                          title="a<b>&c", xlabel="<x>", ylabel="y & z"),
+        "e50fce633d5485d2d1534448cce38649c411a88230514b8b28277479860f23f6"),
+    "line-bare": (
+        lambda: line_plot([Series("a", [0.0, 1.0, 2.0], [1.0, 3.0, 2.0]),
+                           Series("b", [0.5, 1.5], [2.5, 0.5],
+                                  yerr=[0.2, 0.1])]),
+        "0c706a9b12103ca53277df204da34a21a07c5e77bf606f80bdeafcb6bdf15f48"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_FIGURES))
+def test_pinned_figure_bytes(name):
+    draw, digest = PINNED_FIGURES[name]
+    svg = draw()
+    _parse(svg)
+    assert hashlib.sha256(svg.encode()).hexdigest() == digest

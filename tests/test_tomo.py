@@ -269,6 +269,23 @@ def test_dataset_validation():
         ds.counts[0] = 3.0  # frozen
 
 
+@pytest.mark.parametrize("phase, rate, field", [
+    (math.inf, -1, "phase"),
+    (math.nan, 1.0, "phase"),
+    (True, 1.0, "phase"),
+    ("0.5", 1.0, "phase"),
+    (0.0, math.inf, "rate"),
+    (0.0, math.nan, "rate"),
+    (0.0, -3, "rate"),
+    (0.0, 0.0, "rate"),
+    (0.0, True, "rate"),
+    (0.0, "x", "rate"),
+])
+def test_dataset_rejects_a_bad_phase_or_rate(phase, rate, field):
+    with pytest.raises(ValueError, match=f"^{field} must be a finite"):
+        TomographyDataset(phase, np.ones(3), rate)
+
+
 def test_expected_counts_are_rate_times_probabilities():
     design = default_design()
     chi = choi_from_kraus([cu_phase(1.3)])
@@ -746,6 +763,13 @@ def _corrupted_counts_csv(tmp_path, edit):
     return path
 
 
+def _header(header):
+    """An edit that puts ``header`` in place of the line it replaces."""
+    key = header.split(":")[0] + ":"
+    return lambda lines: [header if ln.startswith(key) else ln
+                          for ln in lines]
+
+
 @pytest.mark.parametrize("edit, message", [
     (lambda lines: lines[:-1], "design rows"),
     (lambda lines: lines + [lines[-1].rsplit(",", 1)[0] + ",99"],
@@ -757,8 +781,18 @@ def _corrupted_counts_csv(tmp_path, edit):
      "header"),
     (lambda lines: [ln.replace("[0.6, 1.2]", "[0.6]") for ln in lines],
      "header"),
+    (_header('# rates: ["x", 150.0]'), "^rate must be a finite"),
+    (_header("# rates: [-3, 150.0]"), "^rate must be a finite"),
+    (_header("# rates: [0, 150.0]"), "^rate must be a finite"),
+    (_header("# rates: [true, 150.0]"), "^rate must be a finite"),
+    (_header("# rates: [Infinity, 150.0]"), "^rate must be a finite"),
+    (_header("# phase_values: [NaN, 1.2]"), "^phase must be a finite"),
+    (_header('# phase_values: ["0.6", 1.2]'), "^phase must be a finite"),
+    (_header("# phase_values: [false, 1.2]"), "^phase must be a finite"),
 ], ids=["truncated", "duplicated", "reordered", "header-less",
-        "rates-missing", "phase-count-short"])
+        "rates-missing", "phase-count-short", "rate-string", "rate-negative",
+        "rate-zero", "rate-boolean", "rate-infinite", "phase-nan",
+        "phase-string", "phase-boolean"])
 def test_corrupt_counts_csv_is_rejected(tmp_path, edit, message):
     path = _corrupted_counts_csv(tmp_path, edit)
     with pytest.raises(ValueError, match=message):
