@@ -37,9 +37,10 @@ def design_point() -> None:
     print(f"  success probability: {success:.6f} (= 1/9)")
     print(f"  3 * K equals the Toffoli exactly: "
           f"{np.max(np.abs(scaled - toffoli())) < 1e-12}")
-    projected = replication_experiment_channel(0.7, OpticsParams.ideal())
-    full = replication_experiment_channel(0.7, OpticsParams.ideal(),
-                                          project=False)
+    projected = choi_from_kraus(
+        replication_experiment_channel(0.7, OpticsParams.ideal()))
+    full = choi_from_kraus(replication_experiment_channel(
+        0.7, OpticsParams.ideal(), project=False))
     print(f"  idler projection halves the success weight: "
           f"{abs(projected.trace - full.trace / 2.0) < 1e-12}")
 

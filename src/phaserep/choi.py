@@ -8,6 +8,7 @@ sub-normalized matrices and are first-class citizens here.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -115,15 +116,42 @@ def gate_fidelity(u1: np.ndarray, u2: np.ndarray) -> float:
     return float(abs(tr) ** 2) / (u1.shape[0] ** 2)
 
 
-def process_fidelity(chi: ProcessMatrix, u: np.ndarray) -> float:
-    """F = <Phi_U| chi |Phi_U> / Tr[chi]; invariant under chi rescaling."""
-    if u.shape != (chi.dim, chi.dim):
-        raise ValueError("process_fidelity requires matching qubit counts")
-    tr = chi.trace
-    if tr <= 0.0:
-        raise ValueError("process matrix trace must be positive")
-    v = choi_vector(u)
-    f = float(np.real(v.conj() @ chi.matrix @ v)) / tr
+def process_fidelity(
+    channel: ProcessMatrix | Sequence[np.ndarray], u: np.ndarray
+) -> float:
+    """F = <Phi_U| chi |Phi_U> / Tr[chi]; invariant under chi rescaling.
+
+    ``channel`` is a process matrix (e.g. a reconstructed one) or a
+    Kraus list.  A Kraus list is read directly, without building chi:
+    F = sum_k |Tr[U† K_k]|² / (d · sum_k ||K_k||_F²), the same number,
+    since <Phi_U| chi |Phi_U> = sum_k |Tr[U† K_k]|² / d² and
+    Tr[chi] = sum_k ||K_k||_F² / d.  Sub-normalized lists are fine; an
+    empty, all-zero or non-finite list, or operators whose shape is not
+    U's, raise ``ValueError``.
+    """
+    if isinstance(channel, ProcessMatrix):
+        if u.shape != (channel.dim, channel.dim):
+            raise ValueError(
+                "process_fidelity requires matching qubit counts")
+        tr = channel.trace
+        if tr <= 0.0:
+            raise ValueError("process matrix trace must be positive")
+        v = choi_vector(u)
+        f = float(np.real(v.conj() @ channel.matrix @ v)) / tr
+    else:
+        mats = [np.asarray(op, dtype=np.complex128) for op in channel]
+        if not mats:
+            raise ValueError("need at least one Kraus operator")
+        d = u.shape[0]
+        if u.shape != (d, d) or any(m.shape != u.shape for m in mats):
+            raise ValueError(
+                "process_fidelity requires matching qubit counts")
+        weight = sum(float(np.vdot(m, m).real) for m in mats)
+        # written so that NaN fails too
+        if not 0.0 < weight < math.inf:
+            raise ValueError("Kraus operators must be finite and not "
+                             "all zero")
+        f = float(sum(abs(np.vdot(u, m)) ** 2 for m in mats)) / (d * weight)
     # Clip float noise; chi is PSD so f is in [0, 1] mathematically.
     return min(max(f, 0.0), 1.0)
 

@@ -33,7 +33,7 @@ from typing import Sequence
 import numpy as np
 
 from . import tomo
-from .choi import choi_from_kraus, process_fidelity, process_matrix_to_json
+from .choi import process_fidelity, process_matrix_to_json
 from .gates import baseline_measure_prepare, baseline_single_copy, \
     cu_phase, fidelity_replicas, optimal_cloner_fidelity, phase_gate, \
     toffoli, twirled_mean_fidelity
@@ -477,7 +477,7 @@ def cmd_optics_scan(config: SimpleNamespace) -> int:
             raise ConfigError(
                 f"scan value {value!r} rejected: {exc}") from None
         kraus, success = effective_toffoli(params)
-        f_toffoli = process_fidelity(choi_from_kraus(kraus), toffoli())
+        f_toffoli = process_fidelity(kraus, toffoli())
         channel = replication_experiment_channel(config.phi, params)
         f_cu = process_fidelity(channel, cu_phase(config.phi))
         rows.append([config.parameter, value, f_toffoli, f_cu, success])

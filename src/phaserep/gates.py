@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from .choi import choi_from_kraus, gate_fidelity, process_fidelity
+from .choi import gate_fidelity, process_fidelity
 from .qmat import kron, normalize_phase
 from .superrep import ReplicationSpec, build_V
 
@@ -148,6 +148,5 @@ def optimal_cloner(phi: float) -> list[np.ndarray]:
 def optimal_cloner_fidelity(phi: float) -> float:
     """Process fidelity of the cloner channel with phase_gate(phi)^{x2}."""
     phi = normalize_phase(phi)
-    chi = choi_from_kraus(optimal_cloner(phi))
     u = phase_gate(phi)
-    return process_fidelity(chi, kron(u, u))
+    return process_fidelity(optimal_cloner(phi), kron(u, u))

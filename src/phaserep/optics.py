@@ -38,7 +38,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .choi import ProcessMatrix, choi_from_kraus
 from .qmat import normalize_phase
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
@@ -181,13 +180,15 @@ def dephase_spatial(
 
 def replication_experiment_channel(
     phi: float, params: OpticsParams, project: bool = True
-) -> ProcessMatrix:
+) -> list[np.ndarray]:
     """Two-qubit channel of the simulated replication experiment.
 
     Composes the optical Toffoli with an ideal phase gate on the idler,
     projects the idler onto |+> (or traces it out when ``project`` is
     false, for success-rate comparisons), applies the configured spatial
-    dephasing, and returns the sub-normalized process matrix.
+    dephasing, and returns the channel as a sub-normalized Kraus list of
+    4x4 operators.  ``process_fidelity`` reads the list directly; wrap it
+    in ``choi_from_kraus`` where the process matrix itself is needed.
     """
     phi = normalize_phase(phi)
     kraus3, _ = effective_toffoli(params)
@@ -203,4 +204,4 @@ def replication_experiment_channel(
             kraus2.extend([b[:, 0, :], b[:, 1, :]])
     if params.phase_jitter_sigma > 0.0:
         kraus2 = dephase_spatial(kraus2, params.phase_jitter_sigma)
-    return choi_from_kraus(kraus2)
+    return kraus2

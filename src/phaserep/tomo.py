@@ -144,15 +144,21 @@ class TomographyDesign:
         g = g.reshape(-1, 4, 4, 4, 4).transpose(0, 1, 3, 2, 4)
         return g.reshape(lead + (16, 16))
 
-    def probabilities(self, channel: ProcessMatrix) -> np.ndarray:
+    def probabilities(
+        self, channel: ProcessMatrix | Sequence[np.ndarray]
+    ) -> np.ndarray:
         """Outcome probabilities under the channel, in row order.
 
         Sub-normalized (postselected) channels yield probabilities that
         do not sum to 1 per setting; that deficit is physical loss.
         Values <= 1e-12 are returned as 0.0: on the standard design the
         rounding residue of an exact zero stays below 1e-18, and the
-        physical probabilities of the presets are above 1e-7.
+        physical probabilities of the presets are above 1e-7.  A Kraus
+        list is first turned into its process matrix by
+        ``choi_from_kraus``.
         """
+        if not isinstance(channel, ProcessMatrix):
+            channel = choi_from_kraus(channel)
         if channel.qubits != 2:
             raise ValueError("design covers two-qubit channels only")
         p = self.traces(channel.matrix)
@@ -219,7 +225,7 @@ class TomographyDataset:
 
 
 def expected_counts(
-    channel: ProcessMatrix,
+    channel: ProcessMatrix | Sequence[np.ndarray],
     design: TomographyDesign,
     rate: float,
     phase: float = 0.0,
@@ -233,7 +239,7 @@ def expected_counts(
 
 
 def simulate_counts(
-    channel: ProcessMatrix,
+    channel: ProcessMatrix | Sequence[np.ndarray],
     design: TomographyDesign,
     rate: float,
     seed,

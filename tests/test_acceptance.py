@@ -234,10 +234,10 @@ def test_criterion_08_optical_design_point():
     if abs(f_gate - 1.0) > 1e-9:
         problems.append(f"gate fidelity {f_gate!r} not 1 within 1e-9")
     for phi in standard_phases():
-        projected = replication_experiment_channel(
-            phi, OpticsParams.ideal(), project=True)
-        full = replication_experiment_channel(
-            phi, OpticsParams.ideal(), project=False)
+        projected = choi_from_kraus(replication_experiment_channel(
+            phi, OpticsParams.ideal(), project=True))
+        full = choi_from_kraus(replication_experiment_channel(
+            phi, OpticsParams.ideal(), project=False))
         f_cu = process_fidelity(projected, cu_phase(phi))
         if abs(f_cu - 1.0) > 1e-9:
             problems.append(

@@ -15,6 +15,13 @@ from phaserep.choi import (
     process_matrix_from_json,
     process_matrix_to_json,
 )
+from phaserep.gates import cu_phase, phase_gate, toffoli
+from phaserep.optics import (
+    OpticsParams,
+    effective_toffoli,
+    replication_experiment_channel,
+)
+from phaserep.qmat import kron
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
 S = 1.0 / np.sqrt(2.0)
@@ -83,6 +90,7 @@ def test_gate_fidelity_requires_matching_width():
 def test_process_fidelity_of_exact_channel():
     chi = choi_from_kraus([X])
     assert process_fidelity(chi, X) == pytest.approx(1.0, abs=1e-12)
+    assert process_fidelity([X], X) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_process_fidelity_requires_matching_width():
@@ -90,6 +98,59 @@ def test_process_fidelity_requires_matching_width():
     for wrong in (np.eye(4), np.eye(2)[:, :1], np.ones(2)):
         with pytest.raises(ValueError, match="qubit counts"):
             process_fidelity(chi, wrong)
+        with pytest.raises(ValueError, match="qubit counts"):
+            process_fidelity([X], wrong)
+    # a Kraus list whose operators differ in width from each other
+    with pytest.raises(ValueError, match="qubit counts"):
+        process_fidelity([X, np.eye(4)], X)
+
+
+def _random_unitary(rng, d):
+    q, r = np.linalg.qr(rng.normal(size=(d, d))
+                        + 1j * rng.normal(size=(d, d)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def _fidelity_via_chi(kraus, u):
+    chi = choi_from_kraus(kraus)
+    v = choi_vector(u)
+    return float(np.real(v.conj() @ chi.matrix @ v)) / chi.trace
+
+
+@pytest.mark.parametrize("qubits", [1, 2, 3])
+def test_kraus_fidelity_matches_the_choi_formula(rng, qubits):
+    # random lists of 1-6 operators, made trace preserving and then scaled
+    # down to sub-normalized; targets are a random unitary and the unitary
+    # closest to the first operator, where F is large
+    d = 2 ** qubits
+    for n_ops in range(1, 7):
+        ops = rng.normal(size=(n_ops, d, d)) \
+            + 1j * rng.normal(size=(n_ops, d, d))
+        gram = np.einsum("kba,kbc->ac", ops.conj(), ops)
+        w, v = np.linalg.eigh(gram)
+        ops = ops @ (v / np.sqrt(w)) @ v.conj().T
+        left, _, right = np.linalg.svd(ops[0])
+        for scale in (1.0, 0.3, 1e-3):
+            kraus = list(scale * ops)
+            for u in (_random_unitary(rng, d), left @ right):
+                assert abs(process_fidelity(kraus, u)
+                           - _fidelity_via_chi(kraus, u)) <= 1e-15
+
+
+@pytest.mark.parametrize("params", [
+    OpticsParams.ideal(), OpticsParams.measured(),
+    OpticsParams.measured(phase_jitter_sigma=0.65),
+], ids=["ideal", "measured", "measured-sigma-0.65"])
+def test_kraus_fidelity_matches_on_the_experiment_channels(params):
+    kraus, _ = effective_toffoli(params)
+    assert abs(process_fidelity(kraus, toffoli())
+               - _fidelity_via_chi(kraus, toffoli())) <= 1e-15
+    for phi in np.linspace(0.0, 2.0 * math.pi, 9)[:-1]:
+        channel = replication_experiment_channel(phi, params)
+        u = phase_gate(phi)
+        for target in (cu_phase(phi), kron(u, u)):
+            assert abs(process_fidelity(channel, target)
+                       - _fidelity_via_chi(channel, target)) <= 1e-15
 
 
 def test_choi_from_kraus_validates_shapes():
@@ -108,6 +169,13 @@ def test_process_fidelity_rejects_zero_trace():
     zero = ProcessMatrix(0.0 * chi.matrix, 1)
     with pytest.raises(ValueError):
         process_fidelity(zero, X)
+    with pytest.raises(ValueError, match="at least one"):
+        process_fidelity([], X)
+    with pytest.raises(ValueError, match="not all zero"):
+        process_fidelity([np.zeros((2, 2)), np.zeros((2, 2))], X)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            process_fidelity([X, np.full((2, 2), bad)], X)
 
 
 def test_apply_channel_reproduces_unitary_conjugation(rng):

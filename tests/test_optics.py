@@ -230,8 +230,8 @@ def test_imperfect_params_add_kraus_branches():
 
 def test_replication_channel_ideal_is_exact():
     for phi in (0.0, math.pi / 2, 2.1):
-        chi = replication_experiment_channel(phi, OpticsParams.ideal())
-        assert process_fidelity(chi, cu_phase(phi)) \
+        channel = replication_experiment_channel(phi, OpticsParams.ideal())
+        assert process_fidelity(channel, cu_phase(phi)) \
             == pytest.approx(1.0, abs=1e-12)
 
 
@@ -239,16 +239,16 @@ def test_projection_halves_the_success_weight():
     # exact at the ideal point, where the two measurement branches are
     # perfectly balanced; imperfections skew the split slightly
     phi = 1.2
-    projected = replication_experiment_channel(
-        phi, OpticsParams.ideal(), project=True)
-    full = replication_experiment_channel(
-        phi, OpticsParams.ideal(), project=False)
+    projected = choi_from_kraus(replication_experiment_channel(
+        phi, OpticsParams.ideal(), project=True))
+    full = choi_from_kraus(replication_experiment_channel(
+        phi, OpticsParams.ideal(), project=False))
     assert projected.trace == pytest.approx(full.trace / 2.0, abs=1e-12)
 
-    measured = replication_experiment_channel(
-        phi, OpticsParams.measured(), project=True)
-    measured_full = replication_experiment_channel(
-        phi, OpticsParams.measured(), project=False)
+    measured = choi_from_kraus(replication_experiment_channel(
+        phi, OpticsParams.measured(), project=True))
+    measured_full = choi_from_kraus(replication_experiment_channel(
+        phi, OpticsParams.measured(), project=False))
     ratio = measured.trace / measured_full.trace
     assert 0.4 < ratio < 0.6
 
@@ -267,8 +267,8 @@ def test_single_parameter_degradations_are_monotone():
         for value in values:
             params = dataclasses.replace(OpticsParams.ideal(),
                                          **{name: value})
-            chi = replication_experiment_channel(phi, params)
-            fidelities.append(process_fidelity(chi, cu_phase(phi)))
+            channel = replication_experiment_channel(phi, params)
+            fidelities.append(process_fidelity(channel, cu_phase(phi)))
         assert fidelities[0] == pytest.approx(1.0, abs=1e-9)
         diffs = np.diff(fidelities)
         assert np.all(diffs <= 1e-12), (name, fidelities)
@@ -279,8 +279,8 @@ def test_raising_reflectivity_above_ideal_also_degrades():
     fidelities = []
     for r_v in (2.0 / 3.0, 0.72, 0.77, 0.82, 0.87):
         params = dataclasses.replace(OpticsParams.ideal(), r_v=r_v)
-        chi = replication_experiment_channel(phi, params)
-        fidelities.append(process_fidelity(chi, cu_phase(phi)))
+        channel = replication_experiment_channel(phi, params)
+        fidelities.append(process_fidelity(channel, cu_phase(phi)))
     assert np.all(np.diff(fidelities) <= 1e-12)
 
 
@@ -324,6 +324,6 @@ def test_channel_weights_interpolate_visibility():
     f = {}
     for vis in (0.0, 0.5, 1.0):
         params = dataclasses.replace(OpticsParams.ideal(), visibility=vis)
-        chi = replication_experiment_channel(phi, params)
-        f[vis] = process_fidelity(chi, cu_phase(phi))
+        channel = replication_experiment_channel(phi, params)
+        f[vis] = process_fidelity(channel, cu_phase(phi))
     assert f[0.0] < f[0.5] < f[1.0]

@@ -2,16 +2,25 @@ import ast
 import importlib
 import importlib.util
 import json
+import math
 import os
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import phaserep
-from phaserep import cli, default_design
+from phaserep import (
+    OpticsParams,
+    choi_from_kraus,
+    cli,
+    default_design,
+    replication_experiment_channel,
+    simulate_counts,
+)
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -93,6 +102,18 @@ def test_benchmark_checks_read_only_existing_design_attributes():
     assert "operators" in attrs
     design = default_design()
     assert [a for a in sorted(attrs) if not hasattr(design, a)] == []
+
+
+def test_benchmark_dataset_accepts_the_kraus_channel():
+    # perfbench's tests simulate counts straight from the experiment
+    # channel; the Kraus list must give the counts of its process matrix
+    design = default_design()
+    channel = replication_experiment_channel(math.pi / 2,
+                                             OpticsParams.measured())
+    counts = simulate_counts(channel, design, 1e4, 3).counts
+    assert counts.shape == (design.size,) and counts.sum() > 0
+    via_chi = simulate_counts(choi_from_kraus(channel), design, 1e4, 3)
+    assert np.array_equal(counts, via_chi.counts)
 
 
 def test_demos_are_found():

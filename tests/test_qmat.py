@@ -33,6 +33,28 @@ def test_qubit_zero_is_most_significant():
     assert np.array_equal(state, expected)
 
 
+_R = np.array([[0.3, -1.7], [2.5, 0.1]])
+_C = np.array([[0.6 - 0.2j, 1.1j], [-0.4, 0.9 + 1e-17j]])
+
+
+@pytest.mark.parametrize("a, b", [
+    (np.array([0.6, 0.8]), np.array([-1.0, 0.25, 3.0, 1e-300])),
+    (X[0] * (0.5 + 0.5j), np.array([1.0 / 3.0, -2.0 + 1e-9j])),
+    (_R, _R),
+    (_C, np.kron(_C, _R)),
+    (np.kron(_R, _C), _C),
+    (_R, _C),
+    (_R[:, :1], _R[:, 1:]),
+    (_C[:, 1:], np.kron(_C, _C)[:, :1]),
+], ids=["1d-real", "1d-complex", "square-real", "square-complex-wide-b",
+        "square-complex-wide-a", "square-mixed", "column-real",
+        "column-complex"])
+def test_kron_is_bitwise_np_kron(a, b):
+    got, want = kron(a, b), np.kron(a, b)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+
+
 def test_normalize_phase_wraps_into_period():
     assert normalize_phase(2.0 * np.pi) == pytest.approx(0.0, abs=1e-12)
     assert normalize_phase(-np.pi / 2) == pytest.approx(3 * np.pi / 2)

@@ -188,7 +188,8 @@ def test_probability_deficit_matches_postselection_loss():
     # summed over the (uniform) input set, every setting sees the same
     # total: n_inputs times the channel trace
     design = default_design()
-    channel = replication_experiment_channel(1.1, OpticsParams.measured())
+    channel = choi_from_kraus(
+        replication_experiment_channel(1.1, OpticsParams.measured()))
     p = design.probabilities(channel).reshape(36, 9, 4)
     per_setting = p.sum(axis=(0, 2))
     assert np.max(np.abs(per_setting - 36.0 * channel.trace)) < 1e-10
@@ -237,7 +238,7 @@ def test_probabilities_match_the_dense_reference(params):
     design = default_design()
     dense = _dense_matrix(design)
     for phi in standard_phases():
-        channel = replication_experiment_channel(phi, params)
+        channel = choi_from_kraus(replication_experiment_channel(phi, params))
         reference = (dense @ channel.matrix.reshape(-1)).real
         p = design.probabilities(channel)
         assert np.max(np.abs(p - reference)) <= 1e-15
@@ -374,8 +375,8 @@ def test_mle_loglikelihood_is_monotone():
 
 def test_reconstruction_improves_with_rate():
     design = default_design()
-    channel = replication_experiment_channel(math.pi / 2,
-                                             OpticsParams.measured())
+    channel = choi_from_kraus(replication_experiment_channel(
+        math.pi / 2, OpticsParams.measured()))
     truth = channel.normalized().matrix
     fids = []
     for k, rate in enumerate((1e3, 1e4, 1e5)):
