@@ -10,7 +10,6 @@ process matrices) are documented in :mod:`phaserep.qmat` and
 
 from .choi import (
     ProcessMatrix,
-    apply_channel,
     choi_from_kraus,
     choi_vector,
     gate_fidelity,
@@ -53,13 +52,11 @@ from .superrep import (
     phase_profile,
     replicated_map,
     replication_fidelity,
-    sandwich_diagonal,
     worst_case_fidelity,
 )
 from .tomo import (
     FidelityStats,
     FitResult,
-    MleOptions,
     MleResult,
     PhaseReport,
     PipelineReport,
@@ -82,7 +79,6 @@ __version__ = "0.1.0"
 __all__ = [
     "FidelityStats",
     "FitResult",
-    "MleOptions",
     "MleResult",
     "OpticsParams",
     "PhaseReport",
@@ -93,7 +89,6 @@ __all__ = [
     "TomographyDataset",
     "TomographyDesign",
     "ancilla_imprint",
-    "apply_channel",
     "asymptotic_sweep",
     "baseline_measure_prepare",
     "baseline_single_copy",
@@ -128,7 +123,6 @@ __all__ = [
     "replicated_map",
     "replication_experiment_channel",
     "replication_fidelity",
-    "sandwich_diagonal",
     "sector_operators",
     "simulate_counts",
     "standard_phases",

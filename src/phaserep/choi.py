@@ -73,14 +73,6 @@ class ProcessMatrix:
     def trace(self) -> float:
         return float(np.trace(self.matrix).real)
 
-    def normalized(self) -> "ProcessMatrix":
-        """Rescale to unit trace."""
-        tr = self.trace
-        if tr <= 0.0:
-            raise ValueError("cannot normalize a process matrix with "
-                             "non-positive trace")
-        return ProcessMatrix(self.matrix / tr, self.qubits)
-
 
 def choi_from_kraus(operators: Sequence[np.ndarray]) -> ProcessMatrix:
     """chi = sum_k (I ⊗ K_k)|Phi><Phi|(I ⊗ K_k)†, unnormalized trace.
@@ -99,7 +91,7 @@ def choi_from_kraus(operators: Sequence[np.ndarray]) -> ProcessMatrix:
         raise ValueError("Kraus dimension must be a power of 2")
     chi = np.zeros((d * d, d * d), dtype=np.complex128)
     for m in mats:
-        v = m.T.reshape(-1) / np.sqrt(d)
+        v = choi_vector(m)
         chi += np.outer(v, v.conj())
     return ProcessMatrix(chi, n)
 
@@ -154,21 +146,6 @@ def process_fidelity(
         f = float(sum(abs(np.vdot(u, m)) ** 2 for m in mats)) / (d * weight)
     # Clip float noise; chi is PSD so f is in [0, 1] mathematically.
     return min(max(f, 0.0), 1.0)
-
-
-def apply_channel(chi: ProcessMatrix, rho: np.ndarray) -> np.ndarray:
-    """Act with the channel on a density matrix.
-
-    Returns the bare output density matrix, possibly sub-normalized when
-    the channel is trace-nonincreasing (its trace is then the success
-    probability of the postselected map).
-    """
-    rho = np.asarray(rho, dtype=np.complex128)
-    if rho.shape != (chi.dim, chi.dim):
-        raise ValueError("state and channel dimensions differ")
-    d = chi.dim
-    chi4 = chi.matrix.reshape(d, d, d, d)
-    return np.einsum("mn,manb->ab", rho, chi4) * d
 
 
 def process_matrix_to_json(chi: ProcessMatrix) -> dict:

@@ -46,7 +46,8 @@ from .svgplot import Series, heatmap_grid, line_plot
 ARTIFACT_VERSION = 2
 OUT_DIR_ENV = "PHASEREP_OUT_DIR"
 
-_OPTICS_KEYS = ("r_v", "r_h", "visibility", "phase_jitter_sigma")
+_OPTICS_KEYS = tuple(f.name for f in dataclasses.fields(OpticsParams))
+_PRESETS = {"ideal": OpticsParams.ideal, "measured": OpticsParams.measured}
 
 # the result-affecting config keys each command reads; these and only
 # these go into its config hash
@@ -74,7 +75,7 @@ _FLAGS = {
     "phases": {"help": "comma-separated radians, or 'standard' (k*pi/8)"},
     "rate": {"type": float, "help": "expected counts per input/setting"},
     "trials": {"type": int, "help": "Monte Carlo trials (0 = no error bars)"},
-    "preset": {"choices": ("ideal", "measured"), "help": "optics preset"},
+    "preset": {"choices": tuple(_PRESETS), "help": "optics preset"},
 }
 
 
@@ -152,10 +153,10 @@ def _load_config_file(path: str, command: str) -> dict:
 
 
 def _resolve_optics(preset: str, overrides: dict | None) -> OpticsParams:
-    _require(preset in ("ideal", "measured"),
-             f"preset must be 'ideal' or 'measured', got {preset!r}")
-    params = OpticsParams.ideal() if preset == "ideal" \
-        else OpticsParams.measured()
+    _require(preset in _PRESETS,
+             f"preset must be {' or '.join(map(repr, _PRESETS))}, "
+             f"got {preset!r}")
+    params = _PRESETS[preset]()
     if overrides:
         _require(isinstance(overrides, dict), "optics must be an object")
         for key in overrides:
@@ -302,6 +303,26 @@ def _csv_text(meta: dict, columns: Sequence[str],
     return "\n".join(lines) + "\n"
 
 
+def _write_table(config: SimpleNamespace, out: Path, meta: dict, stem: str,
+                 columns: Sequence[str], rows: Sequence[Sequence],
+                 plot: tuple) -> None:
+    """Write ``<stem>.csv`` and, when figures are on, ``<stem>.svg``.
+
+    ``plot`` is (title, x column, xlabel, ylabel, series), each series a
+    (label, y column, error column or None) drawn against the x column.
+    """
+    _write_text(out / f"{stem}.csv", _csv_text(meta, columns, rows))
+    if config.svg:
+        title, x, xlabel, ylabel, series = plot
+        col = {name: [row[k] for row in rows]
+               for k, name in enumerate(columns)}
+        svg = line_plot(
+            [Series(label, col[x], col[y], None if err is None else col[err])
+             for label, y, err in series],
+            title=title, xlabel=xlabel, ylabel=ylabel)
+        _write_text(out / f"{stem}.svg", svg)
+
+
 def _json_text(doc: dict) -> str:
     return json.dumps(doc, indent=1, sort_keys=True) + "\n"
 
@@ -339,20 +360,13 @@ def cmd_replicate(config: SimpleNamespace) -> int:
     columns = ["phi", "f_uu_ideal", "f_uu_noisy", "f_cu_noisy",
                "baseline_single_copy", "baseline_measure_prepare",
                "twirled_mean", "optimal_cloner"]
-    _write_text(out / "replicate.csv", _csv_text(meta, columns, rows))
-    if config.svg:
-        phis = [r[0] for r in rows]
-        svg = line_plot(
-            [
-                Series("two-copy ideal", phis, [r[1] for r in rows]),
-                Series("two-copy noisy", phis, [r[2] for r in rows]),
-                Series("controlled-U noisy", phis, [r[3] for r in rows]),
-                Series("optimal cloner", phis, [r[7] for r in rows]),
-            ],
-            title="replication fidelity vs phase",
-            xlabel="phase (rad)", ylabel="process fidelity",
-        )
-        _write_text(out / "replicate.svg", svg)
+    _write_table(config, out, meta, "replicate", columns, rows, (
+        "replication fidelity vs phase", "phi", "phase (rad)",
+        "process fidelity",
+        [("two-copy ideal", "f_uu_ideal", None),
+         ("two-copy noisy", "f_uu_noisy", None),
+         ("controlled-U noisy", "f_cu_noisy", None),
+         ("optimal cloner", "optimal_cloner", None)]))
     return 0
 
 
@@ -368,38 +382,32 @@ def cmd_superrep(config: SimpleNamespace) -> int:
     rows = [[r.copies, r.replicas, r.alpha, r.worst_phi, r.worst_fidelity]
             for r in sweep]
     columns = ["n", "m", "alpha", "phi", "fidelity"]
-    _write_text(out / "superrep.csv", _csv_text(meta, columns, rows))
-    if config.svg:
-        svg = line_plot(
-            [Series("worst-case fidelity", [r[0] for r in rows],
-                    [r[4] for r in rows])],
-            title="superreplication worst-case fidelity",
-            xlabel="input copies N", ylabel="fidelity",
-        )
-        _write_text(out / "superrep.svg", svg)
+    _write_table(config, out, meta, "superrep", columns, rows, (
+        "superreplication worst-case fidelity", "n", "input copies N",
+        "fidelity", [("worst-case fidelity", "fidelity", None)]))
     return 0
 
 
 def cmd_tomo(config: SimpleNamespace) -> int:
     """Simulated counts -> MLE reconstruction -> fidelities and fit."""
     out = _prepare_out_dir(config)
-    design = tomo.default_design()
-    report = tomo.experiment_pipeline(
-        config.optics, config.phases, config.rate, config.trials,
-        config.seed, design=design,
-    )
+    report = tomo.experiment_pipeline(config.optics, config.phases,
+                                      config.rate, config.trials, config.seed)
     meta = _metadata(config)
 
     counts_tmp = out / "counts.csv.tmp"
     tomo.write_datasets_csv(counts_tmp, [r.dataset for r in report.rows],
-                            design, header_lines=_metadata_lines(meta))
+                            tomo.default_design(),
+                            header_lines=_metadata_lines(meta))
     os.replace(counts_tmp, out / "counts.csv")
 
     columns = ["phi", "f_cu", "f_cu_std", "f_uu", "f_uu_std",
                "iterations", "converged", "optimality_gap"]
-    rows = [[r.phi, r.f_cu, r.f_cu_std, r.f_uu, r.f_uu_std, r.iterations,
-             r.converged, r.optimality_gap] for r in report.rows]
-    _write_text(out / "fidelities.csv", _csv_text(meta, columns, rows))
+    rows = [[getattr(r, c) for c in columns] for r in report.rows]
+    _write_table(config, out, meta, "fidelities", columns, rows, (
+        "reconstructed process fidelities", "phi", "phase (rad)",
+        "process fidelity",
+        [("F_CU", "f_cu", "f_cu_std"), ("F_UU", "f_uu", "f_uu_std")]))
 
     for k, row in enumerate(report.rows):
         doc = {
@@ -417,50 +425,24 @@ def cmd_tomo(config: SimpleNamespace) -> int:
             )
             _write_text(out / f"chi_{k:02d}.svg", svg)
 
-    def _std(value):
-        return None if not np.isfinite(value) else _f17(value)
+    def _cell(value):
+        # counts and flags as they are, a NaN (no error bar) as null
+        if isinstance(value, int):
+            return value
+        return _f17(value) if math.isfinite(value) else None
 
     report_doc = {
         "metadata": meta,
         "rate": _f17(report.rate),
         "trials": report.trials,
         "phases": [_f17(p) for p in report.phases],
-        "rows": [
-            {
-                "phi": _f17(r.phi),
-                "f_cu": _f17(r.f_cu),
-                "f_cu_std": _std(r.f_cu_std),
-                "f_uu": _f17(r.f_uu),
-                "f_uu_std": _std(r.f_uu_std),
-                "iterations": r.iterations,
-                "converged": r.converged,
-                "optimality_gap": _f17(r.optimality_gap),
-            }
-            for r in report.rows
-        ],
+        "rows": [dict(zip(columns, map(_cell, row))) for row in rows],
         "mean_f_cu": _f17(float(np.mean([r.f_cu for r in report.rows]))),
         "mean_f_uu": _f17(float(np.mean([r.f_uu for r in report.rows]))),
         "fit": None if report.fit is None else {
-            "offset": _f17(report.fit.offset),
-            "amplitude": _f17(report.fit.amplitude),
-            "residual_rms": _f17(report.fit.residual_rms),
-        },
+            k: _f17(v) for k, v in dataclasses.asdict(report.fit).items()},
     }
     _write_text(out / "report.json", _json_text(report_doc))
-
-    if config.svg:
-        phis = [r.phi for r in report.rows]
-        svg = line_plot(
-            [
-                Series("F_CU", phis, [r.f_cu for r in report.rows],
-                       [r.f_cu_std for r in report.rows]),
-                Series("F_UU", phis, [r.f_uu for r in report.rows],
-                       [r.f_uu_std for r in report.rows]),
-            ],
-            title="reconstructed process fidelities",
-            xlabel="phase (rad)", ylabel="process fidelity",
-        )
-        _write_text(out / "fidelities.svg", svg)
     return 0
 
 
@@ -482,21 +464,11 @@ def cmd_optics_scan(config: SimpleNamespace) -> int:
         f_cu = process_fidelity(channel, cu_phase(config.phi))
         rows.append([config.parameter, value, f_toffoli, f_cu, success])
     columns = ["parameter", "value", "f_toffoli", "f_cu", "success"]
-    _write_text(out / "optics_scan.csv", _csv_text(meta, columns, rows))
-    if config.svg:
-        values = [r[1] for r in rows]
-        svg = line_plot(
-            [
-                Series("Toffoli fidelity", values, [r[2] for r in rows]),
-                Series("controlled-U fidelity", values,
-                       [r[3] for r in rows]),
-                Series("success probability", values,
-                       [r[4] for r in rows]),
-            ],
-            title=f"imperfection sweep: {config.parameter}",
-            xlabel=config.parameter, ylabel="value",
-        )
-        _write_text(out / "optics_scan.svg", svg)
+    _write_table(config, out, meta, "optics_scan", columns, rows, (
+        f"imperfection sweep: {config.parameter}", "value", config.parameter,
+        "value", [("Toffoli fidelity", "f_toffoli", None),
+                  ("controlled-U fidelity", "f_cu", None),
+                  ("success probability", "success", None)]))
     return 0
 
 
@@ -534,10 +506,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built by the first main call, not at import so that importing stays
+# cheap, and reused by later calls
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
         config = resolve_config(args)
         return _COMMANDS[config.command](config)
     except (ConfigError, ValueError) as exc:

@@ -172,9 +172,11 @@ def dephase_spatial(
         return kraus
     lam = math.exp(-0.5 * sigma * sigma)
     p_keep = 0.5 * (1.0 + lam)
-    z = np.kron(np.diag([1.0, -1.0]), np.eye(kraus[0].shape[0] // 2))
+    # Z on the most significant qubit negates the lower half of the rows
+    half = kraus[0].shape[0] // 2
     out = [math.sqrt(p_keep) * m for m in kraus]
-    out += [math.sqrt(1.0 - p_keep) * (z @ m) for m in kraus]
+    out += [math.sqrt(1.0 - p_keep) * np.concatenate((m[:half], -m[half:]))
+            for m in kraus]
     return out
 
 

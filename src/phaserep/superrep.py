@@ -98,22 +98,6 @@ def replicated_map(spec: ReplicationSpec, phi: float) -> np.ndarray:
     return np.exp(1j * phi * phase_profile(spec)[_weight_table(m)])
 
 
-def sandwich_diagonal(spec: ReplicationSpec, phi: float) -> np.ndarray:
-    """Diagonal of V (I ⊗ U(phi)^{⊗copies}) V on the full register.
-
-    V conjugates the ancilla-diagonal phase e^{i phi |n|}, so the result
-    is again diagonal with entry e^{i phi |n xor k(m)|} at |m>|n>; this
-    is computed by gathering through the permutation of V, independently
-    of the phase-profile shortcut, and is what the replicated-map tests
-    compare against.  Its ancilla-|0> sector, the entries at m << copies,
-    is the replicated map.
-    """
-    phi = normalize_phase(phi)
-    n = spec.copies
-    perm = build_V(spec)
-    return np.exp(1j * phi * _weight_table(n)[perm & ((1 << n) - 1)])
-
-
 def _fidelity_terms(spec: ReplicationSpec
                     ) -> tuple[np.ndarray, np.ndarray]:
     """Weights c_w = C(M, w) / 2^M and phase offsets g_w = f(w) - w.

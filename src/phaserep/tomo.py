@@ -254,11 +254,9 @@ def simulate_counts(
     return TomographyDataset(phase, counts, rate)
 
 
-@dataclass(frozen=True)
-class MleOptions:
-    max_iterations: int = 5000
-    # stop when the log-likelihood gain per observed count drops below this
-    gain_tolerance: float = 1e-10
+MAX_ITERATIONS = 5000
+# stop when the log-likelihood gain per observed count drops below this
+GAIN_TOLERANCE = 1e-10
 
 
 @dataclass(frozen=True)
@@ -291,8 +289,8 @@ def _unit_trace(m: np.ndarray) -> np.ndarray:
     return m / np.trace(m, axis1=-2, axis2=-1).real[..., None, None]
 
 
-def _mle_batch(counts: np.ndarray, design: TomographyDesign,
-               options: MleOptions) -> list[MleResult]:
+def _mle_batch(counts: np.ndarray, design: TomographyDesign
+               ) -> list[MleResult]:
     """RrhoR ascent for every row of ``counts`` (trials x design rows).
 
     The trials still running advance together as (trials, 16, 16)
@@ -350,7 +348,7 @@ def _mle_batch(counts: np.ndarray, design: TomographyDesign,
         chi_out[gone], p_out[gone], ll_out[gone] = (
             chi[leaving], p[leaving], ll[leaving])
 
-    for it in range(1, options.max_iterations + 1):
+    for it in range(1, MAX_ITERATIONS + 1):
         if live.size == 0:
             break
         # R = sum_j (n_j / p_j) O_j; rows without counts have weight 0
@@ -386,7 +384,7 @@ def _mle_batch(counts: np.ndarray, design: TomographyDesign,
         for k, v in zip(live.tolist(), ll.tolist()):
             ll_traces[k].append(v)
         iterations[live] = it
-        done = gain / total < options.gain_tolerance
+        done = gain / total < GAIN_TOLERANCE
         if done.any():
             converged[live[done]] = True
             retire(done)
@@ -419,7 +417,6 @@ def _mle_batch(counts: np.ndarray, design: TomographyDesign,
 def mle_reconstruct(
     dataset: TomographyDataset,
     design: TomographyDesign,
-    options: MleOptions | None = None,
 ) -> MleResult:
     """Maximum-likelihood process matrix via RrhoR fixed-point ascent.
 
@@ -439,8 +436,7 @@ def mle_reconstruct(
     ``experiment_pipeline`` run on many count vectors at once; the
     result is bit-identical to the one the same counts get there.
     """
-    return _mle_batch(dataset.counts[None, :], design,
-                      options or MleOptions())[0]
+    return _mle_batch(dataset.counts[None, :], design)[0]
 
 
 @dataclass(frozen=True)
@@ -455,7 +451,6 @@ def monte_carlo_errors(
     trials: int,
     targets: Mapping[str, np.ndarray],
     seed,
-    options: MleOptions | None = None,
 ) -> dict[str, FidelityStats]:
     """Poissonian bootstrap of the reconstruction's fidelity error bars.
 
@@ -472,7 +467,7 @@ def monte_carlo_errors(
     resampled = np.array(
         [np.random.default_rng(stream).poisson(dataset.counts)
          for stream in seed.spawn(trials)], dtype=np.float64)
-    results = _mle_batch(resampled, design, options or MleOptions())
+    results = _mle_batch(resampled, design)
     values = {
         name: [process_fidelity(result.chi, target) for result in results]
         for name, target in targets.items()
@@ -545,8 +540,6 @@ def experiment_pipeline(
     rate: float = 1e4,
     trials: int = 0,
     seed: int = 0,
-    design: TomographyDesign | None = None,
-    options: MleOptions | None = None,
 ) -> PipelineReport:
     """Full simulated run: channel -> counts -> MLE -> fidelities -> fit.
 
@@ -559,8 +552,7 @@ def experiment_pipeline(
     """
     phases = tuple(normalize_phase(p) for p in (
         standard_phases() if phases is None else phases))
-    design = design or default_design()
-    options = options or MleOptions()
+    design = default_design()
     streams = [s.spawn(2) for s in
                np.random.SeedSequence(seed).spawn(len(phases))]
     datasets = [
@@ -570,7 +562,7 @@ def experiment_pipeline(
     ]
     results = _mle_batch(
         np.array([d.counts for d in datasets]).reshape(-1, design.size),
-        design, options)
+        design)
     rows = []
     for phi, dataset, result, (_, mc_stream) in zip(phases, datasets,
                                                     results, streams):
@@ -581,7 +573,7 @@ def experiment_pipeline(
         f_cu_std = f_uu_std = float("nan")
         if trials >= 2:
             stats = monte_carlo_errors(dataset, design, trials, targets,
-                                       mc_stream, options)
+                                       mc_stream)
             f_cu_std = stats["cu"].std
             f_uu_std = stats["uu"].std
         chi_ideal = choi_from_kraus([targets["cu"]])

@@ -7,7 +7,6 @@ import pytest
 
 from phaserep.choi import (
     ProcessMatrix,
-    apply_channel,
     choi_from_kraus,
     choi_vector,
     gate_fidelity,
@@ -56,6 +55,9 @@ def test_choi_from_kraus_unitary_is_rank_one():
     assert chi.trace == pytest.approx(1.0, abs=1e-12)
     eigs = np.sort(np.linalg.eigvalsh(chi.matrix))
     assert np.max(np.abs(eigs - np.array([0.0, 0.0, 0.0, 1.0]))) < 1e-12
+    # K = I/2 models a 1/4-probability postselection
+    chi = choi_from_kraus([0.5 * np.eye(2)])
+    assert chi.trace == pytest.approx(0.25, abs=1e-14)
 
 
 def test_choi_from_kraus_bit_flip_mixture():
@@ -178,33 +180,6 @@ def test_process_fidelity_rejects_zero_trace():
             process_fidelity([X, np.full((2, 2), bad)], X)
 
 
-def test_apply_channel_reproduces_unitary_conjugation(rng):
-    v = rng.normal(size=4) + 1j * rng.normal(size=4)
-    v /= np.linalg.norm(v)
-    rho = np.outer(v, v.conj())
-    u = np.array(
-        [
-            [1, 0, 0, 0],
-            [0, 1, 0, 0],
-            [0, 0, 0, 1],
-            [0, 0, 1, 0],
-        ],
-        dtype=np.complex128,
-    )
-    chi = choi_from_kraus([u])
-    out = apply_channel(chi, rho)
-    expected = u @ rho @ u.conj().T
-    assert np.max(np.abs(out - expected)) < 1e-12
-
-
-def test_apply_channel_scales_with_postselected_kraus():
-    # K = I/2 models a 1/4-probability postselection
-    chi = choi_from_kraus([0.5 * np.eye(2)])
-    rho = np.diag([1.0, 0.0]).astype(np.complex128)
-    out = apply_channel(chi, rho)
-    assert np.max(np.abs(out - 0.25 * rho)) < 1e-14
-
-
 def test_json_rejects_other_normalizations():
     doc = process_matrix_to_json(choi_from_kraus([X]))
     for tag in ("trace_d", None):
@@ -213,12 +188,6 @@ def test_json_rejects_other_normalizations():
     del doc["normalization"]
     with pytest.raises(ValueError, match="normalization"):
         process_matrix_from_json(doc)
-
-
-def test_normalized_rescales_trace():
-    chi = choi_from_kraus([0.5 * np.eye(2)])
-    assert chi.trace == pytest.approx(0.25, abs=1e-14)
-    assert chi.normalized().trace == pytest.approx(1.0, abs=1e-14)
 
 
 def test_json_round_trip():

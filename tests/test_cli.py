@@ -44,6 +44,23 @@ def _read_csv(path):
     return header, columns, rows
 
 
+def _assert_report_rows_match_csv(out_dir):
+    # report.json's rows are fidelities.csv's rows: the same columns with
+    # the same values, and a NaN (no error bar) as null
+    rows_doc = json.loads((out_dir / "report.json").read_text())["rows"]
+    _, columns, rows = _read_csv(out_dir / "fidelities.csv")
+    assert len(rows_doc) == len(rows) > 0
+    for row, row_doc in zip(rows, rows_doc):
+        assert sorted(row_doc) == sorted(columns)
+        for c in columns:
+            value = row_doc[c]
+            if row[c] == "nan":
+                assert value is None and c.endswith("_std")
+            else:  # a flag is written as 0 or 1
+                assert row[c] == str(int(value) if isinstance(value, bool)
+                                     else value)
+
+
 def _write_config(tmp_path, doc):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(doc))
@@ -186,10 +203,10 @@ def test_tomo_artifacts_and_reproducibility(tmp_path):
     assert columns == ["phi", "f_cu", "f_cu_std", "f_uu", "f_uu_std",
                        "iterations", "converged", "optimality_gap"]
     assert [r["converged"] for r in rows] == ["1", "1"]
-    for r, row_doc in zip(rows, report["rows"]):
+    for r in rows:
         assert math.isnan(float(r["f_cu_std"]))  # no trials requested
         assert math.isfinite(float(r["optimality_gap"]))
-        assert row_doc["optimality_gap"] == r["optimality_gap"]
+    _assert_report_rows_match_csv(d1)
 
 
 def test_tomo_artifacts_have_one_line_terminator(tmp_path):
@@ -212,6 +229,7 @@ def test_tomo_error_bars_and_single_phase_fit(tmp_path):
     assert float(row["f_cu_std"]) >= 0.0
     _, _, rows = _read_csv(tmp_path / "fidelities.csv")
     assert math.isfinite(float(rows[0]["f_uu_std"]))
+    _assert_report_rows_match_csv(tmp_path)
 
 
 def test_tomo_svg_outputs(tmp_path):
@@ -404,6 +422,24 @@ def test_out_dir_collision_exits_1(tmp_path):
     blocker.write_text("")
     assert main(["replicate", "--out-dir", str(blocker),
                  "--phases", "0.0"]) == 1
+
+
+def test_main_builds_its_parser_once(tmp_path, monkeypatch):
+    # in-process drivers call main many times; only the first call
+    # builds the parser
+    built = []
+    build = cli.build_parser
+
+    def counting_build():
+        built.append(build())
+        return built[-1]
+
+    monkeypatch.setattr(cli, "build_parser", counting_build)
+    monkeypatch.setattr(cli, "_parser", None, raising=False)
+    for phi in ("0.0", "0.5"):
+        assert main(["replicate", "--phases", phi,
+                     "--out-dir", str(tmp_path / phi)]) == 0
+    assert len(built) == 1
 
 
 def test_internal_failure_exits_2(tmp_path, monkeypatch):

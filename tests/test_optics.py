@@ -301,6 +301,19 @@ def test_dephasing_scales_spatial_coherence():
     assert np.max(np.abs(got - want)) < 1e-12
 
 
+def test_dephasing_flip_equals_the_spatial_z_product():
+    # the row sign flip gives the values of Z (x) I times each operator,
+    # up to the sign of exact zeros, which array_equal does not see
+    kraus = replication_experiment_channel(0.8, OpticsParams.measured())
+    sigma = 0.65
+    p_keep = 0.5 * (1.0 + math.exp(-0.5 * sigma * sigma))
+    z = np.kron(np.diag([1.0, -1.0]), np.eye(2))
+    flipped = dephase_spatial(kraus, sigma)[len(kraus):]
+    assert len(flipped) == len(kraus)
+    for m, got in zip(kraus, flipped):
+        assert np.array_equal(got, math.sqrt(1.0 - p_keep) * (z @ m))
+
+
 def test_dephasing_identity_at_zero_sigma():
     kraus = [cu_phase(0.3)]
     assert dephase_spatial(kraus, 0.0) is kraus

@@ -33,6 +33,39 @@ def test_public_names_resolve():
     assert len(set(phaserep.__all__)) == len(phaserep.__all__)
 
 
+# the public names that nothing in src/, demos/ or perfbench/ uses, each
+# with the reason it stays public
+_UNCALLED_PUBLIC_NAMES = {
+    "expected_counts": "the noise-free oracle of the tomography tests",
+    "process_matrix_from_json": "reads the chi_NN.json files of tomo",
+    "read_datasets_csv": "reads the counts.csv file of tomo",
+}
+
+
+def _referenced_names() -> set[str]:
+    # every name read as a variable or an attribute in the package
+    # modules, the demos and the benchmark; a def or class line defines
+    # its name without reading it, and __init__.py only re-exports
+    paths = [p for p in (ROOT / "src" / "phaserep").glob("*.py")
+             if p.name != "__init__.py"]
+    paths += list((ROOT / "demos").glob("*.py"))
+    paths += list((ROOT / "perfbench").rglob("*.py"))
+    names = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+    return names
+
+
+def test_public_names_have_a_caller():
+    used = _referenced_names()
+    uncalled = sorted(n for n in phaserep.__all__ if n not in used)
+    assert uncalled == sorted(_UNCALLED_PUBLIC_NAMES)
+
+
 def _trace_targets() -> list[str]:
     # the keys of perfbench/run.py's TRACE_TARGETS, read without importing
     # the benchmark harness

@@ -6,10 +6,11 @@ import pytest
 
 from phaserep.choi import gate_fidelity
 from phaserep.gates import phase_gate, toffoli
-from phaserep.qmat import REGISTER_CAP
+from phaserep.qmat import REGISTER_CAP, normalize_phase
 from phaserep.superrep import (
     ReplicationSpec,
     _fidelity_terms,
+    _weight_table,
     ancilla_imprint,
     asymptotic_sweep,
     build_V,
@@ -18,7 +19,6 @@ from phaserep.superrep import (
     phase_profile,
     replicated_map,
     replication_fidelity,
-    sandwich_diagonal,
     worst_case_fidelity,
 )
 
@@ -56,6 +56,22 @@ def _dense_v(perm):
     mat = np.zeros((perm.size, perm.size))
     mat[perm, np.arange(perm.size)] = 1.0
     return mat
+
+
+def sandwich_diagonal(spec: ReplicationSpec, phi: float) -> np.ndarray:
+    """Diagonal of V (I ⊗ U(phi)^{⊗copies}) V on the full register.
+
+    V conjugates the ancilla-diagonal phase e^{i phi |n|}, so the result
+    is again diagonal with entry e^{i phi |n xor k(m)|} at |m>|n>; this
+    is computed by gathering through the permutation of V, independently
+    of the phase-profile shortcut, as the oracle of the replicated-map
+    tests.  Its ancilla-|0> sector, the entries at m << copies, is the
+    replicated map.
+    """
+    phi = normalize_phase(phi)
+    n = spec.copies
+    perm = build_V(spec)
+    return np.exp(1j * phi * _weight_table(n)[perm & ((1 << n) - 1)])
 
 
 def test_phase_profile_piecewise_window():

@@ -7,7 +7,6 @@ import pytest
 
 from phaserep import (
     FitResult,
-    MleOptions,
     OpticsParams,
     TomographyDataset,
     baseline_single_copy,
@@ -29,6 +28,7 @@ from phaserep import (
     standard_phases,
     write_datasets_csv,
 )
+from phaserep import tomo
 from phaserep.qmat import PROJECTOR_KETS
 from phaserep.tomo import (
     MEASUREMENT_BASES,
@@ -377,7 +377,7 @@ def test_reconstruction_improves_with_rate():
     design = default_design()
     channel = choi_from_kraus(replication_experiment_channel(
         math.pi / 2, OpticsParams.measured()))
-    truth = channel.normalized().matrix
+    truth = channel.matrix / channel.trace
     fids = []
     for k, rate in enumerate((1e3, 1e4, 1e5)):
         ds = simulate_counts(channel, design, rate, 11 + 100 * k)
@@ -477,11 +477,12 @@ def test_mle_matches_the_dense_reference(rate, seed):
     assert np.max(np.abs(result.chi.matrix - chi)) <= 1e-12
 
 
-def test_mle_respects_iteration_cap():
+def test_mle_respects_iteration_cap(monkeypatch):
     design = default_design()
     target = cu_phase(math.pi / 2)
     ds = expected_counts(choi_from_kraus([target]), design, 1e4)
-    result = mle_reconstruct(ds, design, MleOptions(max_iterations=3))
+    monkeypatch.setattr(tomo, "MAX_ITERATIONS", 3)
+    result = mle_reconstruct(ds, design)
     assert not result.converged
     assert result.iterations == 3
 
@@ -496,23 +497,23 @@ def _five_row_counts(design, seed):
     return counts
 
 
-def test_batched_solve_matches_single_solves():
+def test_batched_solve_matches_single_solves(monkeypatch):
     design = default_design()
     channel = replication_experiment_channel(0.8, OpticsParams.measured())
     counts = [simulate_counts(channel, design, rate, seed).counts
               for rate, seed in ((1e3, 3), (1e4, 4), (1e5, 5))]
     counts += [_five_row_counts(design, 2), np.zeros(design.size)]
     capped = simulate_counts(channel, design, 1e4, 6).counts
-    options = MleOptions(max_iterations=3)
 
     singles = [mle_reconstruct(TomographyDataset(0.0, c, 1.0), design)
                for c in counts]
+    batch = _mle_batch(np.array(counts), design)
+    # the capped solve runs inside a mixed batch
+    monkeypatch.setattr(tomo, "MAX_ITERATIONS", 3)
     singles.append(mle_reconstruct(TomographyDataset(0.0, capped, 1.0),
-                                   design, options))
-    batch = _mle_batch(np.array(counts), design, MleOptions())
-    # the capped solve runs with its own options, inside a mixed batch
+                                   design))
     batch.append(_mle_batch(np.array([counts[1], capped, counts[3]]),
-                            design, options)[1])
+                            design)[1])
 
     for alone, stacked in zip(singles, batch):
         assert np.array_equal(alone.chi.matrix, stacked.chi.matrix)
@@ -588,7 +589,7 @@ def test_bootstrap_of_sparse_counts_has_empty_resamples():
     empty = resampled.sum(axis=1) == 0.0
     assert 0 < empty.sum() < trials
 
-    results = _mle_batch(resampled, design, MleOptions())
+    results = _mle_batch(resampled, design)
     for result, is_empty in zip(results, empty):
         assert result.converged
         if is_empty:
