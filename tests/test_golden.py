@@ -40,6 +40,10 @@ RUNS = {
         ["replicate", "--preset", "measured", "--phases", "7.0,-1.5,0.3"],
         None, CLOSED_FORM_RTOL),
     "superrep": (["superrep", "--svg"], None, CLOSED_FORM_RTOL),
+    # N up to 158 (M = 1986) on a grid of several kernel blocks
+    "superrep-wide": (["superrep"],
+                      {"n_list": [16, 61, 158], "phi_grid_size": 1000},
+                      CLOSED_FORM_RTOL),
     "optics-scan": (["optics-scan", "--svg"], None, CLOSED_FORM_RTOL),
     "optics-scan-jitter": (
         ["optics-scan"],

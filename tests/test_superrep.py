@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -8,8 +9,10 @@ from phaserep.choi import gate_fidelity
 from phaserep.gates import phase_gate, toffoli
 from phaserep.qmat import REGISTER_CAP, normalize_phase
 from phaserep.superrep import (
+    _BLOCK,
     ReplicationSpec,
     _fidelity_terms,
+    _infidelities,
     _weight_table,
     ancilla_imprint,
     asymptotic_sweep,
@@ -264,12 +267,76 @@ def test_one_to_two_worst_case_is_quarter():
 
 
 def test_worst_case_scans_the_given_grid():
-    spec = ReplicationSpec(copies=2, replicas=4)
-    grid = np.linspace(0.0, math.pi, 7)
-    phi, fid = worst_case_fidelity(spec, grid)
-    values = [replication_fidelity(spec, p) for p in grid]
-    assert fid == min(values)
-    assert phi == grid[int(np.argmin(values))]
+    # a phase's value must not depend on the grid size or on its position
+    # in the kernel's blocks: every grid value equals the one-phase value
+    rng = np.random.default_rng(5)
+    sizes = (1, 7, 513, 2 * _BLOCK + 3)
+    for n, m in ((1, 2), (2, 4), (2, 2), (10, 100), (158, 1986)):
+        spec = ReplicationSpec(copies=n, replicas=m)
+        terms = _fidelity_terms(spec)
+        for size in sizes:
+            grid = (np.linspace(0.0, math.pi, size) if size < 100
+                    else rng.uniform(-1.0, 7.0, size))
+            phi, fid = worst_case_fidelity(spec, grid)
+            values = 1.0 - _infidelities(terms, grid)
+            singles = [1.0 - float(_infidelities(terms, grid[j:j + 1])[0])
+                       for j in range(size)]
+            assert values.tolist() == singles
+            # replication_fidelity is that one-phase path; it rebuilds the
+            # weights per call, so at M = 1986 it is checked on a stride
+            stride = 1 if m < 1000 else 61
+            assert all(replication_fidelity(spec, grid[j]) == singles[j]
+                       for j in range(0, size, stride))
+            assert fid == min(singles)
+            assert phi == grid[int(np.argmin(singles))]
+
+
+def test_non_finite_phases_and_non_1d_grids_are_rejected():
+    for spec in (ReplicationSpec(2, 4), ReplicationSpec(2, 2)):
+        for bad in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite"):
+                replication_fidelity(spec, bad)
+            with pytest.raises(ValueError, match="finite"):
+                worst_case_fidelity(spec, [bad, 1.0])
+        for grid in (np.zeros((2, 3)), 0.5):
+            with pytest.raises(ValueError, match="one-dimensional"):
+                worst_case_fidelity(spec, grid)
+        with pytest.raises(ValueError, match="empty"):
+            worst_case_fidelity(spec, [])
+
+
+def test_infidelity_against_high_precision_tail_sum():
+    # at M = 8000 the infidelity is 1.5e-5, where 1 - |S|^2 keeps only
+    # 11 digits; the tail sum D keeps them all
+    spec = ReplicationSpec(copies=400, replicas=8000)
+    phi = math.pi
+    m = spec.replicas
+    exponents = phase_profile(spec) - np.arange(m + 1) + spec.m_min
+    with mpmath.workdps(40):
+        angle = mpmath.mpf(phi)
+        tail, binomial = mpmath.mpc(0), 1
+        for w in range(m + 1):
+            k = int(exponents[w])
+            if k:
+                tail += binomial * (1 - mpmath.expj(angle * k))
+            binomial = binomial * (m - w) // (w + 1)
+        tail /= mpmath.mpf(2) ** m
+        expected = 2 * tail.real - abs(tail) ** 2
+    got = _infidelities(_fidelity_terms(spec), np.array([phi]))[0]
+    assert abs(got - expected) < 1e-13 * expected
+
+
+def test_worst_case_memory_does_not_grow_with_the_grid():
+    # unblocked, each (grid x sqrt(M)) temporary would take about 7 MB
+    spec = ReplicationSpec(copies=158, replicas=1986)
+    grid = np.linspace(0.0, math.pi, 20000)
+    tracemalloc.start()
+    try:
+        worst_case_fidelity(spec, grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
 
 
 def test_default_grid_covers_half_period():
