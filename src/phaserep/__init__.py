@@ -12,7 +12,6 @@ from .choi import (
     ProcessMatrix,
     choi_from_kraus,
     choi_vector,
-    gate_fidelity,
     process_fidelity,
     process_matrix_from_json,
     process_matrix_to_json,
@@ -106,7 +105,6 @@ __all__ = [
     "experiment_pipeline",
     "fidelity_replicas",
     "fit_cosine",
-    "gate_fidelity",
     "kron",
     "mle_reconstruct",
     "monte_carlo_errors",

@@ -40,27 +40,24 @@ class ProcessMatrix:
 
     def __post_init__(self):
         m = np.array(self.matrix, dtype=np.complex128)
-        d2 = 4 ** self.qubits
-        if m.shape != (d2, d2):
+        # side == 4 ** qubits, tested without forming the power, which
+        # a huge qubits read from a file would make enormous
+        side = m.shape[0] if m.ndim == 2 else 0
+        if m.shape != (side, side) or side & (side - 1) \
+                or side.bit_length() != 2 * self.qubits + 1:
             raise ValueError(
                 f"process matrix for {self.qubits} qubits must be "
-                f"{d2}x{d2}"
+                f"4^{self.qubits} x 4^{self.qubits}, got shape {m.shape}"
             )
         # NaN passes the tolerance tests below, so reject it first
         if not np.all(np.isfinite(m)):
             raise ValueError("process matrix entries must be finite")
         if np.max(np.abs(m - m.conj().T)) > 1e-10:
             raise ValueError("process matrix must be Hermitian")
-        # PSD up to 1e-8 * scale: one Cholesky factorization of the
-        # shifted matrix; the eigenvalues only word the rejection
-        tol = 1e-8 * max(1.0, float(np.trace(m).real))
-        try:
-            np.linalg.cholesky(m + tol * np.eye(d2))
-        except np.linalg.LinAlgError:
-            low = float(np.min(np.linalg.eigvalsh(m)))
-            if low < -tol:
-                raise ValueError(
-                    f"process matrix has eigenvalue {low} < 0") from None
+        # PSD up to 1e-8 * scale
+        low = float(np.min(np.linalg.eigvalsh(m)))
+        if low < -1e-8 * max(1.0, float(np.trace(m).real)):
+            raise ValueError(f"process matrix has eigenvalue {low} < 0")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
@@ -94,18 +91,6 @@ def choi_from_kraus(operators: Sequence[np.ndarray]) -> ProcessMatrix:
         v = choi_vector(m)
         chi += np.outer(v, v.conj())
     return ProcessMatrix(chi, n)
-
-
-def gate_fidelity(u1: np.ndarray, u2: np.ndarray) -> float:
-    """|Tr[U2† U1]|² / 2^{2n} — overlap of the two Choi states.
-
-    Both operators are expected to be unitary (not re-verified here, to
-    keep wide-register sweeps cheap); their shapes must match.
-    """
-    if u1.shape != u2.shape:
-        raise ValueError("gate_fidelity requires equal dimensions")
-    tr = np.trace(u2.conj().T @ u1)
-    return float(abs(tr) ** 2) / (u1.shape[0] ** 2)
 
 
 def process_fidelity(
@@ -162,14 +147,30 @@ def process_matrix_to_json(chi: ProcessMatrix) -> dict:
 def process_matrix_from_json(doc: dict) -> ProcessMatrix:
     """Inverse of ``process_matrix_to_json``.
 
-    Only the unit-trace convention is understood; a document tagged with
-    any other normalization raises ``ValueError``.
+    Only the unit-trace convention is understood.  A document that is not
+    an object, is tagged with any other normalization, lacks a field, has
+    a ``qubits`` that is not an integer, or holds entries that do not form
+    one valid process matrix raises ``ValueError``.
     """
+    if not isinstance(doc, dict):
+        raise ValueError("process-matrix document must be a JSON object")
     if doc.get("normalization") != _NORMALIZATION:
         raise ValueError(
             f"unsupported process-matrix normalization "
             f"{doc.get('normalization')!r}; expected {_NORMALIZATION!r}")
-    m = np.array(doc["real"], dtype=np.float64) + 1j * np.array(
-        doc["imag"], dtype=np.float64
-    )
-    return ProcessMatrix(m, int(doc["qubits"]))
+    missing = sorted({"qubits", "real", "imag"} - doc.keys())
+    if missing:
+        raise ValueError(f"process-matrix document lacks {missing}")
+    qubits = doc["qubits"]
+    if not isinstance(qubits, int) or isinstance(qubits, bool):
+        raise ValueError(f"qubits must be an integer, got {qubits!r}")
+    try:
+        real = np.array(doc["real"], dtype=np.float64)
+        imag = np.array(doc["imag"], dtype=np.float64)
+    except (TypeError, ValueError):
+        raise ValueError("process-matrix entries must be arrays of "
+                         "numbers") from None
+    if real.shape != imag.shape:
+        raise ValueError("process-matrix real and imag parts differ in "
+                         "shape")
+    return ProcessMatrix(real + 1j * imag, qubits)

@@ -28,7 +28,7 @@ import os
 import sys
 from pathlib import Path
 from types import SimpleNamespace
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -49,14 +49,6 @@ OUT_DIR_ENV = "PHASEREP_OUT_DIR"
 _OPTICS_KEYS = tuple(f.name for f in dataclasses.fields(OpticsParams))
 _PRESETS = {"ideal": OpticsParams.ideal, "measured": OpticsParams.measured}
 
-# the result-affecting config keys each command reads; these and only
-# these go into its config hash
-_COMMAND_KEYS = {
-    "replicate": ("phases", "preset", "optics"),
-    "superrep": ("alpha", "n_list", "m_list", "phi_grid_size"),
-    "tomo": ("seed", "phases", "rate", "trials", "preset", "optics"),
-    "optics-scan": ("preset", "optics", "parameter", "values", "phi"),
-}
 # where and what to write; accepted by every command, hashed by none
 _OUTPUT_KEYS = ("out_dir", "svg")
 
@@ -91,7 +83,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _schema_hint(command: str) -> str:
-    keys = ", ".join(_OUTPUT_KEYS + _COMMAND_KEYS[command])
+    keys = ", ".join(_OUTPUT_KEYS + _COMMANDS[command].keys)
     return f"expected a JSON object; accepted keys for '{command}': {keys}"
 
 
@@ -144,7 +136,7 @@ def _load_config_file(path: str, command: str) -> dict:
     if not isinstance(doc, dict):
         raise ConfigError(_schema_hint(command))
     for key in doc:
-        if key not in _OUTPUT_KEYS + _COMMAND_KEYS[command]:
+        if key not in _OUTPUT_KEYS + _COMMANDS[command].keys:
             raise ConfigError(
                 f"unknown config key {key!r} for command '{command}'; "
                 + _schema_hint(command)
@@ -233,7 +225,7 @@ def resolve_config(args: argparse.Namespace) -> SimpleNamespace:
         return file_values.get(key, default)
 
     params: dict = {}
-    for key in _COMMAND_KEYS[command]:
+    for key in _COMMANDS[command].keys:
         params[key] = _resolve(key, pick(key, _DEFAULTS[key]), params)
     out_dir = pick("out_dir", os.environ.get(OUT_DIR_ENV, "phaserep-out"))
     svg = bool(args.svg or file_values.get("svg", False))
@@ -261,7 +253,7 @@ def _config_digest(config: SimpleNamespace) -> str:
     # different directories, with or without figures, stay byte-identical
     doc = {"command": config.command}
     doc.update((k, _canonical(getattr(config, k)))
-               for k in _COMMAND_KEYS[config.command])
+               for k in _COMMANDS[config.command].keys)
     canonical = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()
 
@@ -327,20 +319,8 @@ def _json_text(doc: dict) -> str:
     return json.dumps(doc, indent=1, sort_keys=True) + "\n"
 
 
-def _prepare_out_dir(config: SimpleNamespace) -> Path:
-    try:
-        config.out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(
-            f"cannot create output directory {config.out_dir}: {exc}"
-        ) from None
-    return config.out_dir
-
-
-def cmd_replicate(config: SimpleNamespace) -> int:
+def cmd_replicate(config: SimpleNamespace, out: Path, meta: dict) -> None:
     """Phase sweep: ideal and noisy replication fidelities vs baselines."""
-    out = _prepare_out_dir(config)
-    meta = _metadata(config)
     mp = baseline_measure_prepare()
     twirl = twirled_mean_fidelity(64)
     rows = []
@@ -367,13 +347,10 @@ def cmd_replicate(config: SimpleNamespace) -> int:
          ("two-copy noisy", "f_uu_noisy", None),
          ("controlled-U noisy", "f_cu_noisy", None),
          ("optimal cloner", "optimal_cloner", None)]))
-    return 0
 
 
-def cmd_superrep(config: SimpleNamespace) -> int:
+def cmd_superrep(config: SimpleNamespace, out: Path, meta: dict) -> None:
     """Worst-case replication fidelity along an N -> M = N^(2-alpha) law."""
-    out = _prepare_out_dir(config)
-    meta = _metadata(config)
     grid = np.linspace(0.0, math.pi, config.phi_grid_size)
     sweep = asymptotic_sweep(config.alpha, list(config.n_list),
                              phi_grid=grid,
@@ -385,15 +362,12 @@ def cmd_superrep(config: SimpleNamespace) -> int:
     _write_table(config, out, meta, "superrep", columns, rows, (
         "superreplication worst-case fidelity", "n", "input copies N",
         "fidelity", [("worst-case fidelity", "fidelity", None)]))
-    return 0
 
 
-def cmd_tomo(config: SimpleNamespace) -> int:
+def cmd_tomo(config: SimpleNamespace, out: Path, meta: dict) -> None:
     """Simulated counts -> MLE reconstruction -> fidelities and fit."""
-    out = _prepare_out_dir(config)
     report = tomo.experiment_pipeline(config.optics, config.phases,
                                       config.rate, config.trials, config.seed)
-    meta = _metadata(config)
 
     counts_tmp = out / "counts.csv.tmp"
     tomo.write_datasets_csv(counts_tmp, [r.dataset for r in report.rows],
@@ -443,13 +417,10 @@ def cmd_tomo(config: SimpleNamespace) -> int:
             k: _f17(v) for k, v in dataclasses.asdict(report.fit).items()},
     }
     _write_text(out / "report.json", _json_text(report_doc))
-    return 0
 
 
-def cmd_optics_scan(config: SimpleNamespace) -> int:
+def cmd_optics_scan(config: SimpleNamespace, out: Path, meta: dict) -> None:
     """Sweep one imperfection parameter and record gate fidelities."""
-    out = _prepare_out_dir(config)
-    meta = _metadata(config)
     rows = []
     for value in config.values:
         try:
@@ -469,14 +440,29 @@ def cmd_optics_scan(config: SimpleNamespace) -> int:
         "value", [("Toffoli fidelity", "f_toffoli", None),
                   ("controlled-U fidelity", "f_cu", None),
                   ("success probability", "success", None)]))
-    return 0
+
+
+class _Command(NamedTuple):
+    run: Callable[[SimpleNamespace, Path, dict], None]
+    help: str
+    # the result-affecting config keys the command reads; these and only
+    # these go into its config hash
+    keys: tuple[str, ...]
 
 
 _COMMANDS = {
-    "replicate": cmd_replicate,
-    "superrep": cmd_superrep,
-    "tomo": cmd_tomo,
-    "optics-scan": cmd_optics_scan,
+    "replicate": _Command(
+        cmd_replicate, "phase sweep of replication fidelities and baselines",
+        ("phases", "preset", "optics")),
+    "superrep": _Command(
+        cmd_superrep, "worst-case fidelity of the N -> M protocol",
+        ("alpha", "n_list", "m_list", "phi_grid_size")),
+    "tomo": _Command(
+        cmd_tomo, "simulated tomography pipeline",
+        ("seed", "phases", "rate", "trials", "preset", "optics")),
+    "optics-scan": _Command(
+        cmd_optics_scan, "single-parameter optical imperfection sweep",
+        ("preset", "optics", "parameter", "values", "phi")),
 }
 
 
@@ -486,19 +472,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", metavar="command",
                                 parser_class=_Parser)
     sub.required = True
-    descriptions = {
-        "replicate": "phase sweep of replication fidelities and baselines",
-        "superrep": "worst-case fidelity of the N -> M protocol",
-        "tomo": "simulated tomography pipeline",
-        "optics-scan": "single-parameter optical imperfection sweep",
-    }
-    for name, desc in descriptions.items():
-        p = sub.add_parser(name, help=desc, description=desc)
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help,
+                           description=command.help)
         p.add_argument("--config", help="JSON configuration file")
         p.add_argument("--out-dir", dest="out_dir",
                        help=f"output directory (default ${OUT_DIR_ENV} "
                             "or ./phaserep-out)")
-        for key in _COMMAND_KEYS[name]:
+        for key in command.keys:
             if key in _FLAGS:
                 p.add_argument(f"--{key}", **_FLAGS[key])
         p.add_argument("--svg", action="store_true", default=None,
@@ -518,7 +499,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = _parser.parse_args(argv)
         config = resolve_config(args)
-        return _COMMANDS[config.command](config)
+        # made before any computation, so an unusable path fails fast
+        config.out_dir.mkdir(parents=True, exist_ok=True)
+        _COMMANDS[config.command].run(config, config.out_dir,
+                                      _metadata(config))
+        return 0
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

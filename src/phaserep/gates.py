@@ -10,7 +10,7 @@ measurement in the |+/-> basis) is the Kraus pair of
 ``replicate_measured_form``; a controlled-Z on the minus branch makes
 both branches realize that same two-qubit gate.
 
-Fidelities between constructions are Choi gate fidelities (see ``choi``);
+Fidelities between constructions are process fidelities (see ``choi``);
 the closed forms quoted in the docstrings serve as test oracles only.
 """
 from __future__ import annotations
@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from .choi import gate_fidelity, process_fidelity
+from .choi import process_fidelity
 from .qmat import kron, normalize_phase
 from .superrep import ReplicationSpec, build_V
 
@@ -74,9 +74,8 @@ def fidelity_replicas(phi: float) -> float:
 
     Closed form (test oracle): (5 + 3 cos phi) / 8.
     """
-    phi = normalize_phase(phi)
     u = phase_gate(phi)
-    return gate_fidelity(cu_phase(phi), kron(u, u))
+    return process_fidelity([cu_phase(phi)], kron(u, u))
 
 
 def twirled_mean_fidelity(grid_size: int, phi: float = 0.0) -> float:
@@ -95,9 +94,8 @@ def twirled_mean_fidelity(grid_size: int, phi: float = 0.0) -> float:
 
 def baseline_single_copy(phi: float) -> float:
     """Fidelity of applying the gate to one qubit only; cos^2(phi/2)."""
-    phi = normalize_phase(phi)
     u = phase_gate(phi)
-    return gate_fidelity(kron(u, np.eye(2)), kron(u, u))
+    return process_fidelity([kron(u, np.eye(2))], kron(u, u))
 
 
 def measure_prepare_integrand(delta: float) -> float:
@@ -147,6 +145,5 @@ def optimal_cloner(phi: float) -> list[np.ndarray]:
 
 def optimal_cloner_fidelity(phi: float) -> float:
     """Process fidelity of the cloner channel with phase_gate(phi)^{x2}."""
-    phi = normalize_phase(phi)
     u = phase_gate(phi)
     return process_fidelity(optimal_cloner(phi), kron(u, u))

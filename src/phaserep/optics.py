@@ -204,6 +204,4 @@ def replication_experiment_channel(
             kraus2.append((b[:, 0, :] + b[:, 1, :]) * _SQRT_HALF)
         else:
             kraus2.extend([b[:, 0, :], b[:, 1, :]])
-    if params.phase_jitter_sigma > 0.0:
-        kraus2 = dephase_spatial(kraus2, params.phase_jitter_sigma)
-    return kraus2
+    return dephase_spatial(kraus2, params.phase_jitter_sigma)

@@ -34,7 +34,9 @@ def _check_width(qubits: int) -> None:
 
 def normalize_phase(phi: float) -> float:
     """Reduce a phase angle in radians to [0, 2*pi)."""
-    return float(phi) % (2.0 * math.pi)
+    r = float(phi) % (2.0 * math.pi)
+    # phi in [-4.4e-16, 0) rounds up to 2*pi itself
+    return 0.0 if r == 2.0 * math.pi else r
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:

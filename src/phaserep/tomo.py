@@ -621,10 +621,10 @@ def read_datasets_csv(path, design: TomographyDesign
     """Inverse of ``write_datasets_csv``.
 
     The file must hold both the ``# phase_values:`` and ``# rates:``
-    headers with one entry per phase, and under the column names, for
-    phase ids 0..P-1 in turn, every design row exactly once in design
-    order (``row_index``).  A missing, repeated or misplaced row, or a
-    missing header, raises ``ValueError``.
+    headers, as lists with one entry per phase, and under the column
+    names, for phase ids 0..P-1 in turn, every design row exactly once in
+    design order (``row_index``).  A missing, repeated or misplaced row,
+    or a missing or malformed header, raises ``ValueError``.
     """
     headers = {}
     lines = []
@@ -636,9 +636,11 @@ def read_datasets_csv(path, design: TomographyDesign
             elif not line.startswith("#"):
                 lines.append(line)
     if set(headers) != {"phase_values", "rates"} \
+            or not all(isinstance(v, list) for v in headers.values()) \
             or len(headers["phase_values"]) != len(headers["rates"]):
         raise ValueError("counts file needs '# phase_values:' and "
-                         "'# rates:' headers with one entry per phase")
+                         "'# rates:' headers, lists with one entry per "
+                         "phase")
     phases, rates = headers["phase_values"], headers["rates"]
     # the first line left is the column names
     data = np.array([line.split(",") for line in lines[1:]],

@@ -24,7 +24,6 @@ from phaserep import (
     expected_counts,
     experiment_pipeline,
     fit_cosine,
-    gate_fidelity,
     kron,
     mle_reconstruct,
     monte_carlo_errors,
@@ -65,7 +64,7 @@ def test_criterion_01_two_copy_fidelity_formula():
     worst = 0.0
     for phi in np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False):
         u = phase_gate(phi)
-        value = gate_fidelity(cu_phase(phi), kron(u, u))
+        value = process_fidelity([cu_phase(phi)], kron(u, u))
         worst = max(worst, abs(value - (5.0 + 3.0 * math.cos(phi)) / 8.0))
     if worst > 1e-10:
         problems.append(f"max deviation {worst:.3e} > 1e-10")

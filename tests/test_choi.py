@@ -9,7 +9,6 @@ from phaserep.choi import (
     ProcessMatrix,
     choi_from_kraus,
     choi_vector,
-    gate_fidelity,
     process_fidelity,
     process_matrix_from_json,
     process_matrix_to_json,
@@ -75,18 +74,13 @@ def test_choi_from_kraus_bit_flip_mixture():
 
 def test_gate_fidelity_against_closed_forms():
     ident = np.eye(2)
-    assert gate_fidelity(ident, X) == pytest.approx(0.0, abs=1e-14)
-    assert gate_fidelity(X, X) == pytest.approx(1.0, abs=1e-14)
+    assert process_fidelity([ident], X) == pytest.approx(0.0, abs=1e-14)
+    assert process_fidelity([X], X) == pytest.approx(1.0, abs=1e-14)
     for theta in (0.2, 1.1, 2.9):
         rz = np.diag([1.0, cmath.exp(1j * theta)])
         # |tr diag(1, e^{i t})|^2 / 4 = cos^2(t/2)
-        assert gate_fidelity(rz, ident) \
+        assert process_fidelity([rz], ident) \
             == pytest.approx(np.cos(theta / 2.0) ** 2, abs=1e-12)
-
-
-def test_gate_fidelity_requires_matching_width():
-    with pytest.raises(ValueError):
-        gate_fidelity(np.eye(2), np.eye(4))
 
 
 def test_process_fidelity_of_exact_channel():
@@ -187,6 +181,26 @@ def test_json_rejects_other_normalizations():
             process_matrix_from_json(dict(doc, normalization=tag))
     del doc["normalization"]
     with pytest.raises(ValueError, match="normalization"):
+        process_matrix_from_json(doc)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda doc: [doc], "JSON object"),
+    (lambda doc: {k: v for k, v in doc.items() if k != "real"}, "lacks"),
+    (lambda doc: dict(doc, qubits=1.9), "qubits must be an integer"),
+    (lambda doc: dict(doc, qubits="1"), "qubits must be an integer"),
+    (lambda doc: dict(doc, qubits=True), "qubits must be an integer"),
+    (lambda doc: dict(doc, qubits=8_000_000), "got shape"),
+    (lambda doc: dict(doc, qubits=2), "got shape"),
+    (lambda doc: dict(doc, real="x"), "arrays of numbers"),
+    (lambda doc: dict(doc, real=[[0.0], [0.0, 1.0]]), "arrays of numbers"),
+    (lambda doc: dict(doc, imag=0.0), "differ in shape"),
+], ids=["list", "real-missing", "qubits-fraction", "qubits-string",
+        "qubits-boolean", "qubits-huge", "qubits-wrong", "real-string",
+        "real-ragged", "imag-scalar"])
+def test_malformed_json_is_rejected(edit, message):
+    doc = edit(process_matrix_to_json(choi_from_kraus([X])))
+    with pytest.raises(ValueError, match=message):
         process_matrix_from_json(doc)
 
 

@@ -232,6 +232,15 @@ def test_tomo_error_bars_and_single_phase_fit(tmp_path):
     _assert_report_rows_match_csv(tmp_path)
 
 
+def test_tomo_phases_equal_after_reduction_skip_the_fit(tmp_path):
+    # -1e-20 reduces to the phase 0, so the two rows share one phase
+    assert main(["tomo", "--out-dir", str(tmp_path), "--phases", "0,-1e-20",
+                 "--rate", "200"]) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["phases"] == ["0", "0"]
+    assert report["fit"] is None
+
+
 def test_tomo_svg_outputs(tmp_path):
     assert main(["tomo", "--out-dir", str(tmp_path), "--phases", "0.25",
                  "--rate", "100", "--seed", "2", "--svg"]) == 0
@@ -366,7 +375,7 @@ def _digest(tmp_path, command, doc, flags=()):
 
 @pytest.mark.parametrize("command", sorted(COMMAND_KEYS))
 def test_config_digest_covers_exactly_the_command_keys(tmp_path, command):
-    assert cli._COMMAND_KEYS[command] == COMMAND_KEYS[command]
+    assert cli._COMMANDS[command].keys == COMMAND_KEYS[command]
     base = _digest(tmp_path, command, {})
     digests = {base}
     for key in COMMAND_KEYS[command]:
@@ -443,10 +452,11 @@ def test_main_builds_its_parser_once(tmp_path, monkeypatch):
 
 
 def test_internal_failure_exits_2(tmp_path, monkeypatch):
-    def boom(config):
+    def boom(config, out, meta):
         raise RuntimeError("solver exploded")
 
-    monkeypatch.setitem(cli._COMMANDS, "replicate", boom)
+    monkeypatch.setitem(cli._COMMANDS, "replicate",
+                        cli._COMMANDS["replicate"]._replace(run=boom))
     assert main(["replicate", "--out-dir", str(tmp_path)]) == 2
 
 

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from phaserep.choi import choi_from_kraus, gate_fidelity, process_fidelity
+from phaserep.choi import choi_from_kraus, process_fidelity
 from phaserep.gates import (
     baseline_measure_prepare,
     baseline_single_copy,
@@ -19,7 +19,6 @@ from phaserep.gates import (
     toffoli,
     twirled_mean_fidelity,
 )
-from phaserep.qmat import kron
 from phaserep.superrep import ReplicationSpec, replicated_map
 
 EIGHT_PHASES = [k * math.pi / 8.0 for k in range(8)]
@@ -229,13 +228,6 @@ def test_cloner_beats_single_copy_average_but_not_ideal():
         for p in np.linspace(0.0, 2 * math.pi, 16, endpoint=False)
     ])
     assert 0.625 < avg < 1.0
-
-
-def test_gate_fidelity_of_replicas_uses_choi_overlap():
-    phi = 1.3
-    u = phase_gate(phi)
-    direct = gate_fidelity(cu_phase(phi), kron(u, u))
-    assert direct == pytest.approx(fidelity_replicas(phi), abs=1e-13)
 
 
 def test_cloner_choi_is_valid_process_matrix():

@@ -60,6 +60,10 @@ def test_normalize_phase_wraps_into_period():
     assert normalize_phase(-np.pi / 2) == pytest.approx(3 * np.pi / 2)
     assert normalize_phase(4 * np.pi + 1.0) == pytest.approx(1.0)
     assert normalize_phase(1.25) == 1.25
+    # 2*pi + phi rounds to 2*pi itself here, which is the phase 0
+    for phi in (-1e-20, -4e-16):
+        assert normalize_phase(phi) == 0.0
+    assert 0.0 < normalize_phase(-5e-16) < 2 * np.pi
 
 
 def test_register_cap_guard():

@@ -5,7 +5,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from phaserep.choi import gate_fidelity
+from phaserep.choi import process_fidelity
 from phaserep.gates import phase_gate, toffoli
 from phaserep.qmat import REGISTER_CAP, normalize_phase
 from phaserep.superrep import (
@@ -240,7 +240,8 @@ def test_fidelity_closed_form_matches_dense_trace():
         target = np.array([[1.0]])
         for _ in range(spec.replicas):
             target = np.kron(target, phase_gate(phi))
-        dense = gate_fidelity(np.diag(replicated_map(spec, phi)), target)
+        dense = process_fidelity([np.diag(replicated_map(spec, phi))],
+                                 target)
         assert abs(replication_fidelity(spec, phi) - dense) < 1e-10
 
 

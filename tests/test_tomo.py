@@ -791,10 +791,13 @@ def _header(header):
     (_header("# phase_values: [NaN, 1.2]"), "^phase must be a finite"),
     (_header('# phase_values: ["0.6", 1.2]'), "^phase must be a finite"),
     (_header("# phase_values: [false, 1.2]"), "^phase must be a finite"),
+    (_header("# phase_values: 3"), "header"),
+    (_header("# rates: 150.0"), "header"),
 ], ids=["truncated", "duplicated", "reordered", "header-less",
         "rates-missing", "phase-count-short", "rate-string", "rate-negative",
         "rate-zero", "rate-boolean", "rate-infinite", "phase-nan",
-        "phase-string", "phase-boolean"])
+        "phase-string", "phase-boolean", "phase-values-scalar",
+        "rates-scalar"])
 def test_corrupt_counts_csv_is_rejected(tmp_path, edit, message):
     path = _corrupted_counts_csv(tmp_path, edit)
     with pytest.raises(ValueError, match=message):
