@@ -504,15 +504,16 @@ def main(argv: Sequence[str] | None = None) -> int:
         _COMMANDS[config.command].run(config, config.out_dir,
                                       _metadata(config))
         return 0
+    # before the ValueError clause: LinAlgError subclasses ValueError
+    except (RuntimeError, ArithmeticError, np.linalg.LinAlgError) as exc:
+        print(f"runtime error: {exc}", file=sys.stderr)
+        return 2
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 1
-    except (RuntimeError, ArithmeticError, np.linalg.LinAlgError) as exc:
-        print(f"runtime error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

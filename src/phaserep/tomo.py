@@ -8,9 +8,11 @@ are kept as floats so that the exact expected-count (infinite-statistics)
 limit runs through the same code path.
 
 One solver advances any number of independent reconstructions as a
-stack: a single dataset is a batch of one, and the bootstrap trials and
-the phases of a pipeline run are each solved as one batch.  Each
-reconstruction's result is bit-identical whatever else is in its batch.
+stack: a single dataset is a batch of one, and a bootstrap is one batch.
+A pipeline run solves each phase's dataset in one batch with that
+phase's bootstrap resamples, or, without a bootstrap, the datasets of
+all its phases as one batch.  Each reconstruction's result is
+bit-identical whatever else is in its batch.
 """
 from __future__ import annotations
 
@@ -44,8 +46,11 @@ class TomographyDesign:
     flattened d * Pi_k), their rank (identifiability), and whether the
     O_j sum to a multiple of the identity (required by the plain RrhoR
     update).  ``traces`` and ``weighted_sum`` evaluate the two linear
-    maps through the factors, at about a tenth of the multiply-adds of
-    a product with the dense (rows x 256) coefficient matrix.
+    maps through the factors.  Since p_j and the weights are real, each
+    runs one of its two stages as a real GEMM on a float64 view: about
+    78k real multiply-adds a matrix, against 120k with both stages
+    complex and 1.3M for a product with the dense (rows x 256)
+    coefficient matrix.
     """
 
     def __init__(
@@ -125,10 +130,17 @@ class TomographyDesign:
         """
         lead = chi.shape[:-2]
         # Tr[chi O_j] = sum chi[a b, c d] rho_i^T[c, a] d Pi_k[d, b]:
-        # regroup chi as (c a),(d b) and contract with the two factors
+        # regroup chi as (c a),(d b) and contract with the two factors.
+        # Only the real part of the second stage is needed, and
+        # Re(x y) = Re x Re y - Im x Im y: one real GEMM of x's float64
+        # view against the outcome factor's real and negated imaginary
+        # parts, interleaved by row (C-contiguous, the faster operand
+        # layout for OpenBLAS at these sizes)
         g = chi.reshape(-1, 4, 4, 4, 4).transpose(0, 3, 1, 4, 2).reshape(
             -1, 16, 16)
-        p = (self.input_factor @ g @ self.outcome_factor).real
+        x = (self.input_factor @ g).view(np.float64)
+        p = x @ np.ascontiguousarray(
+            self.outcome_factor.T.conj().view(np.float64).T)
         return p.reshape(lead + (self.size,))
 
     def weighted_sum(self, weights: np.ndarray) -> np.ndarray:
@@ -140,7 +152,11 @@ class TomographyDesign:
         lead = weights.shape[:-1]
         w = weights.reshape(-1, self.input_factor.shape[0],
                             self.outcome_factor.shape[1])
-        g = self.input_factor.T @ w @ self.outcome_factor.T
+        # the weights are real: w^T times the input factor is one real
+        # GEMM on its float64 view, read back as complex
+        y = (w.swapaxes(-1, -2) @ self.input_factor.view(np.float64)
+             ).view(np.complex128)
+        g = y.swapaxes(-1, -2) @ self.outcome_factor.T
         g = g.reshape(-1, 4, 4, 4, 4).transpose(0, 1, 3, 2, 4)
         return g.reshape(lead + (16, 16))
 
@@ -445,6 +461,30 @@ class FidelityStats:
     std: float
 
 
+def _resample(counts: np.ndarray, trials: int, seed) -> np.ndarray:
+    """Poisson resamples of ``counts`` (trials x rows), each trial drawn
+    from its own stream spawned from ``seed``."""
+    if not isinstance(seed, np.random.SeedSequence):
+        seed = np.random.SeedSequence(seed)
+    return np.array([np.random.default_rng(stream).poisson(counts)
+                     for stream in seed.spawn(trials)], dtype=np.float64)
+
+
+def _fidelity_stats(results: Sequence[MleResult],
+                    targets: Mapping[str, np.ndarray]
+                    ) -> dict[str, FidelityStats]:
+    """Mean and sample standard deviation of each target's process
+    fidelity over the reconstructions."""
+    values = {
+        name: [process_fidelity(result.chi, target) for result in results]
+        for name, target in targets.items()
+    }
+    return {
+        name: FidelityStats(float(np.mean(v)), float(np.std(v, ddof=1)))
+        for name, v in values.items()
+    }
+
+
 def monte_carlo_errors(
     dataset: TomographyDataset,
     design: TomographyDesign,
@@ -458,24 +498,14 @@ def monte_carlo_errors(
     own spawned stream; all trials are then reconstructed as one batch
     (each with the result it would get alone) and evaluated by process
     fidelity with each target.  Returns per-target mean and sample
-    standard deviation.
+    standard deviation.  ``experiment_pipeline`` resamples and evaluates
+    with the same helpers, in a batch that also holds the phase's main
+    reconstruction, with equal results.
     """
     if trials < 2:
         raise ValueError("need at least 2 Monte Carlo trials")
-    if not isinstance(seed, np.random.SeedSequence):
-        seed = np.random.SeedSequence(seed)
-    resampled = np.array(
-        [np.random.default_rng(stream).poisson(dataset.counts)
-         for stream in seed.spawn(trials)], dtype=np.float64)
-    results = _mle_batch(resampled, design)
-    values = {
-        name: [process_fidelity(result.chi, target) for result in results]
-        for name, target in targets.items()
-    }
-    return {
-        name: FidelityStats(float(np.mean(v)), float(np.std(v, ddof=1)))
-        for name, v in values.items()
-    }
+    results = _mle_batch(_resample(dataset.counts, trials, seed), design)
+    return _fidelity_stats(results, targets)
 
 
 @dataclass(frozen=True)
@@ -546,9 +576,11 @@ def experiment_pipeline(
     ``trials`` >= 2 adds Monte Carlo error bars (otherwise the std
     columns are NaN).  All randomness derives from ``seed`` through
     per-phase spawned streams, so reruns are bit-identical.  Every
-    phase's counts are drawn first and the main reconstructions are then
-    solved as one batch, and each phase's bootstrap trials as another;
-    no result depends on what else is in its batch.
+    phase's counts are drawn first.  With a bootstrap, each phase's main
+    reconstruction is solved in one batch with its own resamples;
+    without one, the main reconstructions of all phases form one batch.
+    No result depends on what else is in its batch, so each row equals
+    ``mle_reconstruct`` and ``monte_carlo_errors`` on its phase alone.
     """
     phases = tuple(normalize_phase(p) for p in (
         standard_phases() if phases is None else phases))
@@ -560,20 +592,26 @@ def experiment_pipeline(
                         rate, count_stream, phase=phi)
         for phi, (count_stream, _) in zip(phases, streams)
     ]
-    results = _mle_batch(
-        np.array([d.counts for d in datasets]).reshape(-1, design.size),
-        design)
+    if trials >= 2:
+        # one batch a phase, solved as the loop reaches it, so no more
+        # than trials + 1 solves are held at once
+        solved = (
+            _mle_batch(np.concatenate([d.counts[None], _resample(
+                d.counts, trials, mc_stream)]), design)
+            for d, (_, mc_stream) in zip(datasets, streams))
+    else:
+        solved = ([result] for result in _mle_batch(
+            np.array([d.counts for d in datasets]).reshape(-1, design.size),
+            design))
     rows = []
-    for phi, dataset, result, (_, mc_stream) in zip(phases, datasets,
-                                                    results, streams):
+    for phi, dataset, (result, *boot) in zip(phases, datasets, solved):
         u = phase_gate(phi)
         targets = {"cu": cu_phase(phi), "uu": kron(u, u)}
         f_cu = process_fidelity(result.chi, targets["cu"])
         f_uu = process_fidelity(result.chi, targets["uu"])
         f_cu_std = f_uu_std = float("nan")
-        if trials >= 2:
-            stats = monte_carlo_errors(dataset, design, trials, targets,
-                                       mc_stream)
+        if boot:
+            stats = _fidelity_stats(boot, targets)
             f_cu_std = stats["cu"].std
             f_uu_std = stats["uu"].std
         chi_ideal = choi_from_kraus([targets["cu"]])

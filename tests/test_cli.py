@@ -452,12 +452,14 @@ def test_main_builds_its_parser_once(tmp_path, monkeypatch):
 
 
 def test_internal_failure_exits_2(tmp_path, monkeypatch):
-    def boom(config, out, meta):
-        raise RuntimeError("solver exploded")
+    # LinAlgError subclasses ValueError, which alone would exit 1
+    for error in (RuntimeError, np.linalg.LinAlgError):
+        def boom(config, out, meta):
+            raise error("solver exploded")
 
-    monkeypatch.setitem(cli._COMMANDS, "replicate",
-                        cli._COMMANDS["replicate"]._replace(run=boom))
-    assert main(["replicate", "--out-dir", str(tmp_path)]) == 2
+        monkeypatch.setitem(cli._COMMANDS, "replicate",
+                            cli._COMMANDS["replicate"]._replace(run=boom))
+        assert main(["replicate", "--out-dir", str(tmp_path)]) == 2, error
 
 
 def test_module_entry_point(tmp_path):

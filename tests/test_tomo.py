@@ -1,4 +1,5 @@
 """Tomography design, likelihood ascent, error bars, and the pipeline."""
+import copy
 import dataclasses
 import math
 
@@ -696,26 +697,35 @@ def test_pipeline_matches_per_phase_solves_and_bootstraps():
     params = OpticsParams.measured()
     phases = [0.0, math.pi / 4, math.pi / 2]
     design = default_design()
-    report = experiment_pipeline(params, phases=phases, rate=1e3, trials=3,
-                                 seed=11)
-    streams = np.random.SeedSequence(11).spawn(len(phases))
-    for phi, stream, row in zip(phases, streams, report.rows):
-        count_stream, mc_stream = stream.spawn(2)
-        ds = simulate_counts(replication_experiment_channel(phi, params),
-                             design, 1e3, count_stream, phase=phi)
-        result = mle_reconstruct(ds, design)
-        u = phase_gate(phi)
-        targets = {"cu": cu_phase(phi), "uu": kron(u, u)}
-        stats = monte_carlo_errors(ds, design, 3, targets, mc_stream)
-        assert np.array_equal(row.dataset.counts, ds.counts)
-        assert np.array_equal(row.chi.matrix, result.chi.matrix)
-        assert row.iterations == result.iterations
-        assert row.converged == result.converged
-        assert row.optimality_gap == result.optimality_gap
-        assert row.f_cu == process_fidelity(result.chi, targets["cu"])
-        assert row.f_uu == process_fidelity(result.chi, targets["uu"])
-        assert row.f_cu_std == stats["cu"].std
-        assert row.f_uu_std == stats["uu"].std
+    # at the sparse rate a phase's batch mixes empty resamples (converged
+    # after 0 iterations) with live ones, and another phase's is all empty
+    for rate, seed in ((1e3, 11), (0.02, 2)):
+        report = experiment_pipeline(params, phases=phases, rate=rate,
+                                     trials=3, seed=seed)
+        streams = np.random.SeedSequence(seed).spawn(len(phases))
+        empty = 0
+        for phi, stream, row in zip(phases, streams, report.rows):
+            count_stream, mc_stream = stream.spawn(2)
+            ds = simulate_counts(replication_experiment_channel(phi, params),
+                                 design, rate, count_stream, phase=phi)
+            # drawn from a copy, so that mc_stream spawns them again below
+            empty += np.sum(tomo._resample(
+                ds.counts, 3, copy.deepcopy(mc_stream)).sum(axis=1) == 0)
+            result = mle_reconstruct(ds, design)
+            u = phase_gate(phi)
+            targets = {"cu": cu_phase(phi), "uu": kron(u, u)}
+            stats = monte_carlo_errors(ds, design, 3, targets, mc_stream)
+            assert np.array_equal(row.dataset.counts, ds.counts)
+            assert np.array_equal(row.chi.matrix, result.chi.matrix)
+            assert row.iterations == result.iterations
+            assert row.converged == result.converged
+            assert row.optimality_gap == result.optimality_gap
+            assert row.f_cu == process_fidelity(result.chi, targets["cu"])
+            assert row.f_uu == process_fidelity(result.chi, targets["uu"])
+            assert row.f_cu_std == stats["cu"].std
+            assert row.f_uu_std == stats["uu"].std
+        if rate < 1.0:
+            assert 0 < empty < 3 * len(phases)
 
 
 # ------------------------------------------------------------------- csv
