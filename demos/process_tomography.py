@@ -31,10 +31,8 @@ def design_summary() -> None:
     print("experiment design:")
     print(f"  inputs x settings x outcomes = {design.n_inputs} x "
           f"{design.n_settings} x 4 = {design.size} count records")
-    print(f"  coefficient matrix rank {design.rank} -> identifiable: "
-          f"{design.identifiable}")
-    print(f"  operators sum to {design.operator_sum_scale:g} * identity "
-          f"(enables the fixed-point likelihood update)")
+    rank = np.linalg.matrix_rank(design.operators.reshape(design.size, -1))
+    print(f"  coefficient matrix rank {rank} (256: identifiable)")
 
 
 def single_phase(rate: float, trials: int, seed: int) -> None:

@@ -149,8 +149,9 @@ def _resolve_optics(preset: str, overrides: dict | None) -> OpticsParams:
              f"preset must be {' or '.join(map(repr, _PRESETS))}, "
              f"got {preset!r}")
     params = _PRESETS[preset]()
-    if overrides:
-        _require(isinstance(overrides, dict), "optics must be an object")
+    if overrides is not None:
+        _require(isinstance(overrides, dict),
+                 f"optics must be an object, got {overrides!r}")
         for key in overrides:
             _require(key in _OPTICS_KEYS,
                      f"unknown optics key {key!r}; accepted: "
@@ -228,7 +229,10 @@ def resolve_config(args: argparse.Namespace) -> SimpleNamespace:
     for key in _COMMANDS[command].keys:
         params[key] = _resolve(key, pick(key, _DEFAULTS[key]), params)
     out_dir = pick("out_dir", os.environ.get(OUT_DIR_ENV, "phaserep-out"))
-    svg = bool(args.svg or file_values.get("svg", False))
+    _require(isinstance(out_dir, str),
+             f"out_dir must be a string, got {out_dir!r}")
+    svg = args.svg or file_values.get("svg", False)
+    _require(isinstance(svg, bool), f"svg must be true or false, got {svg!r}")
     return SimpleNamespace(command=command, out_dir=Path(out_dir), svg=svg,
                            **params)
 

@@ -16,6 +16,7 @@ bit-identical whatever else is in its batch.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -35,62 +36,49 @@ _BASIS_OUTCOMES = {"x": ("+", "-"), "y": ("+i", "-i"), "z": ("0", "1")}
 
 
 class TomographyDesign:
-    """Input states and measurement settings, kept as two factors.
+    """The product-Pauli design: 36 inputs x 9 bases, kept as two factors.
 
+    The inputs are the 36 products of single-qubit Pauli eigenstates and
+    the settings the 9 products of Pauli bases, four projectors each.
     Probabilities are linear in the process matrix: p_j = Tr[chi O_j]
     with O_j = d * (rho_i^T (x) Pi_k), row j = i * n_outcomes + k for
     input i and outcome k (outcomes run over settings, then the four
     projectors of each setting).  Every O_j is a Kronecker product, so
-    the design stores only ``input_factor`` (n_inputs x 16, the
-    flattened rho_i^T) and ``outcome_factor`` (16 x n_outcomes, the
-    flattened d * Pi_k), their rank (identifiability), and whether the
-    O_j sum to a multiple of the identity (required by the plain RrhoR
-    update).  ``traces`` and ``weighted_sum`` evaluate the two linear
-    maps through the factors.  Since p_j and the weights are real, each
-    runs one of its two stages as a real GEMM on a float64 view: about
-    78k real multiply-adds a matrix, against 120k with both stages
-    complex and 1.3M for a product with the dense (rows x 256)
-    coefficient matrix.
+    the design stores only ``input_factor`` (36 x 16, the flattened
+    rho_i^T) and ``outcome_factor`` (16 x 36, the flattened d * Pi_k).
+
+    The RrhoR solver needs two properties of this design.  The 1296 O_j
+    have rank 256 (16 for each factor): they span the two-qubit process
+    matrices, so the probabilities determine chi.  They sum to 324 * I:
+    the rho_i^T sum to 9 * I (each qubit's six projectors sum to 3 * I)
+    and the d * Pi_k to 9 * 4 * I (each setting's projectors sum to I).
+
+    ``traces`` and ``weighted_sum`` evaluate the two linear maps through
+    the factors.  Since p_j and the weights are real, each runs one of
+    its two stages as a real GEMM on a float64 view: about 78k real
+    multiply-adds a matrix, against 120k with both stages complex and
+    1.3M for a product with the dense (rows x 256) coefficient matrix.
     """
 
-    def __init__(
-        self,
-        kets: Sequence[np.ndarray],
-        settings: Sequence[Sequence[np.ndarray]],
-    ):
-        kets = np.asarray(kets, dtype=np.complex128)
-        if kets.ndim != 2 or kets.shape[1] != 4 or np.any(
-                np.abs(np.linalg.norm(kets, axis=1) - 1.0) > 1e-10):
-            raise ValueError("input states must be normalized 4-vectors")
-        try:  # settings of unequal length form no array
-            projs = np.array(settings, dtype=np.complex128)
-        except ValueError:
-            projs = np.empty(0)
-        # row_index and the counts-file layout assume 4 outcomes a setting
-        if projs.ndim != 4 or projs.shape[1:] != (4, 4, 4):
-            raise ValueError("each setting must be exactly 4 projectors "
-                             "of shape 4 x 4")
-        if np.max(np.abs(projs.sum(axis=1) - np.eye(4))) > 1e-10:
-            raise ValueError("setting projectors must sum to identity")
+    n_inputs = len(SINGLE_QUBIT_STATES) ** 2
+    n_settings = len(MEASUREMENT_BASES) ** 2
+    size = n_inputs * n_settings * 4
 
+    def __init__(self):
+        singles = [PROJECTOR_KETS[s] for s in SINGLE_QUBIT_STATES]
+        kets = np.array([np.kron(a, b) for a in singles for b in singles])
+        outcomes = np.array([
+            np.kron(PROJECTOR_KETS[o0], PROJECTOR_KETS[o1])
+            for b0 in MEASUREMENT_BASES for b1 in MEASUREMENT_BASES
+            for o0 in _BASIS_OUTCOMES[b0] for o1 in _BASIS_OUTCOMES[b1]])
         # rho_i^T[a, c] = ket[c] * conj(ket[a])
         rho_t = kets[:, None, :] * kets.conj()[:, :, None]
-        # d = 4 is a power of two, so scaling Pi_k instead of the
-        # Kronecker product gives bit-identical operators
-        projs = 4.0 * projs.reshape(-1, 4, 4)
+        # Pi_k[b, d] = ket[b] * conj(ket[d]); d = 4 is a power of two, so
+        # scaling Pi_k instead of the Kronecker product gives
+        # bit-identical operators
+        projs = 4.0 * (outcomes[:, :, None] * outcomes.conj()[:, None, :])
         self.input_factor = rho_t.reshape(-1, 16)
         self.outcome_factor = projs.reshape(-1, 16).T
-        # the dense coefficient matrix p_j = vec(O_j^T) . vec(chi) is the
-        # Kronecker product of the two factors up to a fixed column
-        # permutation, and rank(A (x) B) = rank A * rank B
-        self.rank = int(np.linalg.matrix_rank(self.input_factor)
-                        * np.linalg.matrix_rank(self.outcome_factor))
-        # sum_j O_j = (sum_i rho_i^T) (x) (sum_k d Pi_k)
-        total = np.kron(rho_t.sum(axis=0), projs.sum(axis=0))
-        scale = float(np.trace(total).real) / 16.0
-        self.uniform = bool(np.max(np.abs(total - scale * np.eye(16)))
-                            <= 1e-8 * scale)
-        self.operator_sum_scale = scale
 
     @property
     def operators(self) -> np.ndarray:
@@ -100,22 +88,6 @@ class TomographyDesign:
         rho_t = self.input_factor.reshape(-1, 1, 4, 1, 4, 1)
         projs = self.outcome_factor.T.reshape(1, -1, 1, 4, 1, 4)
         return (rho_t * projs).reshape(-1, 16, 16)
-
-    @property
-    def n_inputs(self) -> int:
-        return self.input_factor.shape[0]
-
-    @property
-    def n_settings(self) -> int:
-        return self.outcome_factor.shape[1] // 4
-
-    @property
-    def size(self) -> int:
-        return self.input_factor.shape[0] * self.outcome_factor.shape[1]
-
-    @property
-    def identifiable(self) -> bool:
-        return self.rank == 256
 
     def row_index(self, input_id: int, setting_id: int, outcome_id: int
                   ) -> int:
@@ -150,8 +122,7 @@ class TomographyDesign:
         Equals the dense sum over w_j O_j up to rounding.
         """
         lead = weights.shape[:-1]
-        w = weights.reshape(-1, self.input_factor.shape[0],
-                            self.outcome_factor.shape[1])
+        w = weights.reshape(-1, self.n_inputs, 4 * self.n_settings)
         # the weights are real: w^T times the input factor is one real
         # GEMM on its float64 view, read back as complex
         y = (w.swapaxes(-1, -2) @ self.input_factor.view(np.float64)
@@ -167,7 +138,7 @@ class TomographyDesign:
 
         Sub-normalized (postselected) channels yield probabilities that
         do not sum to 1 per setting; that deficit is physical loss.
-        Values <= 1e-12 are returned as 0.0: on the standard design the
+        Values <= 1e-12 are returned as 0.0: on this design the
         rounding residue of an exact zero stays below 1e-18, and the
         physical probabilities of the presets are above 1e-7.  A Kraus
         list is first turned into its process matrix by
@@ -181,26 +152,20 @@ class TomographyDesign:
         return np.where(p > 1e-12, p, 0.0)
 
 
-_default_design: TomographyDesign | None = None
-
-
+@functools.cache
 def default_design() -> TomographyDesign:
-    """36 product-Pauli inputs x 9 product-Pauli bases (shared instance)."""
-    global _default_design
-    if _default_design is None:
-        singles = [PROJECTOR_KETS[s] for s in SINGLE_QUBIT_STATES]
-        inputs = [np.kron(a, b) for a in singles for b in singles]
-        settings = []
-        for b0 in MEASUREMENT_BASES:
-            for b1 in MEASUREMENT_BASES:
-                projs = []
-                for o0 in _BASIS_OUTCOMES[b0]:
-                    for o1 in _BASIS_OUTCOMES[b1]:
-                        ket = np.kron(PROJECTOR_KETS[o0], PROJECTOR_KETS[o1])
-                        projs.append(np.outer(ket, ket.conj()))
-                settings.append(projs)
-        _default_design = TomographyDesign(inputs, settings)
-    return _default_design
+    """The product-Pauli design (shared instance)."""
+    return TomographyDesign()
+
+
+def _finite(value) -> bool:
+    return (isinstance(value, Real) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+def _check_rate(rate) -> None:
+    if not (_finite(rate) and rate > 0.0):
+        raise ValueError(f"rate must be a finite number > 0, not {rate!r}")
 
 
 @dataclass(frozen=True)
@@ -222,15 +187,10 @@ class TomographyDataset:
         if not np.all(np.isfinite(c)) or np.any(c < 0.0):
             raise ValueError("counts must be finite and non-negative")
         # phase and rate may come from the headers of a counts file
-        def finite(value):
-            return (isinstance(value, Real) and not isinstance(value, bool)
-                    and math.isfinite(value))
-        if not finite(self.phase):
+        if not _finite(self.phase):
             raise ValueError(
                 f"phase must be a finite number, not {self.phase!r}")
-        if not (finite(self.rate) and self.rate > 0.0):
-            raise ValueError(
-                f"rate must be a finite number > 0, not {self.rate!r}")
+        _check_rate(self.rate)
         c.setflags(write=False)
         object.__setattr__(self, "counts", c)
         object.__setattr__(self, "phase", float(self.phase))
@@ -248,8 +208,7 @@ def expected_counts(
 ) -> TomographyDataset:
     """Noise-free dataset: exact Poisson means, no sampling; a row the
     channel cannot reach gets exactly 0 (see ``probabilities``)."""
-    if rate <= 0.0:
-        raise ValueError("rate must be positive")
+    _check_rate(rate)
     return TomographyDataset(phase, rate * design.probabilities(channel),
                              rate)
 
@@ -262,8 +221,7 @@ def simulate_counts(
     phase: float = 0.0,
 ) -> TomographyDataset:
     """Draw Poisson counts with mean rate * p for every design row."""
-    if rate <= 0.0:
-        raise ValueError("rate must be positive")
+    _check_rate(rate)
     rng = np.random.default_rng(seed)
     lam = rate * design.probabilities(channel)
     counts = rng.poisson(lam).astype(np.float64)
@@ -314,17 +272,6 @@ def _mle_batch(counts: np.ndarray, design: TomographyDesign
     a trial's result is bit-identical to a solve of that row alone.  A
     trial leaves the stack when it meets the stopping test.
     """
-    if not design.identifiable:
-        raise ValueError(
-            "unidentifiable model: the design does not span the space of "
-            "two-qubit process matrices (rank "
-            f"{design.rank} < 256)"
-        )
-    if not design.uniform:
-        raise ValueError(
-            "the RrhoR update requires the design operators to sum to a "
-            "multiple of the identity"
-        )
     if counts.shape[1] != design.size:
         raise ValueError("dataset does not match the design size")
 
@@ -573,8 +520,8 @@ def experiment_pipeline(
 ) -> PipelineReport:
     """Full simulated run: channel -> counts -> MLE -> fidelities -> fit.
 
-    ``trials`` >= 2 adds Monte Carlo error bars (otherwise the std
-    columns are NaN).  All randomness derives from ``seed`` through
+    ``trials`` >= 2 adds Monte Carlo error bars; with 0 the std columns
+    are NaN, and any other value raises ``ValueError``.  All randomness derives from ``seed`` through
     per-phase spawned streams, so reruns are bit-identical.  Every
     phase's counts are drawn first.  With a bootstrap, each phase's main
     reconstruction is solved in one batch with its own resamples;
@@ -582,6 +529,8 @@ def experiment_pipeline(
     No result depends on what else is in its batch, so each row equals
     ``mle_reconstruct`` and ``monte_carlo_errors`` on its phase alone.
     """
+    if not (trials == 0 or trials >= 2):
+        raise ValueError("trials must be 0 (no error bars) or at least 2")
     phases = tuple(normalize_phase(p) for p in (
         standard_phases() if phases is None else phases))
     design = default_design()

@@ -328,18 +328,30 @@ def test_flag_validation_exits_1(tmp_path):
     (["optics-scan"], {"parameter": "phase_jitter_sigma",
                        "values": [math.inf]}, "values"),
     (["optics-scan"], {"phi": True}, "phi"),
+    # the output keys and the optics overrides have a type of their own
+    (["superrep"], {"out_dir": 5}, "out_dir"),
+    (["superrep"], {"out_dir": ["out"]}, "out_dir"),
+    (["superrep"], {"svg": "false"}, "svg"),
+    (["superrep"], {"svg": 0.0}, "svg"),
+    (["replicate", "--phases", "0.5"], {"optics": []}, "optics"),
+    (["replicate", "--phases", "0.5"], {"optics": 0}, "optics"),
+    (["replicate", "--phases", "0.5"], {"optics": False}, "optics"),
 ], ids=["nan-phase", "inf-phase", "inf-rate", "nan-phi", "nan-jitter",
         "bool-phase", "bool-seed", "bool-rate", "empty-phases", "bool-trials",
         "bool-visibility", "inf-jitter", "inf-alpha", "bool-alpha",
-        "huge-alpha", "bool-n", "bool-m", "bool-value", "inf-value", "bool-phi"])
+        "huge-alpha", "bool-n", "bool-m", "bool-value", "inf-value", "bool-phi",
+        "int-out-dir", "list-out-dir", "string-svg", "float-svg",
+        "list-optics", "zero-optics", "false-optics"])
 def test_non_finite_numbers_are_rejected(tmp_path, capsys, argv, config,
                                          key):
     out = tmp_path / "out"
-    argv = argv + ["--out-dir", str(out)]
+    if "out_dir" not in (config or {}):  # the flag would win over the file
+        argv = argv + ["--out-dir", str(out)]
     if config is not None:
         argv += ["--config", _write_config(tmp_path, config)]
     assert main(argv) == 1
-    assert key in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err
     assert not out.exists()
 
 

@@ -34,7 +34,6 @@ from phaserep.qmat import PROJECTOR_KETS
 from phaserep.tomo import (
     MEASUREMENT_BASES,
     SINGLE_QUBIT_STATES,
-    TomographyDesign,
     _mle_batch,
     _row_layout,
 )
@@ -82,25 +81,60 @@ def test_default_design_dimensions():
 
 
 def test_default_design_is_identifiable_and_uniform():
+    # what the RrhoR solver relies on, read off the dense stack: the O_j
+    # span all 256 dimensions, and they sum to 324 * I (the 6 single-qubit
+    # kets' projectors sum to 3*I, squared over the pair and times
+    # d * n_settings: 4 * 9 * 9 = 324)
     design = default_design()
-    assert design.rank == 256
-    assert design.identifiable
-    assert design.uniform
-    # sum of the 6 single-qubit kets' projectors is 3*I, squared over the
-    # pair and times d * n_settings: 4 * 9 * 9 = 324
-    assert design.operator_sum_scale == pytest.approx(324.0, abs=1e-9)
+    assert np.linalg.matrix_rank(_dense_matrix(design)) == 256
+    total = design.operators.sum(axis=0)
+    assert np.max(np.abs(total - 324.0 * np.eye(16))) <= 1e-12
+
+
+def _sub_design_rows(design, inputs, outcomes):
+    """The dense rows (row j = i * n_outcomes + k) of the design cut down
+    to the given input and outcome indices."""
+    n_outcomes = design.outcome_factor.shape[1]
+    return np.array([i * n_outcomes + k for i in inputs for k in outcomes])
 
 
 def test_rank_from_factors_matches_the_dense_matrix():
-    # the full, one-input-dropped and single-setting (rank-deficient)
-    # designs, against an SVD of the dense matrix
-    kets, settings = _design_parts()
-    designs = [default_design(), TomographyDesign(kets[1:], settings),
-               TomographyDesign(kets, settings[:1])]
-    for design in designs:
-        assert design.rank == np.linalg.matrix_rank(_dense_matrix(design))
-    assert [d.rank for d in designs] == [256, 256, 64]
-    assert not designs[2].identifiable
+    # every O_j is a Kronecker product, so the rank of the stack is the
+    # product of the factors' ranks: the full, one-input-dropped and
+    # single-setting (rank-deficient) cuts, against an SVD of the dense
+    # matrix
+    design = default_design()
+    dense = _dense_matrix(design)
+    n_in, n_out = design.input_factor.shape[0], design.outcome_factor.shape[1]
+    cuts = [(range(n_in), range(n_out)), (range(1, n_in), range(n_out)),
+            (range(n_in), range(4))]
+    ranks = []
+    for inputs, outcomes in cuts:
+        rank = (np.linalg.matrix_rank(design.input_factor[list(inputs)])
+                * np.linalg.matrix_rank(design.outcome_factor[:, list(outcomes)]))
+        rows = _sub_design_rows(design, inputs, outcomes)
+        assert rank == np.linalg.matrix_rank(dense[rows])
+        ranks.append(rank)
+    assert ranks == [256, 256, 64]
+
+
+@pytest.mark.parametrize("drop_input", [False, True])
+def test_operator_sum_from_factors_matches_the_dense_sum(drop_input):
+    # sum_j O_j = (sum_i rho_i^T) (x) (sum_k d Pi_k); it is a multiple of
+    # the identity only for the full set of inputs
+    design = default_design()
+    n_in, n_out = design.input_factor.shape[0], design.outcome_factor.shape[1]
+    inputs = range(n_in - 1) if drop_input else range(n_in)
+    total = design.operators[_sub_design_rows(design, inputs,
+                                              range(n_out))].sum(axis=0)
+    from_factors = np.kron(
+        design.input_factor[list(inputs)].sum(axis=0).reshape(4, 4),
+        design.outcome_factor.sum(axis=1).reshape(4, 4))
+    assert np.max(np.abs(from_factors - total)) <= 1e-12
+    scale = float(np.trace(total).real) / 16.0
+    assert scale == pytest.approx(324.0 * len(inputs) / n_in, rel=1e-14)
+    spread = np.max(np.abs(total - scale * np.eye(16)))
+    assert bool(spread <= 1e-8 * scale) == (not drop_input)
 
 
 def test_input_states_span_the_operator_space():
@@ -123,19 +157,6 @@ def test_operators_are_the_kronecker_stack():
                           for k in kets for setting in settings
                           for proj in setting])
     assert np.array_equal(default_design().operators, reference)
-    assert np.array_equal(TomographyDesign(kets[:-1], settings).operators,
-                          reference[:-36])
-
-
-@pytest.mark.parametrize("drop_input", [False, True])
-def test_operator_sum_from_factors_matches_the_dense_sum(drop_input):
-    kets, settings = _design_parts()
-    design = TomographyDesign(kets[:-1] if drop_input else kets, settings)
-    total = design.operators.sum(axis=0)
-    scale = float(np.trace(total).real) / 16.0
-    assert design.operator_sum_scale == pytest.approx(scale, rel=1e-14)
-    spread = np.max(np.abs(total - scale * np.eye(16)))
-    assert design.uniform == bool(spread <= 1e-8 * scale) == (not drop_input)
 
 
 def test_row_index_layout():
@@ -148,30 +169,12 @@ def test_row_index_layout():
 
 
 def test_row_index_is_the_position_in_the_row_layout():
-    kets, settings = _design_parts()
-    for design in (default_design(), TomographyDesign(kets[:-1], settings)):
-        layout = _row_layout(2, design)
-        assert layout.shape == (2 * design.size, 4)
-        assert np.array_equal(layout[:, 0],
-                              np.repeat([0, 1], design.size))
-        rows = [design.row_index(i, s, o) for _, i, s, o in layout.tolist()]
-        assert rows == list(range(design.size)) * 2
-
-
-def test_design_rejects_bad_inputs():
-    kets, settings = _design_parts()
-    with pytest.raises(ValueError, match="normalized"):
-        TomographyDesign([2.0 * kets[0]] + kets[1:], settings)
-    with pytest.raises(ValueError, match="normalized"):
-        TomographyDesign([], settings)
-    p = settings[0]
-    # row_index assumes four outcomes a setting, so a setting of three
-    # (even three that sum to the identity) would misplace every row
-    for first in (p[:3], [p[0] + p[1], p[2], p[3]]):
-        with pytest.raises(ValueError, match="exactly 4 projectors"):
-            TomographyDesign(kets, [first] + settings[1:])
-    with pytest.raises(ValueError, match="sum to identity"):
-        TomographyDesign(kets, [p[:3] + [np.zeros((4, 4))]] + settings[1:])
+    design = default_design()
+    layout = _row_layout(2, design)
+    assert layout.shape == (2 * design.size, 4)
+    assert np.array_equal(layout[:, 0], np.repeat([0, 1], design.size))
+    rows = [design.row_index(i, s, o) for _, i, s, o in layout.tolist()]
+    assert rows == list(range(design.size)) * 2
 
 
 # --------------------------------------------------------- probabilities
@@ -196,14 +199,8 @@ def test_probability_deficit_matches_postselection_loss():
     assert np.max(np.abs(per_setting - 36.0 * channel.trace)) < 1e-10
 
 
-@pytest.mark.parametrize("drop_input", [False, True])
-def test_factored_kernels_match_the_dense_matrix(rng, drop_input):
-    # the one-input-dropped design is not square (35 inputs x 36
-    # outcomes), so a slip in the row order cannot cancel out
+def test_factored_kernels_match_the_dense_matrix(rng):
     design = default_design()
-    if drop_input:
-        kets, settings = _design_parts()
-        design = TomographyDesign(kets[:-1], settings)
     g = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
     chi = g + g.conj().T
     weights = rng.exponential(size=design.size)
@@ -295,8 +292,10 @@ def test_expected_counts_are_rate_times_probabilities():
     assert ds.phase == 1.3
     assert ds.rate == 500.0
     np.testing.assert_allclose(ds.counts, 500.0 * design.probabilities(chi))
-    with pytest.raises(ValueError, match="rate"):
-        expected_counts(chi, design, 0.0)
+    # rejected up front: no RuntimeWarning (inf * 0) on the way
+    for rate in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="^rate must be a finite"):
+            expected_counts(chi, design, rate)
 
 
 def test_simulated_counts_are_seed_deterministic():
@@ -308,31 +307,13 @@ def test_simulated_counts_are_seed_deterministic():
     assert np.array_equal(a.counts, b.counts)
     assert not np.array_equal(a.counts, c.counts)
     assert np.all(a.counts == np.round(a.counts))
-    with pytest.raises(ValueError, match="rate"):
-        simulate_counts(chi, design, -1.0, 7)
+    # rejected up front, not by numpy's Poisson sampler
+    for rate in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="^rate must be a finite"):
+            simulate_counts(chi, design, rate, 7)
 
 
 # ------------------------------------------------------------------- MLE
-
-
-def test_unidentifiable_design_is_rejected():
-    _, settings = _design_parts()
-    computational = [np.kron(PROJECTOR_KETS[a], PROJECTOR_KETS[b])
-                     for a in "01" for b in "01"]
-    design = TomographyDesign(computational, settings)
-    assert design.uniform and not design.identifiable
-    ds = expected_counts(choi_from_kraus([cu_phase(0.4)]), design, 100.0)
-    with pytest.raises(ValueError, match="unidentifiable"):
-        mle_reconstruct(ds, design)
-
-
-def test_nonuniform_design_is_rejected():
-    kets, settings = _design_parts()
-    design = TomographyDesign(kets[:-1], settings)  # drop one input
-    assert design.identifiable and not design.uniform
-    ds = expected_counts(choi_from_kraus([cu_phase(0.4)]), design, 100.0)
-    with pytest.raises(ValueError, match="RrhoR"):
-        mle_reconstruct(ds, design)
 
 
 def test_dataset_size_must_match_design():
@@ -691,6 +672,13 @@ def test_pipeline_adds_error_bars_when_asked():
     for row in report.rows:
         assert math.isfinite(row.f_cu_std) and row.f_cu_std >= 0.0
         assert math.isfinite(row.f_uu_std) and row.f_uu_std >= 0.0
+
+
+@pytest.mark.parametrize("trials", [1, -3])
+def test_pipeline_rejects_trials_other_than_0_or_at_least_2(trials):
+    with pytest.raises(ValueError, match="trials"):
+        experiment_pipeline(OpticsParams.ideal(), phases=[0.5], rate=10.0,
+                            trials=trials)
 
 
 def test_pipeline_matches_per_phase_solves_and_bootstraps():
