@@ -17,10 +17,16 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
+from numbers import Integral
 
 import numpy as np
 
 REGISTER_CAP = 24
+
+
+def _integer(value) -> bool:
+    """True for Python and numpy integers, False for bool and the rest."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
 
 
 def _check_width(qubits: int) -> None:

@@ -8,14 +8,15 @@ multiple f(w): 0 below the window, w - m_min inside, N above.  V is
 kept as its index permutation and every map as its diagonal, so nothing
 here builds a 2^(M+N)-wide matrix.
 
-Fidelity with the ideal M-fold gate is a binomial sum over weights.  The
-weights C(M, w) / 2^M are built once per protocol size from exact
-integer binomials, each correctly rounded to a double.  Only the tails
-outside the window enter the infidelity 1 - F, which is computed
-without cancellation for a whole phase grid at once, in fixed-size
-blocks: about 3 sqrt(M) sines and one small matrix product per
-phase.  It is accurate to a few ulps of itself, also where F rounds to
-1, and no state vectors are ever built on that path.
+Fidelity with the ideal M-fold gate is a binomial sum over weights
+C(M, w) / 2^M.  Only the tails outside the window enter the infidelity
+1 - F, and the tail above mirrors the one below, so only the weights
+below the window are built, from exact integer binomials correctly
+rounded to doubles, until they underflow.  1 - F is computed without
+cancellation for a whole phase grid at once, in fixed-size blocks:
+about 4 sqrt(L) sines and one small matrix product per phase for L
+tail weights.  It is accurate to a few ulps of itself, also where F
+rounds to 1, and no state vectors are ever built on that path.
 """
 from __future__ import annotations
 
@@ -25,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .qmat import _check_width, normalize_phase
+from .qmat import _check_width, _integer, normalize_phase
 
 
 @dataclass(frozen=True)
@@ -36,6 +37,10 @@ class ReplicationSpec:
     replicas: int
 
     def __post_init__(self):
+        for name in ("copies", "replicas"):
+            if not _integer(value := getattr(self, name)):
+                raise ValueError(f"{name} must be an integer, not {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.copies < 1 or self.replicas < 1:
             raise ValueError("copies and replicas must be positive")
 
@@ -100,28 +105,25 @@ def replicated_map(spec: ReplicationSpec, phi: float) -> np.ndarray:
     return np.exp(1j * phi * phase_profile(spec)[_weight_table(m)])
 
 
-def _fidelity_terms(spec: ReplicationSpec
-                    ) -> tuple[np.ndarray, np.ndarray]:
-    """Weights c_w = C(M, w) / 2^M and exponents k_w = f(w) - w + m_min.
+def _tail_weights(spec: ReplicationSpec) -> tuple[np.ndarray, int]:
+    """Weights below the window, nearest first, and the parity shift.
 
-    k_w is the phase offset f(w) - w measured from the window's own
-    offset -m_min, so window weights have k = 0, the tail below has
-    k = m_min - w > 0 and the tail above k < 0.  The binomials are exact
-    integers and each quotient by 2^M is correctly rounded, so a weight
-    carries at most one rounding; weights below the smallest subnormal
-    are exact zeros.  When the window covers every weight there is no
-    tail, and the terms are the single window term (1, 0).
+    Entry j is C(M, w) / 2^M at w = m_min - 1 - j, with phase exponent
+    k = f(w) - w + m_min = j + 1; by C(M, w) = C(M, M - w) the weight at
+    k = -(j + 1), above the window, is entry j + shift.  The exact
+    binomials step outward by C(M, w - 1) = C(M, w) w / (M - w + 1), each
+    quotient by 2^M is correctly rounded, and the tail stops before the
+    first weight that rounds to 0 (the weights fall away from M / 2).
     """
-    m = spec.replicas
-    exponents = phase_profile(spec) - np.arange(m + 1) + spec.m_min
-    if not exponents.any():
-        return np.ones(1), np.zeros(1, dtype=np.int64)
+    m, w = spec.replicas, spec.m_min - 1
     scale = 1 << m
-    binomial, weights = 1, []
-    for w in range(m + 1):
-        weights.append(binomial / scale)
-        binomial = binomial * (m - w) // (w + 1)
-    return np.array(weights), exponents
+    binomial = math.comb(m, w) if w >= 0 else 0
+    tail = []
+    while weight := binomial / scale:
+        tail.append(weight)
+        binomial = binomial * w // (m - w + 1)
+        w -= 1
+    return np.array(tail), (m - spec.copies) % 2
 
 
 # Phases evaluated together; every temporary of the kernel holds at most
@@ -138,36 +140,32 @@ def _one_minus_phasor(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return 2.0 * half * half, np.sin(theta)
 
 
-def _infidelities(terms: tuple[np.ndarray, np.ndarray], phases: np.ndarray
+def _infidelities(terms: tuple[np.ndarray, int], phases: np.ndarray
                   ) -> np.ndarray:
     """1 - F at every phase of a finite 1-D grid, free of cancellation.
 
     With the weights summing to 1, S = sum_w c_w e^{i k_w phi} = 1 - D,
     where D = sum over the tails of c_w (1 - e^{i k_w phi}); window terms
     have k = 0 and drop out exactly, and 1 - F = 2 Re D - |D|^2.  The
-    tail weights are folded by |k| into two rows, k > 0 and k < 0 (the
-    second enters D conjugated), and |k| = q b + r with b = ceil(sqrt(L))
-    over the L folded exponents.  Then 1 - e^{i(qb + r)phi} =
-    (1 - B_q) + B_q (1 - C_r) with B_q = e^{i qb phi} and
-    C_r = e^{i r phi}, so each phase costs about 4 sqrt(L) sines and one
-    real (2q x b) @ (b x 2) product.  Splitting at k = 0 keeps the
-    rounding of each term's angle proportional to its own |k|.  The
-    product is made once per phase, so a phase's value does not depend
-    on the grid around it.
+    tails of ``_tail_weights`` fill two rows indexed by |k|, k > 0 and
+    k < 0 (the second enters D conjugated), and |k| = q b + r with
+    b = ceil(sqrt(L + 1)) over the L tail weights.  Then
+    1 - e^{i(qb + r)phi} = (1 - B_q) + B_q (1 - C_r) with
+    B_q = e^{i qb phi} and C_r = e^{i r phi}, so each phase costs about
+    4 sqrt(L) sines and one real (2q x b) @ (b x 2) product.  Splitting
+    at k = 0 keeps the rounding of each term's angle proportional to its
+    own |k|.  An empty tail gives 1 - F = 0.  The product is made once
+    per phase, so a phase's value does not depend on the grid around it.
     """
-    weights, exponents = terms
-    index = np.abs(exponents)
-    span = int(index.max()) + 1
+    tail, shift = terms
+    span = tail.size + 1
     b = math.isqrt(span - 1) + 1
     q = -(-span // b)
-    folded = np.stack([
-        np.bincount(index, np.where(exponents > 0, weights, 0.0),
-                    minlength=q * b),
-        np.bincount(index, np.where(exponents < 0, weights, 0.0),
-                    minlength=q * b),
-    ]).reshape(2, q, b)
+    folded = np.zeros((2, q * b))
+    folded[0, 1:span] = tail
+    folded[1, 1:span - shift] = tail[shift:]
     rows = folded.reshape(2 * q, b)
-    row_sums = folded.sum(axis=2)
+    row_sums = folded.reshape(2, q, b).sum(axis=2)
     r = np.arange(b, dtype=np.float64)
     qb = b * np.arange(q, dtype=np.float64)
     phases = np.remainder(phases, 2.0 * math.pi)
@@ -205,13 +203,13 @@ def replication_fidelity(spec: ReplicationSpec, phi: float) -> float:
     Equals |sum_w C(M,w) 2^{-M} e^{i (f(w)-w) phi}|^2, computed as 1 minus
     the cancellation-free infidelity of ``_infidelities`` on a grid of
     this one phase, so it equals ``worst_case_fidelity``'s value at the
-    same phase.  The weights are exact integer binomials correctly
-    rounded to doubles; the infidelity is accurate to a few ulps of
-    itself.  When the window covers every weight (copies >= replicas)
-    the fidelity is exactly 1.  A non-finite phase raises ValueError.
+    same phase.  Only the tail weights below the window are built; the
+    infidelity is accurate to a few ulps of itself.  When the window
+    covers every weight (copies >= replicas) the fidelity is exactly 1.
+    A non-finite phase raises ValueError.
     """
     grid = _phase_grid([phi])
-    return 1.0 - float(_infidelities(_fidelity_terms(spec), grid)[0])
+    return 1.0 - float(_infidelities(_tail_weights(spec), grid)[0])
 
 
 def default_phi_grid() -> np.ndarray:
@@ -224,13 +222,13 @@ def worst_case_fidelity(
 ) -> tuple[float, float]:
     """(phi, fidelity) at the grid point of largest infidelity.
 
-    The weights are built once per call and the whole grid goes through
-    one kernel in blocks of phases, so memory does not grow with the
-    grid; each value equals ``replication_fidelity`` at that phase.  The
-    grid must be a non-empty 1-D array of finite phases.
+    The tail weights are built once per call and the whole grid goes
+    through one kernel in blocks of phases, so memory does not grow with
+    the grid; each value equals ``replication_fidelity`` at that phase.
+    The grid must be a non-empty 1-D array of finite phases.
     """
     grid = default_phi_grid() if phi_grid is None else _phase_grid(phi_grid)
-    infidelity = _infidelities(_fidelity_terms(spec), grid)
+    infidelity = _infidelities(_tail_weights(spec), grid)
     i = int(np.argmax(infidelity))
     return float(grid[i]), 1.0 - float(infidelity[i])
 

@@ -28,7 +28,7 @@ import numpy as np
 from .choi import ProcessMatrix, choi_from_kraus, process_fidelity
 from .gates import cu_phase, phase_gate
 from .optics import OpticsParams, replication_experiment_channel
-from .qmat import PROJECTOR_KETS, kron, normalize_phase
+from .qmat import PROJECTOR_KETS, _integer, kron, normalize_phase
 
 SINGLE_QUBIT_STATES = ("0", "1", "+", "-", "+i", "-i")
 MEASUREMENT_BASES = ("x", "y", "z")
@@ -449,8 +449,9 @@ def monte_carlo_errors(
     with the same helpers, in a batch that also holds the phase's main
     reconstruction, with equal results.
     """
-    if trials < 2:
-        raise ValueError("need at least 2 Monte Carlo trials")
+    if not (_integer(trials) and trials >= 2):
+        raise ValueError("need an integer of at least 2 Monte Carlo "
+                         f"trials, not {trials!r}")
     results = _mle_batch(_resample(dataset.counts, trials, seed), design)
     return _fidelity_stats(results, targets)
 
@@ -520,17 +521,19 @@ def experiment_pipeline(
 ) -> PipelineReport:
     """Full simulated run: channel -> counts -> MLE -> fidelities -> fit.
 
-    ``trials`` >= 2 adds Monte Carlo error bars; with 0 the std columns
-    are NaN, and any other value raises ``ValueError``.  All randomness derives from ``seed`` through
-    per-phase spawned streams, so reruns are bit-identical.  Every
-    phase's counts are drawn first.  With a bootstrap, each phase's main
-    reconstruction is solved in one batch with its own resamples;
-    without one, the main reconstructions of all phases form one batch.
+    An integer ``trials`` >= 2 adds Monte Carlo error bars; with 0 the
+    std columns are NaN, and any other value raises ``ValueError``.
+    All randomness derives from ``seed`` through per-phase spawned
+    streams, so reruns are bit-identical.  Every phase's counts are
+    drawn first.  With a bootstrap, each phase's main reconstruction is
+    solved in one batch with its own resamples; without one, the main
+    reconstructions of all phases form one batch.
     No result depends on what else is in its batch, so each row equals
     ``mle_reconstruct`` and ``monte_carlo_errors`` on its phase alone.
     """
-    if not (trials == 0 or trials >= 2):
-        raise ValueError("trials must be 0 (no error bars) or at least 2")
+    if not (_integer(trials) and (trials == 0 or trials >= 2)):
+        raise ValueError("trials must be an integer, 0 (no error bars) or "
+                         f"at least 2, not {trials!r}")
     phases = tuple(normalize_phase(p) for p in (
         standard_phases() if phases is None else phases))
     design = default_design()

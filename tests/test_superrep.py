@@ -11,8 +11,8 @@ from phaserep.qmat import REGISTER_CAP, normalize_phase
 from phaserep.superrep import (
     _BLOCK,
     ReplicationSpec,
-    _fidelity_terms,
     _infidelities,
+    _tail_weights,
     _weight_table,
     ancilla_imprint,
     asymptotic_sweep,
@@ -37,6 +37,13 @@ def test_spec_validation():
         ReplicationSpec(copies=0, replicas=2)
     with pytest.raises(ValueError):
         ReplicationSpec(copies=2, replicas=0)
+    # a bool or a float is not a protocol size, even where it equals one
+    for copies, replicas in ((True, 4), (2, True), (2.0, 4), (2, 4.0)):
+        with pytest.raises(ValueError, match="integer"):
+            ReplicationSpec(copies, replicas)
+    spec = ReplicationSpec(np.int64(2), np.int32(4))
+    assert spec == ReplicationSpec(2, 4)
+    assert type(spec.copies) is int and type(spec.replicas) is int
 
 
 def test_window_bounds_hand_table():
@@ -205,8 +212,10 @@ def _mp_fidelity(spec, phi):
 
 
 def test_fidelity_against_high_precision_sum():
-    for n, m in ((1, 2), (2, 4), (3, 9), (4, 6), (10, 100), (100, 1000),
-                 (158, 1986)):
+    # (1, 2), (2, 5) and (61, 476) have odd M - N: the tail above the
+    # window is the one below shifted by one
+    for n, m in ((1, 2), (2, 4), (2, 5), (3, 9), (4, 6), (10, 100),
+                 (61, 476), (100, 1000), (158, 1986)):
         spec = ReplicationSpec(copies=n, replicas=m)
         for phi in (0.3, 0.9, 2.2):
             expected = _mp_fidelity(spec, phi)
@@ -214,18 +223,26 @@ def test_fidelity_against_high_precision_sum():
 
 
 def test_very_wide_register_weights_and_worst_case():
-    spec = ReplicationSpec(copies=400, replicas=8000)
-    m = spec.replicas
-    weights, _ = _fidelity_terms(spec)
-    assert math.fsum(weights) == 1.0
-    assert np.array_equal(weights, weights[::-1])
-    # a weight is zero exactly when C(M, w) / 2^M rounds below the
-    # smallest subnormal, 2^-1074
-    binomial = 1
-    for w in range(m + 1):
-        assert (weights[w] == 0.0) == ((binomial << 1075) <= (1 << m))
-        binomial = binomial * (m - w) // (w + 1)
-    assert np.count_nonzero(weights == 0.0) > 0
+    m = 8000
+    binomial = [1]  # C(M, w) for every w, upward from w = 0
+    for w in range(m):
+        binomial.append(binomial[-1] * (m - w) // (w + 1))
+    for spec in (ReplicationSpec(399, m), ReplicationSpec(400, m)):
+        tail, shift = _tail_weights(spec)
+        assert shift == (m - spec.copies) % 2
+        # entry j is the weight at w = m_min - 1 - j, correctly rounded
+        top = spec.m_min - 1
+        for j, weight in enumerate(tail.tolist()):
+            assert weight == binomial[top - j] / (1 << m)
+        # C(M, w) / 2^M rounds to 0 exactly when it is at most half the
+        # smallest subnormal, 2^-1074: so past the tail, not inside it
+        assert (binomial[top - tail.size] << 1075) <= (1 << m)
+        assert (binomial[top - tail.size + 1] << 1075) > (1 << m)
+        # the window's weights, both tails and nothing else sum to 1
+        window = [binomial[w] / (1 << m)
+                  for w in range(spec.m_min, spec.m_max + 1)]
+        assert math.fsum([*window, *tail, *tail[shift:]]) == 1.0
+    spec = ReplicationSpec(400, m)
     phi, fid = worst_case_fidelity(spec)
     assert abs(fid - _mp_fidelity(spec, phi)) < 1e-13
     assert fid == replication_fidelity(spec, phi)
@@ -274,7 +291,7 @@ def test_worst_case_scans_the_given_grid():
     sizes = (1, 7, 513, 2 * _BLOCK + 3)
     for n, m in ((1, 2), (2, 4), (2, 2), (10, 100), (158, 1986)):
         spec = ReplicationSpec(copies=n, replicas=m)
-        terms = _fidelity_terms(spec)
+        terms = _tail_weights(spec)
         for size in sizes:
             grid = (np.linspace(0.0, math.pi, size) if size < 100
                     else rng.uniform(-1.0, 7.0, size))
@@ -323,7 +340,7 @@ def test_infidelity_against_high_precision_tail_sum():
             binomial = binomial * (m - w) // (w + 1)
         tail /= mpmath.mpf(2) ** m
         expected = 2 * tail.real - abs(tail) ** 2
-    got = _infidelities(_fidelity_terms(spec), np.array([phi]))[0]
+    got = _infidelities(_tail_weights(spec), np.array([phi]))[0]
     assert abs(got - expected) < 1e-13 * expected
 
 

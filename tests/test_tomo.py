@@ -535,8 +535,18 @@ def test_optimality_gap_matches_the_dense_formula():
 def test_monte_carlo_needs_at_least_two_trials():
     design = default_design()
     ds = expected_counts(choi_from_kraus([cu_phase(0.4)]), design, 100.0)
-    with pytest.raises(ValueError, match="at least 2"):
-        monte_carlo_errors(ds, design, 1, {"cu": cu_phase(0.4)}, seed=0)
+    for trials in (1, 2.5, 2.0, True):
+        with pytest.raises(ValueError, match="at least 2"):
+            monte_carlo_errors(ds, design, trials, {"cu": cu_phase(0.4)},
+                               seed=0)
+
+
+def test_monte_carlo_accepts_numpy_integer_trials():
+    design = default_design()
+    ds = expected_counts(choi_from_kraus([cu_phase(0.4)]), design, 100.0)
+    targets = {"cu": cu_phase(0.4)}
+    assert (monte_carlo_errors(ds, design, np.int64(2), targets, seed=0)
+            == monte_carlo_errors(ds, design, 2, targets, seed=0))
 
 
 def test_monte_carlo_is_seed_deterministic():
@@ -674,7 +684,7 @@ def test_pipeline_adds_error_bars_when_asked():
         assert math.isfinite(row.f_uu_std) and row.f_uu_std >= 0.0
 
 
-@pytest.mark.parametrize("trials", [1, -3])
+@pytest.mark.parametrize("trials", [1, -3, 2.5, 2.0, False])
 def test_pipeline_rejects_trials_other_than_0_or_at_least_2(trials):
     with pytest.raises(ValueError, match="trials"):
         experiment_pipeline(OpticsParams.ideal(), phases=[0.5], rate=10.0,
