@@ -94,8 +94,9 @@ def choi_from_kraus(operators: Sequence[np.ndarray]) -> ProcessMatrix:
 
 
 def process_fidelity(
-    channel: ProcessMatrix | Sequence[np.ndarray], u: np.ndarray
-) -> float:
+    channel: ProcessMatrix | Sequence[np.ndarray] | np.ndarray,
+    u: np.ndarray,
+) -> float | np.ndarray:
     """F = <Phi_U| chi |Phi_U> / Tr[chi]; invariant under chi rescaling.
 
     ``channel`` is a process matrix (e.g. a reconstructed one) or a
@@ -105,6 +106,12 @@ def process_fidelity(
     Tr[chi] = sum_k ||K_k||_F² / d.  Sub-normalized lists are fine; an
     empty, all-zero or non-finite list, or operators whose shape is not
     U's, raise ``ValueError``.
+
+    The Kraus form also takes one channel per phase: an array of shape
+    (P, n, d, d), Kraus operators on axis -3, with ``u`` one gate or a
+    (P, d, d) stack, and returns the P fidelities as an array.  A list
+    is the same formula at one phase and returns a float, so each entry
+    of the array equals the float of its own row.
     """
     if isinstance(channel, ProcessMatrix):
         if u.shape != (channel.dim, channel.dim):
@@ -116,21 +123,28 @@ def process_fidelity(
         v = choi_vector(u)
         f = float(np.real(v.conj() @ channel.matrix @ v)) / tr
     else:
-        mats = [np.asarray(op, dtype=np.complex128) for op in channel]
-        if not mats:
+        if len(channel) == 0:
             raise ValueError("need at least one Kraus operator")
-        d = u.shape[0]
-        if u.shape != (d, d) or any(m.shape != u.shape for m in mats):
+        try:
+            mats = np.asarray(channel, dtype=np.complex128)
+        except ValueError:  # operators of different shapes
+            mats = None
+        d = u.shape[-1]
+        if mats is None or mats.ndim < 3 or u.ndim < 2 \
+                or mats.shape[-2:] != (d, d) or u.shape[-2] != d:
             raise ValueError(
                 "process_fidelity requires matching qubit counts")
-        weight = sum(float(np.vdot(m, m).real) for m in mats)
+        weight = (mats.real ** 2 + mats.imag ** 2).sum(axis=(-3, -2, -1))
         # written so that NaN fails too
-        if not 0.0 < weight < math.inf:
+        if not ((0.0 < weight) & (weight < math.inf)).all():
             raise ValueError("Kraus operators must be finite and not "
                              "all zero")
-        f = float(sum(abs(np.vdot(u, m)) ** 2 for m in mats)) / (d * weight)
+        overlap = (u.conj()[..., None, :, :] * mats).sum(axis=(-2, -1))
+        f = (overlap.real ** 2 + overlap.imag ** 2).sum(axis=-1) \
+            / (d * weight)
     # Clip float noise; chi is PSD so f is in [0, 1] mathematically.
-    return min(max(f, 0.0), 1.0)
+    f = np.minimum(np.maximum(f, 0.0), 1.0)
+    return float(f) if f.ndim == 0 else f
 
 
 def process_matrix_to_json(chi: ProcessMatrix) -> dict:

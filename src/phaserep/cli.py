@@ -325,22 +325,19 @@ def _json_text(doc: dict) -> str:
 
 def cmd_replicate(config: SimpleNamespace, out: Path, meta: dict) -> None:
     """Phase sweep: ideal and noisy replication fidelities vs baselines."""
-    mp = baseline_measure_prepare()
-    twirl = twirled_mean_fidelity(64)
-    rows = []
-    for phi in config.phases:
-        u = phase_gate(phi)
-        channel = replication_experiment_channel(phi, config.optics)
-        rows.append([
-            phi,
-            fidelity_replicas(phi),
-            process_fidelity(channel, kron(u, u)),
-            process_fidelity(channel, cu_phase(phi)),
-            baseline_single_copy(phi),
-            mp,
-            twirl,
-            optimal_cloner_fidelity(phi),
-        ])
+    phases = np.array(config.phases)
+    u = phase_gate(phases)
+    channel = replication_experiment_channel(phases, config.optics)
+    rows = np.column_stack([
+        phases,
+        fidelity_replicas(phases),
+        process_fidelity(channel, kron(u, u)),
+        process_fidelity(channel, cu_phase(phases)),
+        baseline_single_copy(phases),
+        np.full(len(phases), baseline_measure_prepare()),
+        np.full(len(phases), twirled_mean_fidelity(64)),
+        optimal_cloner_fidelity(phases),
+    ]).tolist()
     columns = ["phi", "f_uu_ideal", "f_uu_noisy", "f_cu_noisy",
                "baseline_single_copy", "baseline_measure_prepare",
                "twirled_mean", "optimal_cloner"]

@@ -12,6 +12,9 @@ both branches realize that same two-qubit gate.
 
 Fidelities between constructions are process fidelities (see ``choi``);
 the closed forms quoted in the docstrings serve as test oracles only.
+The phase gates, the cloner and the fidelity functions take a float
+phase or a 1-D array of P phases; an array gives a stack of P gates (or
+P fidelities) from one broadcast, each row equal to the float call.
 """
 from __future__ import annotations
 
@@ -20,20 +23,28 @@ import math
 import numpy as np
 
 from .choi import process_fidelity
-from .qmat import kron, normalize_phase
+from .qmat import _integer, kron, normalize_phase
 from .superrep import ReplicationSpec, build_V
 
 
-def phase_gate(phi: float) -> np.ndarray:
-    """diag(1, e^{i*phi}) on one qubit."""
-    phi = normalize_phase(phi)
-    return np.diag([1.0, np.exp(1j * phi)])
+def _diagonal(*entries) -> np.ndarray:
+    """diag(entries), one matrix per phase where an entry is an array."""
+    out = np.zeros(np.broadcast(*entries).shape + (len(entries),) * 2,
+                   dtype=np.complex128)
+    for k, entry in enumerate(entries):
+        out[..., k, k] = entry
+    return out
 
 
-def cu_phase(phi: float) -> np.ndarray:
-    """Controlled phase gate diag(1, 1, 1, e^{i*phi}) on two qubits."""
-    phi = normalize_phase(phi)
-    return np.diag([1.0, 1.0, 1.0, np.exp(1j * phi)])
+def phase_gate(phi: float | np.ndarray) -> np.ndarray:
+    """diag(1, e^{i*phi}) on one qubit; a (P, 2, 2) stack for P phases."""
+    return _diagonal(1.0, np.exp(1j * normalize_phase(phi)))
+
+
+def cu_phase(phi: float | np.ndarray) -> np.ndarray:
+    """Controlled phase gate diag(1, 1, 1, e^{i*phi}) on two qubits; a
+    (P, 4, 4) stack for P phases."""
+    return _diagonal(1.0, 1.0, 1.0, np.exp(1j * normalize_phase(phi)))
 
 
 def controlled_z() -> np.ndarray:
@@ -69,13 +80,14 @@ def replicate_measured_form(phi: float) -> tuple[np.ndarray, np.ndarray]:
                  / math.sqrt(2.0) for sign in (1.0, -1.0))
 
 
-def fidelity_replicas(phi: float) -> float:
-    """Gate fidelity of cu_phase(phi) with two ideal copies of the gate.
+def fidelity_replicas(phi: float | np.ndarray) -> float | np.ndarray:
+    """Gate fidelity of cu_phase(phi) with two ideal copies of the gate;
+    an array of P fidelities for P phases.
 
     Closed form (test oracle): (5 + 3 cos phi) / 8.
     """
     u = phase_gate(phi)
-    return process_fidelity([cu_phase(phi)], kron(u, u))
+    return process_fidelity(cu_phase(phi)[..., None, :, :], kron(u, u))
 
 
 def twirled_mean_fidelity(grid_size: int, phi: float = 0.0) -> float:
@@ -84,18 +96,21 @@ def twirled_mean_fidelity(grid_size: int, phi: float = 0.0) -> float:
     The twirl angle theta runs over a uniform grid of ``grid_size`` points
     on [0, 2*pi); the cosine term of the replica fidelity cancels exactly
     on any such grid, leaving the phase-independent mean 5/8.
+    ``grid_size`` must be an integer (a Python or numpy one, not a bool)
+    of at least 2.
     """
-    if grid_size < 2:
-        raise ValueError("twirl grid needs at least 2 points")
-    phi = normalize_phase(phi)
+    if not (_integer(grid_size) and grid_size >= 2):
+        raise ValueError("twirl grid needs an integer of at least 2 "
+                         f"points, not {grid_size!r}")
     thetas = 2.0 * math.pi * np.arange(grid_size) / grid_size
-    return float(np.mean([fidelity_replicas(phi + t) for t in thetas]))
+    return float(np.mean(fidelity_replicas(normalize_phase(phi) + thetas)))
 
 
-def baseline_single_copy(phi: float) -> float:
-    """Fidelity of applying the gate to one qubit only; cos^2(phi/2)."""
+def baseline_single_copy(phi: float | np.ndarray) -> float | np.ndarray:
+    """Fidelity of applying the gate to one qubit only; cos^2(phi/2).
+    An array of P fidelities for P phases."""
     u = phase_gate(phi)
-    return process_fidelity([kron(u, np.eye(2))], kron(u, u))
+    return process_fidelity(kron(u, np.eye(2))[..., None, :, :], kron(u, u))
 
 
 def measure_prepare_integrand(delta: float) -> float:
@@ -121,7 +136,7 @@ def baseline_measure_prepare() -> float:
                       for k in range(nodes))
 
 
-def optimal_cloner(phi: float) -> list[np.ndarray]:
+def optimal_cloner(phi: float | np.ndarray) -> list[np.ndarray] | np.ndarray:
     """Kraus pair of the optimal 1->2 phase-gate cloner.
 
     Circuit: controlled-Hadamard from each signal qubit onto a |0>
@@ -136,14 +151,19 @@ def optimal_cloner(phi: float) -> list[np.ndarray]:
     The control/target orientation (everything targets the ancilla) is
     the one whose phase-averaged fidelity attains (3 + 2*sqrt(2))/8;
     other orientations fall short and are rejected by the tests.
+
+    For P phases the pair comes as one (P, 2, 4, 4) array, the Kraus
+    operators on axis -3.
     """
     phase = np.exp(1j * normalize_phase(phi))
     s = 1.0 / math.sqrt(2.0)
-    return [np.diag([1.0, s * phase, s * phase, 0.0]),
-            np.diag([0.0, s, s, phase])]
+    pair = np.stack([_diagonal(1.0, s * phase, s * phase, 0.0),
+                     _diagonal(0.0, s, s, phase)], axis=-3)
+    return list(pair) if pair.ndim == 3 else pair
 
 
-def optimal_cloner_fidelity(phi: float) -> float:
-    """Process fidelity of the cloner channel with phase_gate(phi)^{x2}."""
+def optimal_cloner_fidelity(phi: float | np.ndarray) -> float | np.ndarray:
+    """Process fidelity of the cloner channel with phase_gate(phi)^{x2};
+    an array of P fidelities for P phases."""
     u = phase_gate(phi)
     return process_fidelity(optimal_cloner(phi), kron(u, u))

@@ -29,6 +29,10 @@ every input.  Partial photon distinguishability is a two-sector
 mixture: weight V of the interfering (bosonic) map and 1-V of the
 distinguishable sector, whose transmit-transmit and reflect-reflect
 classes contribute incoherently.
+
+The replication experiment's phase enters only as a phase gate on the
+idler, so ``replication_experiment_channel`` builds the network once
+and evaluates a whole phase array from it.
 """
 from __future__ import annotations
 
@@ -157,51 +161,56 @@ def effective_toffoli(
 
 
 def dephase_spatial(
-    kraus: Sequence[np.ndarray], sigma: float
-) -> list[np.ndarray]:
+    kraus: Sequence[np.ndarray] | np.ndarray, sigma: float
+) -> Sequence[np.ndarray] | np.ndarray:
     """Gaussian phase jitter on the spatial qubit (qubit 0), analytically.
 
     A random phase e^{i theta} with theta ~ Normal(0, sigma^2) on the
     |1> path damps spatial coherences by lambda = e^{-sigma^2/2};
     equivalently a phase-flip channel with flip weight (1-lambda)/2.
-    Takes and returns a Kraus list.
+    Takes Kraus operators on axis -3 (a list, or an array with leading
+    axes such as one per phase) and returns them as an array, twice as
+    many along that axis; at sigma = 0 the input itself is returned.
     """
     if not sigma >= 0.0:
         raise ValueError("sigma must be non-negative")
     if sigma == 0.0:
         return kraus
+    kraus = np.asarray(kraus)
     lam = math.exp(-0.5 * sigma * sigma)
     p_keep = 0.5 * (1.0 + lam)
     # Z on the most significant qubit negates the lower half of the rows
-    half = kraus[0].shape[0] // 2
-    out = [math.sqrt(p_keep) * m for m in kraus]
-    out += [math.sqrt(1.0 - p_keep) * np.concatenate((m[:half], -m[half:]))
-            for m in kraus]
-    return out
+    half = kraus.shape[-2] // 2
+    flipped = np.concatenate((kraus[..., :half, :], -kraus[..., half:, :]),
+                             axis=-2)
+    return np.concatenate((math.sqrt(p_keep) * kraus,
+                           math.sqrt(1.0 - p_keep) * flipped), axis=-3)
 
 
 def replication_experiment_channel(
-    phi: float, params: OpticsParams, project: bool = True
-) -> list[np.ndarray]:
+    phi: float | Sequence[float] | np.ndarray, params: OpticsParams
+) -> list[np.ndarray] | np.ndarray:
     """Two-qubit channel of the simulated replication experiment.
 
-    Composes the optical Toffoli with an ideal phase gate on the idler,
-    projects the idler onto |+> (or traces it out when ``project`` is
-    false, for success-rate comparisons), applies the configured spatial
-    dephasing, and returns the channel as a sub-normalized Kraus list of
-    4x4 operators.  ``process_fidelity`` reads the list directly; wrap it
-    in ``choi_from_kraus`` where the process matrix itself is needed.
+    Composes the optical Toffoli of ``params`` with an ideal phase gate
+    on the idler, projects the idler onto |+>, and applies the
+    configured spatial dephasing.  Every operator is
+    K(phi) = A + e^{i phi} B, A and B the idler's |0> and |1> output legs
+    (with the idler entering in |0>) times 1/sqrt(2), so one optical
+    build serves a whole phase array.  A float ``phi`` gives a
+    sub-normalized Kraus list of 4x4 operators; a 1-D array of P phases
+    gives a (P, n, 4, 4) array whose rows are, bit for bit, the lists of
+    the phases on their own.  ``process_fidelity`` reads either
+    directly; wrap a list in ``choi_from_kraus`` where the process
+    matrix itself is needed.
     """
-    phi = normalize_phase(phi)
+    phases = normalize_phase(phi)
+    if np.ndim(phases) > 1:
+        raise ValueError("phi must be a float or a 1-D sequence of phases")
     kraus3, _ = effective_toffoli(params)
-    phase = np.exp(1j * phi)
-    kraus2 = []
-    for k in kraus3:
-        # idler enters in |0>; apply the phase gate to its output leg
-        b = k.reshape(4, 2, 4, 2)[:, :, :, 0].copy()
-        b[:, 1, :] *= phase
-        if project:
-            kraus2.append((b[:, 0, :] + b[:, 1, :]) * _SQRT_HALF)
-        else:
-            kraus2.extend([b[:, 0, :], b[:, 1, :]])
-    return dephase_spatial(kraus2, params.phase_jitter_sigma)
+    phase = np.exp(1j * np.atleast_1d(phases))[:, None, None, None]
+    # [operator, signal out, idler out, signal in] at idler input |0>
+    legs = np.asarray(kraus3).reshape(-1, 4, 2, 4, 2)[..., 0]
+    kraus = (legs[:, :, 0, :] + legs[:, :, 1, :] * phase) * _SQRT_HALF
+    kraus = dephase_spatial(kraus, params.phase_jitter_sigma)
+    return list(kraus[0]) if np.ndim(phases) == 0 else kraus

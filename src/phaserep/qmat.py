@@ -7,10 +7,11 @@ Conventions used throughout the package:
   binary expansion.
 * All matrices and vectors are complex128 ndarrays.  Gates and Kraus
   operators are plain arrays, whose qubit count is read from their
-  shape; mixtures enter only as Kraus lists.  The 1->2 replication
-  circuits are the ``ReplicationSpec(1, 2)`` case of ``superrep``, read
-  off its permutation, so no state vector is ever pushed through a
-  circuit.
+  shape; mixtures enter only as Kraus lists.  A phase sweep stacks them
+  along leading axes: P gates as (P, d, d), P Kraus lists as
+  (P, n, d, d).  The 1->2 replication circuits are the
+  ``ReplicationSpec(1, 2)`` case of ``superrep``, read off its
+  permutation, so no state vector is ever pushed through a circuit.
 * Registers wider than ``REGISTER_CAP`` qubits are refused before
   anything is allocated (a memory guard, not a physics limit).
 """
@@ -38,11 +39,20 @@ def _check_width(qubits: int) -> None:
         )
 
 
-def normalize_phase(phi: float) -> float:
-    """Reduce a phase angle in radians to [0, 2*pi)."""
-    r = float(phi) % (2.0 * math.pi)
-    # phi in [-4.4e-16, 0) rounds up to 2*pi itself
-    return 0.0 if r == 2.0 * math.pi else r
+def normalize_phase(phi: float | np.ndarray) -> float | np.ndarray:
+    """Reduce a phase angle in radians to [0, 2*pi).
+
+    A float gives a float; an array of phases gives an array, each entry
+    bit-identical to the float form.  A non-finite phase gives NaN,
+    silently, as Python's float modulo does.
+    """
+    if np.ndim(phi) == 0:
+        r = float(phi) % (2.0 * math.pi)
+        # phi in [-4.4e-16, 0) rounds up to 2*pi itself
+        return 0.0 if r == 2.0 * math.pi else r
+    with np.errstate(invalid="ignore"):
+        r = np.asarray(phi, dtype=np.float64) % (2.0 * math.pi)
+    return np.where(r == 2.0 * math.pi, 0.0, r)
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -50,15 +60,21 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     significant qubits.  The product's width is checked against the cap
     first.
 
-    One broadcast multiply: every entry is the same single product
-    a[i, j] * b[k, l] that ``np.kron`` forms, so the result is
-    bit-identical to it, without its generic-rank overhead.
+    Gates may carry leading axes (a stack of gates, one per phase), which
+    broadcast against each other; kets are 1-D.  One broadcast multiply:
+    every entry is the same single product a[i, j] * b[k, l] that
+    ``np.kron`` forms, so each matrix of the result is bit-identical to
+    it, without its generic-rank overhead.
     """
-    _check_width(int(round(math.log2(a.shape[0] * b.shape[0]))))
-    if a.ndim == b.ndim == 1:
-        return np.multiply.outer(a, b).reshape(-1)
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(
-        a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
+    ket = a.ndim == b.ndim == 1
+    if ket:
+        a, b = a[:, None], b[:, None]
+    rows, cols = a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1]
+    _check_width(int(round(math.log2(rows))))
+    batch = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+    out = (a[..., :, None, :, None] * b[..., None, :, None, :]).reshape(
+        batch + (rows, cols))
+    return out.reshape(-1) if ket else out
 
 
 _S = 1.0 / math.sqrt(2.0)

@@ -234,8 +234,9 @@ def test_criterion_08_optical_design_point():
         problems.append(f"gate fidelity {f_gate!r} not 1 within 1e-9")
     for phi in standard_phases():
         projected = choi_from_kraus(replication_experiment_channel(
-            phi, OpticsParams.ideal(), project=True))
-        full = choi_from_kraus(replication_experiment_channel(
+            phi, OpticsParams.ideal()))
+        # both idler outcomes kept, built by the test's own oracle
+        full = choi_from_kraus(conftest.reference_channel(
             phi, OpticsParams.ideal(), project=False))
         f_cu = process_fidelity(projected, cu_phase(phi))
         if abs(f_cu - 1.0) > 1e-9:
@@ -274,8 +275,12 @@ def test_criterion_09_measured_preset_bands():
     # The F_UU band runs from the single-copy baseline 1/2 to the ideal
     # replica 5/8, both averages over a full phase period.  The standard
     # grid k*pi/8, k = 0..7, covers only [0, 7pi/8], where the plain means
-    # of those two curves are 9/16 and 43/64; the offset of the cosine fit
-    # is their period average, exactly 1/2 and 5/8.
+    # of those two curves are 9/16 and 43/64; both are a constant plus
+    # one cosine, so the offset of the cosine fit is their period average,
+    # exactly 1/2 and 5/8.  That holds only for these two ideal curves:
+    # for the measured preset the F_UU curve also carries a second
+    # harmonic, and the fit's offset sits about 3e-4 below its period
+    # average (ROADMAP item 8), far inside the band.
     start = time.perf_counter()
     problems = []
     report = experiment_pipeline(

@@ -149,6 +149,25 @@ def test_kraus_fidelity_matches_on_the_experiment_channels(params):
                        - _fidelity_via_chi(channel, target)) <= 1e-15
 
 
+@pytest.mark.parametrize("phases", [1, 5])
+def test_kraus_fidelity_per_phase_rows_equal_scalar_calls(rng, phases):
+    # a (P, n, d, d) stack against one target and against a stack of P
+    # targets: each entry is the float of that row's Kraus list
+    d = 4
+    stack = rng.normal(size=(phases, 3, d, d)) \
+        + 1j * rng.normal(size=(phases, 3, d, d))
+    targets = np.array([_random_unitary(rng, d) for _ in range(phases)])
+    for u in (targets[0], targets):
+        got = process_fidelity(stack, u)
+        assert isinstance(got, np.ndarray) and got.shape == (phases,)
+        for p in range(phases):
+            want = process_fidelity(list(stack[p]), u if u.ndim == 2
+                                    else u[p])
+            assert type(want) is float and got[p] == want
+    with pytest.raises(ValueError, match="qubit counts"):
+        process_fidelity(stack, np.eye(2))
+
+
 def test_choi_from_kraus_validates_shapes():
     with pytest.raises(ValueError, match="at least one"):
         choi_from_kraus([])

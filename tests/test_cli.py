@@ -97,6 +97,21 @@ def test_replicate_writes_expected_table(tmp_path):
             process_fidelity(channel, cu_phase(phi))
 
 
+def test_replicate_on_a_fine_grid_follows_the_closed_forms(tmp_path):
+    # 1001 phases from one optical build: on the ideal preset the noisy
+    # channel is the replication circuit itself
+    phases = np.linspace(-math.pi, 3.0 * math.pi, 1001).tolist()
+    config = _write_config(tmp_path, {"phases": phases})
+    assert main(["replicate", "--out-dir", str(tmp_path),
+                 "--config", config]) == 0
+    _, _, rows = _read_csv(tmp_path / "replicate.csv")
+    assert [float(row["phi"]) for row in rows] == phases
+    for row, phi in zip(rows, phases):
+        assert abs(float(row["f_uu_noisy"])
+                   - (5.0 + 3.0 * math.cos(phi)) / 8.0) <= 1e-13
+        assert abs(float(row["f_cu_noisy"]) - 1.0) <= 1e-12
+
+
 def test_replicate_single_phase_flag(tmp_path):
     assert main(["replicate", "--out-dir", str(tmp_path),
                  "--phases", repr(math.pi)]) == 0

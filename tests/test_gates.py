@@ -19,6 +19,7 @@ from phaserep.gates import (
     toffoli,
     twirled_mean_fidelity,
 )
+from phaserep.qmat import normalize_phase
 from phaserep.superrep import ReplicationSpec, replicated_map
 
 EIGHT_PHASES = [k * math.pi / 8.0 for k in range(8)]
@@ -128,8 +129,47 @@ def test_twirled_mean_is_five_eighths_for_any_phase():
 
 
 def test_twirled_mean_needs_a_grid():
-    with pytest.raises(ValueError):
-        twirled_mean_fidelity(1)
+    for size in (1, 2.5, 2.0, math.inf, True):
+        with pytest.raises(ValueError, match="integer of at least 2"):
+            twirled_mean_fidelity(size)
+    assert twirled_mean_fidelity(np.int64(64), 0.3) \
+        == twirled_mean_fidelity(64, 0.3)
+
+
+def test_twirled_mean_is_the_mean_of_scalar_calls():
+    thetas = 2.0 * math.pi * np.arange(64) / 64
+    for phi in (0.0, 1.3, -2.0):
+        want = float(np.mean([fidelity_replicas(normalize_phase(phi) + t)
+                              for t in thetas]))
+        assert twirled_mean_fidelity(64, phi) == want
+
+
+@pytest.mark.parametrize("fn", [
+    phase_gate, cu_phase, optimal_cloner, fidelity_replicas,
+    baseline_single_copy, optimal_cloner_fidelity,
+], ids=lambda fn: fn.__name__)
+@pytest.mark.parametrize("phases", [
+    [0.7], [0.0, -1e-20, -1.5, 7.0, 2.0 * math.pi, 1e300, math.pi],
+], ids=["one-phase", "grid"])
+def test_phase_arrays_give_the_scalar_results_row_by_row(fn, phases):
+    got = fn(np.array(phases))
+    assert isinstance(got, np.ndarray) and len(got) == len(phases)
+    for phi, row in zip(phases, got):
+        want = fn(phi)
+        if isinstance(want, float):
+            assert row == want
+        else:
+            assert np.asarray(want).tobytes() == row.tobytes()
+
+
+def test_a_float_phase_keeps_the_scalar_types():
+    assert phase_gate(0.4).shape == (2, 2)
+    assert cu_phase(0.4).shape == (4, 4)
+    pair = optimal_cloner(0.4)
+    assert isinstance(pair, list) and [k.shape for k in pair] == [(4, 4)] * 2
+    for fn in (fidelity_replicas, baseline_single_copy,
+               optimal_cloner_fidelity):
+        assert type(fn(0.4)) is float
 
 
 def test_single_copy_baseline():

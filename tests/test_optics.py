@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import reference_channel
 
 from phaserep.choi import choi_from_kraus, process_fidelity
 from phaserep.gates import cu_phase, toffoli
@@ -235,19 +236,43 @@ def test_replication_channel_ideal_is_exact():
             == pytest.approx(1.0, abs=1e-12)
 
 
+GRID_PHASES = [0.0, -1e-20, -1.5, 7.0, 2.0 * math.pi, 1e300]
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.65])
+def test_phase_grid_rows_equal_the_per_phase_build(sigma):
+    # one optical build for the whole grid gives, row by row, the bits of
+    # the channel built one phase at a time
+    params = OpticsParams.measured(phase_jitter_sigma=sigma)
+    grid = replication_experiment_channel(np.array(GRID_PHASES), params)
+    assert grid.shape == (len(GRID_PHASES), 3 if sigma == 0.0 else 6, 4, 4)
+    for phi, row in zip(GRID_PHASES, grid):
+        want = np.array(reference_channel(phi, params))
+        assert row.tobytes() == want.tobytes()
+        single = replication_experiment_channel(phi, params)
+        assert isinstance(single, list)
+        assert np.array(single).tobytes() == want.tobytes()
+
+
+def test_phase_grid_wants_a_1d_sequence():
+    with pytest.raises(ValueError, match="1-D"):
+        replication_experiment_channel([[0.3]], OpticsParams.ideal())
+
+
 def test_projection_halves_the_success_weight():
     # exact at the ideal point, where the two measurement branches are
-    # perfectly balanced; imperfections skew the split slightly
+    # perfectly balanced; imperfections skew the split slightly.  The
+    # unprojected channel (both idler outcomes) is the test's oracle.
     phi = 1.2
     projected = choi_from_kraus(replication_experiment_channel(
-        phi, OpticsParams.ideal(), project=True))
-    full = choi_from_kraus(replication_experiment_channel(
+        phi, OpticsParams.ideal()))
+    full = choi_from_kraus(reference_channel(
         phi, OpticsParams.ideal(), project=False))
     assert projected.trace == pytest.approx(full.trace / 2.0, abs=1e-12)
 
     measured = choi_from_kraus(replication_experiment_channel(
-        phi, OpticsParams.measured(), project=True))
-    measured_full = choi_from_kraus(replication_experiment_channel(
+        phi, OpticsParams.measured()))
+    measured_full = choi_from_kraus(reference_channel(
         phi, OpticsParams.measured(), project=False))
     ratio = measured.trace / measured_full.trace
     assert 0.4 < ratio < 0.6

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -64,6 +66,41 @@ def test_normalize_phase_wraps_into_period():
     for phi in (-1e-20, -4e-16):
         assert normalize_phase(phi) == 0.0
     assert 0.0 < normalize_phase(-5e-16) < 2 * np.pi
+
+
+def test_normalize_phase_of_an_array_matches_the_float_form():
+    phases = [0.0, -1e-20, -4e-16, -5e-16, -1.5, 7.0, 2.0 * np.pi, 1e300,
+              -1e300, 4.0 * np.pi + 1.0]
+    got = normalize_phase(np.array(phases))
+    assert got.shape == (len(phases),)
+    for phi, r in zip(phases, got):
+        # the float form, and Python's own float modulo as its oracle
+        want = normalize_phase(phi)
+        assert type(want) is float
+        oracle = phi % (2.0 * math.pi)
+        oracle = 0.0 if oracle == 2.0 * math.pi else oracle
+        assert np.float64(want).tobytes() == np.float64(oracle).tobytes()
+        assert np.float64(want).tobytes() == r.tobytes()
+
+
+def test_normalize_phase_of_a_non_finite_phase_is_a_silent_nan():
+    # as Python's float modulo: NaN, and no "invalid value" RuntimeWarning
+    # (which the test settings turn into an error)
+    phases = [math.inf, -math.inf, math.nan]
+    for phi in phases:
+        assert math.isnan(normalize_phase(phi))
+    assert np.all(np.isnan(normalize_phase(np.array(phases))))
+
+
+def test_kron_broadcasts_over_leading_axes():
+    stack = np.array([_C, _R, X])
+    for a, b in ((stack, _C), (_R, stack), (stack, stack[::-1])):
+        got = kron(a, b)
+        assert got.shape == (3, 4, 4)
+        for k in range(3):
+            a_k = a[k] if a.ndim == 3 else a
+            b_k = b[k] if b.ndim == 3 else b
+            assert np.array_equal(got[k], np.kron(a_k, b_k))
 
 
 def test_register_cap_guard():

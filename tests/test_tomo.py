@@ -691,6 +691,15 @@ def test_pipeline_rejects_trials_other_than_0_or_at_least_2(trials):
                             trials=trials)
 
 
+@pytest.mark.parametrize("phi", [math.inf, -math.inf, math.nan])
+def test_pipeline_rejects_a_non_finite_phase(phi):
+    # a ValueError, not the RuntimeWarning of a modulo on inf (the test
+    # settings turn warnings into errors)
+    with pytest.raises(ValueError, match="finite"):
+        experiment_pipeline(OpticsParams.measured(), phases=[0.5, phi],
+                            rate=10.0)
+
+
 def test_pipeline_matches_per_phase_solves_and_bootstraps():
     params = OpticsParams.measured()
     phases = [0.0, math.pi / 4, math.pi / 2]
