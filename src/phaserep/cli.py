@@ -421,20 +421,30 @@ def cmd_tomo(config: SimpleNamespace, out: Path, meta: dict) -> None:
 
 
 def cmd_optics_scan(config: SimpleNamespace, out: Path, meta: dict) -> None:
-    """Sweep one imperfection parameter and record gate fidelities."""
-    rows = []
+    """Sweep one imperfection parameter and record gate fidelities.
+
+    Every value is checked into an ``OpticsParams`` before anything is
+    built.  The values form one params stack, so the scan makes two
+    optical builds whatever its length: one ``effective_toffoli`` for
+    the Toffoli fidelity and success probability, one
+    ``replication_experiment_channel`` for the controlled-U fidelity.
+    Rows at visibility 1 or 0, or at zero jitter among nonzero ones,
+    carry zero-weight Kraus operators, which the fidelities ignore.
+    """
+    stack = []
     for value in config.values:
         try:
-            params = dataclasses.replace(
-                config.optics, **{config.parameter: value})
+            stack.append(dataclasses.replace(
+                config.optics, **{config.parameter: value}))
         except ValueError as exc:
             raise ConfigError(
                 f"scan value {value!r} rejected: {exc}") from None
-        kraus, success = effective_toffoli(params)
-        f_toffoli = process_fidelity(kraus, toffoli())
-        channel = replication_experiment_channel(config.phi, params)
-        f_cu = process_fidelity(channel, cu_phase(config.phi))
-        rows.append([config.parameter, value, f_toffoli, f_cu, success])
+    kraus, success = effective_toffoli(stack)
+    f_toffoli = process_fidelity(kraus, toffoli())
+    f_cu = process_fidelity(replication_experiment_channel(config.phi, stack),
+                            cu_phase(config.phi))
+    rows = [[config.parameter, *cells] for cells in zip(
+        config.values, f_toffoli.tolist(), f_cu.tolist(), success.tolist())]
     columns = ["parameter", "value", "f_toffoli", "f_cu", "success"]
     _write_table(config, out, meta, "optics_scan", columns, rows, (
         f"imperfection sweep: {config.parameter}", "value", config.parameter,

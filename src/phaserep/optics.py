@@ -33,6 +33,16 @@ classes contribute incoherently.
 The replication experiment's phase enters only as a phase gate on the
 idler, so ``replication_experiment_channel`` builds the network once
 and evaluates a whole phase array from it.
+
+Every builder also takes a sequence of P ``OpticsParams`` (a params
+stack) and returns its results with the stack on a leading axis, so a
+scan over one imperfection is one build.  A stack has a fixed Kraus
+count: each row of ``effective_toffoli`` holds the interfering and both
+distinguishable operators, and a row at visibility 1 or 0 carries the
+sector it lacks as exactly-zero operators; likewise a row at sigma = 0
+in a stack with some sigma > 0 carries zero dephasing flips.  A single
+``OpticsParams`` runs the same code at P = 1 and drops its zero-weight
+operators, returning the Kraus list of 1, 2 or 3 operators.
 """
 from __future__ import annotations
 
@@ -64,7 +74,11 @@ _IDLER_HADAMARD[_IDL, _IDL] = [[_SQRT_HALF, _SQRT_HALF],
 
 @dataclass(frozen=True)
 class OpticsParams:
-    """PPBS reflectances, interference visibility, and phase jitter."""
+    """PPBS reflectances, interference visibility, and phase jitter.
+
+    Every field is a real number, stored as a ``float``; a bool, a
+    string or a value out of range raises ``ValueError``.
+    """
 
     r_v: float
     r_h: float
@@ -72,14 +86,24 @@ class OpticsParams:
     phase_jitter_sigma: float = 0.0
 
     def __post_init__(self):
-        for name in ("r_v", "r_h", "visibility"):
+        for name in ("r_v", "r_h", "visibility", "phase_jitter_sigma"):
             val = getattr(self, name)
-            if not 0.0 <= val <= 1.0:
+            if isinstance(val, bool) or not isinstance(
+                    val, (int, float, np.integer, np.floating)):
+                raise ValueError(f"{name} must be a real number, "
+                                 f"got {val!r}")
+            # written so that NaN fails too
+            if name == "phase_jitter_sigma":
+                if not val >= 0.0:
+                    raise ValueError("phase_jitter_sigma must be "
+                                     f"non-negative, got {val}")
+            elif not 0.0 <= val <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {val}")
-        # written so that NaN fails too
-        if not self.phase_jitter_sigma >= 0.0:
-            raise ValueError("phase_jitter_sigma must be non-negative, "
-                             f"got {self.phase_jitter_sigma}")
+            try:
+                val = float(val)
+            except OverflowError:  # an int beyond the float range
+                val = math.inf
+            object.__setattr__(self, name, val)
 
     @classmethod
     def ideal(cls) -> "OpticsParams":
@@ -92,37 +116,53 @@ class OpticsParams:
                    phase_jitter_sigma=phase_jitter_sigma)
 
 
-def ppbs_matrix(params: OpticsParams) -> np.ndarray:
+Params = OpticsParams | Sequence[OpticsParams]
+
+
+def _column(params: Params, name: str) -> np.ndarray:
+    """One field of every row of ``params`` as a float array of shape
+    (P,); a single ``OpticsParams`` is the stack of P = 1."""
+    rows = [params] if isinstance(params, OpticsParams) else list(params)
+    if not rows:
+        raise ValueError("need at least one OpticsParams")
+    return np.array([getattr(p, name) for p in rows], dtype=np.float64)
+
+
+def ppbs_matrix(params: Params) -> np.ndarray:
     """Unitary 8x8 single-photon matrix of the PPBS, indexed [out, in].
 
     Each polarization couples l with i and u with x: transmission
-    sqrt(1 - R), reflection i sqrt(R).
+    sqrt(1 - R), reflection i sqrt(R).  A params stack gives (P, 8, 8).
     """
-    ppbs = np.zeros((8, 8), dtype=np.complex128)
-    for pol, refl in ((0, params.r_h), (1, params.r_v)):
-        t = math.sqrt(1.0 - refl)
-        r = 1j * math.sqrt(refl)
+    r_h = _column(params, "r_h")
+    ppbs = np.zeros((len(r_h), 8, 8), dtype=np.complex128)
+    for pol, refl in ((0, r_h), (1, _column(params, "r_v"))):
+        t = np.sqrt(1.0 - refl)
+        r = 1j * np.sqrt(refl)
         for a, b in ((2 + pol, 4 + pol), (pol, 6 + pol)):
-            ppbs[a, a] = ppbs[b, b] = t
-            ppbs[a, b] = ppbs[b, a] = r
-    return ppbs
+            ppbs[:, a, a] = ppbs[:, b, b] = t
+            ppbs[:, a, b] = ppbs[:, b, a] = r
+    # a single OpticsParams gets its one row without the stack axis
+    return ppbs[0] if isinstance(params, OpticsParams) else ppbs
 
 
-def transfer_matrix(params: OpticsParams) -> np.ndarray:
-    """Single-photon transfer matrix T of the whole network, [out, in]."""
+def transfer_matrix(params: Params) -> np.ndarray:
+    """Single-photon transfer matrix T of the whole network, [out, in];
+    (P, 8, 8) for a params stack."""
     return (_IDLER_HADAMARD @ _ATTENUATION @ ppbs_matrix(params)
             @ _IDLER_HADAMARD)
 
 
 def sector_operators(
-    params: OpticsParams,
+    params: Params,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Unweighted coincidence maps of the gate network, by sector.
 
     Returns (interfering, transmit-transmit, reflect-reflect) 8x8
     matrices on the qubit basis |s p q> (signal mode 2s+p, idler
-    polarization q).  The interfering map is the 2x2 permanent, i.e. the
-    coherent sum of the two distinguishable-sector classes.
+    polarization q), each (P, 8, 8) for a params stack.  The interfering
+    map is the 2x2 permanent, i.e. the coherent sum of the two
+    distinguishable-sector classes.
     """
     t = transfer_matrix(params)
     # rows (m, n): signal output mode m, idler output mode n; columns
@@ -130,38 +170,43 @@ def sector_operators(
     # T[m, s] T[n, i] = T[sig, sig] (x) T[idl, idl]; in reflect-reflect
     # the signal photon exits in idler mode n and the idler photon in
     # signal mode m.
-    k_tt = np.einsum("ms,ni->mnsi", t[_SIG, _SIG],
-                     t[_IDL, _IDL]).reshape(8, 8)
-    k_rr = np.einsum("ns,mi->mnsi", t[_IDL, _SIG],
-                     t[_SIG, _IDL]).reshape(8, 8)
+    lead = t.shape[:-2]
+    k_tt = np.einsum("...ms,...ni->...mnsi", t[..., _SIG, _SIG],
+                     t[..., _IDL, _IDL]).reshape(*lead, 8, 8)
+    k_rr = np.einsum("...ns,...mi->...mnsi", t[..., _IDL, _SIG],
+                     t[..., _SIG, _IDL]).reshape(*lead, 8, 8)
     return k_tt + k_rr, k_tt, k_rr
 
 
 def effective_toffoli(
-    params: OpticsParams,
-) -> tuple[list[np.ndarray], float]:
+    params: Params,
+) -> tuple[list[np.ndarray], float] | tuple[np.ndarray, np.ndarray]:
     """Coincidence-basis three-qubit channel of the optical network.
 
     Returns the weighted Kraus operators of the sector mixture together
     with the success probability for the maximally mixed input.  With
-    ideal parameters the channel is rank one and equals Toffoli/3.
+    ideal parameters the channel is rank one and equals Toffoli/3.  A
+    params stack gives a (P, 3, 8, 8) array (interfering, transmit-
+    transmit, reflect-reflect; zero where the sector's weight is 0)
+    and the P success probabilities; a single ``OpticsParams`` gives
+    the list of its nonzero-weight operators and a float.
     """
-    m_int, k_tt, k_rr = sector_operators(params)
-    v = params.visibility
-    kraus = []
-    if v > 0.0:
-        kraus.append(math.sqrt(v) * m_int)
-    if v < 1.0:
-        w = math.sqrt(1.0 - v)
-        kraus.append(w * k_tt)
-        kraus.append(w * k_rr)
-    gram = sum(k.conj().T @ k for k in kraus)
-    success = float(np.trace(gram).real) / 8.0
-    return kraus, success
+    m_int, k_tt, k_rr = (np.reshape(k, (-1, 8, 8))
+                         for k in sector_operators(params))
+    v = _column(params, "visibility")[:, None, None]
+    w = np.sqrt(1.0 - v)
+    kraus = np.stack((np.sqrt(v) * m_int, w * k_tt, w * k_rr), axis=1)
+    gram = (kraus.conj().swapaxes(-1, -2) @ kraus).sum(axis=1)
+    success = np.trace(gram, axis1=-2, axis2=-1).real / 8.0
+    if not isinstance(params, OpticsParams):
+        return kraus, success
+    vis = params.visibility
+    return ([k for k, weight in zip(kraus[0], (vis, 1.0 - vis, 1.0 - vis))
+             if weight > 0.0], float(success[0]))
 
 
 def dephase_spatial(
-    kraus: Sequence[np.ndarray] | np.ndarray, sigma: float
+    kraus: Sequence[np.ndarray] | np.ndarray, sigma: float | np.ndarray
 ) -> Sequence[np.ndarray] | np.ndarray:
     """Gaussian phase jitter on the spatial qubit (qubit 0), analytically.
 
@@ -171,24 +216,35 @@ def dephase_spatial(
     Takes Kraus operators on axis -3 (a list, or an array with leading
     axes such as one per phase) and returns them as an array, twice as
     many along that axis; at sigma = 0 the input itself is returned.
+    ``sigma`` may also be a 1-D array of one sigma per entry of axis 0
+    of a (P, n, d, d) array; a row at sigma = 0 then keeps its
+    operators as they are and gets n zero flips.
     """
-    if not sigma >= 0.0:
+    sigma = np.asarray(sigma, dtype=np.float64)
+    if not (sigma >= 0.0).all():
         raise ValueError("sigma must be non-negative")
-    if sigma == 0.0:
+    if not sigma.any():
         return kraus
     kraus = np.asarray(kraus)
-    lam = math.exp(-0.5 * sigma * sigma)
-    p_keep = 0.5 * (1.0 + lam)
+    # one factor per row, broadcast over the operator axes
+    shape = sigma.shape + (1, 1, 1)
+    # math.exp, not np.exp, whose vectorized rounding differs in the
+    # last bit for some arguments
+    lam = np.array([math.exp(-0.5 * s * s) for s in sigma.flat])
+    p_keep = (0.5 * (1.0 + lam)).reshape(shape)
     # Z on the most significant qubit negates the lower half of the rows
     half = kraus.shape[-2] // 2
     flipped = np.concatenate((kraus[..., :half, :], -kraus[..., half:, :]),
                              axis=-2)
-    return np.concatenate((math.sqrt(p_keep) * kraus,
-                           math.sqrt(1.0 - p_keep) * flipped), axis=-3)
+    # a row at sigma = 0 keeps its bits: a product with 1.0 can flip the
+    # sign of a zero
+    kept = np.where((sigma > 0.0).reshape(shape), np.sqrt(p_keep) * kraus,
+                    kraus)
+    return np.concatenate((kept, np.sqrt(1.0 - p_keep) * flipped), axis=-3)
 
 
 def replication_experiment_channel(
-    phi: float | Sequence[float] | np.ndarray, params: OpticsParams
+    phi: float | Sequence[float] | np.ndarray, params: Params
 ) -> list[np.ndarray] | np.ndarray:
     """Two-qubit channel of the simulated replication experiment.
 
@@ -200,17 +256,24 @@ def replication_experiment_channel(
     build serves a whole phase array.  A float ``phi`` gives a
     sub-normalized Kraus list of 4x4 operators; a 1-D array of P phases
     gives a (P, n, 4, 4) array whose rows are, bit for bit, the lists of
-    the phases on their own.  ``process_fidelity`` reads either
-    directly; wrap a list in ``choi_from_kraus`` where the process
-    matrix itself is needed.
+    the phases on their own.  A params stack with a float ``phi`` gives
+    the (P, n, 4, 4) array of its rows, n = 3 or 6 for all of them, the
+    zero-weight operators included; a stack with a phase array raises
+    ``ValueError``.  ``process_fidelity`` reads either directly; wrap a
+    list in ``choi_from_kraus`` where the process matrix itself is
+    needed.
     """
     phases = normalize_phase(phi)
-    if np.ndim(phases) > 1:
-        raise ValueError("phi must be a float or a 1-D sequence of phases")
+    stacked = not isinstance(params, OpticsParams)
+    if np.ndim(phases) > (0 if stacked else 1):
+        raise ValueError("phi must be a float or a 1-D sequence of phases, "
+                         "and a float with a params stack")
     kraus3, _ = effective_toffoli(params)
     phase = np.exp(1j * np.atleast_1d(phases))[:, None, None, None]
-    # [operator, signal out, idler out, signal in] at idler input |0>
-    legs = np.asarray(kraus3).reshape(-1, 4, 2, 4, 2)[..., 0]
-    kraus = (legs[:, :, 0, :] + legs[:, :, 1, :] * phase) * _SQRT_HALF
-    kraus = dephase_spatial(kraus, params.phase_jitter_sigma)
-    return list(kraus[0]) if np.ndim(phases) == 0 else kraus
+    kraus3 = np.asarray(kraus3)
+    # [..., operator, signal out, idler out, signal in] at idler input |0>
+    legs = kraus3.reshape(*kraus3.shape[:-2], 4, 2, 4, 2)[..., 0]
+    kraus = (legs[..., 0, :] + legs[..., 1, :] * phase) * _SQRT_HALF
+    kraus = dephase_spatial(kraus, _column(params, "phase_jitter_sigma"))
+    return list(kraus[0]) if np.ndim(phases) == 0 and not stacked \
+        else kraus

@@ -524,8 +524,9 @@ def experiment_pipeline(
     An integer ``trials`` >= 2 adds Monte Carlo error bars; with 0 the
     std columns are NaN, and any other value raises ``ValueError``.
     All randomness derives from ``seed`` through per-phase spawned
-    streams, so reruns are bit-identical.  Every phase's counts are
-    drawn first.  With a bootstrap, each phase's main reconstruction is
+    streams, so reruns are bit-identical.  The channels of all phases
+    come from one optical build, and every phase's counts are drawn
+    first.  With a bootstrap, each phase's main reconstruction is
     solved in one batch with its own resamples; without one, the main
     reconstructions of all phases form one batch.
     No result depends on what else is in its batch, so each row equals
@@ -539,10 +540,10 @@ def experiment_pipeline(
     design = default_design()
     streams = [s.spawn(2) for s in
                np.random.SeedSequence(seed).spawn(len(phases))]
+    channels = replication_experiment_channel(np.array(phases), params)
     datasets = [
-        simulate_counts(replication_experiment_channel(phi, params), design,
-                        rate, count_stream, phase=phi)
-        for phi, (count_stream, _) in zip(phases, streams)
+        simulate_counts(list(channel), design, rate, count_stream, phase=phi)
+        for phi, channel, (count_stream, _) in zip(phases, channels, streams)
     ]
     if trials >= 2:
         # one batch a phase, solved as the loop reaches it, so no more

@@ -1,4 +1,5 @@
 """End-to-end command-line runs, driven in-process through main(argv)."""
+import dataclasses
 import json
 import math
 import re
@@ -14,6 +15,7 @@ from phaserep import (
     baseline_single_copy,
     cu_phase,
     default_design,
+    effective_toffoli,
     fidelity_replicas,
     kron,
     optimal_cloner_fidelity,
@@ -23,6 +25,7 @@ from phaserep import (
     read_datasets_csv,
     replication_experiment_channel,
     standard_phases,
+    toffoli,
     twirled_mean_fidelity,
 )
 import phaserep
@@ -282,9 +285,51 @@ def test_optics_scan_with_config(tmp_path):
 
 
 def test_optics_scan_rejects_invalid_value(tmp_path):
-    cfg = _write_config(tmp_path, {"values": [1.5]})
+    # every value is checked before anything is built or written
+    for values in ([1.5], [1.0, 0.9, 1.5]):
+        cfg = _write_config(tmp_path, {"values": values})
+        assert main(["optics-scan", "--out-dir", str(tmp_path),
+                     "--config", cfg]) == 1
+        assert not (tmp_path / "optics_scan.csv").exists()
+
+
+# scanned parameter -> values, the ideal design value first, then the
+# interior and the edges where a row carries zero-weight operators
+SCAN_VALUES = {
+    "visibility": [1.0, 0.95, 0.8, 0.0],
+    "r_v": [2.0 / 3.0, 0.55, 0.75, 0.0, 1.0],
+    "r_h": [0.0, 0.05, 0.02, 1.0],
+    "phase_jitter_sigma": [0.0, 0.3, 0.65, 0.0],
+}
+
+
+@pytest.mark.parametrize("preset", ["ideal", "measured"])
+@pytest.mark.parametrize("parameter", sorted(SCAN_VALUES))
+def test_optics_scan_matches_the_per_value_builds(tmp_path, preset,
+                                                  parameter):
+    # the scan builds all its values in one stack; each row must be the
+    # single-value build of its own operating point
+    phi = 1.3
+    values = SCAN_VALUES[parameter]
+    cfg = _write_config(tmp_path, {"preset": preset, "parameter": parameter,
+                                   "values": values, "phi": phi})
     assert main(["optics-scan", "--out-dir", str(tmp_path),
-                 "--config", cfg]) == 1
+                 "--config", cfg]) == 0
+    _, _, rows = _read_csv(tmp_path / "optics_scan.csv")
+    assert [float(r["value"]) for r in rows] == values
+    base = getattr(OpticsParams, preset)()
+    for row, value in zip(rows, values):
+        params = dataclasses.replace(base, **{parameter: value})
+        kraus, success = effective_toffoli(params)
+        want = {
+            "f_toffoli": process_fidelity(kraus, toffoli()),
+            "f_cu": process_fidelity(
+                replication_experiment_channel(phi, params), cu_phase(phi)),
+            "success": success,
+        }
+        for column, value_want in want.items():
+            assert float(row[column]) == pytest.approx(value_want,
+                                                       rel=1e-15, abs=0.0)
 
 
 # -------------------------------------------------- config and exit codes

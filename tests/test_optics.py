@@ -33,6 +33,27 @@ def test_params_validated():
         OpticsParams.measured(phase_jitter_sigma=math.nan)
 
 
+@pytest.mark.parametrize("value", [True, False, "0.5", None, 0.5j,
+                                   math.nan])
+def test_params_reject_bool_non_real_and_nan(value):
+    for name in ("r_v", "r_h", "visibility", "phase_jitter_sigma"):
+        fields = {"r_v": 0.5, "r_h": 0.0, "visibility": 1.0, name: value}
+        with pytest.raises(ValueError, match=name):
+            OpticsParams(**fields)
+
+
+def test_params_store_numpy_and_int_values_as_float():
+    params = OpticsParams(r_v=np.float64(0.5), r_h=np.float32(0.25),
+                          visibility=1, phase_jitter_sigma=np.int64(2))
+    assert params == OpticsParams(r_v=0.5, r_h=0.25, visibility=1.0,
+                                  phase_jitter_sigma=2.0)
+    for name in ("r_v", "r_h", "visibility", "phase_jitter_sigma"):
+        assert type(getattr(params, name)) is float
+    # an int beyond the float range is an unbounded jitter, not an error
+    assert OpticsParams(0.5, 0.0, 1.0, 10 ** 400).phase_jitter_sigma \
+        == math.inf
+
+
 def test_preset_values():
     ideal = OpticsParams.ideal()
     assert (ideal.r_v, ideal.r_h, ideal.visibility,
@@ -365,3 +386,91 @@ def test_channel_weights_interpolate_visibility():
         channel = replication_experiment_channel(phi, params)
         f[vis] = process_fidelity(channel, cu_phase(phi))
     assert f[0.0] < f[0.5] < f[1.0]
+
+
+# a params stack over the edges of every field: visibility 0, 0.9 and 1,
+# the reflectances at 0 and 1, and jitter both off and on in one stack
+STACK = [OpticsParams(r_v=r_v, r_h=r_h, visibility=vis,
+                      phase_jitter_sigma=sigma)
+         for r_v in (0.0, 2.0 / 3.0, 1.0) for r_h in (0.0, 0.017, 1.0)
+         for vis in (0.0, 0.9, 1.0) for sigma in (0.0, 0.65)]
+
+
+def _kept_sectors(params):
+    # today's rule: the interfering operator for V > 0, the two
+    # distinguishable ones for V < 1
+    vis = params.visibility
+    return [j for j, keep in enumerate((vis > 0.0, vis < 1.0, vis < 1.0))
+            if keep]
+
+
+def test_stacked_builders_equal_the_single_builds():
+    ppbs, t = ppbs_matrix(STACK), transfer_matrix(STACK)
+    sectors = sector_operators(STACK)
+    assert ppbs.shape == t.shape == (len(STACK), 8, 8)
+    for i, params in enumerate(STACK):
+        assert ppbs[i].tobytes() == ppbs_matrix(params).tobytes()
+        assert t[i].tobytes() == transfer_matrix(params).tobytes()
+        for got, want in zip(sectors, sector_operators(params)):
+            assert got[i].tobytes() == want.tobytes()
+
+
+def test_stacked_toffoli_rows_equal_the_single_lists():
+    kraus, success = effective_toffoli(STACK)
+    assert kraus.shape == (len(STACK), 3, 8, 8)
+    assert success.shape == (len(STACK),)
+    for row, p_row, params in zip(kraus, success, STACK):
+        single, p_single = effective_toffoli(params)
+        assert isinstance(single, list) and isinstance(p_single, float)
+        kept = _kept_sectors(params)
+        assert len(single) == len(kept)
+        for j, op in zip(kept, single):
+            assert row[j].tobytes() == op.tobytes()
+        for j in set(range(3)) - set(kept):
+            assert np.all(row[j] == 0.0)
+        assert p_row == p_single
+
+
+def test_stacked_channel_rows_equal_the_single_lists():
+    phi = 1.1
+    channel = replication_experiment_channel(phi, STACK)
+    # one jittered row gives every row the flips, zero where sigma = 0
+    assert channel.shape == (len(STACK), 6, 4, 4)
+    for row, params in zip(channel, STACK):
+        single = replication_experiment_channel(phi, params)
+        assert isinstance(single, list)
+        kept = _kept_sectors(params)
+        if params.phase_jitter_sigma > 0.0:
+            kept += [3 + j for j in kept]
+        assert len(single) == len(kept)
+        for j, op in zip(kept, single):
+            assert row[j].tobytes() == op.tobytes()
+        for j in set(range(6)) - set(kept):
+            assert np.all(row[j] == 0.0)
+    unjittered = [p for p in STACK if p.phase_jitter_sigma == 0.0]
+    assert replication_experiment_channel(phi, unjittered).shape \
+        == (len(unjittered), 3, 4, 4)
+
+
+def test_stack_with_a_phase_array_or_no_rows_is_rejected():
+    with pytest.raises(ValueError, match="params stack"):
+        replication_experiment_channel(np.array([0.1, 0.2]), STACK)
+    for build in (ppbs_matrix, transfer_matrix, sector_operators,
+                  effective_toffoli):
+        with pytest.raises(ValueError, match="at least one"):
+            build([])
+    with pytest.raises(ValueError, match="at least one"):
+        replication_experiment_channel(0.3, [])
+
+
+def test_dephasing_takes_one_sigma_per_row():
+    kraus = replication_experiment_channel(
+        np.array([0.3, 0.8]), OpticsParams.measured())
+    got = dephase_spatial(kraus, np.array([0.0, 0.65]))
+    assert got.shape == (2, 6, 4, 4)
+    assert got[0, :3].tobytes() == kraus[0].tobytes()
+    assert np.all(got[0, 3:] == 0.0)
+    assert got[1].tobytes() == dephase_spatial(kraus[1], 0.65).tobytes()
+    assert dephase_spatial(kraus, np.zeros(2)) is kraus
+    with pytest.raises(ValueError):
+        dephase_spatial(kraus, np.array([0.1, -0.1]))
