@@ -320,7 +320,35 @@ def _write_table(config: SimpleNamespace, out: Path, meta: dict, stem: str,
 
 
 def _json_text(doc: dict) -> str:
-    return json.dumps(doc, indent=1, sort_keys=True) + "\n"
+    """``json.dumps(doc, indent=1, sort_keys=True) + "\\n"``, byte for
+    byte.  With an indent, json encodes in pure Python, one call per
+    value; here a list of finite floats is joined in one pass of
+    ``float.__repr__``, which is what json writes for each, and every
+    other value goes to ``json.dumps`` itself."""
+    return _json_value(doc, "\n") + "\n"
+
+
+def _json_value(value, newline: str) -> str:
+    # ``newline`` is a line break and the indent of the line that
+    # holds ``value``; json.dumps' own output is re-indented by it,
+    # since a JSON string cannot hold a raw line break
+    inner = newline + " "
+    if isinstance(value, dict) and value \
+            and all(isinstance(key, str) for key in value):
+        return "{" + inner + ("," + inner).join(
+            json.dumps(key) + ": " + _json_value(value[key], inner)
+            for key in sorted(value)) + newline + "}"
+    if isinstance(value, (list, tuple)) and value:
+        try:
+            text = ("," + inner).join(map(float.__repr__, value))
+        except TypeError:  # not all floats
+            return "[" + inner + ("," + inner).join(
+                _json_value(v, inner) for v in value) + newline + "]"
+        # json writes NaN and Infinity where repr gives nan and inf
+        if "n" not in text:
+            return "[" + inner + text + newline + "]"
+    return json.dumps(value, indent=1, sort_keys=True).replace(
+        "\n", newline)
 
 
 def cmd_replicate(config: SimpleNamespace, out: Path, meta: dict) -> None:

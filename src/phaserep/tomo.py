@@ -100,20 +100,31 @@ class TomographyDesign:
         Equals the dense sum over Tr[chi O_j] up to rounding, and each
         matrix's row is bit-identical whatever else is stacked with it.
         """
+        return self._traces(chi, self._real_outcome_factor())
+
+    def _real_outcome_factor(self) -> np.ndarray:
+        """The second-stage operand of ``traces``: the outcome factor's
+        real and negated imaginary parts interleaved by row, (32 x 36).
+
+        Only the real part of the second stage is needed, and
+        Re(x y) = Re x Re y - Im x Im y: one real GEMM of x's float64
+        view against this operand (C-contiguous, the faster operand
+        layout for OpenBLAS at these sizes).  A solver builds it once
+        and passes it to ``_traces``; the design does not keep it.
+        """
+        return np.ascontiguousarray(
+            self.outcome_factor.T.conj().view(np.float64).T)
+
+    def _traces(self, chi: np.ndarray, outcome: np.ndarray) -> np.ndarray:
+        """``traces`` with its second-stage operand built by the caller;
+        returns a fresh array."""
         lead = chi.shape[:-2]
         # Tr[chi O_j] = sum chi[a b, c d] rho_i^T[c, a] d Pi_k[d, b]:
-        # regroup chi as (c a),(d b) and contract with the two factors.
-        # Only the real part of the second stage is needed, and
-        # Re(x y) = Re x Re y - Im x Im y: one real GEMM of x's float64
-        # view against the outcome factor's real and negated imaginary
-        # parts, interleaved by row (C-contiguous, the faster operand
-        # layout for OpenBLAS at these sizes)
+        # regroup chi as (c a),(d b) and contract with the two factors
         g = chi.reshape(-1, 4, 4, 4, 4).transpose(0, 3, 1, 4, 2).reshape(
             -1, 16, 16)
         x = (self.input_factor @ g).view(np.float64)
-        p = x @ np.ascontiguousarray(
-            self.outcome_factor.T.conj().view(np.float64).T)
-        return p.reshape(lead + (self.size,))
+        return (x @ outcome).reshape(lead + (self.size,))
 
     def weighted_sum(self, weights: np.ndarray) -> np.ndarray:
         """sum_j w_j O_j for real weights of shape (..., rows) in row
@@ -132,7 +143,7 @@ class TomographyDesign:
         return g.reshape(lead + (16, 16))
 
     def probabilities(
-        self, channel: ProcessMatrix | Sequence[np.ndarray]
+        self, channel: ProcessMatrix | Sequence[np.ndarray] | np.ndarray
     ) -> np.ndarray:
         """Outcome probabilities under the channel, in row order.
 
@@ -143,13 +154,20 @@ class TomographyDesign:
         physical probabilities of the presets are above 1e-7.  A Kraus
         list is first turned into its process matrix by
         ``choi_from_kraus``.
+
+        An array of shape (P, n, 4, 4), one Kraus list per phase as
+        ``replication_experiment_channel`` gives it, yields the (P, rows)
+        probabilities from one ``traces`` call; each row is bit-identical
+        to the probabilities of its own list.
         """
-        if not isinstance(channel, ProcessMatrix):
-            channel = choi_from_kraus(channel)
-        if channel.qubits != 2:
+        stacked = isinstance(channel, np.ndarray) and channel.ndim == 4
+        chis = [c if isinstance(c, ProcessMatrix) else choi_from_kraus(c)
+                for c in (channel if stacked else [channel])]
+        if any(chi.qubits != 2 for chi in chis):
             raise ValueError("design covers two-qubit channels only")
-        p = self.traces(channel.matrix)
-        return np.where(p > 1e-12, p, 0.0)
+        p = self.traces(np.array([chi.matrix for chi in chis]))
+        p = np.where(p > 1e-12, p, 0.0)
+        return p if stacked else p[0]
 
 
 @functools.cache
@@ -220,11 +238,29 @@ def simulate_counts(
     seed,
     phase: float = 0.0,
 ) -> TomographyDataset:
-    """Draw Poisson counts with mean rate * p for every design row."""
+    """Draw Poisson counts with mean rate * p for every design row.
+
+    A rate that puts a mean above the largest numpy can draw from
+    (about 9.2e18) raises ``ValueError``.
+    """
     _check_rate(rate)
-    rng = np.random.default_rng(seed)
-    lam = rate * design.probabilities(channel)
-    counts = rng.poisson(lam).astype(np.float64)
+    return _draw_counts(design.probabilities(channel), rate, seed, phase)
+
+
+# numpy's Generator.poisson rejects a mean above this (its POISSON_LAM_MAX)
+_POISSON_MEAN_MAX = float(np.iinfo("l").max - np.sqrt(np.iinfo("l").max) * 10)
+
+
+def _draw_counts(p: np.ndarray, rate: float, seed, phase: float
+                 ) -> TomographyDataset:
+    """Poisson counts with mean rate * p, from the stream ``seed``."""
+    lam = rate * p
+    largest = float(lam.max())
+    if largest > _POISSON_MEAN_MAX:
+        raise ValueError(
+            f"rate {rate!r} gives a Poisson mean of {largest!r}, above "
+            f"the largest numpy can draw from ({_POISSON_MEAN_MAX!r})")
+    counts = np.random.default_rng(seed).poisson(lam).astype(np.float64)
     return TomographyDataset(phase, counts, rate)
 
 
@@ -257,10 +293,19 @@ def _dagger(m: np.ndarray) -> np.ndarray:
     return m.conj().swapaxes(-1, -2)
 
 
+def _hermitian_part(m: np.ndarray) -> np.ndarray:
+    """Replace each matrix of ``m`` by its Hermitian part, in place."""
+    m += _dagger(m)
+    m *= 0.5
+    return m
+
+
 def _unit_trace(m: np.ndarray) -> np.ndarray:
-    """The Hermitian part of each matrix, scaled to unit trace."""
-    m = 0.5 * (m + _dagger(m))
-    return m / np.trace(m, axis1=-2, axis2=-1).real[..., None, None]
+    """Replace each matrix of ``m`` by its Hermitian part scaled to unit
+    trace, in place."""
+    _hermitian_part(m)
+    m /= np.trace(m, axis1=-2, axis2=-1).real[..., None, None]
+    return m
 
 
 def _mle_batch(counts: np.ndarray, design: TomographyDesign
@@ -271,18 +316,27 @@ def _mle_batch(counts: np.ndarray, design: TomographyDesign
     stacks.  Every step acts on each matrix or count row on its own, so
     a trial's result is bit-identical to a solve of that row alone.  A
     trial leaves the stack when it meets the stopping test.
+
+    Each iteration works on fresh stacks in place and records the
+    log-likelihoods of the live trials as one array; the trials'
+    ``ll_trace`` arrays are cut from one buffer of their total length at
+    the end, so a batch holds no history beyond the iterations it ran.
     """
     if counts.shape[1] != design.size:
         raise ValueError("dataset does not match the design size")
+    outcome = design._real_outcome_factor()
 
     def probs(chi: np.ndarray) -> np.ndarray:
-        return np.maximum(design.traces(chi), 1e-300)
+        p = design._traces(chi, outcome)
+        return np.maximum(p, 1e-300, out=p)
 
     def log_likelihood(n: np.ndarray, p: np.ndarray) -> np.ndarray:
         # Poisson likelihood with the global scale profiled out; only the
         # shape term sum n_j ln p_j depends on chi once sum_j O_j ~
         # identity.  Empty rows add an exact 0 since p >= 1e-300.
-        return np.sum(n * np.log(p), axis=1)
+        terms = np.log(p)
+        terms *= n
+        return terms.sum(axis=1)
 
     n_trials = counts.shape[0]
     n_total = counts.sum(axis=1)
@@ -295,7 +349,6 @@ def _mle_batch(counts: np.ndarray, design: TomographyDesign
     # a trial without counts has a flat likelihood: it keeps the seed
     # and counts as converged after 0 iterations
     converged = n_total == 0.0
-    ll_traces = [[0.0] for _ in range(n_trials)]
 
     live = np.flatnonzero(~converged)
     n = counts[live]
@@ -303,78 +356,86 @@ def _mle_batch(counts: np.ndarray, design: TomographyDesign
     chi = chi_out[live]
     p = probs(chi)
     ll = log_likelihood(n, p)
-    for k, v in zip(live.tolist(), ll.tolist()):
-        ll_traces[k][0] = v
+    # (live trials, their log-likelihoods) at the seed and after each
+    # iteration
+    history = [(live, ll)]
 
-    def retire(leaving: np.ndarray) -> None:
+    def retire(leaving: np.ndarray, it: int) -> None:
         gone = live[leaving]
         chi_out[gone], p_out[gone], ll_out[gone] = (
             chi[leaving], p[leaving], ll[leaving])
+        iterations[gone] = it
 
+    it = 0  # bound even if the loop runs no iteration
     for it in range(1, MAX_ITERATIONS + 1):
         if live.size == 0:
             break
         # R = sum_j (n_j / p_j) O_j; rows without counts have weight 0
-        r = design.weighted_sum(n / p)
-        r = 0.5 * (r + _dagger(r))
+        r = _hermitian_part(design.weighted_sum(n / p))
         step = _unit_trace(r @ chi @ r)
         p_new = probs(step)
         ll_new = log_likelihood(n, p_new)
-        pending = np.flatnonzero(ll_new < ll - 1e-9 * (1.0 + np.abs(ll)))
-        dilutions[live[pending]] += 1
-        # dilution fallback: shrink toward the identity direction
-        eps = 1.0
-        while pending.size:
-            if eps <= 1e-8:
-                raise RuntimeError(
-                    "likelihood decreased and dilution could not restore "
-                    "monotonicity"
-                )
-            mixed = (np.eye(16) + eps * r[pending]
-                     / total[pending, None, None]) / (1.0 + eps)
-            cand = _unit_trace(mixed @ chi[pending] @ _dagger(mixed))
-            p_cand = probs(cand)
-            ll_cand = log_likelihood(n[pending], p_cand)
-            ll_old = ll[pending]
-            ok = ll_cand >= ll_old - 1e-12 * (1.0 + np.abs(ll_old))
-            taken = pending[ok]
-            step[taken], p_new[taken], ll_new[taken] = (
-                cand[ok], p_cand[ok], ll_cand[ok])
-            pending = pending[~ok]
-            eps *= 0.5
+        fell = ll_new < ll - 1e-9 * (1.0 + np.abs(ll))
+        if fell.any():
+            pending = np.flatnonzero(fell)
+            dilutions[live[pending]] += 1
+            # dilution fallback: shrink toward the identity direction
+            eps = 1.0
+            while pending.size:
+                if eps <= 1e-8:
+                    raise RuntimeError(
+                        "likelihood decreased and dilution could not "
+                        "restore monotonicity"
+                    )
+                mixed = (np.eye(16) + eps * r[pending]
+                         / total[pending, None, None]) / (1.0 + eps)
+                cand = _unit_trace(mixed @ chi[pending] @ _dagger(mixed))
+                p_cand = probs(cand)
+                ll_cand = log_likelihood(n[pending], p_cand)
+                ll_old = ll[pending]
+                ok = ll_cand >= ll_old - 1e-12 * (1.0 + np.abs(ll_old))
+                taken = pending[ok]
+                step[taken], p_new[taken], ll_new[taken] = (
+                    cand[ok], p_cand[ok], ll_cand[ok])
+                pending = pending[~ok]
+                eps *= 0.5
         gain = ll_new - ll
         chi, ll, p = step, ll_new, p_new
-        for k, v in zip(live.tolist(), ll.tolist()):
-            ll_traces[k].append(v)
-        iterations[live] = it
+        history.append((live, ll))
         done = gain / total < GAIN_TOLERANCE
         if done.any():
             converged[live[done]] = True
-            retire(done)
+            retire(done, it)
             keep = ~done
             live, n, total, chi, ll, p = (
                 live[keep], n[keep], total[keep], chi[keep], ll[keep],
                 p[keep])
-    retire(np.ones(live.size, dtype=bool))
+    retire(np.ones(live.size, dtype=bool), it)
 
     # one stacked eigvalsh of R at every returned chi
     gaps = np.zeros(n_trials)
     solved = np.flatnonzero(n_total > 0.0)
     if solved.size:
         r = design.weighted_sum(counts[solved] / p_out[solved])
-        lam = np.linalg.eigvalsh(0.5 * (r + _dagger(r)))[:, -1]
+        lam = np.linalg.eigvalsh(_hermitian_part(r))[:, -1]
         gaps[solved] = lam / n_total[solved] - 1.0
 
-    results = []
-    for k in range(n_trials):
-        ll_trace = np.array(ll_traces[k])
-        ll_trace.setflags(write=False)
-        results.append(MleResult(
-            ProcessMatrix(chi_out[k], 2), bool(converged[k]),
-            int(iterations[k]), float(ll_out[k]), ll_trace,
-            int(dilutions[k]), float(gaps[k]),
-        ))
-    return results
+    # trial k's trace is its seed value and one value per iteration, at
+    # starts[k] ... starts[k] + iterations[k]; an empty trial's is [0.0]
+    lengths = iterations + 1
+    starts = np.cumsum(lengths) - lengths
+    flat = np.zeros(int(lengths.sum()))
+    for k, (among, values) in enumerate(history):
+        flat[starts[among] + k] = values
+    flat.setflags(write=False)
+    ll_traces = np.split(flat, starts[1:])
+
+    return [
+        MleResult(ProcessMatrix(chi_out[k], 2), bool(converged[k]),
+                  int(iterations[k]), float(ll_out[k]), ll_traces[k],
+                  int(dilutions[k]), float(gaps[k]))
+        for k in range(n_trials)
+    ]
 
 
 def mle_reconstruct(
@@ -525,25 +586,29 @@ def experiment_pipeline(
     std columns are NaN, and any other value raises ``ValueError``.
     All randomness derives from ``seed`` through per-phase spawned
     streams, so reruns are bit-identical.  The channels of all phases
-    come from one optical build, and every phase's counts are drawn
-    first.  With a bootstrap, each phase's main reconstruction is
-    solved in one batch with its own resamples; without one, the main
-    reconstructions of all phases form one batch.
+    come from one optical build and their count probabilities from one
+    ``traces`` call, and every phase's counts are drawn first.  With a
+    bootstrap, each phase's main reconstruction is solved in one batch
+    with its own resamples; without one, the main reconstructions of
+    all phases form one batch.
     No result depends on what else is in its batch, so each row equals
     ``mle_reconstruct`` and ``monte_carlo_errors`` on its phase alone.
     """
     if not (_integer(trials) and (trials == 0 or trials >= 2)):
         raise ValueError("trials must be an integer, 0 (no error bars) or "
                          f"at least 2, not {trials!r}")
+    _check_rate(rate)
     phases = tuple(normalize_phase(p) for p in (
         standard_phases() if phases is None else phases))
     design = default_design()
     streams = [s.spawn(2) for s in
                np.random.SeedSequence(seed).spawn(len(phases))]
     channels = replication_experiment_channel(np.array(phases), params)
+    # each phase's counts equal simulate_counts on its own Kraus list
     datasets = [
-        simulate_counts(list(channel), design, rate, count_stream, phase=phi)
-        for phi, channel, (count_stream, _) in zip(phases, channels, streams)
+        _draw_counts(p, rate, count_stream, phi)
+        for phi, p, (count_stream, _) in zip(
+            phases, design.probabilities(channels), streams)
     ]
     if trials >= 2:
         # one batch a phase, solved as the loop reaches it, so no more
@@ -589,20 +654,33 @@ def write_datasets_csv(path, datasets: Sequence[TomographyDataset],
                        design: TomographyDesign,
                        header_lines: Sequence[str] = ()) -> None:
     """Record-per-row CSV of one or more phase datasets, each of which
-    must hold one count per design row."""
+    must hold one count per design row.
+
+    A count is written as an integer when it is integral and as its
+    float ``repr`` otherwise.  When every count is integral and below
+    2^53 in magnitude, all of them go through one int64 conversion;
+    otherwise each count is tested on its own, which also writes an
+    integral count of 2^53 or more with all its digits.
+    """
     for phase_id, ds in enumerate(datasets):
         if ds.counts.size != design.size:
             raise ValueError(
                 f"dataset of phase id {phase_id} has {ds.counts.size} "
                 f"counts, the design {design.size} rows")
-    counts = [c for ds in datasets for c in ds.counts.tolist()]
+    counts = np.array([ds.counts for ds in datasets], dtype=np.float64)
+    if np.all(counts == np.trunc(counts)) and np.all(np.abs(counts) < 2**53):
+        texts = counts.astype(np.int64).tolist()
+    else:
+        texts = [[int(c) if c == int(c) else repr(c) for c in row]
+                 for row in counts.tolist()]
+    # the input_id,setting_id,outcome_id cells of one phase's rows
+    cells = [f"{i},{s},{o}," for _, i, s, o in _row_layout(1, design).tolist()]
     lines = [line.rstrip("\n") + "\n" for line in header_lines] + [
         "# phase_values: " + json.dumps([d.phase for d in datasets]) + "\n",
         "# rates: " + json.dumps([d.rate for d in datasets]) + "\n",
         "phase_id,input_id,setting_id,outcome_id,count\n",
-    ] + [f"{p},{i},{s},{o},{int(c) if c == int(c) else repr(c)}\n"
-         for (p, i, s, o), c in zip(
-             _row_layout(len(datasets), design).tolist(), counts)]
+    ] + [f"{p},{cell}{text}\n"
+         for p, row in enumerate(texts) for cell, text in zip(cells, row)]
     with open(path, "w", newline="") as fh:
         fh.write("".join(lines))
 

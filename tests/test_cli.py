@@ -266,6 +266,52 @@ def test_tomo_svg_outputs(tmp_path):
         assert (tmp_path / name).read_text().startswith("<svg")
 
 
+def test_tomo_rate_beyond_the_poisson_range_exits_1(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["tomo", "--out-dir", str(out), "--phases", "0.5",
+                 "--rate", "1e300"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: rate 1e+300 gives a Poisson mean of ")
+    assert list(out.iterdir()) == []
+
+
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("doc", [
+    {"floats": [0.1, -2.5, 1e-300, 5e-324, 1e22, -0.0, 1.0]},
+    {"nan": [1.0, _NAN, 2.0], "inf": [_INF, 3.0], "-inf": [-_INF],
+     "alone": [_NAN]},
+    {"np": [np.float64(1.0) / 3.0, np.float64(-7e-9)],
+     "scalar": np.float64(2.0 ** 0.5), "float": 0.5},
+    {"mixed": [1, 2.5, True, False, None, 3.0], "ints": [1, -2, 10 ** 20],
+     "bool": True, "none": None, "int": 7},
+    {"empty_list": [], "empty_dict": {}, "nested_empty": [[], {}, [[]]]},
+    {"b": {"z": {"rows": [[1.0, 2.0], [3.0, _NAN]], "n": 2}, "a": [0.25]},
+     "a": [{"y": [1.5], "x": "text"}, {}]},
+    {"ünïcödé": "Grüße, 世界", 'quote "q"': 'say "hi"\n\t\\ done',
+     "tuple": (1.0, 2.0), "chars": ["\u2028", "é"]},
+    [1.0, [2.0, 3.0], {"k": [4.0]}],
+    [0.5, 0.25],
+    3.5, "top-level string", None, [], {},
+], ids=["finite-floats", "non-finite", "numpy-floats", "mixed-kinds",
+        "empties", "nested", "strings", "top-list", "top-floats",
+        "top-float", "top-string", "top-none", "top-empty-list",
+        "top-empty-dict"])
+def test_json_text_is_json_dumps_byte_for_byte(doc):
+    assert cli._json_text(doc) == \
+        json.dumps(doc, indent=1, sort_keys=True) + "\n"
+
+
+def test_json_text_of_tomo_documents_is_json_dumps(tmp_path):
+    assert main(["tomo", "--out-dir", str(tmp_path), "--phases", "0.5",
+                 "--rate", "300", "--trials", "2"]) == 0
+    for name in ("chi_00.json", "report.json"):
+        text = (tmp_path / name).read_text()
+        assert text == json.dumps(json.loads(text), indent=1,
+                                  sort_keys=True) + "\n"
+
+
 # ------------------------------------------------------------ optics-scan
 
 

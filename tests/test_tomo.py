@@ -1,7 +1,10 @@
 """Tomography design, likelihood ascent, error bars, and the pipeline."""
 import copy
 import dataclasses
+import json
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -313,6 +316,21 @@ def test_simulated_counts_are_seed_deterministic():
             simulate_counts(chi, design, rate, 7)
 
 
+def test_simulated_counts_reject_a_mean_beyond_numpy_poisson():
+    design = default_design()
+    chi = choi_from_kraus([cu_phase(0.9)])
+    largest = float(design.probabilities(chi).max())
+    with pytest.raises(ValueError, match="^" + re.escape(
+            f"rate 1e+300 gives a Poisson mean of {1e300 * largest!r}")):
+        simulate_counts(chi, design, 1e300, 7)
+    # the bound is numpy's own: just below it numpy draws, just above it
+    # the check speaks first
+    limit = tomo._POISSON_MEAN_MAX
+    simulate_counts(chi, design, 0.9999 * limit / largest, 7)
+    with pytest.raises(ValueError, match="Poisson mean"):
+        simulate_counts(chi, design, 1.0001 * limit / largest, 7)
+
+
 # ------------------------------------------------------------------- MLE
 
 
@@ -509,6 +527,38 @@ def test_batched_solve_matches_single_solves(monkeypatch):
     assert singles[4].iterations == 0 and singles[4].optimality_gap == 0.0
     assert np.array_equal(singles[4].chi.matrix, np.eye(16) / 16.0)
     assert singles[5].iterations == 3
+
+
+def test_a_short_batch_holds_no_history_sized_by_the_cap(monkeypatch):
+    # 400 single-count trials converge after 2 iterations; a likelihood
+    # history sized by the iteration cap would hold
+    # (MAX_ITERATIONS + 1) x 400 doubles, 16 MB, on top of the working set
+    design = default_design()
+    trials = 400
+    counts = np.zeros((trials, design.size))
+    counts[np.arange(trials), 3 * np.arange(trials)] = 1.0
+    _mle_batch(counts[:2], design)
+
+    def traced_solve():
+        tracemalloc.start()
+        try:
+            results = _mle_batch(counts, design)
+            return results, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    history_bytes = 8 * (tomo.MAX_ITERATIONS + 1) * trials
+    results, peak = traced_solve()
+    # the same solve with a cap it never reaches sets the working set
+    monkeypatch.setattr(tomo, "MAX_ITERATIONS", 2)
+    capped, capped_peak = traced_solve()
+    assert peak - capped_peak < history_bytes / 10
+    for result, same in zip(results, capped):
+        assert result.converged and result.iterations == 2
+        assert len(result.ll_trace) == 3
+        assert result.ll_trace[-1] == result.log_likelihood
+        assert not result.ll_trace.flags.writeable
+        assert np.array_equal(result.ll_trace, same.ll_trace)
 
 
 def test_optimality_gap_matches_the_dense_formula():
@@ -735,6 +785,26 @@ def test_pipeline_matches_per_phase_solves_and_bootstraps():
             assert 0 < empty < 3 * len(phases)
 
 
+def test_pipeline_counts_equal_simulate_counts_phase_by_phase():
+    # the probabilities of all phases come from one traces call; each
+    # phase's row and counts are those of its Kraus list on its own
+    params = OpticsParams.measured()
+    phases = standard_phases()
+    design = default_design()
+    report = experiment_pipeline(params, rate=1e4, seed=21)
+    channels = replication_experiment_channel(np.array(phases), params)
+    stacked = design.probabilities(channels)
+    streams = np.random.SeedSequence(21).spawn(len(phases))
+    for k, (phi, channel, stream, row) in enumerate(
+            zip(phases, channels, streams, report.rows)):
+        alone = design.probabilities(list(channel))
+        assert stacked[k].tobytes() == alone.tobytes()
+        ds = simulate_counts(list(channel), design, 1e4, stream.spawn(2)[0],
+                             phase=phi)
+        assert row.dataset.counts.tobytes() == ds.counts.tobytes()
+        assert (row.dataset.phase, row.dataset.rate) == (ds.phase, ds.rate)
+
+
 # ------------------------------------------------------------------- csv
 
 
@@ -754,6 +824,39 @@ def test_counts_csv_round_trip(tmp_path):
         assert loaded.phase == original.phase
         assert loaded.rate == original.rate
         assert np.array_equal(loaded.counts, original.counts)
+
+
+def _per_row_counts_csv(datasets, design, header_lines=()):
+    """The counts file as the per-row f-string writer made it, the
+    reference for ``write_datasets_csv``."""
+    counts = [c for ds in datasets for c in ds.counts.tolist()]
+    lines = [line.rstrip("\n") + "\n" for line in header_lines] + [
+        "# phase_values: " + json.dumps([d.phase for d in datasets]) + "\n",
+        "# rates: " + json.dumps([d.rate for d in datasets]) + "\n",
+        "phase_id,input_id,setting_id,outcome_id,count\n",
+    ] + [f"{p},{i},{s},{o},{int(c) if c == int(c) else repr(c)}\n"
+         for (p, i, s, o), c in zip(
+             _row_layout(len(datasets), design).tolist(), counts)]
+    return "".join(lines)
+
+
+@pytest.mark.parametrize("n_phases", [1, 3])
+@pytest.mark.parametrize("special", [
+    None, 0.0, -0.0, 1.0, 2.0 ** 53, 2.0 ** 53 + 2, 1e19, 1e300, 37.25])
+def test_counts_csv_matches_the_per_row_writer(tmp_path, n_phases, special):
+    design = default_design()
+    rng = np.random.default_rng(n_phases)
+    datasets = []
+    for k in range(n_phases):
+        counts = rng.poisson(40.0, design.size).astype(np.float64)
+        if special is not None and k == n_phases - 1:
+            counts[rng.choice(design.size, 7, replace=False)] = special
+        datasets.append(TomographyDataset(0.3 * k, counts, 40.0 + k))
+    header = ["# run: oracle", "# seed: 5\n"]
+    path = tmp_path / "counts.csv"
+    write_datasets_csv(path, datasets, design, header_lines=header)
+    expected = _per_row_counts_csv(datasets, design, header)
+    assert path.read_bytes() == expected.encode()
 
 
 @pytest.mark.parametrize("size", [1301, 1291])
