@@ -57,6 +57,16 @@ RUNS = {
          "--trials", "3", "--svg"],
         {"optics": {"phase_jitter_sigma": 0.65}},
         0.0),
+    # a single OpticsParams with zero-weight sectors: the distinguishable
+    # ones at visibility 1, the interfering one at visibility 0
+    "tomo-ideal-jitter": (
+        ["tomo", "--preset", "ideal", "--rate", "2000", "--seed", "5",
+         "--trials", "3"],
+        {"optics": {"phase_jitter_sigma": 0.65}},
+        0.0),
+    "replicate-visibility-0": (
+        ["replicate"], {"preset": "measured", "optics": {"visibility": 0.0}},
+        CLOSED_FORM_RTOL),
 }
 
 _HASHED = ("counts.csv", "chi_")
