@@ -100,18 +100,18 @@ def process_fidelity(
     """F = <Phi_U| chi |Phi_U> / Tr[chi]; invariant under chi rescaling.
 
     ``channel`` is a process matrix (e.g. a reconstructed one) or a
-    Kraus list.  A Kraus list is read directly, without building chi:
+    Kraus array (n, d, d), read directly, without building chi:
     F = sum_k |Tr[U† K_k]|² / (d · sum_k ||K_k||_F²), the same number,
     since <Phi_U| chi |Phi_U> = sum_k |Tr[U† K_k]|² / d² and
-    Tr[chi] = sum_k ||K_k||_F² / d.  Sub-normalized lists are fine; an
-    empty, all-zero or non-finite list, or operators whose shape is not
-    U's, raise ``ValueError``.
+    Tr[chi] = sum_k ||K_k||_F² / d.  Sub-normalized operators are fine;
+    no operator, all-zero or non-finite ones, or operators whose shape
+    is not U's raise ``ValueError``.
 
     The Kraus form also takes one channel per phase: an array of shape
-    (P, n, d, d), Kraus operators on axis -3, with ``u`` one gate or a
-    (P, d, d) stack, and returns the P fidelities as an array.  A list
-    is the same formula at one phase and returns a float, so each entry
-    of the array equals the float of its own row.
+    (P, n, d, d), with ``u`` one gate or a (P, d, d) stack, and returns
+    the P fidelities as an array.  One channel is the same formula and
+    returns a float, so each entry of the array equals the float of its
+    own row.
     """
     if isinstance(channel, ProcessMatrix):
         if u.shape != (channel.dim, channel.dim):

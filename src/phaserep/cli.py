@@ -544,7 +544,8 @@ def main(argv: Sequence[str] | None = None) -> int:
                                       _metadata(config))
         return 0
     # before the ValueError clause: LinAlgError subclasses ValueError
-    except (RuntimeError, ArithmeticError, np.linalg.LinAlgError) as exc:
+    except (RuntimeError, ArithmeticError, MemoryError,
+            np.linalg.LinAlgError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 2
     except (ConfigError, ValueError) as exc:

@@ -136,7 +136,7 @@ def baseline_measure_prepare() -> float:
                       for k in range(nodes))
 
 
-def optimal_cloner(phi: float | np.ndarray) -> list[np.ndarray] | np.ndarray:
+def optimal_cloner(phi: float | np.ndarray) -> np.ndarray:
     """Kraus pair of the optimal 1->2 phase-gate cloner.
 
     Circuit: controlled-Hadamard from each signal qubit onto a |0>
@@ -152,14 +152,13 @@ def optimal_cloner(phi: float | np.ndarray) -> list[np.ndarray] | np.ndarray:
     the one whose phase-averaged fidelity attains (3 + 2*sqrt(2))/8;
     other orientations fall short and are rejected by the tests.
 
-    For P phases the pair comes as one (P, 2, 4, 4) array, the Kraus
-    operators on axis -3.
+    The pair comes as one (2, 4, 4) array, the Kraus operators on axis
+    -3, and for P phases as a (P, 2, 4, 4) array.
     """
     phase = np.exp(1j * normalize_phase(phi))
     s = 1.0 / math.sqrt(2.0)
-    pair = np.stack([_diagonal(1.0, s * phase, s * phase, 0.0),
+    return np.stack([_diagonal(1.0, s * phase, s * phase, 0.0),
                      _diagonal(0.0, s, s, phase)], axis=-3)
-    return list(pair) if pair.ndim == 3 else pair
 
 
 def optimal_cloner_fidelity(phi: float | np.ndarray) -> float | np.ndarray:

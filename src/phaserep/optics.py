@@ -36,13 +36,13 @@ and evaluates a whole phase array from it.
 
 Every builder also takes a sequence of P ``OpticsParams`` (a params
 stack) and returns its results with the stack on a leading axis, so a
-scan over one imperfection is one build.  A stack has a fixed Kraus
-count: each row of ``effective_toffoli`` holds the interfering and both
-distinguishable operators, and a row at visibility 1 or 0 carries the
-sector it lacks as exactly-zero operators; likewise a row at sigma = 0
-in a stack with some sigma > 0 carries zero dephasing flips.  A single
-``OpticsParams`` runs the same code at P = 1 and drops its zero-weight
-operators, returning the Kraus list of 1, 2 or 3 operators.
+scan over one imperfection is one build; a single ``OpticsParams`` is
+the stack of one, and its result is row 0 of the stacked result.  Kraus
+operators come as one array, the operators on axis -3, and their count
+is fixed: ``effective_toffoli`` gives the interfering and both
+distinguishable operators, the sector of weight 0 at visibility 1 or 0
+as exactly-zero operators; likewise a row at sigma = 0 in a stack with
+some sigma > 0 carries zero dephasing flips.
 """
 from __future__ import annotations
 
@@ -180,16 +180,16 @@ def sector_operators(
 
 def effective_toffoli(
     params: Params,
-) -> tuple[list[np.ndarray], float] | tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, float] | tuple[np.ndarray, np.ndarray]:
     """Coincidence-basis three-qubit channel of the optical network.
 
-    Returns the weighted Kraus operators of the sector mixture together
-    with the success probability for the maximally mixed input.  With
-    ideal parameters the channel is rank one and equals Toffoli/3.  A
-    params stack gives a (P, 3, 8, 8) array (interfering, transmit-
-    transmit, reflect-reflect; zero where the sector's weight is 0)
-    and the P success probabilities; a single ``OpticsParams`` gives
-    the list of its nonzero-weight operators and a float.
+    Returns the weighted Kraus operators of the sector mixture as a
+    (3, 8, 8) array (interfering, transmit-transmit, reflect-reflect;
+    an operator is exactly zero where its sector's weight is 0) together
+    with the success probability for the maximally mixed input, a float.
+    With ideal parameters only the interfering operator is nonzero, and
+    it equals Toffoli/3.  A params stack gives a (P, 3, 8, 8) array and
+    the P success probabilities.
     """
     m_int, k_tt, k_rr = (np.reshape(k, (-1, 8, 8))
                          for k in sector_operators(params))
@@ -198,11 +198,9 @@ def effective_toffoli(
     kraus = np.stack((np.sqrt(v) * m_int, w * k_tt, w * k_rr), axis=1)
     gram = (kraus.conj().swapaxes(-1, -2) @ kraus).sum(axis=1)
     success = np.trace(gram, axis1=-2, axis2=-1).real / 8.0
-    if not isinstance(params, OpticsParams):
-        return kraus, success
-    vis = params.visibility
-    return ([k for k, weight in zip(kraus[0], (vis, 1.0 - vis, 1.0 - vis))
-             if weight > 0.0], float(success[0]))
+    if isinstance(params, OpticsParams):
+        return kraus[0], float(success[0])
+    return kraus, success
 
 
 def dephase_spatial(
@@ -213,9 +211,9 @@ def dephase_spatial(
     A random phase e^{i theta} with theta ~ Normal(0, sigma^2) on the
     |1> path damps spatial coherences by lambda = e^{-sigma^2/2};
     equivalently a phase-flip channel with flip weight (1-lambda)/2.
-    Takes Kraus operators on axis -3 (a list, or an array with leading
-    axes such as one per phase) and returns them as an array, twice as
-    many along that axis; at sigma = 0 the input itself is returned.
+    Takes a Kraus array, the operators on axis -3 (with leading axes
+    such as one per phase), and returns the operators as an array, twice
+    as many along that axis; at sigma = 0 the input itself is returned.
     ``sigma`` may also be a 1-D array of one sigma per entry of axis 0
     of a (P, n, d, d) array; a row at sigma = 0 then keeps its
     operators as they are and gets n zero flips.
@@ -245,7 +243,7 @@ def dephase_spatial(
 
 def replication_experiment_channel(
     phi: float | Sequence[float] | np.ndarray, params: Params
-) -> list[np.ndarray] | np.ndarray:
+) -> np.ndarray:
     """Two-qubit channel of the simulated replication experiment.
 
     Composes the optical Toffoli of ``params`` with an ideal phase gate
@@ -253,15 +251,13 @@ def replication_experiment_channel(
     configured spatial dephasing.  Every operator is
     K(phi) = A + e^{i phi} B, A and B the idler's |0> and |1> output legs
     (with the idler entering in |0>) times 1/sqrt(2), so one optical
-    build serves a whole phase array.  A float ``phi`` gives a
-    sub-normalized Kraus list of 4x4 operators; a 1-D array of P phases
-    gives a (P, n, 4, 4) array whose rows are, bit for bit, the lists of
-    the phases on their own.  A params stack with a float ``phi`` gives
-    the (P, n, 4, 4) array of its rows, n = 3 or 6 for all of them, the
-    zero-weight operators included; a stack with a phase array raises
-    ``ValueError``.  ``process_fidelity`` reads either directly; wrap a
-    list in ``choi_from_kraus`` where the process matrix itself is
-    needed.
+    build serves a whole phase array.  A float ``phi`` gives the
+    sub-normalized Kraus operators as an (n, 4, 4) array, n = 3, or 6
+    when sigma > 0; a 1-D array of P phases gives a (P, n, 4, 4) array
+    whose rows are, bit for bit, the arrays of the phases on their own.
+    A params stack with a float ``phi`` gives the (P, n, 4, 4) array of
+    its rows, n = 6 for all of them if any sigma > 0; a stack with a
+    phase array raises ``ValueError``.
     """
     phases = normalize_phase(phi)
     stacked = not isinstance(params, OpticsParams)
@@ -270,10 +266,8 @@ def replication_experiment_channel(
                          "and a float with a params stack")
     kraus3, _ = effective_toffoli(params)
     phase = np.exp(1j * np.atleast_1d(phases))[:, None, None, None]
-    kraus3 = np.asarray(kraus3)
     # [..., operator, signal out, idler out, signal in] at idler input |0>
     legs = kraus3.reshape(*kraus3.shape[:-2], 4, 2, 4, 2)[..., 0]
     kraus = (legs[..., 0, :] + legs[..., 1, :] * phase) * _SQRT_HALF
     kraus = dephase_spatial(kraus, _column(params, "phase_jitter_sigma"))
-    return list(kraus[0]) if np.ndim(phases) == 0 and not stacked \
-        else kraus
+    return kraus[0] if np.ndim(phases) == 0 and not stacked else kraus

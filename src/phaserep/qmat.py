@@ -7,11 +7,12 @@ Conventions used throughout the package:
   binary expansion.
 * All matrices and vectors are complex128 ndarrays.  Gates and Kraus
   operators are plain arrays, whose qubit count is read from their
-  shape; mixtures enter only as Kraus lists.  A phase sweep stacks them
-  along leading axes: P gates as (P, d, d), P Kraus lists as
-  (P, n, d, d).  The 1->2 replication circuits are the
-  ``ReplicationSpec(1, 2)`` case of ``superrep``, read off its
-  permutation, so no state vector is ever pushed through a circuit.
+  shape; a mixture is a Kraus array of shape (n, d, d), the operators
+  on axis -3.  A phase sweep stacks them along leading axes: P gates as
+  (P, d, d), P Kraus arrays as (P, n, d, d).  The 1->2 replication
+  circuits are the ``ReplicationSpec(1, 2)`` case of ``superrep``, read
+  off its permutation, so no state vector is ever pushed through a
+  circuit.
 * Registers wider than ``REGISTER_CAP`` qubits are refused before
   anything is allocated (a memory guard, not a physics limit).
 """
@@ -42,17 +43,15 @@ def _check_width(qubits: int) -> None:
 def normalize_phase(phi: float | np.ndarray) -> float | np.ndarray:
     """Reduce a phase angle in radians to [0, 2*pi).
 
-    A float gives a float; an array of phases gives an array, each entry
-    bit-identical to the float form.  A non-finite phase gives NaN,
-    silently, as Python's float modulo does.
+    A float gives a float and an array of phases an array, from one
+    computation whose entries equal Python's float modulo bit for bit.
+    A non-finite phase gives NaN, silently, as that modulo does.
     """
-    if np.ndim(phi) == 0:
-        r = float(phi) % (2.0 * math.pi)
-        # phi in [-4.4e-16, 0) rounds up to 2*pi itself
-        return 0.0 if r == 2.0 * math.pi else r
     with np.errstate(invalid="ignore"):
-        r = np.asarray(phi, dtype=np.float64) % (2.0 * math.pi)
-    return np.where(r == 2.0 * math.pi, 0.0, r)
+        r = np.remainder(np.asarray(phi, dtype=np.float64), 2.0 * math.pi)
+    # phi in [-4.4e-16, 0) rounds up to 2*pi itself
+    r = np.where(r == 2.0 * math.pi, 0.0, r)
+    return float(r) if r.ndim == 0 else r
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:

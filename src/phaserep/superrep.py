@@ -259,21 +259,19 @@ def asymptotic_sweep(
 
     Passing ``m_list`` overrides the power law with explicit replica
     counts (paired with ``n_list``); the reported alpha is then the
-    effective exponent of each pair.
+    effective exponent of each pair.  ``alpha`` must be finite and
+    > 0, and every N and M an integer >= 1 (see ``ReplicationSpec``).
     """
-    if alpha <= 0.0:
-        raise ValueError("alpha must be positive")
+    if not (math.isfinite(alpha) and alpha > 0.0):
+        raise ValueError(f"alpha must be a finite number > 0, not {alpha!r}")
     if m_list is not None and len(m_list) != len(n_list):
         raise ValueError("m_list must pair up with n_list")
     rows = []
     for i, n in enumerate(n_list):
-        if m_list is None:
-            m = max(1, math.floor(n ** (2.0 - alpha)))
-            a = alpha
-        else:
-            m = int(m_list[i])
-            a = effective_alpha(n, m)
-        spec = ReplicationSpec(copies=int(n), replicas=m)
+        m = max(1, math.floor(n ** (2.0 - alpha))) if m_list is None \
+            else m_list[i]
+        spec = ReplicationSpec(copies=n, replicas=m)
+        a = alpha if m_list is None else effective_alpha(n, m)
         phi, fid = worst_case_fidelity(spec, phi_grid)
-        rows.append(SweepRow(int(n), m, a, phi, fid))
+        rows.append(SweepRow(spec.copies, spec.replicas, a, phi, fid))
     return rows

@@ -143,7 +143,7 @@ class TomographyDesign:
         return g.reshape(lead + (16, 16))
 
     def probabilities(
-        self, channel: ProcessMatrix | Sequence[np.ndarray] | np.ndarray
+        self, channel: ProcessMatrix | np.ndarray
     ) -> np.ndarray:
         """Outcome probabilities under the channel, in row order.
 
@@ -151,23 +151,22 @@ class TomographyDesign:
         do not sum to 1 per setting; that deficit is physical loss.
         Values <= 1e-12 are returned as 0.0: on this design the
         rounding residue of an exact zero stays below 1e-18, and the
-        physical probabilities of the presets are above 1e-7.  A Kraus
-        list is first turned into its process matrix by
-        ``choi_from_kraus``.
+        physical probabilities of the presets are above 1e-7.
 
-        An array of shape (P, n, 4, 4), one Kraus list per phase as
-        ``replication_experiment_channel`` gives it, yields the (P, rows)
-        probabilities from one ``traces`` call; each row is bit-identical
-        to the probabilities of its own list.
+        A Kraus array of shape (..., n, 4, 4), such as one channel per
+        phase, yields probabilities of shape (..., rows) from one
+        ``traces`` call on the ``choi_from_kraus`` of each channel.
         """
-        stacked = isinstance(channel, np.ndarray) and channel.ndim == 4
-        chis = [c if isinstance(c, ProcessMatrix) else choi_from_kraus(c)
-                for c in (channel if stacked else [channel])]
+        if isinstance(channel, ProcessMatrix):
+            chis, lead = [channel], ()
+        else:
+            kraus = np.asarray(channel)
+            lead = kraus.shape[:-3]
+            chis = [choi_from_kraus(kraus[i]) for i in np.ndindex(lead)]
         if any(chi.qubits != 2 for chi in chis):
             raise ValueError("design covers two-qubit channels only")
         p = self.traces(np.array([chi.matrix for chi in chis]))
-        p = np.where(p > 1e-12, p, 0.0)
-        return p if stacked else p[0]
+        return np.where(p > 1e-12, p, 0.0).reshape(lead + (self.size,))
 
 
 @functools.cache
@@ -219,7 +218,7 @@ class TomographyDataset:
 
 
 def expected_counts(
-    channel: ProcessMatrix | Sequence[np.ndarray],
+    channel: ProcessMatrix | np.ndarray,
     design: TomographyDesign,
     rate: float,
     phase: float = 0.0,
@@ -232,7 +231,7 @@ def expected_counts(
 
 
 def simulate_counts(
-    channel: ProcessMatrix | Sequence[np.ndarray],
+    channel: ProcessMatrix | np.ndarray,
     design: TomographyDesign,
     rate: float,
     seed,
@@ -529,11 +528,13 @@ class FitResult:
 def fit_cosine(
     phases: Sequence[float], fidelities: Sequence[float]
 ) -> FitResult:
-    phases = np.asarray([normalize_phase(p) for p in phases],
-                        dtype=np.float64)
+    phases = normalize_phase(phases)
     values = np.asarray(fidelities, dtype=np.float64)
     if phases.shape != values.shape:
         raise ValueError("phases and fidelities must pair up")
+    # normalize_phase makes a non-finite phase NaN
+    if not np.isfinite([phases, values]).all():
+        raise ValueError("phases and fidelities must be finite")
     if np.unique(np.round(phases, 12)).size < 2:
         raise ValueError("need at least 2 distinct phases to fit")
     design = np.column_stack([np.ones_like(phases), np.cos(phases)])
@@ -583,7 +584,8 @@ def experiment_pipeline(
     """Full simulated run: channel -> counts -> MLE -> fidelities -> fit.
 
     An integer ``trials`` >= 2 adds Monte Carlo error bars; with 0 the
-    std columns are NaN, and any other value raises ``ValueError``.
+    std columns are NaN, and any other value raises ``ValueError``, as
+    do an empty ``phases`` and a phase that is not finite.
     All randomness derives from ``seed`` through per-phase spawned
     streams, so reruns are bit-identical.  The channels of all phases
     come from one optical build and their count probabilities from one
@@ -598,13 +600,18 @@ def experiment_pipeline(
         raise ValueError("trials must be an integer, 0 (no error bars) or "
                          f"at least 2, not {trials!r}")
     _check_rate(rate)
-    phases = tuple(normalize_phase(p) for p in (
-        standard_phases() if phases is None else phases))
+    phases = standard_phases() if phases is None else tuple(phases)
+    if not phases:
+        raise ValueError("need at least one phase")
+    for phi in phases:
+        if not math.isfinite(phi):
+            raise ValueError(f"phase {phi!r} is not finite")
+    phases = tuple(normalize_phase(p) for p in phases)
     design = default_design()
     streams = [s.spawn(2) for s in
                np.random.SeedSequence(seed).spawn(len(phases))]
     channels = replication_experiment_channel(np.array(phases), params)
-    # each phase's counts equal simulate_counts on its own Kraus list
+    # each phase's counts equal simulate_counts on its own Kraus array
     datasets = [
         _draw_counts(p, rate, count_stream, phi)
         for phi, p, (count_stream, _) in zip(

@@ -179,6 +179,17 @@ def test_superrep_rejects_bad_alpha(tmp_path):
                  "--config", cfg]) == 1
 
 
+def test_superrep_grid_beyond_memory_exits_2(tmp_path, capsys):
+    # 10^15 float64 grid points need 8e15 bytes, beyond a 47-bit address
+    # space, so the allocation is refused without allocating anything
+    cfg = _write_config(tmp_path, {"n_list": [4],
+                                   "phi_grid_size": 10 ** 15})
+    out = tmp_path / "out"
+    assert main(["superrep", "--out-dir", str(out), "--config", cfg]) == 2
+    assert "runtime error" in capsys.readouterr().err
+    assert not (out / "superrep.csv").exists()
+
+
 # ------------------------------------------------------------------- tomo
 
 
@@ -571,7 +582,7 @@ def test_main_builds_its_parser_once(tmp_path, monkeypatch):
 
 def test_internal_failure_exits_2(tmp_path, monkeypatch):
     # LinAlgError subclasses ValueError, which alone would exit 1
-    for error in (RuntimeError, np.linalg.LinAlgError):
+    for error in (RuntimeError, MemoryError, np.linalg.LinAlgError):
         def boom(config, out, meta):
             raise error("solver exploded")
 

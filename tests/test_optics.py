@@ -181,9 +181,13 @@ def test_full_reflection_edge_has_no_transmission():
 
 
 def test_zero_visibility_keeps_two_kraus_operators():
+    # no interference: the interfering sector is exactly zero, and both
+    # distinguishable ones remain
     kraus, _ = effective_toffoli(
         dataclasses.replace(OpticsParams.measured(), visibility=0.0))
-    assert len(kraus) == 2
+    assert kraus.shape == (3, 8, 8)
+    assert np.all(kraus[0] == 0.0)
+    assert kraus[1].any() and kraus[2].any()
 
 
 @pytest.mark.parametrize("params", [
@@ -228,8 +232,11 @@ def test_distinguishable_swap_exchanges_polarizations(params):
 
 def test_ideal_point_is_exact_scaled_toffoli():
     kraus, success = effective_toffoli(OpticsParams.ideal())
-    assert len(kraus) == 1
+    # full interference: both distinguishable sectors are exactly zero
+    assert kraus.shape == (3, 8, 8)
+    assert np.all(kraus[1:] == 0.0)
     assert np.max(np.abs(kraus[0] - toffoli() / 3.0)) < 1e-12
+    assert type(success) is float
     assert success == pytest.approx(1.0 / 9.0, abs=1e-12)
     chi = choi_from_kraus(kraus)
     assert process_fidelity(chi, toffoli()) == pytest.approx(1.0, abs=1e-12)
@@ -271,8 +278,7 @@ def test_phase_grid_rows_equal_the_per_phase_build(sigma):
         want = np.array(reference_channel(phi, params))
         assert row.tobytes() == want.tobytes()
         single = replication_experiment_channel(phi, params)
-        assert isinstance(single, list)
-        assert np.array(single).tobytes() == want.tobytes()
+        assert single.tobytes() == want.tobytes()
 
 
 def test_phase_grid_wants_a_1d_sequence():
@@ -396,14 +402,6 @@ STACK = [OpticsParams(r_v=r_v, r_h=r_h, visibility=vis,
          for vis in (0.0, 0.9, 1.0) for sigma in (0.0, 0.65)]
 
 
-def _kept_sectors(params):
-    # today's rule: the interfering operator for V > 0, the two
-    # distinguishable ones for V < 1
-    vis = params.visibility
-    return [j for j, keep in enumerate((vis > 0.0, vis < 1.0, vis < 1.0))
-            if keep]
-
-
 def test_stacked_builders_equal_the_single_builds():
     ppbs, t = ppbs_matrix(STACK), transfer_matrix(STACK)
     sectors = sector_operators(STACK)
@@ -415,38 +413,36 @@ def test_stacked_builders_equal_the_single_builds():
             assert got[i].tobytes() == want.tobytes()
 
 
-def test_stacked_toffoli_rows_equal_the_single_lists():
+def test_stacked_toffoli_rows_equal_the_single_builds():
     kraus, success = effective_toffoli(STACK)
     assert kraus.shape == (len(STACK), 3, 8, 8)
     assert success.shape == (len(STACK),)
     for row, p_row, params in zip(kraus, success, STACK):
         single, p_single = effective_toffoli(params)
-        assert isinstance(single, list) and isinstance(p_single, float)
-        kept = _kept_sectors(params)
-        assert len(single) == len(kept)
-        for j, op in zip(kept, single):
-            assert row[j].tobytes() == op.tobytes()
-        for j in set(range(3)) - set(kept):
-            assert np.all(row[j] == 0.0)
-        assert p_row == p_single
+        assert row.tobytes() == single.tobytes()
+        assert type(p_single) is float and p_row == p_single
+        # a sector of weight 0 is an exactly-zero operator
+        if params.visibility == 0.0:
+            assert np.all(row[0] == 0.0)
+        if params.visibility == 1.0:
+            assert np.all(row[1:] == 0.0)
 
 
-def test_stacked_channel_rows_equal_the_single_lists():
+def test_stacked_channel_rows_equal_the_single_builds():
     phi = 1.1
     channel = replication_experiment_channel(phi, STACK)
     # one jittered row gives every row the flips, zero where sigma = 0
     assert channel.shape == (len(STACK), 6, 4, 4)
     for row, params in zip(channel, STACK):
         single = replication_experiment_channel(phi, params)
-        assert isinstance(single, list)
-        kept = _kept_sectors(params)
         if params.phase_jitter_sigma > 0.0:
-            kept += [3 + j for j in kept]
-        assert len(single) == len(kept)
-        for j, op in zip(kept, single):
-            assert row[j].tobytes() == op.tobytes()
-        for j in set(range(6)) - set(kept):
-            assert np.all(row[j] == 0.0)
+            assert row.tobytes() == single.tobytes()
+        else:
+            assert single.shape == (3, 4, 4)
+            assert row[:3].tobytes() == single.tobytes()
+            assert np.all(row[3:] == 0.0)
+        want = np.array(reference_channel(phi, params))
+        assert single.tobytes() == want.tobytes()
     unjittered = [p for p in STACK if p.phase_jitter_sigma == 0.0]
     assert replication_experiment_channel(phi, unjittered).shape \
         == (len(unjittered), 3, 4, 4)

@@ -139,7 +139,7 @@ def test_benchmark_checks_read_only_existing_design_attributes():
 
 def test_benchmark_dataset_accepts_the_kraus_channel():
     # perfbench's tests simulate counts straight from the experiment
-    # channel; the Kraus list must give the counts of its process matrix
+    # channel; the Kraus array must give the counts of its process matrix
     design = default_design()
     channel = replication_experiment_channel(math.pi / 2,
                                              OpticsParams.measured())
@@ -160,8 +160,9 @@ def _run_demo(demo: Path, cwd: Path, *args: str):
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")]
         + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    proc = subprocess.run([sys.executable, str(demo), *args], cwd=cwd,
-                          env=env, capture_output=True, text=True)
+    # -W error: a numpy RuntimeWarning in a demo fails it, as in the tests
+    proc = subprocess.run([sys.executable, "-W", "error", str(demo), *args],
+                          cwd=cwd, env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
 
 

@@ -380,6 +380,24 @@ def test_sweep_monotone_and_validated():
         asymptotic_sweep(0.5, [4, 9], m_list=[8])
 
 
+@pytest.mark.parametrize("alpha", [math.inf, math.nan, 0.0, -0.5])
+def test_sweep_rejects_an_alpha_that_is_not_finite_and_positive(alpha):
+    with pytest.raises(ValueError, match="alpha"):
+        asymptotic_sweep(alpha, [4])
+
+
+@pytest.mark.parametrize("n_list, m_list, name", [
+    ([True], None, "copies"),
+    ([4.0], None, "copies"),
+    ([4], [True], "replicas"),
+    ([4], [0], "positive"),
+    ([4], [2.0], "replicas"),
+])
+def test_sweep_passes_sizes_to_the_spec_unconverted(n_list, m_list, name):
+    with pytest.raises(ValueError, match=name):
+        asymptotic_sweep(0.5, n_list, m_list=m_list)
+
+
 def test_sweep_with_explicit_replica_counts():
     rows = asymptotic_sweep(0.5, [3, 4], m_list=[2, 16])
     assert rows[0].worst_fidelity == 1.0  # N >= M window covers everything

@@ -247,6 +247,19 @@ def test_probabilities_match_the_dense_reference(params):
         assert np.all(p[reference > 1e-12] > 0.0)
 
 
+def test_probabilities_keep_the_leading_axes_of_a_kraus_array():
+    # each row is bit for bit the probabilities of its process matrix
+    design = default_design()
+    channels = replication_experiment_channel(
+        np.array([0.0, 0.4, 1.1, 2.9, 4.0, 6.0]),
+        OpticsParams.measured(phase_jitter_sigma=0.65)).reshape(2, 3, 6, 4, 4)
+    p = design.probabilities(channels)
+    assert p.shape == (2, 3, design.size)
+    for index in np.ndindex(2, 3):
+        alone = design.probabilities(choi_from_kraus(channels[index]))
+        assert p[index].tobytes() == alone.tobytes()
+
+
 def test_probabilities_reject_single_qubit_channels():
     design = default_design()
     chi = choi_from_kraus([phase_gate(0.3)])
@@ -683,6 +696,19 @@ def test_fit_cosine_input_validation():
         fit_cosine([0.4, 0.4, 0.4], [0.5, 0.5, 0.5])
 
 
+@pytest.mark.parametrize("phases, values", [
+    ([0.0, math.inf, 2.0], [0.5, 0.6, 0.7]),
+    ([0.0, math.nan, 2.0], [0.5, 0.6, 0.7]),
+    ([0.0, 1.0, 2.0], [0.5, math.inf, 0.7]),
+    ([0.0, 1.0, 2.0], [0.5, math.nan, 0.7]),
+])
+def test_fit_cosine_rejects_non_finite_inputs(phases, values, capfd):
+    # before lstsq, whose LAPACK call would print to stderr on inf
+    with pytest.raises(ValueError, match="finite"):
+        fit_cosine(phases, values)
+    assert capfd.readouterr().err == ""
+
+
 # -------------------------------------------------------------- pipeline
 
 
@@ -741,13 +767,28 @@ def test_pipeline_rejects_trials_other_than_0_or_at_least_2(trials):
                             trials=trials)
 
 
+def _forbid_the_optical_build(monkeypatch):
+    def build(*args):
+        raise AssertionError("the optical build ran")
+
+    monkeypatch.setattr(tomo, "replication_experiment_channel", build)
+
+
 @pytest.mark.parametrize("phi", [math.inf, -math.inf, math.nan])
-def test_pipeline_rejects_a_non_finite_phase(phi):
-    # a ValueError, not the RuntimeWarning of a modulo on inf (the test
-    # settings turn warnings into errors)
-    with pytest.raises(ValueError, match="finite"):
+def test_pipeline_rejects_a_non_finite_phase(phi, monkeypatch):
+    # a ValueError naming the phase, raised before the optical build,
+    # not the RuntimeWarning of a modulo on inf (the test settings turn
+    # warnings into errors)
+    _forbid_the_optical_build(monkeypatch)
+    with pytest.raises(ValueError, match=f"phase {phi!r} is not finite"):
         experiment_pipeline(OpticsParams.measured(), phases=[0.5, phi],
                             rate=10.0)
+
+
+def test_pipeline_rejects_an_empty_phase_list(monkeypatch):
+    _forbid_the_optical_build(monkeypatch)
+    with pytest.raises(ValueError, match="at least one phase"):
+        experiment_pipeline(OpticsParams.measured(), phases=[], rate=10.0)
 
 
 def test_pipeline_matches_per_phase_solves_and_bootstraps():
@@ -787,7 +828,7 @@ def test_pipeline_matches_per_phase_solves_and_bootstraps():
 
 def test_pipeline_counts_equal_simulate_counts_phase_by_phase():
     # the probabilities of all phases come from one traces call; each
-    # phase's row and counts are those of its Kraus list on its own
+    # phase's row and counts are those of its Kraus array on its own
     params = OpticsParams.measured()
     phases = standard_phases()
     design = default_design()
@@ -797,9 +838,9 @@ def test_pipeline_counts_equal_simulate_counts_phase_by_phase():
     streams = np.random.SeedSequence(21).spawn(len(phases))
     for k, (phi, channel, stream, row) in enumerate(
             zip(phases, channels, streams, report.rows)):
-        alone = design.probabilities(list(channel))
+        alone = design.probabilities(channel)
         assert stacked[k].tobytes() == alone.tobytes()
-        ds = simulate_counts(list(channel), design, 1e4, stream.spawn(2)[0],
+        ds = simulate_counts(channel, design, 1e4, stream.spawn(2)[0],
                              phase=phi)
         assert row.dataset.counts.tobytes() == ds.counts.tobytes()
         assert (row.dataset.phase, row.dataset.rate) == (ds.phase, ds.rate)
