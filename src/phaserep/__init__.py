@@ -11,7 +11,6 @@ process matrices) are documented in :mod:`phaserep.qmat` and
 from .choi import (
     ProcessMatrix,
     choi_from_kraus,
-    choi_vector,
     process_fidelity,
     process_matrix_from_json,
     process_matrix_to_json,
@@ -31,10 +30,8 @@ from .gates import (
 )
 from .optics import (
     OpticsParams,
-    dephase_spatial,
     effective_toffoli,
     replication_experiment_channel,
-    sector_operators,
 )
 from .qmat import (
     kron,
@@ -46,8 +43,6 @@ from .superrep import (
     ancilla_imprint,
     asymptotic_sweep,
     build_V,
-    default_phi_grid,
-    effective_alpha,
     phase_profile,
     replicated_map,
     replication_fidelity,
@@ -62,7 +57,6 @@ from .tomo import (
     TomographyDataset,
     TomographyDesign,
     default_design,
-    expected_counts,
     experiment_pipeline,
     fit_cosine,
     mle_reconstruct,
@@ -93,15 +87,10 @@ __all__ = [
     "baseline_single_copy",
     "build_V",
     "choi_from_kraus",
-    "choi_vector",
     "controlled_z",
     "cu_phase",
     "default_design",
-    "default_phi_grid",
-    "dephase_spatial",
-    "effective_alpha",
     "effective_toffoli",
-    "expected_counts",
     "experiment_pipeline",
     "fidelity_replicas",
     "fit_cosine",
@@ -121,7 +110,6 @@ __all__ = [
     "replicated_map",
     "replication_experiment_channel",
     "replication_fidelity",
-    "sector_operators",
     "simulate_counts",
     "standard_phases",
     "toffoli",

@@ -14,6 +14,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .qmat import _integer
+
 # the one trace convention, recorded in serialized process matrices
 _NORMALIZATION = "trace_one"
 
@@ -39,6 +41,7 @@ class ProcessMatrix:
     qubits: int
 
     def __post_init__(self):
+        object.__setattr__(self, "qubits", _integer(self.qubits, "qubits"))
         m = np.array(self.matrix, dtype=np.complex128)
         # side == 4 ** qubits, tested without forming the power, which
         # a huge qubits read from a file would make enormous
@@ -162,9 +165,9 @@ def process_matrix_from_json(doc: dict) -> ProcessMatrix:
     """Inverse of ``process_matrix_to_json``.
 
     Only the unit-trace convention is understood.  A document that is not
-    an object, is tagged with any other normalization, lacks a field, has
-    a ``qubits`` that is not an integer, or holds entries that do not form
-    one valid process matrix raises ``ValueError``.
+    an object, is tagged with any other normalization, lacks a field, or
+    holds entries that do not form one valid process matrix raises
+    ``ValueError``.
     """
     if not isinstance(doc, dict):
         raise ValueError("process-matrix document must be a JSON object")
@@ -175,9 +178,6 @@ def process_matrix_from_json(doc: dict) -> ProcessMatrix:
     missing = sorted({"qubits", "real", "imag"} - doc.keys())
     if missing:
         raise ValueError(f"process-matrix document lacks {missing}")
-    qubits = doc["qubits"]
-    if not isinstance(qubits, int) or isinstance(qubits, bool):
-        raise ValueError(f"qubits must be an integer, got {qubits!r}")
     try:
         real = np.array(doc["real"], dtype=np.float64)
         imag = np.array(doc["imag"], dtype=np.float64)
@@ -187,4 +187,4 @@ def process_matrix_from_json(doc: dict) -> ProcessMatrix:
     if real.shape != imag.shape:
         raise ValueError("process-matrix real and imag parts differ in "
                          "shape")
-    return ProcessMatrix(real + 1j * imag, qubits)
+    return ProcessMatrix(real + 1j * imag, doc["qubits"])

@@ -39,7 +39,7 @@ from .gates import baseline_measure_prepare, baseline_single_copy, \
     toffoli, twirled_mean_fidelity
 from .optics import OpticsParams, effective_toffoli, \
     replication_experiment_channel
-from .qmat import kron
+from .qmat import _integer, _real, _trials, kron
 from .superrep import asymptotic_sweep
 from .svgplot import Series, heatmap_grid, line_plot
 
@@ -92,23 +92,13 @@ def _require(condition: bool, message: str) -> None:
         raise ConfigError(message)
 
 
-def _number(key: str, value, integer: bool = False):
-    """The one check of a numeric config value: a number but not a
-    boolean, finite, and an int where ``integer`` is set.  Returns an
-    int or a float."""
-    kinds = int if integer else (int, float)
-    _require(isinstance(value, kinds) and not isinstance(value, bool),
-             f"{key} must be {'an integer' if integer else 'a number'}, "
-             f"got {value!r}")
-    if integer:
-        return value
+def _number(rule: Callable, value, *args, **options):
+    """A config value checked by the package's input rule of its kind,
+    whose ValueError becomes a ConfigError."""
     try:
-        value = float(value)
-    except OverflowError:  # an int beyond the float range
-        value = math.inf
-    _require(math.isfinite(value),
-             f"{key} must be a finite number, got {value!r}")
-    return value
+        return rule(value, *args, **options)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _parse_phases(raw) -> tuple[float, ...]:
@@ -121,7 +111,7 @@ def _parse_phases(raw) -> tuple[float, ...]:
             raise ConfigError(f"cannot parse phase list: {raw!r}") from None
     _require(isinstance(raw, (list, tuple)) and len(raw) > 0,
              "phases must be 'standard' or a non-empty list")
-    return tuple(_number("phases", p) for p in raw)
+    return tuple(_number(_real, p, "phases") for p in raw)
 
 
 def _load_config_file(path: str, command: str) -> dict:
@@ -156,9 +146,8 @@ def _resolve_optics(preset: str, overrides: dict | None) -> OpticsParams:
             _require(key in _OPTICS_KEYS,
                      f"unknown optics key {key!r}; accepted: "
                      + ", ".join(_OPTICS_KEYS))
-        values = {k: _number(f"optics.{k}", v) for k, v in overrides.items()}
         try:
-            params = dataclasses.replace(params, **values)
+            params = dataclasses.replace(params, **overrides)
         except ValueError as exc:
             raise ConfigError(f"invalid optics parameters: {exc}") from None
     return params
@@ -167,47 +156,36 @@ def _resolve_optics(preset: str, overrides: dict | None) -> OpticsParams:
 def _resolve(key: str, value, params: dict):
     """Check one key's merged value and return its resolved form;
     ``params`` holds the keys before it in the command's table."""
-    if key == "seed":
-        value = _number(key, value, integer=True)
-        _require(value >= 0, "seed must be a non-negative integer")
+    if key == "seed":  # a JSON seed is an integer of any size
+        value = _number(_integer, value, key, 0, math.inf)
     elif key == "phases":
         value = _parse_phases(value)
-    elif key == "rate":
-        value = _number(key, value)
-        _require(value > 0.0, "rate must be a positive finite number")
+    elif key in ("rate", "alpha"):
+        value = _number(_real, value, key, positive=True)
     elif key == "trials":
-        value = _number(key, value, integer=True)
-        _require(value >= 0, "trials must be a non-negative integer")
-        _require(value != 1,
-                 "trials must be 0 (no error bars) or at least 2")
+        value = _number(_trials, value, optional=True)
     elif key == "optics":  # also checks the preset, which precedes it
         value = _resolve_optics(params["preset"], value)
-    elif key == "alpha":
-        value = _number(key, value)
-        _require(value > 0.0, "alpha must be a positive number")
     elif key == "n_list":
-        _require(isinstance(value, list) and value
-                 and all(_number(key, n, integer=True) >= 1
-                         for n in value),
+        _require(isinstance(value, list) and value,
                  "n_list must be a non-empty list of positive integers")
+        value = [_number(_integer, n, key, 1) for n in value]
     elif key == "m_list" and value is not None:
         _require(isinstance(value, list)
-                 and all(_number(key, m, integer=True) >= 1
-                         for m in value)
                  and len(value) == len(params["n_list"]),
                  "m_list must be positive integers paired with n_list")
+        value = [_number(_integer, m, key, 1) for m in value]
     elif key == "phi_grid_size":
-        value = _number(key, value, integer=True)
-        _require(value >= 2, "phi_grid_size must be an integer >= 2")
+        value = _number(_integer, value, key, 2)
     elif key == "parameter":
         _require(value in _OPTICS_KEYS,
                  "parameter must be one of: " + ", ".join(_OPTICS_KEYS))
     elif key == "values":
         _require(isinstance(value, list) and value,
                  "values must be a non-empty list of numbers")
-        value = [_number(key, v) for v in value]
+        value = [_number(_real, v, key) for v in value]
     elif key == "phi":
-        value = _number(key, value)
+        value = _number(_real, value, key)
     return value
 
 

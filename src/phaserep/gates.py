@@ -96,12 +96,8 @@ def twirled_mean_fidelity(grid_size: int, phi: float = 0.0) -> float:
     The twirl angle theta runs over a uniform grid of ``grid_size`` points
     on [0, 2*pi); the cosine term of the replica fidelity cancels exactly
     on any such grid, leaving the phase-independent mean 5/8.
-    ``grid_size`` must be an integer (a Python or numpy one, not a bool)
-    of at least 2.
     """
-    if not (_integer(grid_size) and grid_size >= 2):
-        raise ValueError("twirl grid needs an integer of at least 2 "
-                         f"points, not {grid_size!r}")
+    grid_size = _integer(grid_size, "grid_size", 2)
     thetas = 2.0 * math.pi * np.arange(grid_size) / grid_size
     return float(np.mean(fidelity_replicas(normalize_phase(phi) + thetas)))
 

@@ -52,7 +52,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .qmat import normalize_phase
+from .qmat import _real, normalize_phase
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 _SQRT_THIRD = 1.0 / math.sqrt(3.0)
@@ -76,8 +76,8 @@ _IDLER_HADAMARD[_IDL, _IDL] = [[_SQRT_HALF, _SQRT_HALF],
 class OpticsParams:
     """PPBS reflectances, interference visibility, and phase jitter.
 
-    Every field is a real number, stored as a ``float``; a bool, a
-    string or a value out of range raises ``ValueError``.
+    Every field is a real number, stored as a ``float``: the reflectances
+    and the visibility in [0, 1], the jitter sigma >= 0.
     """
 
     r_v: float
@@ -86,24 +86,10 @@ class OpticsParams:
     phase_jitter_sigma: float = 0.0
 
     def __post_init__(self):
-        for name in ("r_v", "r_h", "visibility", "phase_jitter_sigma"):
-            val = getattr(self, name)
-            if isinstance(val, bool) or not isinstance(
-                    val, (int, float, np.integer, np.floating)):
-                raise ValueError(f"{name} must be a real number, "
-                                 f"got {val!r}")
-            # written so that NaN fails too
-            if name == "phase_jitter_sigma":
-                if not val >= 0.0:
-                    raise ValueError("phase_jitter_sigma must be "
-                                     f"non-negative, got {val}")
-            elif not 0.0 <= val <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {val}")
-            try:
-                val = float(val)
-            except OverflowError:  # an int beyond the float range
-                val = math.inf
-            object.__setattr__(self, name, val)
+        for name, high in (("r_v", 1.0), ("r_h", 1.0), ("visibility", 1.0),
+                           ("phase_jitter_sigma", math.inf)):
+            object.__setattr__(self, name,
+                               _real(getattr(self, name), name, 0.0, high))
 
     @classmethod
     def ideal(cls) -> "OpticsParams":

@@ -19,16 +19,69 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
 REGISTER_CAP = 24
 
+# The input rules, one per kind of argument (README, "Inputs"): each
+# returns the value as the code uses it or raises ValueError naming it.
 
-def _integer(value) -> bool:
-    """True for Python and numpy integers, False for bool and the rest."""
-    return isinstance(value, Integral) and not isinstance(value, bool)
+# every size becomes an array length or an index
+_SIZE_MAX = 2 ** 63 - 1
+
+
+def _integer(value, name: str, low: int = 0, high: float = _SIZE_MAX) -> int:
+    """The integer rule: an ``Integral`` that is not a bool, in
+    [low, high], returned as an int.  ``high`` is the size limit unless
+    the caller lifts it."""
+    if not (isinstance(value, Integral) and not isinstance(value, bool)
+            and value >= low):
+        kind = "a positive integer" if low == 1 \
+            else f"an integer of at least {low}"
+        raise ValueError(f"{name} must be {kind}, not {value!r}")
+    if value > high:
+        raise ValueError(f"{name} {value} exceeds the size limit 2^63 - 1")
+    return int(value)
+
+
+def _seed(value) -> np.random.SeedSequence:
+    """The seed rule: a ``SeedSequence`` as it is, or one made from a
+    non-negative integer (not a bool) of any size."""
+    if isinstance(value, np.random.SeedSequence):
+        return value
+    return np.random.SeedSequence(_integer(value, "seed", 0, math.inf))
+
+
+def _trials(value, optional: bool = False) -> int:
+    """The trials rule: a bootstrap's trial count, an integer of at least
+    2, or 0 (no error bars) where the bootstrap is ``optional``."""
+    trials = _integer(value, "trials", 0 if optional else 2)
+    if trials == 1:
+        raise ValueError("trials must be 0 (no error bars) or at least 2, "
+                         "not 1")
+    return trials
+
+
+def _real(value, name: str, low: float = -math.inf, high: float = math.inf,
+          positive: bool = False) -> float:
+    """The real-number rule: a ``Real`` that is not a bool, finite, in
+    [low, high] and, where ``positive`` is set, > 0, returned as a
+    float."""
+    try:
+        x = float(value) if isinstance(value, Real) \
+            and not isinstance(value, bool) else math.nan
+    except OverflowError:  # an int beyond the float range
+        x = math.inf
+    if not (math.isfinite(x) and low <= x <= high
+            and (x > 0.0 or not positive)):
+        bounds = (" > 0" if positive else f" in [{low:g}, {high:g}]"
+                  if high < math.inf else f" >= {low:g}"
+                  if low > -math.inf else "")
+        raise ValueError(f"{name} must be a finite number{bounds}, "
+                         f"not {value!r}")
+    return x
 
 
 def _check_width(qubits: int) -> None:
@@ -40,15 +93,41 @@ def _check_width(qubits: int) -> None:
         )
 
 
-def normalize_phase(phi: float | np.ndarray) -> float | np.ndarray:
-    """Reduce a phase angle in radians to [0, 2*pi).
+def _phases(phi) -> np.ndarray:
+    """The phase rule (see ``normalize_phase``): ``phi`` as a float64
+    array of its shape."""
+    values = phi
+    if not (phi.dtype.kind in "iuf" if isinstance(phi, np.ndarray)
+            else isinstance(phi, Real) and not isinstance(phi, bool)):
+        # number by number: np.asarray reads a bool among floats as 1.0
+        # and a string of digits as its number
+        values = np.asarray(phi, dtype=object)
+        if not all(isinstance(p, Real) and not isinstance(p, bool)
+                   for p in values.flat):
+            raise ValueError(f"phase {phi!r} is not a real number")
+    try:
+        values = np.asarray(values, dtype=np.float64)
+    except OverflowError:  # an int beyond the float range
+        raise ValueError(f"phase {phi!r} is not finite") from None
+    finite = np.isfinite(values)
+    if not finite.all():
+        bad = float(values[~finite][0])
+        raise ValueError(f"phase {bad!r} is not finite")
+    return values
 
-    A float gives a float and an array of phases an array, from one
-    computation whose entries equal Python's float modulo bit for bit.
-    A non-finite phase gives NaN, silently, as that modulo does.
+
+def normalize_phase(phi: float | np.ndarray) -> float | np.ndarray:
+    """Reduce a phase angle in radians to [0, 2*pi); the phase rule.
+
+    ``phi`` is a real number, or an array or nested sequence of them.  A
+    bool, a string, a complex value or any other object raises
+    ``ValueError`` ("phase True is not a real number"), and so does a
+    phase that is not finite ("phase nan is not finite").  A scalar
+    gives a float and an array an array, from one computation whose
+    entries equal Python's float modulo bit for bit, except that a phase
+    in [-4.4e-16, 0) gives 0, not the 2*pi that the modulo rounds to.
     """
-    with np.errstate(invalid="ignore"):
-        r = np.remainder(np.asarray(phi, dtype=np.float64), 2.0 * math.pi)
+    r = np.remainder(_phases(phi), 2.0 * math.pi)
     # phi in [-4.4e-16, 0) rounds up to 2*pi itself
     r = np.where(r == 2.0 * math.pi, 0.0, r)
     return float(r) if r.ndim == 0 else r

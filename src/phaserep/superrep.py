@@ -26,7 +26,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .qmat import _check_width, _integer, normalize_phase
+from .qmat import _check_width, _integer, _phases, _real, \
+    normalize_phase
 
 
 @dataclass(frozen=True)
@@ -38,11 +39,8 @@ class ReplicationSpec:
 
     def __post_init__(self):
         for name in ("copies", "replicas"):
-            if not _integer(value := getattr(self, name)):
-                raise ValueError(f"{name} must be an integer, not {value!r}")
-            object.__setattr__(self, name, int(value))
-        if self.copies < 1 or self.replicas < 1:
-            raise ValueError("copies and replicas must be positive")
+            object.__setattr__(self, name, _integer(getattr(self, name),
+                                                    name, 1))
 
     # Window thresholds, recomputed on demand; chosen symmetrically
     # about replicas/2 so the binomial bulk sits inside the window.
@@ -187,13 +185,13 @@ def _infidelities(terms: tuple[np.ndarray, int], phases: np.ndarray
 
 
 def _phase_grid(phases) -> np.ndarray:
-    grid = np.asarray(phases, dtype=np.float64)
+    """The caller's phases as a float array, checked by the phase rule
+    but not wrapped, so a grid point is reported as it was given."""
+    grid = _phases(phases)
     if grid.ndim != 1:
         raise ValueError("phi grid must be one-dimensional")
     if grid.size == 0:
         raise ValueError("phi grid must not be empty")
-    if not np.isfinite(grid).all():
-        raise ValueError("phases must be finite")
     return grid
 
 
@@ -206,7 +204,6 @@ def replication_fidelity(spec: ReplicationSpec, phi: float) -> float:
     same phase.  Only the tail weights below the window are built; the
     infidelity is accurate to a few ulps of itself.  When the window
     covers every weight (copies >= replicas) the fidelity is exactly 1.
-    A non-finite phase raises ValueError.
     """
     grid = _phase_grid([phi])
     return 1.0 - float(_infidelities(_tail_weights(spec), grid)[0])
@@ -225,7 +222,7 @@ def worst_case_fidelity(
     The tail weights are built once per call and the whole grid goes
     through one kernel in blocks of phases, so memory does not grow with
     the grid; each value equals ``replication_fidelity`` at that phase.
-    The grid must be a non-empty 1-D array of finite phases.
+    The grid is a non-empty 1-D array of phases.
     """
     grid = default_phi_grid() if phi_grid is None else _phase_grid(phi_grid)
     infidelity = _infidelities(_tail_weights(spec), grid)
@@ -259,19 +256,19 @@ def asymptotic_sweep(
 
     Passing ``m_list`` overrides the power law with explicit replica
     counts (paired with ``n_list``); the reported alpha is then the
-    effective exponent of each pair.  ``alpha`` must be finite and
-    > 0, and every N and M an integer >= 1 (see ``ReplicationSpec``).
+    effective exponent of each pair.
     """
-    if not (math.isfinite(alpha) and alpha > 0.0):
-        raise ValueError(f"alpha must be a finite number > 0, not {alpha!r}")
+    alpha = _real(alpha, "alpha", positive=True)
     if m_list is not None and len(m_list) != len(n_list):
         raise ValueError("m_list must pair up with n_list")
     rows = []
     for i, n in enumerate(n_list):
+        # N is checked before the power law raises it to 2 - alpha
+        n = _integer(n, "copies", 1)
         m = max(1, math.floor(n ** (2.0 - alpha))) if m_list is None \
             else m_list[i]
         spec = ReplicationSpec(copies=n, replicas=m)
-        a = alpha if m_list is None else effective_alpha(n, m)
+        a = alpha if m_list is None else effective_alpha(n, spec.replicas)
         phi, fid = worst_case_fidelity(spec, phi_grid)
         rows.append(SweepRow(spec.copies, spec.replicas, a, phi, fid))
     return rows

@@ -20,7 +20,6 @@ import functools
 import json
 import math
 from dataclasses import dataclass
-from numbers import Real
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -28,7 +27,8 @@ import numpy as np
 from .choi import ProcessMatrix, choi_from_kraus, process_fidelity
 from .gates import cu_phase, phase_gate
 from .optics import OpticsParams, replication_experiment_channel
-from .qmat import PROJECTOR_KETS, _integer, kron, normalize_phase
+from .qmat import PROJECTOR_KETS, _real, _seed, _trials, kron, \
+    normalize_phase
 
 SINGLE_QUBIT_STATES = ("0", "1", "+", "-", "+i", "-i")
 MEASUREMENT_BASES = ("x", "y", "z")
@@ -175,16 +175,6 @@ def default_design() -> TomographyDesign:
     return TomographyDesign()
 
 
-def _finite(value) -> bool:
-    return (isinstance(value, Real) and not isinstance(value, bool)
-            and math.isfinite(value))
-
-
-def _check_rate(rate) -> None:
-    if not (_finite(rate) and rate > 0.0):
-        raise ValueError(f"rate must be a finite number > 0, not {rate!r}")
-
-
 @dataclass(frozen=True)
 class TomographyDataset:
     """Counts for one phase setting, aligned with the design's row order.
@@ -204,30 +194,15 @@ class TomographyDataset:
         if not np.all(np.isfinite(c)) or np.any(c < 0.0):
             raise ValueError("counts must be finite and non-negative")
         # phase and rate may come from the headers of a counts file
-        if not _finite(self.phase):
-            raise ValueError(
-                f"phase must be a finite number, not {self.phase!r}")
-        _check_rate(self.rate)
+        object.__setattr__(self, "phase", _real(self.phase, "phase"))
+        object.__setattr__(self, "rate",
+                           _real(self.rate, "rate", positive=True))
         c.setflags(write=False)
         object.__setattr__(self, "counts", c)
-        object.__setattr__(self, "phase", float(self.phase))
 
     @property
     def total(self) -> float:
         return float(self.counts.sum())
-
-
-def expected_counts(
-    channel: ProcessMatrix | np.ndarray,
-    design: TomographyDesign,
-    rate: float,
-    phase: float = 0.0,
-) -> TomographyDataset:
-    """Noise-free dataset: exact Poisson means, no sampling; a row the
-    channel cannot reach gets exactly 0 (see ``probabilities``)."""
-    _check_rate(rate)
-    return TomographyDataset(phase, rate * design.probabilities(channel),
-                             rate)
 
 
 def simulate_counts(
@@ -242,7 +217,7 @@ def simulate_counts(
     A rate that puts a mean above the largest numpy can draw from
     (about 9.2e18) raises ``ValueError``.
     """
-    _check_rate(rate)
+    rate, seed = _real(rate, "rate", positive=True), _seed(seed)
     return _draw_counts(design.probabilities(channel), rate, seed, phase)
 
 
@@ -471,8 +446,6 @@ class FidelityStats:
 def _resample(counts: np.ndarray, trials: int, seed) -> np.ndarray:
     """Poisson resamples of ``counts`` (trials x rows), each trial drawn
     from its own stream spawned from ``seed``."""
-    if not isinstance(seed, np.random.SeedSequence):
-        seed = np.random.SeedSequence(seed)
     return np.array([np.random.default_rng(stream).poisson(counts)
                      for stream in seed.spawn(trials)], dtype=np.float64)
 
@@ -509,9 +482,7 @@ def monte_carlo_errors(
     with the same helpers, in a batch that also holds the phase's main
     reconstruction, with equal results.
     """
-    if not (_integer(trials) and trials >= 2):
-        raise ValueError("need an integer of at least 2 Monte Carlo "
-                         f"trials, not {trials!r}")
+    trials, seed = _trials(trials), _seed(seed)
     results = _mle_batch(_resample(dataset.counts, trials, seed), design)
     return _fidelity_stats(results, targets)
 
@@ -528,13 +499,12 @@ class FitResult:
 def fit_cosine(
     phases: Sequence[float], fidelities: Sequence[float]
 ) -> FitResult:
-    phases = normalize_phase(phases)
+    phases = np.atleast_1d(normalize_phase(phases))
     values = np.asarray(fidelities, dtype=np.float64)
     if phases.shape != values.shape:
         raise ValueError("phases and fidelities must pair up")
-    # normalize_phase makes a non-finite phase NaN
-    if not np.isfinite([phases, values]).all():
-        raise ValueError("phases and fidelities must be finite")
+    if not np.isfinite(values).all():
+        raise ValueError("fidelities must be finite")
     if np.unique(np.round(phases, 12)).size < 2:
         raise ValueError("need at least 2 distinct phases to fit")
     design = np.column_stack([np.ones_like(phases), np.cos(phases)])
@@ -566,7 +536,7 @@ class PipelineReport:
     fit: FitResult | None  # None when fewer than 2 distinct phases were run
     rate: float
     trials: int
-    seed: int
+    seed: int  # the root entropy of the run's streams
 
 
 def standard_phases() -> tuple[float, ...]:
@@ -583,9 +553,9 @@ def experiment_pipeline(
 ) -> PipelineReport:
     """Full simulated run: channel -> counts -> MLE -> fidelities -> fit.
 
-    An integer ``trials`` >= 2 adds Monte Carlo error bars; with 0 the
-    std columns are NaN, and any other value raises ``ValueError``, as
-    do an empty ``phases`` and a phase that is not finite.
+    ``trials`` >= 2 adds Monte Carlo error bars; with 0 the std columns
+    are NaN.  Every argument is checked before anything is built, and an
+    empty ``phases`` raises ``ValueError``.
     All randomness derives from ``seed`` through per-phase spawned
     streams, so reruns are bit-identical.  The channels of all phases
     come from one optical build and their count probabilities from one
@@ -596,20 +566,15 @@ def experiment_pipeline(
     No result depends on what else is in its batch, so each row equals
     ``mle_reconstruct`` and ``monte_carlo_errors`` on its phase alone.
     """
-    if not (_integer(trials) and (trials == 0 or trials >= 2)):
-        raise ValueError("trials must be an integer, 0 (no error bars) or "
-                         f"at least 2, not {trials!r}")
-    _check_rate(rate)
+    trials = _trials(trials, optional=True)
+    rate = _real(rate, "rate", positive=True)
+    root = _seed(seed)
     phases = standard_phases() if phases is None else tuple(phases)
     if not phases:
         raise ValueError("need at least one phase")
-    for phi in phases:
-        if not math.isfinite(phi):
-            raise ValueError(f"phase {phi!r} is not finite")
-    phases = tuple(normalize_phase(p) for p in phases)
+    phases = tuple(normalize_phase(phases).tolist())
     design = default_design()
-    streams = [s.spawn(2) for s in
-               np.random.SeedSequence(seed).spawn(len(phases))]
+    streams = [s.spawn(2) for s in root.spawn(len(phases))]
     channels = replication_experiment_channel(np.array(phases), params)
     # each phase's counts equal simulate_counts on its own Kraus array
     datasets = [
@@ -646,8 +611,8 @@ def experiment_pipeline(
     fit = None
     if np.unique(np.round(phases, 12)).size >= 2:
         fit = fit_cosine(phases, [r.f_uu for r in rows])
-    return PipelineReport(phases, tuple(rows), fit, float(rate),
-                          int(trials), int(seed))
+    return PipelineReport(phases, tuple(rows), fit, rate, trials,
+                          root.entropy)
 
 
 def _row_layout(n_phases: int, design: TomographyDesign) -> np.ndarray:

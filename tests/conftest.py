@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from phaserep.optics import effective_toffoli
-from phaserep.qmat import normalize_phase
+from phaserep.qmat import _real, normalize_phase
+from phaserep.tomo import TomographyDataset
 
 # one "[criterion NN] PASS/FAIL" line per acceptance check, echoed after the
 # run so the verdicts survive output capture
@@ -51,3 +52,13 @@ def reference_channel(phi, params, project=True):
     return ([math.sqrt(p_keep) * m for m in kraus2]
             + [math.sqrt(1.0 - p_keep) * np.concatenate((m[:2], -m[2:]))
                for m in kraus2])
+
+
+def expected_counts(channel, design, rate, phase=0.0):
+    """Noise-free dataset: exact Poisson means, no sampling; a row the
+    channel cannot reach gets exactly 0 (see ``probabilities``).  The
+    oracle of the noiseless tomography tests.  The rate is checked
+    first, so that an infinite one raises no RuntimeWarning (inf * 0)."""
+    rate = _real(rate, "rate", positive=True)
+    return TomographyDataset(phase, rate * design.probabilities(channel),
+                             rate)

@@ -12,6 +12,7 @@ from functools import reduce
 
 import conftest
 import numpy as np
+from conftest import expected_counts
 
 from phaserep import (
     OpticsParams,
@@ -21,7 +22,6 @@ from phaserep import (
     cu_phase,
     default_design,
     effective_toffoli,
-    expected_counts,
     experiment_pipeline,
     fit_cosine,
     kron,

@@ -49,9 +49,11 @@ def test_params_store_numpy_and_int_values_as_float():
                                   phase_jitter_sigma=2.0)
     for name in ("r_v", "r_h", "visibility", "phase_jitter_sigma"):
         assert type(getattr(params, name)) is float
-    # an int beyond the float range is an unbounded jitter, not an error
-    assert OpticsParams(0.5, 0.0, 1.0, 10 ** 400).phase_jitter_sigma \
-        == math.inf
+    # an int beyond the float range is no finite jitter: the real-number
+    # rule rejects it, as it rejects an infinite float
+    for sigma in (10 ** 400, math.inf):
+        with pytest.raises(ValueError, match="phase_jitter_sigma"):
+            OpticsParams(0.5, 0.0, 1.0, sigma)
 
 
 def test_preset_values():

@@ -36,7 +36,6 @@ def test_public_names_resolve():
 # the public names that nothing in src/, demos/ or perfbench/ uses, each
 # with the reason it stays public
 _UNCALLED_PUBLIC_NAMES = {
-    "expected_counts": "the noise-free oracle of the tomography tests",
     "process_matrix_from_json": "reads the chi_NN.json files of tomo",
     "read_datasets_csv": "reads the counts.csv file of tomo",
 }

@@ -83,13 +83,16 @@ def test_normalize_phase_of_an_array_matches_the_float_form():
         assert np.float64(want).tobytes() == r.tobytes()
 
 
-def test_normalize_phase_of_a_non_finite_phase_is_a_silent_nan():
-    # as Python's float modulo: NaN, and no "invalid value" RuntimeWarning
-    # (which the test settings turn into an error)
+def test_normalize_phase_rejects_a_non_finite_phase():
+    # a ValueError naming the phase, not the NaN of Python's float modulo
+    # (and no "invalid value" RuntimeWarning, which the test settings turn
+    # into an error)
     phases = [math.inf, -math.inf, math.nan]
     for phi in phases:
-        assert math.isnan(normalize_phase(phi))
-    assert np.all(np.isnan(normalize_phase(np.array(phases))))
+        with pytest.raises(ValueError, match=f"^phase {phi!r} is not finite"):
+            normalize_phase(phi)
+        with pytest.raises(ValueError, match=f"^phase {phi!r} is not finite"):
+            normalize_phase(np.array([0.5, phi, 1.0]))
 
 
 def test_kron_broadcasts_over_leading_axes():

@@ -380,7 +380,8 @@ def test_sweep_monotone_and_validated():
         asymptotic_sweep(0.5, [4, 9], m_list=[8])
 
 
-@pytest.mark.parametrize("alpha", [math.inf, math.nan, 0.0, -0.5])
+@pytest.mark.parametrize("alpha", [math.inf, math.nan, 0.0, -0.5, True,
+                                   "0.5"])
 def test_sweep_rejects_an_alpha_that_is_not_finite_and_positive(alpha):
     with pytest.raises(ValueError, match="alpha"):
         asymptotic_sweep(alpha, [4])
@@ -392,6 +393,13 @@ def test_sweep_rejects_an_alpha_that_is_not_finite_and_positive(alpha):
     ([4], [True], "replicas"),
     ([4], [0], "positive"),
     ([4], [2.0], "replicas"),
+    # checked before the power law: not the TypeError of a negative int's
+    # complex power, nor the OverflowError of a huge float or of 1 << M
+    ([-4], None, "copies"),
+    ([-1], None, "copies"),
+    ([math.inf], None, "copies"),
+    ([1e300], None, "copies"),
+    ([2 ** 70], None, "copies"),
 ])
 def test_sweep_passes_sizes_to_the_spec_unconverted(n_list, m_list, name):
     with pytest.raises(ValueError, match=name):

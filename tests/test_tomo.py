@@ -8,6 +8,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import expected_counts
 
 from phaserep import (
     FitResult,
@@ -17,7 +18,6 @@ from phaserep import (
     choi_from_kraus,
     cu_phase,
     default_design,
-    expected_counts,
     experiment_pipeline,
     fidelity_replicas,
     fit_cosine,
@@ -760,7 +760,7 @@ def test_pipeline_adds_error_bars_when_asked():
         assert math.isfinite(row.f_uu_std) and row.f_uu_std >= 0.0
 
 
-@pytest.mark.parametrize("trials", [1, -3, 2.5, 2.0, False])
+@pytest.mark.parametrize("trials", [1, -3, 2.5, 2.0, False, 2 ** 70])
 def test_pipeline_rejects_trials_other_than_0_or_at_least_2(trials):
     with pytest.raises(ValueError, match="trials"):
         experiment_pipeline(OpticsParams.ideal(), phases=[0.5], rate=10.0,
@@ -789,6 +789,32 @@ def test_pipeline_rejects_an_empty_phase_list(monkeypatch):
     _forbid_the_optical_build(monkeypatch)
     with pytest.raises(ValueError, match="at least one phase"):
         experiment_pipeline(OpticsParams.measured(), phases=[], rate=10.0)
+
+
+@pytest.mark.parametrize("seed", [True, -1, 2.5, math.nan, math.inf, 1e300,
+                                  "3", None])
+def test_a_seed_is_a_non_negative_integer(seed, monkeypatch):
+    # checked before anything is built: neither taken as 1 (a bool) nor
+    # left to a TypeError inside SeedSequence
+    _forbid_the_optical_build(monkeypatch)
+    with pytest.raises(ValueError, match="seed"):
+        experiment_pipeline(OpticsParams.measured(), phases=[0.5],
+                            rate=10.0, seed=seed)
+    design = default_design()
+    monkeypatch.setattr(design, "probabilities", None)
+    with pytest.raises(ValueError, match="seed"):
+        simulate_counts(cu_phase(0.3)[None], design, 10.0, seed)
+
+
+def test_a_seed_sequence_is_a_pipeline_seed():
+    # the run's streams spawn from it; the report keeps its entropy
+    report = experiment_pipeline(OpticsParams.ideal(), phases=[0.5],
+                                 rate=10.0, seed=np.int64(7))
+    again = experiment_pipeline(OpticsParams.ideal(), phases=[0.5],
+                                rate=10.0, seed=np.random.SeedSequence(7))
+    assert type(report.seed) is int and report.seed == again.seed == 7
+    assert np.array_equal(report.rows[0].dataset.counts,
+                          again.rows[0].dataset.counts)
 
 
 def test_pipeline_matches_per_phase_solves_and_bootstraps():
