@@ -8,13 +8,12 @@ sub-normalized matrices and are first-class citizens here.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .qmat import _integer
+from .qmat import _integer, _numbers, _operator
 
 # the one trace convention, recorded in serialized process matrices
 _NORMALIZATION = "trace_one"
@@ -23,8 +22,6 @@ _NORMALIZATION = "trace_one"
 def choi_vector(u: np.ndarray) -> np.ndarray:
     """(I ⊗ U)|Phi> as a flat length-4^n vector; no unitarity check."""
     d = u.shape[0]
-    if u.shape != (d, d):
-        raise ValueError("choi_vector requires a square matrix")
     # component at index m*d + a is U[a, m] / sqrt(d)
     return u.T.reshape(-1) / np.sqrt(d)
 
@@ -42,19 +39,16 @@ class ProcessMatrix:
 
     def __post_init__(self):
         object.__setattr__(self, "qubits", _integer(self.qubits, "qubits"))
-        m = np.array(self.matrix, dtype=np.complex128)
+        # NaN would pass the tolerance tests below; the rule rejects it
+        m = np.array(_operator(self.matrix, "process matrix", 2,
+                               stacked=False), dtype=np.complex128)
         # side == 4 ** qubits, tested without forming the power, which
         # a huge qubits read from a file would make enormous
-        side = m.shape[0] if m.ndim == 2 else 0
-        if m.shape != (side, side) or side & (side - 1) \
-                or side.bit_length() != 2 * self.qubits + 1:
+        if m.shape[0].bit_length() != 2 * self.qubits + 1:
             raise ValueError(
                 f"process matrix for {self.qubits} qubits must be "
                 f"4^{self.qubits} x 4^{self.qubits}, got shape {m.shape}"
             )
-        # NaN passes the tolerance tests below, so reject it first
-        if not np.all(np.isfinite(m)):
-            raise ValueError("process matrix entries must be finite")
         if np.max(np.abs(m - m.conj().T)) > 1e-10:
             raise ValueError("process matrix must be Hermitian")
         # PSD up to 1e-8 * scale
@@ -80,20 +74,14 @@ def choi_from_kraus(operators: Sequence[np.ndarray]) -> ProcessMatrix:
     The trace equals sum_k Tr[K_k† K_k] / 2^n, i.e. 1 for a
     trace-preserving set and less for postselected maps.
     """
-    mats = [np.asarray(op, dtype=np.complex128) for op in operators]
-    if not mats:
-        raise ValueError("need at least one Kraus operator")
-    d = mats[0].shape[0]
-    if any(m.shape != (d, d) for m in mats):
-        raise ValueError("Kraus operators must share one dimension")
-    n = int(round(np.log2(d)))
-    if 2 ** n != d:
-        raise ValueError("Kraus dimension must be a power of 2")
+    mats = np.asarray(_operator(operators, "operators", 3, stacked=False),
+                      dtype=np.complex128)
+    d = mats.shape[-1]
     chi = np.zeros((d * d, d * d), dtype=np.complex128)
     for m in mats:
         v = choi_vector(m)
         chi += np.outer(v, v.conj())
-    return ProcessMatrix(chi, n)
+    return ProcessMatrix(chi, d.bit_length() - 1)
 
 
 def process_fidelity(
@@ -116,37 +104,23 @@ def process_fidelity(
     returns a float, so each entry of the array equals the float of its
     own row.
     """
-    if isinstance(channel, ProcessMatrix):
-        if u.shape != (channel.dim, channel.dim):
-            raise ValueError(
-                "process_fidelity requires matching qubit counts")
-        tr = channel.trace
-        if tr <= 0.0:
-            raise ValueError("process matrix trace must be positive")
+    chi = isinstance(channel, ProcessMatrix)
+    u = _operator(u, "u", 2, stacked=not chi)
+    mats = None if chi else _operator(channel, "channel", 3)
+    d = channel.dim if chi else mats.shape[-1]
+    if u.shape[-1] != d:
+        raise ValueError("process_fidelity requires matching qubit counts")
+    if chi:
         v = choi_vector(u)
-        f = float(np.real(v.conj() @ channel.matrix @ v)) / tr
+        f, trace = np.real(v.conj() @ channel.matrix @ v), channel.trace
     else:
-        if len(channel) == 0:
-            raise ValueError("need at least one Kraus operator")
-        try:
-            mats = np.asarray(channel, dtype=np.complex128)
-        except ValueError:  # operators of different shapes
-            mats = None
-        d = u.shape[-1]
-        if mats is None or mats.ndim < 3 or u.ndim < 2 \
-                or mats.shape[-2:] != (d, d) or u.shape[-2] != d:
-            raise ValueError(
-                "process_fidelity requires matching qubit counts")
-        weight = (mats.real ** 2 + mats.imag ** 2).sum(axis=(-3, -2, -1))
-        # written so that NaN fails too
-        if not ((0.0 < weight) & (weight < math.inf)).all():
-            raise ValueError("Kraus operators must be finite and not "
-                             "all zero")
         overlap = (u.conj()[..., None, :, :] * mats).sum(axis=(-2, -1))
-        f = (overlap.real ** 2 + overlap.imag ** 2).sum(axis=-1) \
-            / (d * weight)
+        f = (overlap.real ** 2 + overlap.imag ** 2).sum(axis=-1)
+        trace = d * (mats.real ** 2 + mats.imag ** 2).sum(axis=(-3, -2, -1))
+    if not np.all(trace > 0.0):
+        raise ValueError("channel trace must be positive")
     # Clip float noise; chi is PSD so f is in [0, 1] mathematically.
-    f = np.minimum(np.maximum(f, 0.0), 1.0)
+    f = np.minimum(np.maximum(f / trace, 0.0), 1.0)
     return float(f) if f.ndim == 0 else f
 
 
@@ -178,12 +152,8 @@ def process_matrix_from_json(doc: dict) -> ProcessMatrix:
     missing = sorted({"qubits", "real", "imag"} - doc.keys())
     if missing:
         raise ValueError(f"process-matrix document lacks {missing}")
-    try:
-        real = np.array(doc["real"], dtype=np.float64)
-        imag = np.array(doc["imag"], dtype=np.float64)
-    except (TypeError, ValueError):
-        raise ValueError("process-matrix entries must be arrays of "
-                         "numbers") from None
+    real, imag = (_numbers(doc[part], f"process-matrix {part} part")
+                  for part in ("real", "imag"))
     if real.shape != imag.shape:
         raise ValueError("process-matrix real and imag parts differ in "
                          "shape")

@@ -39,7 +39,7 @@ from .gates import baseline_measure_prepare, baseline_single_copy, \
     toffoli, twirled_mean_fidelity
 from .optics import OpticsParams, effective_toffoli, \
     replication_experiment_channel
-from .qmat import _integer, _real, _trials, kron
+from .qmat import _integer, _real, _reals, _sizes, _trials, kron
 from .superrep import asymptotic_sweep
 from .svgplot import Series, heatmap_grid, line_plot
 
@@ -167,23 +167,21 @@ def _resolve(key: str, value, params: dict):
     elif key == "optics":  # also checks the preset, which precedes it
         value = _resolve_optics(params["preset"], value)
     elif key == "n_list":
-        _require(isinstance(value, list) and value,
+        value = _number(_sizes, value, key)
+        _require(value,
                  "n_list must be a non-empty list of positive integers")
-        value = [_number(_integer, n, key, 1) for n in value]
     elif key == "m_list" and value is not None:
-        _require(isinstance(value, list)
-                 and len(value) == len(params["n_list"]),
+        value = _number(_sizes, value, key)
+        _require(len(value) == len(params["n_list"]),
                  "m_list must be positive integers paired with n_list")
-        value = [_number(_integer, m, key, 1) for m in value]
     elif key == "phi_grid_size":
         value = _number(_integer, value, key, 2)
     elif key == "parameter":
         _require(value in _OPTICS_KEYS,
                  "parameter must be one of: " + ", ".join(_OPTICS_KEYS))
     elif key == "values":
-        _require(isinstance(value, list) and value,
-                 "values must be a non-empty list of numbers")
-        value = [_number(_real, v, key) for v in value]
+        value = _number(_reals, value, key).tolist()
+        _require(value, "values must be a non-empty list of numbers")
     elif key == "phi":
         value = _number(_real, value, key)
     return value

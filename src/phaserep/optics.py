@@ -52,7 +52,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .qmat import _real, normalize_phase
+from .qmat import _phase_list, _real, normalize_phase
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 _SQRT_THIRD = 1.0 / math.sqrt(3.0)
@@ -107,10 +107,12 @@ Params = OpticsParams | Sequence[OpticsParams]
 
 def _column(params: Params, name: str) -> np.ndarray:
     """One field of every row of ``params`` as a float array of shape
-    (P,); a single ``OpticsParams`` is the stack of P = 1."""
-    rows = [params] if isinstance(params, OpticsParams) else list(params)
-    if not rows:
-        raise ValueError("need at least one OpticsParams")
+    (P,); the params rule: one ``OpticsParams`` or a sequence of them."""
+    rows = [params] if isinstance(params, OpticsParams) else params
+    if not (isinstance(rows, (list, tuple)) and rows
+            and all(isinstance(p, OpticsParams) for p in rows)):
+        raise ValueError("params must be an OpticsParams or a sequence "
+                         f"of at least one, not {params!r}")
     return np.array([getattr(p, name) for p in rows], dtype=np.float64)
 
 
@@ -245,11 +247,9 @@ def replication_experiment_channel(
     its rows, n = 6 for all of them if any sigma > 0; a stack with a
     phase array raises ``ValueError``.
     """
-    phases = normalize_phase(phi)
     stacked = not isinstance(params, OpticsParams)
-    if np.ndim(phases) > (0 if stacked else 1):
-        raise ValueError("phi must be a float or a 1-D sequence of phases, "
-                         "and a float with a params stack")
+    phases = normalize_phase(_phase_list(phi, "phi",
+                                         (0,) if stacked else (0, 1)))
     kraus3, _ = effective_toffoli(params)
     phase = np.exp(1j * np.atleast_1d(phases))[:, None, None, None]
     # [..., operator, signal out, idler out, signal in] at idler input |0>

@@ -19,7 +19,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
-from numbers import Integral, Real
+from numbers import Integral, Number, Real
 
 import numpy as np
 
@@ -93,27 +93,76 @@ def _check_width(qubits: int) -> None:
         )
 
 
-def _phases(phi) -> np.ndarray:
-    """The phase rule (see ``normalize_phase``): ``phi`` as a float64
-    array of its shape."""
-    values = phi
-    if not (phi.dtype.kind in "iuf" if isinstance(phi, np.ndarray)
-            else isinstance(phi, Real) and not isinstance(phi, bool)):
+def _numbers(value, name: str, number=Real, dtype=np.float64) -> np.ndarray:
+    """The entries of every array rule, as an ndarray of ``dtype`` (None:
+    numpy's): numbers (Real, or Number for complex), not bools, finite."""
+    kinds = "iufc" if number is Number else "iuf"
+    if not (isinstance(value, np.ndarray) and value.dtype.kind in kinds):
         # number by number: np.asarray reads a bool among floats as 1.0
         # and a string of digits as its number
-        values = np.asarray(phi, dtype=object)
-        if not all(isinstance(p, Real) and not isinstance(p, bool)
-                   for p in values.flat):
-            raise ValueError(f"phase {phi!r} is not a real number")
-    try:
-        values = np.asarray(values, dtype=np.float64)
-    except OverflowError:  # an int beyond the float range
-        raise ValueError(f"phase {phi!r} is not finite") from None
-    finite = np.isfinite(values)
+        bad = [x for x in np.asarray(value, dtype=object).flat
+               if not isinstance(x, number) or isinstance(x, bool)]
+        if bad:
+            kind = "number" if number is Number else "real number"
+            raise ValueError(f"{name} {bad[0]!r} is not a {kind}")
+    try:  # an int past the float range overflows, past int64 is an object
+        array = np.asarray(value, dtype=dtype)
+        finite = np.isfinite(array)
+    except (OverflowError, TypeError):
+        raise ValueError(f"{name} {value!r} is not finite") from None
     if not finite.all():
-        bad = float(values[~finite][0])
-        raise ValueError(f"phase {bad!r} is not finite")
+        raise ValueError(f"{name} {array[~finite][0].item()!r} is not finite")
+    return array
+
+
+def _phase_list(phi, name: str, ndims=(1,)) -> np.ndarray:
+    """The phase-list rule: the phase rule, as one phase (ndim 0) or a
+    non-empty 1-D list (ndim 1), as ``ndims`` allows; not wrapped."""
+    values = _numbers(phi, "phase")
+    if values.ndim not in ndims or not values.size:
+        forms = " or ".join(("one phase", "a non-empty 1-D list of phases")
+                            [n] for n in ndims)
+        raise ValueError(f"{name} must be {forms}, got shape {values.shape}")
     return values
+
+
+def _reals(values, name: str, low=-math.inf, size=None) -> np.ndarray:
+    """The real-vector rule: the real-number rule (>= ``low``) on each
+    entry of a 1-D list, of ``size`` entries where given; a new array."""
+    x = np.array(_numbers(values, f"{name} entry"))
+    for below in x[x < low][:1]:
+        _real(float(below), f"{name} entry", low)  # raises
+    if x.ndim != 1 or size not in (None, x.size):
+        length = f" of length {size}" if size else ""
+        raise ValueError(f"{name} must be 1-D{length}, got shape {x.shape}")
+    return x
+
+
+def _sizes(values, name: str) -> list[int]:
+    """The size-list rule: the integer rule (>= 1) on each entry."""
+    entries = np.asarray(values, dtype=object)
+    if entries.ndim != 1:
+        raise ValueError(f"{name} must be a 1-D list, not {values!r}")
+    return [_integer(n, name, 1) for n in entries]
+
+
+def _operator(value, name: str, ndim: int, stacked: bool = True,
+              square: bool = True) -> np.ndarray:
+    """The operator-array rule: a ket (``ndim`` 1), gate (2) or Kraus array
+    (3) by ``_numbers``, after any stack axes where ``stacked``; each side
+    2^k long, and where ``square`` the two equal, in the width guard."""
+    ops = _numbers(value, f"{name} entry", Number, None)
+    shape = ops.shape
+    if not (ops.ndim == ndim or stacked and ops.ndim > ndim) \
+            or 0 in shape[-ndim:] \
+            or any(n & (n - 1) for n in shape[-min(ndim, 2):]) \
+            or square and shape[-1] != shape[-2]:
+        kind = ("ket", "gate" if square else "matrix", "Kraus array")
+        raise ValueError(f"{name} of shape {shape} is not a {kind[ndim - 1]}"
+                         " with sides of 2^k entries")
+    if square:
+        _check_width(shape[-1].bit_length() - 1)
+    return ops
 
 
 def normalize_phase(phi: float | np.ndarray) -> float | np.ndarray:
@@ -127,7 +176,7 @@ def normalize_phase(phi: float | np.ndarray) -> float | np.ndarray:
     entries equal Python's float modulo bit for bit, except that a phase
     in [-4.4e-16, 0) gives 0, not the 2*pi that the modulo rounds to.
     """
-    r = np.remainder(_phases(phi), 2.0 * math.pi)
+    r = np.remainder(_numbers(phi, "phase"), 2.0 * math.pi)
     # phi in [-4.4e-16, 0) rounds up to 2*pi itself
     r = np.where(r == 2.0 * math.pi, 0.0, r)
     return float(r) if r.ndim == 0 else r
@@ -135,8 +184,8 @@ def normalize_phase(phi: float | np.ndarray) -> float | np.ndarray:
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Tensor product of two gates (or two kets); ``a`` supplies the more
-    significant qubits.  The product's width is checked against the cap
-    first.
+    significant qubits.  Both follow the operator-array rule, each side
+    2^k long, and the product's width is checked against the cap first.
 
     Gates may carry leading axes (a stack of gates, one per phase), which
     broadcast against each other; kets are 1-D.  One broadcast multiply:
@@ -144,7 +193,9 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     ``np.kron`` forms, so each matrix of the result is bit-identical to
     it, without its generic-rank overhead.
     """
-    ket = a.ndim == b.ndim == 1
+    ket = np.ndim(a) == np.ndim(b) == 1
+    a, b = (_operator(x, name, 1 if ket else 2, square=False)
+            for x, name in ((a, "a"), (b, "b")))
     if ket:
         a, b = a[:, None], b[:, None]
     rows, cols = a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1]

@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .qmat import _check_width, _integer, _phases, _real, \
+from .qmat import _check_width, _integer, _phase_list, _real, _sizes, \
     normalize_phase
 
 
@@ -184,17 +184,6 @@ def _infidelities(terms: tuple[np.ndarray, int], phases: np.ndarray
     return out
 
 
-def _phase_grid(phases) -> np.ndarray:
-    """The caller's phases as a float array, checked by the phase rule
-    but not wrapped, so a grid point is reported as it was given."""
-    grid = _phases(phases)
-    if grid.ndim != 1:
-        raise ValueError("phi grid must be one-dimensional")
-    if grid.size == 0:
-        raise ValueError("phi grid must not be empty")
-    return grid
-
-
 def replication_fidelity(spec: ReplicationSpec, phi: float) -> float:
     """Gate fidelity of the replicated map with the M-fold ideal gate.
 
@@ -205,7 +194,7 @@ def replication_fidelity(spec: ReplicationSpec, phi: float) -> float:
     infidelity is accurate to a few ulps of itself.  When the window
     covers every weight (copies >= replicas) the fidelity is exactly 1.
     """
-    grid = _phase_grid([phi])
+    grid = np.atleast_1d(_phase_list(phi, "phi", (0,)))
     return 1.0 - float(_infidelities(_tail_weights(spec), grid)[0])
 
 
@@ -224,7 +213,8 @@ def worst_case_fidelity(
     the grid; each value equals ``replication_fidelity`` at that phase.
     The grid is a non-empty 1-D array of phases.
     """
-    grid = default_phi_grid() if phi_grid is None else _phase_grid(phi_grid)
+    grid = default_phi_grid() if phi_grid is None \
+        else _phase_list(phi_grid, "phi_grid")
     infidelity = _infidelities(_tail_weights(spec), grid)
     i = int(np.argmax(infidelity))
     return float(grid[i]), 1.0 - float(infidelity[i])
@@ -232,6 +222,8 @@ def worst_case_fidelity(
 
 @dataclass(frozen=True)
 class SweepRow:
+    """One ``asymptotic_sweep`` size, with its worst phase and fidelity."""
+
     copies: int
     replicas: int
     alpha: float
@@ -259,12 +251,12 @@ def asymptotic_sweep(
     effective exponent of each pair.
     """
     alpha = _real(alpha, "alpha", positive=True)
+    n_list = _sizes(n_list, "copies")  # before the power law uses N
+    m_list = None if m_list is None else _sizes(m_list, "replicas")
     if m_list is not None and len(m_list) != len(n_list):
         raise ValueError("m_list must pair up with n_list")
     rows = []
     for i, n in enumerate(n_list):
-        # N is checked before the power law raises it to 2 - alpha
-        n = _integer(n, "copies", 1)
         m = max(1, math.floor(n ** (2.0 - alpha))) if m_list is None \
             else m_list[i]
         spec = ReplicationSpec(copies=n, replicas=m)

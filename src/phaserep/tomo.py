@@ -27,8 +27,8 @@ import numpy as np
 from .choi import ProcessMatrix, choi_from_kraus, process_fidelity
 from .gates import cu_phase, phase_gate
 from .optics import OpticsParams, replication_experiment_channel
-from .qmat import PROJECTOR_KETS, _real, _seed, _trials, kron, \
-    normalize_phase
+from .qmat import PROJECTOR_KETS, _operator, _phase_list, _real, _reals, \
+    _seed, _trials, kron, normalize_phase
 
 SINGLE_QUBIT_STATES = ("0", "1", "+", "-", "+i", "-i")
 MEASUREMENT_BASES = ("x", "y", "z")
@@ -44,7 +44,7 @@ class TomographyDesign:
     with O_j = d * (rho_i^T (x) Pi_k), row j = i * n_outcomes + k for
     input i and outcome k (outcomes run over settings, then the four
     projectors of each setting).  Every O_j is a Kronecker product, so
-    the design stores only ``input_factor`` (36 x 16, the flattened
+    the design stores ``input_factor`` (36 x 16, the flattened
     rho_i^T) and ``outcome_factor`` (16 x 36, the flattened d * Pi_k).
 
     The RrhoR solver needs two properties of this design.  The 1296 O_j
@@ -79,6 +79,10 @@ class TomographyDesign:
         projs = 4.0 * (outcomes[:, :, None] * outcomes.conj()[:, None, :])
         self.input_factor = rho_t.reshape(-1, 16)
         self.outcome_factor = projs.reshape(-1, 16).T
+        # Re(x y) = Re x Re y - Im x Im y: traces' second stage is one real
+        # GEMM on Re and -Im of the outcome factor, C-contiguous (faster)
+        self._real_outcome = np.ascontiguousarray(
+            self.outcome_factor.T.conj().view(np.float64).T)
 
     @property
     def operators(self) -> np.ndarray:
@@ -99,32 +103,15 @@ class TomographyDesign:
 
         Equals the dense sum over Tr[chi O_j] up to rounding, and each
         matrix's row is bit-identical whatever else is stacked with it.
+        Returns a fresh array.
         """
-        return self._traces(chi, self._real_outcome_factor())
-
-    def _real_outcome_factor(self) -> np.ndarray:
-        """The second-stage operand of ``traces``: the outcome factor's
-        real and negated imaginary parts interleaved by row, (32 x 36).
-
-        Only the real part of the second stage is needed, and
-        Re(x y) = Re x Re y - Im x Im y: one real GEMM of x's float64
-        view against this operand (C-contiguous, the faster operand
-        layout for OpenBLAS at these sizes).  A solver builds it once
-        and passes it to ``_traces``; the design does not keep it.
-        """
-        return np.ascontiguousarray(
-            self.outcome_factor.T.conj().view(np.float64).T)
-
-    def _traces(self, chi: np.ndarray, outcome: np.ndarray) -> np.ndarray:
-        """``traces`` with its second-stage operand built by the caller;
-        returns a fresh array."""
         lead = chi.shape[:-2]
         # Tr[chi O_j] = sum chi[a b, c d] rho_i^T[c, a] d Pi_k[d, b]:
         # regroup chi as (c a),(d b) and contract with the two factors
         g = chi.reshape(-1, 4, 4, 4, 4).transpose(0, 3, 1, 4, 2).reshape(
             -1, 16, 16)
         x = (self.input_factor @ g).view(np.float64)
-        return (x @ outcome).reshape(lead + (self.size,))
+        return (x @ self._real_outcome).reshape(lead + (self.size,))
 
     def weighted_sum(self, weights: np.ndarray) -> np.ndarray:
         """sum_j w_j O_j for real weights of shape (..., rows) in row
@@ -160,7 +147,7 @@ class TomographyDesign:
         if isinstance(channel, ProcessMatrix):
             chis, lead = [channel], ()
         else:
-            kraus = np.asarray(channel)
+            kraus = _operator(channel, "channel", 3)
             lead = kraus.shape[:-3]
             chis = [choi_from_kraus(kraus[i]) for i in np.ndindex(lead)]
         if any(chi.qubits != 2 for chi in chis):
@@ -188,11 +175,7 @@ class TomographyDataset:
     rate: float
 
     def __post_init__(self):
-        c = np.array(self.counts, dtype=np.float64)
-        if c.ndim != 1:
-            raise ValueError("counts must be a flat record array")
-        if not np.all(np.isfinite(c)) or np.any(c < 0.0):
-            raise ValueError("counts must be finite and non-negative")
+        c = _reals(self.counts, "counts", 0.0)
         # phase and rate may come from the headers of a counts file
         object.__setattr__(self, "phase", _real(self.phase, "phase"))
         object.__setattr__(self, "rate",
@@ -298,10 +281,8 @@ def _mle_batch(counts: np.ndarray, design: TomographyDesign
     """
     if counts.shape[1] != design.size:
         raise ValueError("dataset does not match the design size")
-    outcome = design._real_outcome_factor()
-
     def probs(chi: np.ndarray) -> np.ndarray:
-        p = design._traces(chi, outcome)
+        p = design.traces(chi)
         return np.maximum(p, 1e-300, out=p)
 
     def log_likelihood(n: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -439,6 +420,8 @@ def mle_reconstruct(
 
 @dataclass(frozen=True)
 class FidelityStats:
+    """One target's bootstrap fidelities: mean and std (ddof = 1)."""
+
     mean: float
     std: float
 
@@ -499,12 +482,12 @@ class FitResult:
 def fit_cosine(
     phases: Sequence[float], fidelities: Sequence[float]
 ) -> FitResult:
-    phases = np.atleast_1d(normalize_phase(phases))
-    values = np.asarray(fidelities, dtype=np.float64)
-    if phases.shape != values.shape:
-        raise ValueError("phases and fidelities must pair up")
-    if not np.isfinite(values).all():
-        raise ValueError("fidelities must be finite")
+    """Least-squares fit of F(phi) = offset + amplitude * cos(phi) to a
+    phase list (reduced to [0, 2*pi)) and a real vector of as many
+    fidelities.  Phases equal after rounding to 12 decimals (1e-12 rad)
+    count once; a broken rule or < 2 distinct phases raise ValueError."""
+    phases = normalize_phase(_phase_list(phases, "phases"))
+    values = _reals(fidelities, "fidelities", size=phases.size)
     if np.unique(np.round(phases, 12)).size < 2:
         raise ValueError("need at least 2 distinct phases to fit")
     design = np.column_stack([np.ones_like(phases), np.cos(phases)])
@@ -516,6 +499,10 @@ def fit_cosine(
 
 @dataclass(frozen=True)
 class PhaseReport:
+    """One pipeline phase: its chi and ideal chi, counts, fidelities with
+    the controlled-phase gate (f_cu) and two gate copies (f_uu), their
+    bootstrap stds (NaN without one) and the MLE diagnostics."""
+
     phi: float
     chi: ProcessMatrix
     chi_ideal: ProcessMatrix
@@ -531,6 +518,9 @@ class PhaseReport:
 
 @dataclass(frozen=True)
 class PipelineReport:
+    """A pipeline run: its phases, one ``PhaseReport`` each, the cosine
+    fit of f_uu, and the run's rate, bootstrap trials and seed."""
+
     phases: tuple[float, ...]
     rows: tuple[PhaseReport, ...]
     fit: FitResult | None  # None when fewer than 2 distinct phases were run
@@ -554,8 +544,7 @@ def experiment_pipeline(
     """Full simulated run: channel -> counts -> MLE -> fidelities -> fit.
 
     ``trials`` >= 2 adds Monte Carlo error bars; with 0 the std columns
-    are NaN.  Every argument is checked before anything is built, and an
-    empty ``phases`` raises ``ValueError``.
+    are NaN.  Every argument is checked before anything is built.
     All randomness derives from ``seed`` through per-phase spawned
     streams, so reruns are bit-identical.  The channels of all phases
     come from one optical build and their count probabilities from one
@@ -566,13 +555,13 @@ def experiment_pipeline(
     No result depends on what else is in its batch, so each row equals
     ``mle_reconstruct`` and ``monte_carlo_errors`` on its phase alone.
     """
+    if not isinstance(params, OpticsParams):
+        raise ValueError(f"params must be one OpticsParams, not {params!r}")
     trials = _trials(trials, optional=True)
     rate = _real(rate, "rate", positive=True)
     root = _seed(seed)
-    phases = standard_phases() if phases is None else tuple(phases)
-    if not phases:
-        raise ValueError("need at least one phase")
-    phases = tuple(normalize_phase(phases).tolist())
+    phases = tuple(normalize_phase(_phase_list(
+        standard_phases() if phases is None else phases, "phases")).tolist())
     design = default_design()
     streams = [s.spawn(2) for s in root.spawn(len(phases))]
     channels = replication_experiment_channel(np.array(phases), params)

@@ -1,11 +1,14 @@
 """One table over every public name and the edge values of its inputs.
 
-Each row puts an edge value into one checked argument of a public name.
-The value either raises ``ValueError`` from the input rule of its kind
-(see ``phaserep.qmat`` and the README's "Inputs" section) or gives the
-documented result, which the row checks.  Nothing may print to stderr.
-A name in ``phaserep.__all__`` without a row, or without a stated reason
-for having none, fails ``test_every_public_name_has_a_row``.
+Each row puts an edge value into one checked argument of a public name:
+a scalar edge (``EDGES``, table ``ROWS``) or, for an argument that takes
+an array, a list or a record, an array edge (``ARRAY_EDGES``, table
+``ARRAY_ROWS``).  The value either raises ``ValueError`` from the input
+rule of its kind (see ``phaserep.qmat`` and the README's "Inputs"
+section) or gives the documented result, which the row checks.  Nothing
+may print to stderr.  A name in ``phaserep.__all__`` without a row, or
+without a stated reason for having none, fails
+``test_every_public_name_has_a_row``.
 """
 import dataclasses
 import json
@@ -28,14 +31,17 @@ from phaserep import (
     choi_from_kraus,
     cu_phase,
     default_design,
+    effective_toffoli,
     experiment_pipeline,
     fidelity_replicas,
     fit_cosine,
+    kron,
     monte_carlo_errors,
     normalize_phase,
     optimal_cloner,
     optimal_cloner_fidelity,
     phase_gate,
+    process_fidelity,
     process_matrix_from_json,
     process_matrix_to_json,
     read_datasets_csv,
@@ -44,6 +50,7 @@ from phaserep import (
     replication_experiment_channel,
     replication_fidelity,
     simulate_counts,
+    standard_phases,
     twirled_mean_fidelity,
     worst_case_fidelity,
     write_datasets_csv,
@@ -58,6 +65,16 @@ EDGES = {
 }
 # the edge values that are phases: every finite real number
 PHASES = ("-1", "0", "1e300", "2^70", "2.5", "1.0")
+# the edge values of an array argument; "2-d" stands where a 1-D list is
+# due, "scalar" where a list is
+ARRAY_EDGES = {
+    "bool-array": np.array([True, False]), "string": "0.5", "none": None,
+    "nan-entry": [[1.0, 0.0], [0.0, math.nan]],
+    "inf-entry": [[1.0, 0.0], [0.0, math.inf]],
+    "0-d": np.array(0.5), "empty": np.array([]), "scalar": 0.5,
+    "2-d": [[0.5, 0.6]], "3x3": np.eye(3), "2x1": [[1.0], [0.0]],
+    "bool-and-string": [True, "2"], "int-list": [0, 1],
+}
 
 
 class Row(NamedTuple):
@@ -149,6 +166,21 @@ def _modulo_check(result, x):
 
 
 _CHI_DOC = process_matrix_to_json(choi_from_kraus([np.eye(2)]))
+_X = np.array([[0.0, 1.0], [1.0, 0.0]])
+
+
+def _kron_row(a=None, b=None, accepts=()) -> Row:
+    """``kron`` with the edge value as the factor not given; the result
+    equals ``np.kron`` bit for bit, dtype included."""
+    def factors(x):
+        return (x, b) if a is None else (a, x)
+
+    def check(result, x):
+        want = np.kron(*map(np.asarray, factors(x)))
+        assert result.dtype == want.dtype and np.array_equal(result, want)
+
+    return Row(lambda x: kron(*factors(x)), accepts, check if accepts
+               else None)
 
 ROWS = {
     # the phase rule
@@ -231,6 +263,47 @@ ROWS = {
         lambda report, x: _same(report.seed, x)),
 }
 
+ARRAY_ROWS = {
+    # the operator-array rule
+    "kron[a]": _kron_row(b=_X, accepts=("2-d", "2x1")),
+    "kron[b]": _kron_row(a=[1, 0], accepts=("int-list",)),
+    "process_fidelity[channel]": Row(lambda x: process_fidelity(x, _X)),
+    "process_fidelity[u]": Row(
+        lambda x: process_fidelity(np.eye(2)[None], x)),
+    "choi_from_kraus": Row(choi_from_kraus),
+    "simulate_counts[channel]": Row(
+        lambda x: simulate_counts(x, default_design(), 10.0, 1)),
+    # the params rule
+    "effective_toffoli": Row(effective_toffoli),
+    "replication_experiment_channel[params]": Row(
+        lambda x: replication_experiment_channel(0.3, x)),
+    "experiment_pipeline[params]": Row(
+        lambda x: experiment_pipeline(x, [0.5], 10.0)),
+    # the phase-list rule; None gives the documented default
+    "experiment_pipeline[phases]": Row(
+        lambda x: experiment_pipeline(_IDEAL, x, 10.0), ("none", "int-list"),
+        lambda report, x: _same(report.phases, standard_phases()
+                                if x is None else (0.0, 1.0))),
+    "worst_case_fidelity[phi_grid]": Row(
+        lambda x: worst_case_fidelity(_SPEC, x), ("none", "int-list"),
+        lambda result, x: _same(result, worst_case_fidelity(
+            _SPEC, None if x is None else [0.0, 1.0]))),
+    # the real-vector rule: a dataset may hold no counts
+    "TomographyDataset[counts]": Row(
+        lambda x: TomographyDataset(0.0, x, 10.0), ("empty", "int-list"),
+        lambda ds, x: _same(ds.counts, np.array(x, dtype=np.float64))),
+    "fit_cosine[fidelities]": Row(
+        lambda x: fit_cosine([0.0, 1.0], x), ("int-list",),
+        lambda fit, x: _same(fit, fit_cosine([0.0, 1.0], [0.0, 1.0]))),
+    # the size-list rule: no sizes, no rows
+    "asymptotic_sweep[n_list]": Row(
+        lambda x: asymptotic_sweep(0.5, x), ("empty",),
+        lambda rows, x: _same(rows, [])),
+    "asymptotic_sweep[m_list]": Row(
+        lambda x: asymptotic_sweep(0.5, [4], m_list=x), ("none",),
+        lambda rows, x: _same(rows[0], asymptotic_sweep(0.5, [4])[0])),
+}
+
 # the public names with no argument of a checked kind, and why
 NO_CHECKED_ARGUMENT = {
     **dict.fromkeys(
@@ -244,34 +317,40 @@ NO_CHECKED_ARGUMENT = {
     **dict.fromkeys(
         ["ancilla_imprint", "build_V", "phase_profile"],
         "takes a ReplicationSpec, checked when it is made"),
-    "effective_toffoli": "takes OpticsParams, checked when they are made",
     **dict.fromkeys(
         ["mle_reconstruct", "process_matrix_to_json", "write_datasets_csv"],
-        "takes records (TomographyDataset, ProcessMatrix) checked when "
-        "they are made"),
-    **dict.fromkeys(
-        ["choi_from_kraus", "kron", "process_fidelity"],
-        "takes gate or Kraus arrays, checked by their shapes"),
+        "takes only records (TomographyDataset, ProcessMatrix) and the "
+        "design, each checked when it is made, as a ReplicationSpec is"),
 }
 
 
 def test_every_public_name_has_a_row():
-    with_rows = {key.split("[")[0] for key in ROWS}
+    with_rows = {key.split("[")[0] for key in ROWS | ARRAY_ROWS}
     assert with_rows.isdisjoint(NO_CHECKED_ARGUMENT)
     assert sorted(with_rows | set(NO_CHECKED_ARGUMENT)) \
         == sorted(phaserep.__all__)
-    for row in ROWS.values():
-        assert set(row.accepts) <= set(EDGES)
-        assert (row.check is None) == (not row.accepts)
+    for rows, edges in ((ROWS, EDGES), (ARRAY_ROWS, ARRAY_EDGES)):
+        for row in rows.values():
+            assert set(row.accepts) <= set(edges)
+            assert (row.check is None) == (not row.accepts)
 
 
-@pytest.mark.parametrize("key, edge", [
-    (key, edge) for key in ROWS for edge in EDGES])
-def test_edge_value(key, edge, capfd):
-    row, value = ROWS[key], EDGES[edge]
+def _run(row: Row, edge: str, value, capfd) -> None:
     if edge in row.accepts:
         row.check(row.call(value), value)
     else:
         with pytest.raises(ValueError):
             row.call(value)
     assert capfd.readouterr().err == ""
+
+
+@pytest.mark.parametrize("key, edge", [
+    (key, edge) for key in ROWS for edge in EDGES])
+def test_edge_value(key, edge, capfd):
+    _run(ROWS[key], edge, EDGES[edge], capfd)
+
+
+@pytest.mark.parametrize("key, edge", [
+    (key, edge) for key in ARRAY_ROWS for edge in ARRAY_EDGES])
+def test_array_edge_value(key, edge, capfd):
+    _run(ARRAY_ROWS[key], edge, ARRAY_EDGES[edge], capfd)

@@ -451,7 +451,7 @@ def test_stacked_channel_rows_equal_the_single_builds():
 
 
 def test_stack_with_a_phase_array_or_no_rows_is_rejected():
-    with pytest.raises(ValueError, match="params stack"):
+    with pytest.raises(ValueError, match="must be one phase,"):
         replication_experiment_channel(np.array([0.1, 0.2]), STACK)
     for build in (ppbs_matrix, transfer_matrix, sector_operators,
                   effective_toffoli):

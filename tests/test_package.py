@@ -33,6 +33,16 @@ def test_public_names_resolve():
     assert len(set(phaserep.__all__)) == len(phaserep.__all__)
 
 
+def test_public_names_have_their_own_docstrings():
+    # dataclass writes its signature as the docstring of a class that
+    # has none, so that does not count as one
+    undocumented = [
+        name for name in phaserep.__all__
+        if not (getattr(phaserep, name).__doc__ or "").strip()
+        or getattr(phaserep, name).__doc__.startswith(name + "(")]
+    assert undocumented == []
+
+
 # the public names that nothing in src/, demos/ or perfbench/ uses, each
 # with the reason it stays public
 _UNCALLED_PUBLIC_NAMES = {

@@ -317,7 +317,7 @@ def test_non_finite_phases_and_non_1d_grids_are_rejected():
             with pytest.raises(ValueError, match="finite"):
                 worst_case_fidelity(spec, [bad, 1.0])
         for grid in (np.zeros((2, 3)), 0.5):
-            with pytest.raises(ValueError, match="one-dimensional"):
+            with pytest.raises(ValueError, match="1-D"):
                 worst_case_fidelity(spec, grid)
         with pytest.raises(ValueError, match="empty"):
             worst_case_fidelity(spec, [])
