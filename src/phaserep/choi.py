@@ -20,10 +20,24 @@ _NORMALIZATION = "trace_one"
 
 
 def choi_vector(u: np.ndarray) -> np.ndarray:
-    """(I ⊗ U)|Phi> as a flat length-4^n vector; no unitarity check."""
-    d = u.shape[0]
+    """(I ⊗ U)|Phi> as a flat length-4^n vector; no unitarity check.
+    A stack of gates (..., d, d) gives the stack of their vectors."""
+    d = u.shape[-1]
     # component at index m*d + a is U[a, m] / sqrt(d)
-    return u.T.reshape(-1) / np.sqrt(d)
+    return u.swapaxes(-1, -2).reshape(u.shape[:-2] + (d * d,)) / np.sqrt(d)
+
+
+def _choi_matrices(kraus: np.ndarray) -> np.ndarray:
+    """The chi of each Kraus array in a checked (..., n, d, d) stack, as
+    one (..., d², d²) array from one broadcast per operator.  The outer
+    products are summed in operator order starting from zeros, as a
+    plain ``.sum`` would not: a one-operator array's -0 entries come out
+    +0, and each chi is the same whatever is stacked with it."""
+    v = choi_vector(np.asarray(kraus, dtype=np.complex128))
+    chi = np.zeros(v.shape[:-2] + v.shape[-1:] * 2, dtype=np.complex128)
+    for k in range(v.shape[-2]):
+        chi += v[..., k, :, None] * v[..., k, None, :].conj()
+    return chi
 
 
 @dataclass(frozen=True)
@@ -74,14 +88,8 @@ def choi_from_kraus(operators: Sequence[np.ndarray]) -> ProcessMatrix:
     The trace equals sum_k Tr[K_k† K_k] / 2^n, i.e. 1 for a
     trace-preserving set and less for postselected maps.
     """
-    mats = np.asarray(_operator(operators, "operators", 3, stacked=False),
-                      dtype=np.complex128)
-    d = mats.shape[-1]
-    chi = np.zeros((d * d, d * d), dtype=np.complex128)
-    for m in mats:
-        v = choi_vector(m)
-        chi += np.outer(v, v.conj())
-    return ProcessMatrix(chi, d.bit_length() - 1)
+    mats = _operator(operators, "operators", 3, stacked=False)
+    return ProcessMatrix(_choi_matrices(mats), mats.shape[-1].bit_length() - 1)
 
 
 def process_fidelity(

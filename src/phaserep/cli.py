@@ -71,15 +71,11 @@ _FLAGS = {
 }
 
 
-class ConfigError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 on usage errors; route them through
     # the validation path (exit 1) instead
     def error(self, message):
-        raise ConfigError(message)
+        raise ValueError(message)
 
 
 def _schema_hint(command: str) -> str:
@@ -89,16 +85,7 @@ def _schema_hint(command: str) -> str:
 
 def _require(condition: bool, message: str) -> None:
     if not condition:
-        raise ConfigError(message)
-
-
-def _number(rule: Callable, value, *args, **options):
-    """A config value checked by the package's input rule of its kind,
-    whose ValueError becomes a ConfigError."""
-    try:
-        return rule(value, *args, **options)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+        raise ValueError(message)
 
 
 def _parse_phases(raw) -> tuple[float, ...]:
@@ -108,26 +95,26 @@ def _parse_phases(raw) -> tuple[float, ...]:
         try:
             raw = [float(p) for p in raw.split(",") if p.strip()]
         except ValueError:
-            raise ConfigError(f"cannot parse phase list: {raw!r}") from None
+            raise ValueError(f"cannot parse phase list: {raw!r}") from None
     _require(isinstance(raw, (list, tuple)) and len(raw) > 0,
              "phases must be 'standard' or a non-empty list")
-    return tuple(_number(_real, p, "phases") for p in raw)
+    return tuple(_real(p, "phases") for p in raw)
 
 
 def _load_config_file(path: str, command: str) -> dict:
     p = Path(path)
     if not p.is_file():
-        raise ConfigError(
+        raise ValueError(
             f"config file not found: {p}\n{_schema_hint(command)}")
     try:
         doc = json.loads(p.read_text())
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file is not valid JSON: {exc}") from None
+        raise ValueError(f"config file is not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
-        raise ConfigError(_schema_hint(command))
+        raise ValueError(_schema_hint(command))
     for key in doc:
         if key not in _OUTPUT_KEYS + _COMMANDS[command].keys:
-            raise ConfigError(
+            raise ValueError(
                 f"unknown config key {key!r} for command '{command}'; "
                 + _schema_hint(command)
             )
@@ -146,10 +133,7 @@ def _resolve_optics(preset: str, overrides: dict | None) -> OpticsParams:
             _require(key in _OPTICS_KEYS,
                      f"unknown optics key {key!r}; accepted: "
                      + ", ".join(_OPTICS_KEYS))
-        try:
-            params = dataclasses.replace(params, **overrides)
-        except ValueError as exc:
-            raise ConfigError(f"invalid optics parameters: {exc}") from None
+        params = dataclasses.replace(params, **overrides)
     return params
 
 
@@ -157,33 +141,35 @@ def _resolve(key: str, value, params: dict):
     """Check one key's merged value and return its resolved form;
     ``params`` holds the keys before it in the command's table."""
     if key == "seed":  # a JSON seed is an integer of any size
-        value = _number(_integer, value, key, 0, math.inf)
+        value = _integer(value, key, 0, math.inf)
     elif key == "phases":
         value = _parse_phases(value)
     elif key in ("rate", "alpha"):
-        value = _number(_real, value, key, positive=True)
+        value = _real(value, key, positive=True)
     elif key == "trials":
-        value = _number(_trials, value, optional=True)
+        value = _trials(value, optional=True)
     elif key == "optics":  # also checks the preset, which precedes it
         value = _resolve_optics(params["preset"], value)
     elif key == "n_list":
-        value = _number(_sizes, value, key)
+        value = _sizes(value, key)
         _require(value,
                  "n_list must be a non-empty list of positive integers")
     elif key == "m_list" and value is not None:
-        value = _number(_sizes, value, key)
+        value = _sizes(value, key)
         _require(len(value) == len(params["n_list"]),
                  "m_list must be positive integers paired with n_list")
     elif key == "phi_grid_size":
-        value = _number(_integer, value, key, 2)
+        value = _integer(value, key, 2)
     elif key == "parameter":
         _require(value in _OPTICS_KEYS,
                  "parameter must be one of: " + ", ".join(_OPTICS_KEYS))
-    elif key == "values":
-        value = _number(_reals, value, key).tolist()
+    elif key == "values":  # also checks each against the resolved optics
+        value = _reals(value, key).tolist()
         _require(value, "values must be a non-empty list of numbers")
+        for v in value:
+            dataclasses.replace(params["optics"], **{params["parameter"]: v})
     elif key == "phi":
-        value = _number(_real, value, key)
+        value = _real(value, key)
     return value
 
 
@@ -427,22 +413,16 @@ def cmd_tomo(config: SimpleNamespace, out: Path, meta: dict) -> None:
 def cmd_optics_scan(config: SimpleNamespace, out: Path, meta: dict) -> None:
     """Sweep one imperfection parameter and record gate fidelities.
 
-    Every value is checked into an ``OpticsParams`` before anything is
-    built.  The values form one params stack, so the scan makes two
+    Every value was checked against the optics when the config was
+    resolved.  The values form one params stack, so the scan makes two
     optical builds whatever its length: one ``effective_toffoli`` for
     the Toffoli fidelity and success probability, one
     ``replication_experiment_channel`` for the controlled-U fidelity.
     Rows at visibility 1 or 0, or at zero jitter among nonzero ones,
     carry zero-weight Kraus operators, which the fidelities ignore.
     """
-    stack = []
-    for value in config.values:
-        try:
-            stack.append(dataclasses.replace(
-                config.optics, **{config.parameter: value}))
-        except ValueError as exc:
-            raise ConfigError(
-                f"scan value {value!r} rejected: {exc}") from None
+    stack = [dataclasses.replace(config.optics, **{config.parameter: value})
+             for value in config.values]
     kraus, success = effective_toffoli(stack)
     f_toffoli = process_fidelity(kraus, toffoli())
     f_cu = process_fidelity(replication_experiment_channel(config.phi, stack),
@@ -524,7 +504,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             np.linalg.LinAlgError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 2
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

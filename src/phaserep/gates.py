@@ -7,8 +7,9 @@ form (Toffoli, phase gate on the ancilla, Toffoli) is
 ``replicated_map(ReplicationSpec(1, 2), phi)``, the diagonal
 (1, 1, 1, e^{i*phi}).  The measured form (Toffoli, phase gate, ancilla
 measurement in the |+/-> basis) is the Kraus pair of
-``replicate_measured_form``; a controlled-Z on the minus branch makes
-both branches realize that same two-qubit gate.
+``replicate_measured_form``, a (2, 4, 4) Kraus array like the cloner's;
+a controlled-Z on the minus branch makes both branches realize that
+same two-qubit gate.
 
 Fidelities between constructions are process fidelities (see ``choi``);
 the closed forms quoted in the docstrings serve as test oracles only.
@@ -61,11 +62,12 @@ def toffoli() -> np.ndarray:
     return m
 
 
-def replicate_measured_form(phi: float) -> tuple[np.ndarray, np.ndarray]:
+def replicate_measured_form(phi: float) -> np.ndarray:
     """Kraus pair of the measured-form circuit, the ReplicationSpec(1, 2)
     case of superreplication.
 
-    Returns the (plus, minus) branches <+/-|_a (I (x) U) V |0>_a, read off
+    Returns the (plus, minus) branches <+/-|_a (I (x) U) V |0>_a as one
+    (2, 4, 4) Kraus array, like ``optimal_cloner``; they are read off
     the permutation of V = ``build_V(ReplicationSpec(1, 2))``, the Toffoli:
     V|m>|0> = |m>|k(m)> imprints k(m) = 1 on |11> only, and the branch
     amplitude of |m> is (+/-e^{i*phi})^{k(m)} / sqrt(2).  So plus is
@@ -76,8 +78,8 @@ def replicate_measured_form(phi: float) -> tuple[np.ndarray, np.ndarray]:
     phi = normalize_phase(phi)
     imprint = build_V(ReplicationSpec(1, 2))[0::2] & 1
     phase = np.exp(1j * phi)
-    return tuple(np.diag(np.where(imprint, sign * phase, 1.0))
-                 / math.sqrt(2.0) for sign in (1.0, -1.0))
+    return np.array([np.diag(np.where(imprint, sign * phase, 1.0))
+                     for sign in (1.0, -1.0)]) / math.sqrt(2.0)
 
 
 def fidelity_replicas(phi: float | np.ndarray) -> float | np.ndarray:

@@ -24,7 +24,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .choi import ProcessMatrix, choi_from_kraus, process_fidelity
+from .choi import ProcessMatrix, _choi_matrices, choi_from_kraus, \
+    process_fidelity
 from .gates import cu_phase, phase_gate
 from .optics import OpticsParams, replication_experiment_channel
 from .qmat import PROJECTOR_KETS, _operator, _phase_list, _real, _reals, \
@@ -142,18 +143,16 @@ class TomographyDesign:
 
         A Kraus array of shape (..., n, 4, 4), such as one channel per
         phase, yields probabilities of shape (..., rows) from one
-        ``traces`` call on the ``choi_from_kraus`` of each channel.
+        ``traces`` call on the stack of their chi, each the matrix of
+        its own ``choi_from_kraus``.  A channel on any other number of
+        qubits raises ``ValueError`` before anything is built.
         """
-        if isinstance(channel, ProcessMatrix):
-            chis, lead = [channel], ()
-        else:
-            kraus = _operator(channel, "channel", 3)
-            lead = kraus.shape[:-3]
-            chis = [choi_from_kraus(kraus[i]) for i in np.ndindex(lead)]
-        if any(chi.qubits != 2 for chi in chis):
+        chi = isinstance(channel, ProcessMatrix)
+        kraus = None if chi else _operator(channel, "channel", 3)
+        if (channel.dim if chi else kraus.shape[-1]) != 4:
             raise ValueError("design covers two-qubit channels only")
-        p = self.traces(np.array([chi.matrix for chi in chis]))
-        return np.where(p > 1e-12, p, 0.0).reshape(lead + (self.size,))
+        p = self.traces(channel.matrix if chi else _choi_matrices(kraus))
+        return np.where(p > 1e-12, p, 0.0)
 
 
 @functools.cache

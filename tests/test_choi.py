@@ -7,6 +7,7 @@ import pytest
 
 from phaserep.choi import (
     ProcessMatrix,
+    _choi_matrices,
     choi_from_kraus,
     choi_vector,
     process_fidelity,
@@ -33,6 +34,24 @@ def test_choi_vector_of_identity_is_bell_state():
 def test_choi_vector_of_x_gate():
     vec = choi_vector(X)
     assert np.max(np.abs(vec - np.array([0.0, S, S, 0.0]))) < 1e-14
+
+
+def test_choi_matrices_equal_the_loop_of_outer_products(rng):
+    # the reference: each operator's vector alone, one np.outer each,
+    # summed in operator order from zeros; byte for byte
+    kraus = rng.normal(size=(2, 3, 3, 4, 4)) \
+        + 1j * rng.normal(size=(2, 3, 3, 4, 4))
+    vectors, chis = choi_vector(kraus), _choi_matrices(kraus)
+    assert vectors.shape == (2, 3, 3, 16) and chis.shape == (2, 3, 16, 16)
+    for index in np.ndindex(2, 3):
+        reference = np.zeros((16, 16), dtype=np.complex128)
+        for k, operator in enumerate(kraus[index]):
+            v = choi_vector(operator)
+            assert v.tobytes() == vectors[index][k].tobytes()
+            reference += np.outer(v, v.conj())
+        assert chis[index].tobytes() == reference.tobytes()
+        assert choi_from_kraus(kraus[index]).matrix.tobytes() \
+            == reference.tobytes()
 
 
 def test_process_matrix_validation():

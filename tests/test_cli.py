@@ -445,6 +445,9 @@ def test_flag_validation_exits_1(tmp_path):
     (["optics-scan"], {"parameter": "phase_jitter_sigma",
                        "values": [math.inf]}, "values"),
     (["optics-scan"], {"phi": True}, "phi"),
+    # a value its optics field rejects, caught before anything is made
+    (["optics-scan"], {"parameter": "visibility", "values": [1.5]},
+     "visibility"),
     # the output keys and the optics overrides have a type of their own
     (["superrep"], {"out_dir": 5}, "out_dir"),
     (["superrep"], {"out_dir": ["out"]}, "out_dir"),
@@ -457,6 +460,7 @@ def test_flag_validation_exits_1(tmp_path):
         "bool-phase", "bool-seed", "bool-rate", "empty-phases", "bool-trials",
         "bool-visibility", "inf-jitter", "inf-alpha", "bool-alpha",
         "huge-alpha", "bool-n", "bool-m", "bool-value", "inf-value", "bool-phi",
+        "out-of-range-value",
         "int-out-dir", "list-out-dir", "string-svg", "float-svg",
         "list-optics", "zero-optics", "false-optics"])
 def test_non_finite_numbers_are_rejected(tmp_path, capsys, argv, config,

@@ -268,6 +268,30 @@ def test_probabilities_reject_single_qubit_channels():
         design.probabilities(chi)
 
 
+def test_probabilities_reject_a_wide_kraus_array_before_building_chi():
+    # the chi of this 10-qubit operator would take 16 TiB
+    with pytest.raises(ValueError, match="two-qubit"):
+        default_design().probabilities(np.zeros((1, 1024, 1024)))
+
+
+@pytest.mark.parametrize("channels", [
+    lambda phases: cu_phase(phases)[:, None],
+    lambda phases: replication_experiment_channel(
+        phases, dataclasses.replace(OpticsParams.ideal(),
+                                    phase_jitter_sigma=0.65)),
+    lambda phases: replication_experiment_channel(
+        phases, dataclasses.replace(OpticsParams.measured(), visibility=0.0)),
+], ids=["one-operator", "ideal-sigma-0.65", "measured-visibility-0"])
+def test_probabilities_equal_the_traces_of_each_process_matrix(channels):
+    # byte for byte, rows with zero-weight sectors included
+    design = default_design()
+    kraus = channels(np.array(standard_phases()))
+    p = design.probabilities(kraus)
+    for row, k in zip(p, kraus):
+        alone = design.traces(choi_from_kraus(k).matrix)
+        assert row.tobytes() == np.where(alone > 1e-12, alone, 0.0).tobytes()
+
+
 # ---------------------------------------------------------------- counts
 
 
