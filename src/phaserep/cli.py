@@ -39,7 +39,7 @@ from .gates import baseline_measure_prepare, baseline_single_copy, \
     toffoli, twirled_mean_fidelity
 from .optics import OpticsParams, effective_toffoli, \
     replication_experiment_channel
-from .qmat import _integer, _real, _reals, _sizes, _trials, kron
+from .qmat import _integer, _real, _reals, _sizes, kron
 from .superrep import asymptotic_sweep
 from .svgplot import Series, heatmap_grid, line_plot
 
@@ -102,12 +102,11 @@ def _parse_phases(raw) -> tuple[float, ...]:
 
 
 def _load_config_file(path: str, command: str) -> dict:
-    p = Path(path)
-    if not p.is_file():
-        raise ValueError(
-            f"config file not found: {p}\n{_schema_hint(command)}")
     try:
-        doc = json.loads(p.read_text())
+        doc = json.loads(Path(path).read_text())
+    except OSError as exc:  # any readable path will do, /dev/stdin too
+        raise ValueError(f"cannot read config file {path}: "
+                         f"{exc.strerror}") from None
     except json.JSONDecodeError as exc:
         raise ValueError(f"config file is not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
@@ -139,15 +138,14 @@ def _resolve_optics(preset: str, overrides: dict | None) -> OpticsParams:
 
 def _resolve(key: str, value, params: dict):
     """Check one key's merged value and return its resolved form;
-    ``params`` holds the keys before it in the command's table."""
-    if key == "seed":  # a JSON seed is an integer of any size
-        value = _integer(value, key, 0, math.inf)
-    elif key == "phases":
+    ``params`` holds the keys before it in the command's table.  A key
+    not checked here (seed, trials, an m_list's pairing, a scan value's
+    range) is checked by the library call it feeds, before that call
+    builds anything."""
+    if key == "phases":
         value = _parse_phases(value)
     elif key in ("rate", "alpha"):
         value = _real(value, key, positive=True)
-    elif key == "trials":
-        value = _trials(value, optional=True)
     elif key == "optics":  # also checks the preset, which precedes it
         value = _resolve_optics(params["preset"], value)
     elif key == "n_list":
@@ -156,18 +154,14 @@ def _resolve(key: str, value, params: dict):
                  "n_list must be a non-empty list of positive integers")
     elif key == "m_list" and value is not None:
         value = _sizes(value, key)
-        _require(len(value) == len(params["n_list"]),
-                 "m_list must be positive integers paired with n_list")
     elif key == "phi_grid_size":
         value = _integer(value, key, 2)
     elif key == "parameter":
         _require(value in _OPTICS_KEYS,
                  "parameter must be one of: " + ", ".join(_OPTICS_KEYS))
-    elif key == "values":  # also checks each against the resolved optics
+    elif key == "values":
         value = _reals(value, key).tolist()
         _require(value, "values must be a non-empty list of numbers")
-        for v in value:
-            dataclasses.replace(params["optics"], **{params["parameter"]: v})
     elif key == "phi":
         value = _real(value, key)
     return value
@@ -191,8 +185,8 @@ def resolve_config(args: argparse.Namespace) -> SimpleNamespace:
     for key in _COMMANDS[command].keys:
         params[key] = _resolve(key, pick(key, _DEFAULTS[key]), params)
     out_dir = pick("out_dir", os.environ.get(OUT_DIR_ENV, "phaserep-out"))
-    _require(isinstance(out_dir, str),
-             f"out_dir must be a string, got {out_dir!r}")
+    _require(isinstance(out_dir, str) and out_dir != "",
+             f"out_dir must be a non-empty string, got {out_dir!r}")
     svg = args.svg or file_values.get("svg", False)
     _require(isinstance(svg, bool), f"svg must be true or false, got {svg!r}")
     return SimpleNamespace(command=command, out_dir=Path(out_dir), svg=svg,
@@ -238,6 +232,9 @@ def _metadata_lines(meta: dict) -> list[str]:
 
 
 def _write_text(path: Path, text: str) -> None:
+    # the directory is made by the first write, so a run that fails
+    # before it has results leaves none
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
     with open(tmp, "w", newline="") as fh:
         fh.write(text)
@@ -360,12 +357,6 @@ def cmd_tomo(config: SimpleNamespace, out: Path, meta: dict) -> None:
     report = tomo.experiment_pipeline(config.optics, config.phases,
                                       config.rate, config.trials, config.seed)
 
-    counts_tmp = out / "counts.csv.tmp"
-    tomo.write_datasets_csv(counts_tmp, [r.dataset for r in report.rows],
-                            tomo.default_design(),
-                            header_lines=_metadata_lines(meta))
-    os.replace(counts_tmp, out / "counts.csv")
-
     columns = ["phi", "f_cu", "f_cu_std", "f_uu", "f_uu_std",
                "iterations", "converged", "optimality_gap"]
     rows = [[getattr(r, c) for c in columns] for r in report.rows]
@@ -373,6 +364,13 @@ def cmd_tomo(config: SimpleNamespace, out: Path, meta: dict) -> None:
         "reconstructed process fidelities", "phi", "phase (rad)",
         "process fidelity",
         [("F_CU", "f_cu", "f_cu_std"), ("F_UU", "f_uu", "f_uu_std")]))
+
+    # after fidelities.csv, whose write made the directory
+    counts_tmp = out / "counts.csv.tmp"
+    tomo.write_datasets_csv(counts_tmp, [r.dataset for r in report.rows],
+                            tomo.default_design(),
+                            header_lines=_metadata_lines(meta))
+    os.replace(counts_tmp, out / "counts.csv")
 
     for k, row in enumerate(report.rows):
         doc = {
@@ -413,8 +411,8 @@ def cmd_tomo(config: SimpleNamespace, out: Path, meta: dict) -> None:
 def cmd_optics_scan(config: SimpleNamespace, out: Path, meta: dict) -> None:
     """Sweep one imperfection parameter and record gate fidelities.
 
-    Every value was checked against the optics when the config was
-    resolved.  The values form one params stack, so the scan makes two
+    The values form one params stack, whose build checks each against
+    its optics field before anything is computed.  The scan makes two
     optical builds whatever its length: one ``effective_toffoli`` for
     the Toffoli fidelity and success probability, one
     ``replication_experiment_channel`` for the controlled-U fidelity.
@@ -494,8 +492,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = _parser.parse_args(argv)
         config = resolve_config(args)
-        # made before any computation, so an unusable path fails fast
-        config.out_dir.mkdir(parents=True, exist_ok=True)
         _COMMANDS[config.command].run(config, config.out_dir,
                                       _metadata(config))
         return 0

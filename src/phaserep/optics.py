@@ -204,11 +204,11 @@ def dephase_spatial(
     as many along that axis; at sigma = 0 the input itself is returned.
     ``sigma`` may also be a 1-D array of one sigma per entry of axis 0
     of a (P, n, d, d) array; a row at sigma = 0 then keeps its
-    operators as they are and gets n zero flips.
+    operators as they are and gets n zero flips.  ``sigma`` is taken as
+    given: its one caller passes the ``phase_jitter_sigma`` column of
+    ``OpticsParams``, whose rule holds it at >= 0.
     """
     sigma = np.asarray(sigma, dtype=np.float64)
-    if not (sigma >= 0.0).all():
-        raise ValueError("sigma must be non-negative")
     if not sigma.any():
         return kraus
     kraus = np.asarray(kraus)

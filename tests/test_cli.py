@@ -187,7 +187,7 @@ def test_superrep_grid_beyond_memory_exits_2(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["superrep", "--out-dir", str(out), "--config", cfg]) == 2
     assert "runtime error" in capsys.readouterr().err
-    assert not (out / "superrep.csv").exists()
+    assert not out.exists()
 
 
 # ------------------------------------------------------------------- tomo
@@ -283,7 +283,7 @@ def test_tomo_rate_beyond_the_poisson_range_exits_1(tmp_path, capsys):
                  "--rate", "1e300"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: rate 1e+300 gives a Poisson mean of ")
-    assert list(out.iterdir()) == []
+    assert not out.exists()  # the check needs the channel, so runs late
 
 
 _NAN, _INF = float("nan"), float("inf")
@@ -342,12 +342,30 @@ def test_optics_scan_with_config(tmp_path):
 
 
 def test_optics_scan_rejects_invalid_value(tmp_path):
-    # every value is checked before anything is built or written
+    # every value is checked before anything is computed or written
     for values in ([1.5], [1.0, 0.9, 1.5]):
         cfg = _write_config(tmp_path, {"values": values})
         assert main(["optics-scan", "--out-dir", str(tmp_path),
                      "--config", cfg]) == 1
         assert not (tmp_path / "optics_scan.csv").exists()
+
+
+def test_optics_scan_builds_one_params_per_value(tmp_path, monkeypatch):
+    # the preset and one params a value; checking a value builds nothing
+    # of its own
+    built = []
+    post_init = OpticsParams.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(OpticsParams, "__post_init__", counting)
+    cfg = _write_config(tmp_path, {"values": np.linspace(1.0, 0.45,
+                                                         12).tolist()})
+    assert main(["optics-scan", "--out-dir", str(tmp_path),
+                 "--config", cfg]) == 0
+    assert len(built) == 13
 
 
 # scanned parameter -> values, the ideal design value first, then the
@@ -398,9 +416,13 @@ def test_unknown_config_key_is_rejected(tmp_path):
                  "--config", cfg]) == 1
 
 
-def test_missing_config_file(tmp_path):
-    assert main(["replicate", "--config",
-                 str(tmp_path / "absent.json")]) == 1
+def test_missing_config_file(tmp_path, capsys):
+    # a missing path or a directory: one error line that names it
+    for path in (tmp_path / "absent.json", tmp_path):
+        assert main(["replicate", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read config file {path}: ")
+        assert err.count("\n") == 1
 
 
 def test_config_must_be_an_object(tmp_path):
@@ -445,12 +467,15 @@ def test_flag_validation_exits_1(tmp_path):
     (["optics-scan"], {"parameter": "phase_jitter_sigma",
                        "values": [math.inf]}, "values"),
     (["optics-scan"], {"phi": True}, "phi"),
-    # a value its optics field rejects, caught before anything is made
+    # rejected by the library call the value feeds, before it computes
     (["optics-scan"], {"parameter": "visibility", "values": [1.5]},
      "visibility"),
+    (["superrep"], {"n_list": [4, 9], "m_list": [5]}, "m_list"),
+    (["tomo", "--phases", "0.5", "--seed", "-1"], None, "seed"),
     # the output keys and the optics overrides have a type of their own
     (["superrep"], {"out_dir": 5}, "out_dir"),
     (["superrep"], {"out_dir": ["out"]}, "out_dir"),
+    (["superrep"], {"out_dir": ""}, "out_dir"),
     (["superrep"], {"svg": "false"}, "svg"),
     (["superrep"], {"svg": 0.0}, "svg"),
     (["replicate", "--phases", "0.5"], {"optics": []}, "optics"),
@@ -460,8 +485,8 @@ def test_flag_validation_exits_1(tmp_path):
         "bool-phase", "bool-seed", "bool-rate", "empty-phases", "bool-trials",
         "bool-visibility", "inf-jitter", "inf-alpha", "bool-alpha",
         "huge-alpha", "bool-n", "bool-m", "bool-value", "inf-value", "bool-phi",
-        "out-of-range-value",
-        "int-out-dir", "list-out-dir", "string-svg", "float-svg",
+        "out-of-range-value", "unpaired-m", "negative-seed",
+        "int-out-dir", "list-out-dir", "empty-out-dir", "string-svg", "float-svg",
         "list-optics", "zero-optics", "false-optics"])
 def test_non_finite_numbers_are_rejected(tmp_path, capsys, argv, config,
                                          key):
@@ -559,11 +584,26 @@ def test_out_dir_env_fallback(tmp_path, monkeypatch):
     assert (tmp_path / "from-env" / "replicate.csv").is_file()
 
 
+@pytest.mark.parametrize("where", ["flag", "env"])
+def test_empty_out_dir_is_rejected(tmp_path, monkeypatch, capsys, where):
+    # an empty path would write into the working directory
+    monkeypatch.chdir(tmp_path)
+    argv = ["replicate", "--phases", "0.0"]
+    if where == "flag":
+        argv += ["--out-dir", ""]
+    else:
+        monkeypatch.setenv(cli.OUT_DIR_ENV, "")
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: out_dir must be ")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_out_dir_collision_exits_1(tmp_path):
     blocker = tmp_path / "blocked"
     blocker.write_text("")
     assert main(["replicate", "--out-dir", str(blocker),
                  "--phases", "0.0"]) == 1
+    assert blocker.read_text() == ""
 
 
 def test_main_builds_its_parser_once(tmp_path, monkeypatch):
@@ -585,14 +625,17 @@ def test_main_builds_its_parser_once(tmp_path, monkeypatch):
 
 
 def test_internal_failure_exits_2(tmp_path, monkeypatch):
-    # LinAlgError subclasses ValueError, which alone would exit 1
+    # LinAlgError subclasses ValueError, which alone would exit 1; a run
+    # that fails before it writes leaves no directory
     for error in (RuntimeError, MemoryError, np.linalg.LinAlgError):
         def boom(config, out, meta):
             raise error("solver exploded")
 
         monkeypatch.setitem(cli._COMMANDS, "replicate",
                             cli._COMMANDS["replicate"]._replace(run=boom))
-        assert main(["replicate", "--out-dir", str(tmp_path)]) == 2, error
+        out = tmp_path / error.__name__
+        assert main(["replicate", "--out-dir", str(out)]) == 2, error
+        assert not out.exists(), error
 
 
 def test_module_entry_point(tmp_path):
@@ -603,6 +646,18 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "replicate.csv").is_file()
+
+
+def test_config_read_from_stdin(tmp_path):
+    # any readable path is a config file, a pipe included
+    proc = subprocess.run(
+        [sys.executable, "-m", "phaserep.cli", "replicate",
+         "--out-dir", str(tmp_path), "--config", "/dev/stdin"],
+        input=json.dumps({"phases": [0.25]}), capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    _, _, rows = _read_csv(tmp_path / "replicate.csv")
+    assert [float(row["phi"]) for row in rows] == [0.25]
 
 
 def test_import_loads_no_scipy():
