@@ -8,11 +8,12 @@ Subcommands
 
 Configuration comes from an optional JSON file (--config) overridden by
 command-line flags.  Each command accepts only the keys it reads (plus
-out_dir and svg) and rejects any other.  Every output file carries a
-metadata header (artifact version, command, the tomo seed, and a hash of
-the command's keys) and all floats are written with 17 significant
-digits, so reruns with the same config are byte-identical and values
-round-trip exactly.
+out_dir and svg) and rejects any other.  Every CSV and JSON artifact
+carries the run's metadata (artifact version, command, the tomo seed, a
+hash of the command's keys) as ``# key: value`` lines or a ``metadata``
+object.  CSV tables and ``report.json`` write floats as ``%.17g``
+strings, ``chi_NN.json`` matrices and non-integral counts as the
+shortest ``repr``: reruns are byte-identical and values round-trip.
 
 Exit codes: 0 success, 1 invalid configuration or unusable paths,
 2 runtime or numerical failure.
@@ -104,9 +105,11 @@ def _parse_phases(raw) -> tuple[float, ...]:
 def _load_config_file(path: str, command: str) -> dict:
     try:
         doc = json.loads(Path(path).read_text())
-    except OSError as exc:  # any readable path will do, /dev/stdin too
-        raise ValueError(f"cannot read config file {path}: "
-                         f"{exc.strerror}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        # any readable UTF-8 path will do, /dev/stdin too
+        reason = exc.strerror if isinstance(exc, OSError) else exc
+        raise ValueError(f"cannot read config file {path}: {reason}"
+                         ) from None
     except json.JSONDecodeError as exc:
         raise ValueError(f"config file is not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
@@ -198,13 +201,16 @@ def _f17(x: float) -> str:
 
 
 def _canonical(value):
-    # floats as 17-digit strings, the optics as its four fields
-    if isinstance(value, OpticsParams):
-        return {k: _f17(getattr(value, k)) for k in _OPTICS_KEYS}
+    # floats as 17-digit strings and a NaN, which no config value can
+    # be, as null; a dataclass (the optics, the fit) as its fields
+    if dataclasses.is_dataclass(value):
+        value = dataclasses.asdict(value)
     if isinstance(value, float):
-        return _f17(value)
+        return None if math.isnan(value) else _f17(value)
     if isinstance(value, (list, tuple)):
         return [_canonical(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _canonical(v) for k, v in value.items()}
     return value
 
 
@@ -388,23 +394,16 @@ def cmd_tomo(config: SimpleNamespace, out: Path, meta: dict) -> None:
             )
             _write_text(out / f"chi_{k:02d}.svg", svg)
 
-    def _cell(value):
-        # counts and flags as they are, a NaN (no error bar) as null
-        if isinstance(value, int):
-            return value
-        return _f17(value) if math.isfinite(value) else None
-
-    report_doc = {
+    report_doc = _canonical({
         "metadata": meta,
-        "rate": _f17(report.rate),
+        "rate": report.rate,
         "trials": report.trials,
-        "phases": [_f17(p) for p in report.phases],
-        "rows": [dict(zip(columns, map(_cell, row))) for row in rows],
-        "mean_f_cu": _f17(float(np.mean([r.f_cu for r in report.rows]))),
-        "mean_f_uu": _f17(float(np.mean([r.f_uu for r in report.rows]))),
-        "fit": None if report.fit is None else {
-            k: _f17(v) for k, v in dataclasses.asdict(report.fit).items()},
-    }
+        "phases": report.phases,
+        "rows": [dict(zip(columns, row)) for row in rows],
+        "mean_f_cu": np.mean([r.f_cu for r in report.rows]),
+        "mean_f_uu": np.mean([r.f_uu for r in report.rows]),
+        "fit": report.fit,
+    })
     _write_text(out / "report.json", _json_text(report_doc))
 
 
@@ -416,8 +415,8 @@ def cmd_optics_scan(config: SimpleNamespace, out: Path, meta: dict) -> None:
     optical builds whatever its length: one ``effective_toffoli`` for
     the Toffoli fidelity and success probability, one
     ``replication_experiment_channel`` for the controlled-U fidelity.
-    Rows at visibility 1 or 0, or at zero jitter among nonzero ones,
-    carry zero-weight Kraus operators, which the fidelities ignore.
+    Rows at visibility 1 or 0, or at zero jitter, carry zero-weight
+    Kraus operators, which the fidelities ignore.
     """
     stack = [dataclasses.replace(config.optics, **{config.parameter: value})
              for value in config.values]

@@ -41,8 +41,8 @@ the stack of one, and its result is row 0 of the stacked result.  Kraus
 operators come as one array, the operators on axis -3, and their count
 is fixed: ``effective_toffoli`` gives the interfering and both
 distinguishable operators, the sector of weight 0 at visibility 1 or 0
-as exactly-zero operators; likewise a row at sigma = 0 in a stack with
-some sigma > 0 carries zero dephasing flips.
+as exactly-zero operators; ``replication_experiment_channel`` gives
+six, whose three dephasing flips are exactly zero at sigma = 0.
 """
 from __future__ import annotations
 
@@ -193,7 +193,7 @@ def effective_toffoli(
 
 def dephase_spatial(
     kraus: Sequence[np.ndarray] | np.ndarray, sigma: float | np.ndarray
-) -> Sequence[np.ndarray] | np.ndarray:
+) -> np.ndarray:
     """Gaussian phase jitter on the spatial qubit (qubit 0), analytically.
 
     A random phase e^{i theta} with theta ~ Normal(0, sigma^2) on the
@@ -201,16 +201,14 @@ def dephase_spatial(
     equivalently a phase-flip channel with flip weight (1-lambda)/2.
     Takes a Kraus array, the operators on axis -3 (with leading axes
     such as one per phase), and returns the operators as an array, twice
-    as many along that axis; at sigma = 0 the input itself is returned.
-    ``sigma`` may also be a 1-D array of one sigma per entry of axis 0
-    of a (P, n, d, d) array; a row at sigma = 0 then keeps its
-    operators as they are and gets n zero flips.  ``sigma`` is taken as
-    given: its one caller passes the ``phase_jitter_sigma`` column of
-    ``OpticsParams``, whose rule holds it at >= 0.
+    as many along that axis.  At sigma = 0 the operators are kept as
+    they are and the n flips are zero.  ``sigma`` may also be a 1-D
+    array of one sigma per entry of axis 0 of a (P, n, d, d) array.
+    ``sigma`` is taken as given: its one caller passes the
+    ``phase_jitter_sigma`` column of ``OpticsParams``, whose rule holds
+    it at >= 0.
     """
     sigma = np.asarray(sigma, dtype=np.float64)
-    if not sigma.any():
-        return kraus
     kraus = np.asarray(kraus)
     # one factor per row, broadcast over the operator axes
     shape = sigma.shape + (1, 1, 1)
@@ -240,11 +238,11 @@ def replication_experiment_channel(
     K(phi) = A + e^{i phi} B, A and B the idler's |0> and |1> output legs
     (with the idler entering in |0>) times 1/sqrt(2), so one optical
     build serves a whole phase array.  A float ``phi`` gives the
-    sub-normalized Kraus operators as an (n, 4, 4) array, n = 3, or 6
-    when sigma > 0; a 1-D array of P phases gives a (P, n, 4, 4) array
-    whose rows are, bit for bit, the arrays of the phases on their own.
-    A params stack with a float ``phi`` gives the (P, n, 4, 4) array of
-    its rows, n = 6 for all of them if any sigma > 0; a stack with a
+    six sub-normalized Kraus operators as a (6, 4, 4) array, the last
+    three the dephasing flips (zero at sigma = 0); a 1-D array of P
+    phases gives a (P, 6, 4, 4) array whose rows are, bit for bit, the
+    arrays of the phases on their own.  A params stack with a float
+    ``phi`` gives the (P, 6, 4, 4) array of its rows; a stack with a
     phase array raises ``ValueError``.
     """
     stacked = not isinstance(params, OpticsParams)

@@ -425,6 +425,18 @@ def test_missing_config_file(tmp_path, capsys):
         assert err.count("\n") == 1
 
 
+def test_config_file_that_is_not_utf8(tmp_path, capsys):
+    # one error line that names the file, and no output directory
+    path, out = tmp_path / "not-utf8.json", tmp_path / "out"
+    path.write_bytes(b"\xff")
+    assert main(["replicate", "--config", str(path),
+                 "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read config file {path}: ")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_config_must_be_an_object(tmp_path):
     path = tmp_path / "config.json"
     path.write_text("[1, 2]")

@@ -16,6 +16,7 @@ from phaserep.optics import (
     sector_operators,
     transfer_matrix,
 )
+from phaserep.tomo import default_design
 
 
 def test_params_validated():
@@ -269,18 +270,46 @@ def test_replication_channel_ideal_is_exact():
 GRID_PHASES = [0.0, -1e-20, -1.5, 7.0, 2.0 * math.pi, 1e300]
 
 
+def _assert_is_reference_channel(channel, phi, params):
+    # the oracle leaves out the dephasing flips at sigma = 0, which the
+    # builder keeps as zeros
+    want = np.array(reference_channel(phi, params))
+    assert channel.shape == (6, 4, 4)
+    assert channel[:len(want)].tobytes() == want.tobytes()
+    assert np.all(channel[len(want):] == 0.0)
+
+
 @pytest.mark.parametrize("sigma", [0.0, 0.65])
 def test_phase_grid_rows_equal_the_per_phase_build(sigma):
     # one optical build for the whole grid gives, row by row, the bits of
     # the channel built one phase at a time
     params = OpticsParams.measured(phase_jitter_sigma=sigma)
     grid = replication_experiment_channel(np.array(GRID_PHASES), params)
-    assert grid.shape == (len(GRID_PHASES), 3 if sigma == 0.0 else 6, 4, 4)
+    assert grid.shape == (len(GRID_PHASES), 6, 4, 4)
     for phi, row in zip(GRID_PHASES, grid):
-        want = np.array(reference_channel(phi, params))
-        assert row.tobytes() == want.tobytes()
+        _assert_is_reference_channel(row, phi, params)
         single = replication_experiment_channel(phi, params)
-        assert single.tobytes() == want.tobytes()
+        assert single.tobytes() == row.tobytes()
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.65])
+def test_experiment_channel_has_six_operators(sigma):
+    # three operators and their three flips, whatever sigma; at sigma = 0
+    # the zero flips change no fidelity or probability by a bit
+    params = OpticsParams.measured(phase_jitter_sigma=sigma)
+    phases = np.array(GRID_PHASES)
+    channel = replication_experiment_channel(phases, params)
+    assert channel.shape == (len(GRID_PHASES), 6, 4, 4)
+    assert replication_experiment_channel(1.1, params).shape == (6, 4, 4)
+    stack = [params, OpticsParams.measured()]
+    assert replication_experiment_channel(1.1, stack).shape == (2, 6, 4, 4)
+    if sigma == 0.0:
+        kept, u = channel[:, :3], cu_phase(phases)
+        assert process_fidelity(channel, u).tobytes() \
+            == process_fidelity(kept, u).tobytes()
+        design = default_design()
+        assert design.probabilities(channel).tobytes() \
+            == design.probabilities(kept).tobytes()
 
 
 def test_phase_grid_wants_a_1d_sequence():
@@ -369,8 +398,12 @@ def test_dephasing_flip_equals_the_spatial_z_product():
 
 
 def test_dephasing_identity_at_zero_sigma():
+    # the operators keep their bits, and their flips are zero
     kraus = [cu_phase(0.3)]
-    assert dephase_spatial(kraus, 0.0) is kraus
+    got = dephase_spatial(kraus, 0.0)
+    assert got.shape == (2, 4, 4)
+    assert got[0].tobytes() == kraus[0].tobytes()
+    assert np.all(got[1] == 0.0)
 
 
 def test_measured_point_regression_values():
@@ -431,21 +464,15 @@ def test_stacked_toffoli_rows_equal_the_single_builds():
 def test_stacked_channel_rows_equal_the_single_builds():
     phi = 1.1
     channel = replication_experiment_channel(phi, STACK)
-    # one jittered row gives every row the flips, zero where sigma = 0
+    # every row has the flips, zero where sigma = 0
     assert channel.shape == (len(STACK), 6, 4, 4)
     for row, params in zip(channel, STACK):
         single = replication_experiment_channel(phi, params)
-        if params.phase_jitter_sigma > 0.0:
-            assert row.tobytes() == single.tobytes()
-        else:
-            assert single.shape == (3, 4, 4)
-            assert row[:3].tobytes() == single.tobytes()
-            assert np.all(row[3:] == 0.0)
-        want = np.array(reference_channel(phi, params))
-        assert single.tobytes() == want.tobytes()
+        assert row.tobytes() == single.tobytes()
+        _assert_is_reference_channel(single, phi, params)
     unjittered = [p for p in STACK if p.phase_jitter_sigma == 0.0]
-    assert replication_experiment_channel(phi, unjittered).shape \
-        == (len(unjittered), 3, 4, 4)
+    assert replication_experiment_channel(phi, unjittered).tobytes() \
+        == channel[[p.phase_jitter_sigma == 0.0 for p in STACK]].tobytes()
 
 
 def test_stack_with_a_phase_array_or_no_rows_is_rejected():
@@ -460,11 +487,14 @@ def test_stack_with_a_phase_array_or_no_rows_is_rejected():
 
 
 def test_dephasing_takes_one_sigma_per_row():
+    # the three operators before dephasing, at two phases
     kraus = replication_experiment_channel(
-        np.array([0.3, 0.8]), OpticsParams.measured())
+        np.array([0.3, 0.8]), OpticsParams.measured())[:, :3]
     got = dephase_spatial(kraus, np.array([0.0, 0.65]))
     assert got.shape == (2, 6, 4, 4)
     assert got[0, :3].tobytes() == kraus[0].tobytes()
     assert np.all(got[0, 3:] == 0.0)
     assert got[1].tobytes() == dephase_spatial(kraus[1], 0.65).tobytes()
-    assert dephase_spatial(kraus, np.zeros(2)) is kraus
+    unjittered = dephase_spatial(kraus, np.zeros(2))
+    assert unjittered[:, :3].tobytes() == kraus.tobytes()
+    assert np.all(unjittered[:, 3:] == 0.0)

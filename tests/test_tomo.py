@@ -560,6 +560,10 @@ def test_batched_solve_matches_single_solves(monkeypatch):
         assert np.array_equal(alone.ll_trace, stacked.ll_trace)
         assert alone.dilutions == stacked.dilutions
         assert alone.optimality_gap == stacked.optimality_gap
+        # the count and the final value are read off the trace
+        for result in (alone, stacked):
+            assert result.iterations == len(result.ll_trace) - 1
+            assert result.log_likelihood == result.ll_trace[-1]
     assert [r.converged for r in singles] == [True] * 5 + [False]
     assert singles[3].dilutions >= 1
     assert singles[4].iterations == 0 and singles[4].optimality_gap == 0.0
