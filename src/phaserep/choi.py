@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .qmat import _integer, _numbers, _operator
+from .qmat import _integer, _numbers, _operator, _record, _unchecked
 
 # the one trace convention, recorded in serialized process matrices
 _NORMALIZATION = "trace_one"
@@ -88,8 +88,17 @@ def choi_from_kraus(operators: Sequence[np.ndarray]) -> ProcessMatrix:
     The trace equals sum_k Tr[K_k† K_k] / 2^n, i.e. 1 for a
     trace-preserving set and less for postselected maps.
     """
-    mats = _operator(operators, "operators", 3, stacked=False)
-    return ProcessMatrix(_choi_matrices(mats), mats.shape[-1].bit_length() - 1)
+    return _choi(_operator(operators, "operators", 3, stacked=False))
+
+
+def _choi(kraus: np.ndarray) -> ProcessMatrix:
+    """The kernel of ``choi_from_kraus``: the process matrix of one checked
+    (n, d, d) Kraus array.  A sum of outer products v v† is Hermitian
+    and PSD entry for entry, so the record's own checks are skipped."""
+    chi = _choi_matrices(kraus)
+    chi.setflags(write=False)
+    return _unchecked(ProcessMatrix, matrix=chi,
+                      qubits=kraus.shape[-1].bit_length() - 1)
 
 
 def process_fidelity(
@@ -114,17 +123,27 @@ def process_fidelity(
     """
     chi = isinstance(channel, ProcessMatrix)
     u = _operator(u, "u", 2, stacked=not chi)
-    mats = None if chi else _operator(channel, "channel", 3)
-    d = channel.dim if chi else mats.shape[-1]
-    if u.shape[-1] != d:
+    if not chi:
+        channel = _operator(channel, "channel", 3)
+    if u.shape[-1] != (channel.dim if chi else channel.shape[-1]):
         raise ValueError("process_fidelity requires matching qubit counts")
-    if chi:
+    return _process_fidelity(channel, u)
+
+
+def _process_fidelity(channel: ProcessMatrix | np.ndarray, u: np.ndarray
+                      ) -> float | np.ndarray:
+    """The kernel of ``process_fidelity``: a process matrix or a Kraus
+    array, and a gate (stack) of its width, all checked or made by the
+    package."""
+    if isinstance(channel, ProcessMatrix):
         v = choi_vector(u)
         f, trace = np.real(v.conj() @ channel.matrix @ v), channel.trace
     else:
-        overlap = (u.conj()[..., None, :, :] * mats).sum(axis=(-2, -1))
+        d = channel.shape[-1]
+        overlap = (u.conj()[..., None, :, :] * channel).sum(axis=(-2, -1))
         f = (overlap.real ** 2 + overlap.imag ** 2).sum(axis=-1)
-        trace = d * (mats.real ** 2 + mats.imag ** 2).sum(axis=(-3, -2, -1))
+        trace = d * (channel.real ** 2 + channel.imag ** 2).sum(
+            axis=(-3, -2, -1))
     if not np.all(trace > 0.0):
         raise ValueError("channel trace must be positive")
     # Clip float noise; chi is PSD so f is in [0, 1] mathematically.
@@ -134,6 +153,11 @@ def process_fidelity(
 
 def process_matrix_to_json(chi: ProcessMatrix) -> dict:
     """JSON-safe dict with real/imag parts and the convention metadata."""
+    return _process_matrix_json(_record(chi, "chi", ProcessMatrix))
+
+
+def _process_matrix_json(chi: ProcessMatrix) -> dict:
+    """The kernel of ``process_matrix_to_json``."""
     return {
         "qubits": chi.qubits,
         "normalization": _NORMALIZATION,

@@ -8,10 +8,13 @@ Subcommands
 
 Configuration comes from an optional JSON file (--config) overridden by
 command-line flags.  Each command accepts only the keys it reads (plus
-out_dir and svg) and rejects any other.  Every CSV and JSON artifact
-carries the run's metadata (artifact version, command, the tomo seed, a
-hash of the command's keys) as ``# key: value`` lines or a ``metadata``
-object.  CSV tables and ``report.json`` write floats as ``%.17g``
+out_dir and svg) and rejects any other.  Every value is checked once,
+with the input rule of its kind, when the config is resolved; the
+commands then call the library's kernels, which check nothing again
+but the params stack, once per optical build.
+Every CSV and JSON artifact carries the run's metadata (artifact
+version, command, the tomo seed, a hash of the command's keys) as
+``# key: value`` lines or a ``metadata`` object.  CSV tables and ``report.json`` write floats as ``%.17g``
 strings, ``chi_NN.json`` matrices and non-integral counts as the
 shortest ``repr``: reruns are byte-identical and values round-trip.
 
@@ -34,21 +37,22 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from . import tomo
-from .choi import process_fidelity, process_matrix_to_json
-from .gates import baseline_measure_prepare, baseline_single_copy, \
-    cu_phase, fidelity_replicas, optimal_cloner_fidelity, phase_gate, \
-    toffoli, twirled_mean_fidelity
-from .optics import OpticsParams, effective_toffoli, \
-    replication_experiment_channel
-from .qmat import _integer, _real, _reals, _sizes, kron
-from .superrep import asymptotic_sweep
-from .svgplot import Series, heatmap_grid, line_plot
+from .choi import _process_fidelity, _process_matrix_json
+from .gates import _baseline_single_copy, _cu_phase, _fidelity_replicas, \
+    _optimal_cloner_fidelity, _phase_gate, _twirled_mean_fidelity, \
+    baseline_measure_prepare, toffoli
+from .optics import OpticsParams, _experiment_channel, _field, \
+    _field_values, _replaced, effective_toffoli
+from .qmat import _integer, _kron, _real, _seed, _sizes, _trials, _wrap
+from .superrep import _asymptotic_sweep
 
 ARTIFACT_VERSION = 2
 OUT_DIR_ENV = "PHASEREP_OUT_DIR"
 
 _OPTICS_KEYS = tuple(f.name for f in dataclasses.fields(OpticsParams))
-_PRESETS = {"ideal": OpticsParams.ideal, "measured": OpticsParams.measured}
+# made once; a run copies a preset's checked fields, not its rules
+_PRESETS = {"ideal": OpticsParams.ideal(),
+            "measured": OpticsParams.measured()}
 
 # where and what to write; accepted by every command, hashed by none
 _OUTPUT_KEYS = ("out_dir", "svg")
@@ -127,7 +131,7 @@ def _resolve_optics(preset: str, overrides: dict | None) -> OpticsParams:
     _require(preset in _PRESETS,
              f"preset must be {' or '.join(map(repr, _PRESETS))}, "
              f"got {preset!r}")
-    params = _PRESETS[preset]()
+    params = _PRESETS[preset]
     if overrides is not None:
         _require(isinstance(overrides, dict),
                  f"optics must be an object, got {overrides!r}")
@@ -135,18 +139,24 @@ def _resolve_optics(preset: str, overrides: dict | None) -> OpticsParams:
             _require(key in _OPTICS_KEYS,
                      f"unknown optics key {key!r}; accepted: "
                      + ", ".join(_OPTICS_KEYS))
-        params = dataclasses.replace(params, **overrides)
+        # each override passes its own field's rule, in field order
+        params = _replaced(params, **{key: _field(key, overrides[key])
+                                      for key in _OPTICS_KEYS
+                                      if key in overrides})
     return params
 
 
 def _resolve(key: str, value, params: dict):
-    """Check one key's merged value and return its resolved form;
-    ``params`` holds the keys before it in the command's table.  A key
-    not checked here (seed, trials, an m_list's pairing, a scan value's
-    range) is checked by the library call it feeds, before that call
-    builds anything."""
+    """Check one key's merged value with the rule of its kind and return
+    its resolved form; ``params`` holds the keys before it in the
+    command's table.  Every value is checked here, once: the commands
+    pass the resolved values to the library's kernels."""
     if key == "phases":
         value = _parse_phases(value)
+    elif key == "seed":  # the int, hashed and written as the run's seed
+        value = _seed(value).entropy
+    elif key == "trials":
+        value = _trials(value, optional=True)
     elif key in ("rate", "alpha"):
         value = _real(value, key, positive=True)
     elif key == "optics":  # also checks the preset, which precedes it
@@ -157,13 +167,15 @@ def _resolve(key: str, value, params: dict):
                  "n_list must be a non-empty list of positive integers")
     elif key == "m_list" and value is not None:
         value = _sizes(value, key)
+        _require(len(value) == len(params["n_list"]),
+                 "m_list must pair up with n_list")
     elif key == "phi_grid_size":
         value = _integer(value, key, 2)
     elif key == "parameter":
         _require(value in _OPTICS_KEYS,
                  "parameter must be one of: " + ", ".join(_OPTICS_KEYS))
-    elif key == "values":
-        value = _reals(value, key).tolist()
+    elif key == "values":  # against the scanned field, which precedes it
+        value = _field_values(params["parameter"], value)
         _require(value, "values must be a non-empty list of numbers")
     elif key == "phi":
         value = _real(value, key)
@@ -190,6 +202,16 @@ def resolve_config(args: argparse.Namespace) -> SimpleNamespace:
     out_dir = pick("out_dir", os.environ.get(OUT_DIR_ENV, "phaserep-out"))
     _require(isinstance(out_dir, str) and out_dir != "",
              f"out_dir must be a non-empty string, got {out_dir!r}")
+    _require("\0" not in out_dir,
+             f"out_dir must not contain a NUL character, got {out_dir!r}")
+    # the first write makes the missing part; what exists must be
+    # directories (a directory without write permission is still only
+    # found by that write)
+    existing = next((p for p in (Path(out_dir), *Path(out_dir).parents)
+                     if p.exists()), None)
+    _require(existing is None or existing.is_dir(),
+             f"out_dir {out_dir!r} cannot be made: {str(existing)!r} is "
+             "not a directory")
     svg = args.svg or file_values.get("svg", False)
     _require(isinstance(svg, bool), f"svg must be true or false, got {svg!r}")
     return SimpleNamespace(command=command, out_dir=Path(out_dir), svg=svg,
@@ -274,6 +296,7 @@ def _write_table(config: SimpleNamespace, out: Path, meta: dict, stem: str,
     """
     _write_text(out / f"{stem}.csv", _csv_text(meta, columns, rows))
     if config.svg:
+        from .svgplot import Series, line_plot
         title, x, xlabel, ylabel, series = plot
         col = {name: [row[k] for row in rows]
                for k, name in enumerate(columns)}
@@ -319,17 +342,18 @@ def _json_value(value, newline: str) -> str:
 def cmd_replicate(config: SimpleNamespace, out: Path, meta: dict) -> None:
     """Phase sweep: ideal and noisy replication fidelities vs baselines."""
     phases = np.array(config.phases)
-    u = phase_gate(phases)
-    channel = replication_experiment_channel(phases, config.optics)
+    wrapped = _wrap(phases)
+    u = _phase_gate(wrapped)
+    channel = _experiment_channel(wrapped, config.optics)
     rows = np.column_stack([
         phases,
-        fidelity_replicas(phases),
-        process_fidelity(channel, kron(u, u)),
-        process_fidelity(channel, cu_phase(phases)),
-        baseline_single_copy(phases),
+        _fidelity_replicas(wrapped),
+        _process_fidelity(channel, _kron(u, u)),
+        _process_fidelity(channel, _cu_phase(wrapped)),
+        _baseline_single_copy(wrapped),
         np.full(len(phases), baseline_measure_prepare()),
-        np.full(len(phases), twirled_mean_fidelity(64)),
-        optimal_cloner_fidelity(phases),
+        np.full(len(phases), _twirled_mean_fidelity(64, 0.0)),
+        _optimal_cloner_fidelity(wrapped),
     ]).tolist()
     columns = ["phi", "f_uu_ideal", "f_uu_noisy", "f_cu_noisy",
                "baseline_single_copy", "baseline_measure_prepare",
@@ -346,10 +370,8 @@ def cmd_replicate(config: SimpleNamespace, out: Path, meta: dict) -> None:
 def cmd_superrep(config: SimpleNamespace, out: Path, meta: dict) -> None:
     """Worst-case replication fidelity along an N -> M = N^(2-alpha) law."""
     grid = np.linspace(0.0, math.pi, config.phi_grid_size)
-    sweep = asymptotic_sweep(config.alpha, list(config.n_list),
-                             phi_grid=grid,
-                             m_list=list(config.m_list)
-                             if config.m_list is not None else None)
+    sweep = _asymptotic_sweep(config.alpha, config.n_list, grid,
+                              config.m_list)
     rows = [[r.copies, r.replicas, r.alpha, r.worst_phi, r.worst_fidelity]
             for r in sweep]
     columns = ["n", "m", "alpha", "phi", "fidelity"]
@@ -360,8 +382,9 @@ def cmd_superrep(config: SimpleNamespace, out: Path, meta: dict) -> None:
 
 def cmd_tomo(config: SimpleNamespace, out: Path, meta: dict) -> None:
     """Simulated counts -> MLE reconstruction -> fidelities and fit."""
-    report = tomo.experiment_pipeline(config.optics, config.phases,
-                                      config.rate, config.trials, config.seed)
+    report = tomo._experiment_pipeline(
+        config.optics, _wrap(np.array(config.phases)), config.rate,
+        config.trials, np.random.SeedSequence(config.seed))
 
     columns = ["phi", "f_cu", "f_cu_std", "f_uu", "f_uu_std",
                "iterations", "converged", "optimality_gap"]
@@ -373,20 +396,20 @@ def cmd_tomo(config: SimpleNamespace, out: Path, meta: dict) -> None:
 
     # after fidelities.csv, whose write made the directory
     counts_tmp = out / "counts.csv.tmp"
-    tomo.write_datasets_csv(counts_tmp, [r.dataset for r in report.rows],
-                            tomo.default_design(),
-                            header_lines=_metadata_lines(meta))
+    tomo._write_datasets_csv(counts_tmp, [r.dataset for r in report.rows],
+                             tomo.default_design(), _metadata_lines(meta))
     os.replace(counts_tmp, out / "counts.csv")
 
     for k, row in enumerate(report.rows):
         doc = {
             "metadata": meta,
             "phi": _f17(row.phi),
-            "reconstructed": process_matrix_to_json(row.chi),
-            "ideal": process_matrix_to_json(row.chi_ideal),
+            "reconstructed": _process_matrix_json(row.chi),
+            "ideal": _process_matrix_json(row.chi_ideal),
         }
         _write_text(out / f"chi_{k:02d}.json", _json_text(doc))
         if config.svg:
+            from .svgplot import heatmap_grid
             svg = heatmap_grid(
                 [row.chi.matrix, row.chi_ideal.matrix],
                 ["reconstructed |chi|", "ideal |chi|"],
@@ -410,20 +433,22 @@ def cmd_tomo(config: SimpleNamespace, out: Path, meta: dict) -> None:
 def cmd_optics_scan(config: SimpleNamespace, out: Path, meta: dict) -> None:
     """Sweep one imperfection parameter and record gate fidelities.
 
-    The values form one params stack, whose build checks each against
-    its optics field before anything is computed.  The scan makes two
-    optical builds whatever its length: one ``effective_toffoli`` for
-    the Toffoli fidelity and success probability, one
-    ``replication_experiment_channel`` for the controlled-U fidelity.
+    The values, each checked once against the scanned optics field when
+    the config was resolved, form one params stack: the preset with
+    that field replaced, its other fields not checked again.  The scan
+    makes two optical builds whatever its length: one
+    ``effective_toffoli`` for the Toffoli fidelity and success
+    probability, one for the controlled-U fidelity of the experiment
+    channel.
     Rows at visibility 1 or 0, or at zero jitter, carry zero-weight
     Kraus operators, which the fidelities ignore.
     """
-    stack = [dataclasses.replace(config.optics, **{config.parameter: value})
+    stack = [_replaced(config.optics, **{config.parameter: value})
              for value in config.values]
     kraus, success = effective_toffoli(stack)
-    f_toffoli = process_fidelity(kraus, toffoli())
-    f_cu = process_fidelity(replication_experiment_channel(config.phi, stack),
-                            cu_phase(config.phi))
+    f_toffoli = _process_fidelity(kraus, toffoli())
+    phi = _wrap(config.phi)
+    f_cu = _process_fidelity(_experiment_channel(phi, stack), _cu_phase(phi))
     rows = [[config.parameter, *cells] for cells in zip(
         config.values, f_toffoli.tolist(), f_cu.tolist(), success.tolist())]
     columns = ["parameter", "value", "f_toffoli", "f_cu", "success"]

@@ -16,6 +16,9 @@ the closed forms quoted in the docstrings serve as test oracles only.
 The phase gates, the cloner and the fidelity functions take a float
 phase or a 1-D array of P phases; an array gives a stack of P gates (or
 P fidelities) from one broadcast, each row equal to the float call.
+Each applies the phase rule (``normalize_phase``) and calls its kernel,
+the same name with a leading underscore, which takes phases already
+reduced to [0, 2*pi); calls inside the package go to the kernels.
 """
 from __future__ import annotations
 
@@ -23,9 +26,9 @@ import math
 
 import numpy as np
 
-from .choi import process_fidelity
-from .qmat import _integer, kron, normalize_phase
-from .superrep import ReplicationSpec, build_V
+from .choi import _process_fidelity
+from .qmat import _integer, _kron, _wrap, normalize_phase
+from .superrep import ReplicationSpec, _build_V
 
 
 def _diagonal(*entries) -> np.ndarray:
@@ -39,13 +42,21 @@ def _diagonal(*entries) -> np.ndarray:
 
 def phase_gate(phi: float | np.ndarray) -> np.ndarray:
     """diag(1, e^{i*phi}) on one qubit; a (P, 2, 2) stack for P phases."""
-    return _diagonal(1.0, np.exp(1j * normalize_phase(phi)))
+    return _phase_gate(normalize_phase(phi))
+
+
+def _phase_gate(phases: float | np.ndarray) -> np.ndarray:
+    return _diagonal(1.0, np.exp(1j * phases))
 
 
 def cu_phase(phi: float | np.ndarray) -> np.ndarray:
     """Controlled phase gate diag(1, 1, 1, e^{i*phi}) on two qubits; a
     (P, 4, 4) stack for P phases."""
-    return _diagonal(1.0, 1.0, 1.0, np.exp(1j * normalize_phase(phi)))
+    return _cu_phase(normalize_phase(phi))
+
+
+def _cu_phase(phases: float | np.ndarray) -> np.ndarray:
+    return _diagonal(1.0, 1.0, 1.0, np.exp(1j * phases))
 
 
 def controlled_z() -> np.ndarray:
@@ -62,6 +73,10 @@ def toffoli() -> np.ndarray:
     return m
 
 
+# the 1->2 protocol, whose V is the Toffoli
+_ONE_TO_TWO = ReplicationSpec(1, 2)
+
+
 def replicate_measured_form(phi: float) -> np.ndarray:
     """Kraus pair of the measured-form circuit, the ReplicationSpec(1, 2)
     case of superreplication.
@@ -76,7 +91,7 @@ def replicate_measured_form(phi: float) -> np.ndarray:
     K^dagger K = I/2, so it fires with probability 1/2 whatever the input.
     """
     phi = normalize_phase(phi)
-    imprint = build_V(ReplicationSpec(1, 2))[0::2] & 1
+    imprint = _build_V(_ONE_TO_TWO)[0::2] & 1
     phase = np.exp(1j * phi)
     return np.array([np.diag(np.where(imprint, sign * phase, 1.0))
                      for sign in (1.0, -1.0)]) / math.sqrt(2.0)
@@ -88,8 +103,12 @@ def fidelity_replicas(phi: float | np.ndarray) -> float | np.ndarray:
 
     Closed form (test oracle): (5 + 3 cos phi) / 8.
     """
-    u = phase_gate(phi)
-    return process_fidelity(cu_phase(phi)[..., None, :, :], kron(u, u))
+    return _fidelity_replicas(normalize_phase(phi))
+
+
+def _fidelity_replicas(phases: float | np.ndarray) -> float | np.ndarray:
+    u = _phase_gate(phases)
+    return _process_fidelity(_cu_phase(phases)[..., None, :, :], _kron(u, u))
 
 
 def twirled_mean_fidelity(grid_size: int, phi: float = 0.0) -> float:
@@ -99,16 +118,25 @@ def twirled_mean_fidelity(grid_size: int, phi: float = 0.0) -> float:
     on [0, 2*pi); the cosine term of the replica fidelity cancels exactly
     on any such grid, leaving the phase-independent mean 5/8.
     """
-    grid_size = _integer(grid_size, "grid_size", 2)
+    return _twirled_mean_fidelity(_integer(grid_size, "grid_size", 2),
+                                  normalize_phase(phi))
+
+
+def _twirled_mean_fidelity(grid_size: int, phi: float) -> float:
     thetas = 2.0 * math.pi * np.arange(grid_size) / grid_size
-    return float(np.mean(fidelity_replicas(normalize_phase(phi) + thetas)))
+    return float(np.mean(_fidelity_replicas(_wrap(phi + thetas))))
 
 
 def baseline_single_copy(phi: float | np.ndarray) -> float | np.ndarray:
     """Fidelity of applying the gate to one qubit only; cos^2(phi/2).
     An array of P fidelities for P phases."""
-    u = phase_gate(phi)
-    return process_fidelity(kron(u, np.eye(2))[..., None, :, :], kron(u, u))
+    return _baseline_single_copy(normalize_phase(phi))
+
+
+def _baseline_single_copy(phases: float | np.ndarray) -> float | np.ndarray:
+    u = _phase_gate(phases)
+    return _process_fidelity(_kron(u, np.eye(2))[..., None, :, :],
+                             _kron(u, u))
 
 
 def measure_prepare_integrand(delta: float) -> float:
@@ -153,7 +181,11 @@ def optimal_cloner(phi: float | np.ndarray) -> np.ndarray:
     The pair comes as one (2, 4, 4) array, the Kraus operators on axis
     -3, and for P phases as a (P, 2, 4, 4) array.
     """
-    phase = np.exp(1j * normalize_phase(phi))
+    return _optimal_cloner(normalize_phase(phi))
+
+
+def _optimal_cloner(phases: float | np.ndarray) -> np.ndarray:
+    phase = np.exp(1j * phases)
     s = 1.0 / math.sqrt(2.0)
     return np.stack([_diagonal(1.0, s * phase, s * phase, 0.0),
                      _diagonal(0.0, s, s, phase)], axis=-3)
@@ -162,5 +194,10 @@ def optimal_cloner(phi: float | np.ndarray) -> np.ndarray:
 def optimal_cloner_fidelity(phi: float | np.ndarray) -> float | np.ndarray:
     """Process fidelity of the cloner channel with phase_gate(phi)^{x2};
     an array of P fidelities for P phases."""
-    u = phase_gate(phi)
-    return process_fidelity(optimal_cloner(phi), kron(u, u))
+    return _optimal_cloner_fidelity(normalize_phase(phi))
+
+
+def _optimal_cloner_fidelity(phases: float | np.ndarray
+                             ) -> float | np.ndarray:
+    u = _phase_gate(phases)
+    return _process_fidelity(_optimal_cloner(phases), _kron(u, u))

@@ -43,6 +43,12 @@ is fixed: ``effective_toffoli`` gives the interfering and both
 distinguishable operators, the sector of weight 0 at visibility 1 or 0
 as exactly-zero operators; ``replication_experiment_channel`` gives
 six, whose three dephasing flips are exactly zero at sigma = 0.
+
+A builder applies the params rule (``_columns``) once and passes the
+field columns to its kernel; the kernels call each other, not the
+builders, except that ``replication_experiment_channel`` builds
+through the public ``effective_toffoli``, whose params rule is then
+the only one it runs.
 """
 from __future__ import annotations
 
@@ -52,7 +58,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .qmat import _phase_list, _real, normalize_phase
+from .qmat import _phase_list, _real, _reals, _unchecked, _wrap
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 _SQRT_THIRD = 1.0 / math.sqrt(3.0)
@@ -72,6 +78,28 @@ _IDLER_HADAMARD[_IDL, _IDL] = [[_SQRT_HALF, _SQRT_HALF],
                                [_SQRT_HALF, -_SQRT_HALF]]
 
 
+# each field's upper bound; every field is >= 0
+_HIGH = {"r_v": 1.0, "r_h": 1.0, "visibility": 1.0,
+         "phase_jitter_sigma": math.inf}
+
+
+def _field(name: str, value) -> float:
+    """The rule of the ``OpticsParams`` field ``name``: the real-number
+    rule within the field's bounds."""
+    return _real(value, name, 0.0, _HIGH[name])
+
+
+def _field_values(name: str, values) -> list[float]:
+    """The rule of a scan over the field ``name``: the real-vector rule on
+    ``values``, then the field's bounds on every entry at once, so each
+    value passes one rule; the first entry out of bounds raises the
+    field rule's own error."""
+    x = _reals(values, "values")
+    for bad in x[(x < 0.0) | (x > _HIGH[name])][:1]:
+        _field(name, float(bad))  # raises
+    return x.tolist()
+
+
 @dataclass(frozen=True)
 class OpticsParams:
     """PPBS reflectances, interference visibility, and phase jitter.
@@ -86,10 +114,8 @@ class OpticsParams:
     phase_jitter_sigma: float = 0.0
 
     def __post_init__(self):
-        for name, high in (("r_v", 1.0), ("r_h", 1.0), ("visibility", 1.0),
-                           ("phase_jitter_sigma", math.inf)):
-            object.__setattr__(self, name,
-                               _real(getattr(self, name), name, 0.0, high))
+        for name in _HIGH:
+            object.__setattr__(self, name, _field(name, getattr(self, name)))
 
     @classmethod
     def ideal(cls) -> "OpticsParams":
@@ -105,15 +131,29 @@ class OpticsParams:
 Params = OpticsParams | Sequence[OpticsParams]
 
 
-def _column(params: Params, name: str) -> np.ndarray:
-    """One field of every row of ``params`` as a float array of shape
-    (P,); the params rule: one ``OpticsParams`` or a sequence of them."""
+def _replaced(params: OpticsParams, **fields: float) -> OpticsParams:
+    """``params`` with ``fields`` set to values that passed their field
+    rules; unlike ``dataclasses.replace``, the fields that
+    ``params`` keeps are not checked again."""
+    return _unchecked(OpticsParams, **{**vars(params), **fields})
+
+
+def _columns(params: Params) -> np.ndarray:
+    """The params rule: one ``OpticsParams`` or a non-empty list or tuple
+    of them.  Returns the stack's fields as a (4, P) float array, one
+    row per field in field order (r_v, r_h, visibility, sigma)."""
     rows = [params] if isinstance(params, OpticsParams) else params
     if not (isinstance(rows, (list, tuple)) and rows
             and all(isinstance(p, OpticsParams) for p in rows)):
         raise ValueError("params must be an OpticsParams or a sequence "
                          f"of at least one, not {params!r}")
-    return np.array([getattr(p, name) for p in rows], dtype=np.float64)
+    return np.array([[p.r_v, p.r_h, p.visibility, p.phase_jitter_sigma]
+                     for p in rows], dtype=np.float64).T
+
+
+def _single(params: Params, stacked):
+    # a single OpticsParams gets its one row without the stack axis
+    return stacked[0] if isinstance(params, OpticsParams) else stacked
 
 
 def ppbs_matrix(params: Params) -> np.ndarray:
@@ -122,23 +162,29 @@ def ppbs_matrix(params: Params) -> np.ndarray:
     Each polarization couples l with i and u with x: transmission
     sqrt(1 - R), reflection i sqrt(R).  A params stack gives (P, 8, 8).
     """
-    r_h = _column(params, "r_h")
+    return _single(params, _ppbs(_columns(params)))
+
+
+def _ppbs(columns: np.ndarray) -> np.ndarray:
+    r_v, r_h = columns[:2]
     ppbs = np.zeros((len(r_h), 8, 8), dtype=np.complex128)
-    for pol, refl in ((0, r_h), (1, _column(params, "r_v"))):
+    for pol, refl in ((0, r_h), (1, r_v)):
         t = np.sqrt(1.0 - refl)
         r = 1j * np.sqrt(refl)
         for a, b in ((2 + pol, 4 + pol), (pol, 6 + pol)):
             ppbs[:, a, a] = ppbs[:, b, b] = t
             ppbs[:, a, b] = ppbs[:, b, a] = r
-    # a single OpticsParams gets its one row without the stack axis
-    return ppbs[0] if isinstance(params, OpticsParams) else ppbs
+    return ppbs
 
 
 def transfer_matrix(params: Params) -> np.ndarray:
     """Single-photon transfer matrix T of the whole network, [out, in];
     (P, 8, 8) for a params stack."""
-    return (_IDLER_HADAMARD @ _ATTENUATION @ ppbs_matrix(params)
-            @ _IDLER_HADAMARD)
+    return _single(params, _transfer(_columns(params)))
+
+
+def _transfer(columns: np.ndarray) -> np.ndarray:
+    return _IDLER_HADAMARD @ _ATTENUATION @ _ppbs(columns) @ _IDLER_HADAMARD
 
 
 def sector_operators(
@@ -152,7 +198,12 @@ def sector_operators(
     map is the 2x2 permanent, i.e. the coherent sum of the two
     distinguishable-sector classes.
     """
-    t = transfer_matrix(params)
+    return tuple(_single(params, k) for k in _sectors(_columns(params)))
+
+
+def _sectors(columns: np.ndarray
+             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    t = _transfer(columns)
     # rows (m, n): signal output mode m, idler output mode n; columns
     # (s, i): signal and idler input modes.  Transmit-transmit is
     # T[m, s] T[n, i] = T[sig, sig] (x) T[idl, idl]; in reflect-reflect
@@ -179,15 +230,20 @@ def effective_toffoli(
     it equals Toffoli/3.  A params stack gives a (P, 3, 8, 8) array and
     the P success probabilities.
     """
-    m_int, k_tt, k_rr = (np.reshape(k, (-1, 8, 8))
-                         for k in sector_operators(params))
-    v = _column(params, "visibility")[:, None, None]
+    kraus, success = _effective_toffoli(_columns(params))
+    if isinstance(params, OpticsParams):
+        return kraus[0], float(success[0])
+    return kraus, success
+
+
+def _effective_toffoli(columns: np.ndarray
+                       ) -> tuple[np.ndarray, np.ndarray]:
+    m_int, k_tt, k_rr = _sectors(columns)
+    v = columns[2][:, None, None]
     w = np.sqrt(1.0 - v)
     kraus = np.stack((np.sqrt(v) * m_int, w * k_tt, w * k_rr), axis=1)
     gram = (kraus.conj().swapaxes(-1, -2) @ kraus).sum(axis=1)
     success = np.trace(gram, axis1=-2, axis2=-1).real / 8.0
-    if isinstance(params, OpticsParams):
-        return kraus[0], float(success[0])
     return kraus, success
 
 
@@ -246,12 +302,23 @@ def replication_experiment_channel(
     phase array raises ``ValueError``.
     """
     stacked = not isinstance(params, OpticsParams)
-    phases = normalize_phase(_phase_list(phi, "phi",
-                                         (0,) if stacked else (0, 1)))
+    return _experiment_channel(
+        _wrap(_phase_list(phi, "phi", (0,) if stacked else (0, 1))), params)
+
+
+def _experiment_channel(phases: float | np.ndarray, params: Params
+                        ) -> np.ndarray:
+    """The kernel of ``replication_experiment_channel``: phases reduced
+    to [0, 2*pi).  ``params`` goes through the public
+    ``effective_toffoli``, so a tracer sees each optical build, and its
+    params rule is the only one that ``params`` passes here."""
     kraus3, _ = effective_toffoli(params)
     phase = np.exp(1j * np.atleast_1d(phases))[:, None, None, None]
     # [..., operator, signal out, idler out, signal in] at idler input |0>
     legs = kraus3.reshape(*kraus3.shape[:-2], 4, 2, 4, 2)[..., 0]
     kraus = (legs[..., 0, :] + legs[..., 1, :] * phase) * _SQRT_HALF
-    kraus = dephase_spatial(kraus, _column(params, "phase_jitter_sigma"))
-    return kraus[0] if np.ndim(phases) == 0 and not stacked else kraus
+    sigma = [p.phase_jitter_sigma for p in
+             ([params] if isinstance(params, OpticsParams) else params)]
+    kraus = dephase_spatial(kraus, np.array(sigma))
+    single = np.ndim(phases) == 0 and isinstance(params, OpticsParams)
+    return kraus[0] if single else kraus

@@ -15,6 +15,11 @@ Conventions used throughout the package:
   circuit.
 * Registers wider than ``REGISTER_CAP`` qubits are refused before
   anything is allocated (a memory guard, not a physics limit).
+* Every value is checked once, where it enters: a public function
+  applies the input rules below to its arguments, then calls one
+  private kernel (``kron`` calls ``_kron``).  Calls inside the package,
+  whose values were checked or made there, go straight to the kernels,
+  and a record they make (``_unchecked``) skips its ``__post_init__``.
 """
 from __future__ import annotations
 
@@ -165,6 +170,43 @@ def _operator(value, name: str, ndim: int, stacked: bool = True,
     return ops
 
 
+def _record(value, name: str, kind: type):
+    """The record rule: one ``kind`` instance (a ``ReplicationSpec``,
+    ``TomographyDataset``, ``ProcessMatrix`` or ``OpticsParams``), whose
+    fields were checked when it was made."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{name} must be one {kind.__name__}, not {value!r}")
+    return value
+
+
+def _records(values, name: str, kind: type) -> list:
+    """The record rule on each entry of a list or tuple, which may be
+    empty."""
+    if not (isinstance(values, (list, tuple))
+            and all(isinstance(v, kind) for v in values)):
+        raise ValueError(f"{name} must be a list of {kind.__name__}, "
+                         f"not {values!r}")
+    return list(values)
+
+
+def _unchecked(kind: type, **fields):
+    """A ``kind`` record holding ``fields`` as given, without running its
+    ``__post_init__``: the record of values that passed their rules or
+    that the package made, in the form its rules would store them."""
+    record = object.__new__(kind)
+    vars(record).update(fields)  # past the frozen __setattr__
+    return record
+
+
+def _wrap(phases: np.ndarray) -> float | np.ndarray:
+    """The phase kernel: checked phases reduced to [0, 2*pi), a float for
+    a 0-d array and an array otherwise (see ``normalize_phase``)."""
+    r = np.remainder(phases, 2.0 * math.pi)
+    # phi in [-4.4e-16, 0) rounds up to 2*pi itself
+    r = np.where(r == 2.0 * math.pi, 0.0, r)
+    return float(r) if r.ndim == 0 else r
+
+
 def normalize_phase(phi: float | np.ndarray) -> float | np.ndarray:
     """Reduce a phase angle in radians to [0, 2*pi); the phase rule.
 
@@ -176,10 +218,7 @@ def normalize_phase(phi: float | np.ndarray) -> float | np.ndarray:
     entries equal Python's float modulo bit for bit, except that a phase
     in [-4.4e-16, 0) gives 0, not the 2*pi that the modulo rounds to.
     """
-    r = np.remainder(_numbers(phi, "phase"), 2.0 * math.pi)
-    # phi in [-4.4e-16, 0) rounds up to 2*pi itself
-    r = np.where(r == 2.0 * math.pi, 0.0, r)
-    return float(r) if r.ndim == 0 else r
+    return _wrap(_numbers(phi, "phase"))
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -196,10 +235,18 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     ket = np.ndim(a) == np.ndim(b) == 1
     a, b = (_operator(x, name, 1 if ket else 2, square=False)
             for x, name in ((a, "a"), (b, "b")))
+    rows = a.shape[-1 if ket else -2] * b.shape[-1 if ket else -2]
+    _check_width(rows.bit_length() - 1)
+    return _kron(a, b)
+
+
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The kernel of ``kron``: two kets, or two gates or stacks of gates,
+    each an ndarray whose width the caller has bounded."""
+    ket = a.ndim == 1
     if ket:
         a, b = a[:, None], b[:, None]
     rows, cols = a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1]
-    _check_width(int(round(math.log2(rows))))
     batch = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
     out = (a[..., :, None, :, None] * b[..., None, :, None, :]).reshape(
         batch + (rows, cols))

@@ -26,8 +26,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .qmat import _check_width, _integer, _phase_list, _real, _sizes, \
-    normalize_phase
+from .qmat import _check_width, _integer, _phase_list, _real, _record, \
+    _sizes, _unchecked, normalize_phase
 
 
 @dataclass(frozen=True)
@@ -58,6 +58,10 @@ def phase_profile(spec: ReplicationSpec) -> np.ndarray:
 
     Returned as an int64 array indexed by the Hamming weight w.
     """
+    return _phase_profile(_record(spec, "spec", ReplicationSpec))
+
+
+def _phase_profile(spec: ReplicationSpec) -> np.ndarray:
     weights = np.arange(spec.replicas + 1, dtype=np.int64)
     return np.clip(weights - spec.m_min, 0, spec.copies)
 
@@ -70,8 +74,12 @@ def ancilla_imprint(spec: ReplicationSpec) -> np.ndarray:
     one makes V deterministic.  The patterns are int64, so an ancilla
     wider than 62 qubits raises ``OverflowError``.
     """
+    return _ancilla_imprint(_record(spec, "spec", ReplicationSpec))
+
+
+def _ancilla_imprint(spec: ReplicationSpec) -> np.ndarray:
     n = spec.copies
-    return (1 << n) - (1 << (n - phase_profile(spec)))
+    return (1 << n) - (1 << (n - _phase_profile(spec)))
 
 
 def _weight_table(bits: int) -> np.ndarray:
@@ -89,18 +97,23 @@ def build_V(spec: ReplicationSpec) -> np.ndarray:
     occupies the most significant qubits, the ancilla the least, so
     p[c] = c xor k(|c >> copies|).
     """
+    spec = _record(spec, "spec", ReplicationSpec)
+    _check_width(spec.replicas + spec.copies)
+    return _build_V(spec)
+
+
+def _build_V(spec: ReplicationSpec) -> np.ndarray:
     n, m = spec.copies, spec.replicas
-    _check_width(m + n)
-    k = ancilla_imprint(spec)[_weight_table(m)]
+    k = _ancilla_imprint(spec)[_weight_table(m)]
     return np.arange(1 << (m + n), dtype=np.int64) ^ np.repeat(k, 1 << n)
 
 
 def replicated_map(spec: ReplicationSpec, phi: float) -> np.ndarray:
     """Diagonal e^{i f(|m|) phi} of the map induced on the replicas."""
-    phi = normalize_phase(phi)
+    spec, phi = _record(spec, "spec", ReplicationSpec), normalize_phase(phi)
     m = spec.replicas
     _check_width(m)
-    return np.exp(1j * phi * phase_profile(spec)[_weight_table(m)])
+    return np.exp(1j * phi * _phase_profile(spec)[_weight_table(m)])
 
 
 def _tail_weights(spec: ReplicationSpec) -> tuple[np.ndarray, int]:
@@ -194,6 +207,7 @@ def replication_fidelity(spec: ReplicationSpec, phi: float) -> float:
     infidelity is accurate to a few ulps of itself.  When the window
     covers every weight (copies >= replicas) the fidelity is exactly 1.
     """
+    spec = _record(spec, "spec", ReplicationSpec)
     grid = np.atleast_1d(_phase_list(phi, "phi", (0,)))
     return 1.0 - float(_infidelities(_tail_weights(spec), grid)[0])
 
@@ -213,8 +227,13 @@ def worst_case_fidelity(
     the grid; each value equals ``replication_fidelity`` at that phase.
     The grid is a non-empty 1-D array of phases.
     """
-    grid = default_phi_grid() if phi_grid is None \
-        else _phase_list(phi_grid, "phi_grid")
+    spec = _record(spec, "spec", ReplicationSpec)
+    return _worst_case_fidelity(spec, default_phi_grid() if phi_grid is None
+                                else _phase_list(phi_grid, "phi_grid"))
+
+
+def _worst_case_fidelity(spec: ReplicationSpec, grid: np.ndarray
+                         ) -> tuple[float, float]:
     infidelity = _infidelities(_tail_weights(spec), grid)
     i = int(np.argmax(infidelity))
     return float(grid[i]), 1.0 - float(infidelity[i])
@@ -255,12 +274,19 @@ def asymptotic_sweep(
     m_list = None if m_list is None else _sizes(m_list, "replicas")
     if m_list is not None and len(m_list) != len(n_list):
         raise ValueError("m_list must pair up with n_list")
+    return _asymptotic_sweep(alpha, n_list, default_phi_grid()
+                             if phi_grid is None
+                             else _phase_list(phi_grid, "phi_grid"), m_list)
+
+
+def _asymptotic_sweep(alpha: float, n_list: Sequence[int], grid: np.ndarray,
+                      m_list: Sequence[int] | None) -> list[SweepRow]:
     rows = []
     for i, n in enumerate(n_list):
         m = max(1, math.floor(n ** (2.0 - alpha))) if m_list is None \
             else m_list[i]
-        spec = ReplicationSpec(copies=n, replicas=m)
-        a = alpha if m_list is None else effective_alpha(n, spec.replicas)
-        phi, fid = worst_case_fidelity(spec, phi_grid)
-        rows.append(SweepRow(spec.copies, spec.replicas, a, phi, fid))
+        spec = _unchecked(ReplicationSpec, copies=n, replicas=m)
+        a = alpha if m_list is None else effective_alpha(n, m)
+        phi, fid = _worst_case_fidelity(spec, grid)
+        rows.append(SweepRow(n, m, a, phi, fid))
     return rows

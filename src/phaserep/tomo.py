@@ -24,12 +24,11 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .choi import ProcessMatrix, _choi_matrices, choi_from_kraus, \
-    process_fidelity
-from .gates import cu_phase, phase_gate
-from .optics import OpticsParams, replication_experiment_channel
-from .qmat import PROJECTOR_KETS, _operator, _phase_list, _real, _reals, \
-    _seed, _trials, kron, normalize_phase
+from .choi import ProcessMatrix, _choi, _choi_matrices, _process_fidelity
+from .gates import _cu_phase, _phase_gate
+from .optics import OpticsParams, _experiment_channel
+from .qmat import PROJECTOR_KETS, _kron, _operator, _phase_list, _real, \
+    _reals, _record, _records, _seed, _trials, _unchecked, _wrap
 
 SINGLE_QUBIT_STATES = ("0", "1", "+", "-", "+i", "-i")
 MEASUREMENT_BASES = ("x", "y", "z")
@@ -147,12 +146,26 @@ class TomographyDesign:
         its own ``choi_from_kraus``.  A channel on any other number of
         qubits raises ``ValueError`` before anything is built.
         """
-        chi = isinstance(channel, ProcessMatrix)
-        kraus = None if chi else _operator(channel, "channel", 3)
-        if (channel.dim if chi else kraus.shape[-1]) != 4:
-            raise ValueError("design covers two-qubit channels only")
-        p = self.traces(channel.matrix if chi else _choi_matrices(kraus))
+        return self._probabilities(_two_qubit(channel))
+
+    def _probabilities(self, channel: ProcessMatrix | np.ndarray
+                       ) -> np.ndarray:
+        """The kernel of ``probabilities``: a checked two-qubit channel."""
+        p = self.traces(channel.matrix if isinstance(channel, ProcessMatrix)
+                        else _choi_matrices(channel))
         return np.where(p > 1e-12, p, 0.0)
+
+
+def _two_qubit(channel: ProcessMatrix | np.ndarray
+               ) -> ProcessMatrix | np.ndarray:
+    """The design's channel rule: a ``ProcessMatrix`` or a Kraus array
+    (the operator-array rule), on two qubits."""
+    chi = isinstance(channel, ProcessMatrix)
+    if not chi:
+        channel = _operator(channel, "channel", 3)
+    if (channel.dim if chi else channel.shape[-1]) != 4:
+        raise ValueError("design covers two-qubit channels only")
+    return channel
 
 
 @functools.cache
@@ -200,7 +213,8 @@ def simulate_counts(
     (about 9.2e18) raises ``ValueError``.
     """
     rate, seed = _real(rate, "rate", positive=True), _seed(seed)
-    return _draw_counts(design.probabilities(channel), rate, seed, phase)
+    phase, channel = _real(phase, "phase"), _two_qubit(channel)
+    return _draw_counts(design._probabilities(channel), rate, seed, phase)
 
 
 # numpy's Generator.poisson rejects a mean above this (its POISSON_LAM_MAX)
@@ -209,7 +223,8 @@ _POISSON_MEAN_MAX = float(np.iinfo("l").max - np.sqrt(np.iinfo("l").max) * 10)
 
 def _draw_counts(p: np.ndarray, rate: float, seed, phase: float
                  ) -> TomographyDataset:
-    """Poisson counts with mean rate * p, from the stream ``seed``."""
+    """Poisson counts with mean rate * p, from the stream ``seed``; the
+    arguments are checked or made by the package."""
     lam = rate * p
     largest = float(lam.max())
     if largest > _POISSON_MEAN_MAX:
@@ -217,7 +232,9 @@ def _draw_counts(p: np.ndarray, rate: float, seed, phase: float
             f"rate {rate!r} gives a Poisson mean of {largest!r}, above "
             f"the largest numpy can draw from ({_POISSON_MEAN_MAX!r})")
     counts = np.random.default_rng(seed).poisson(lam).astype(np.float64)
-    return TomographyDataset(phase, counts, rate)
+    counts.setflags(write=False)
+    return _unchecked(TomographyDataset, phase=phase, counts=counts,
+                      rate=rate)
 
 
 MAX_ITERATIONS = 5000
@@ -357,6 +374,9 @@ def _mle_batch(counts: np.ndarray, design: TomographyDesign
                 live[keep], n[keep], total[keep], chi[keep], ll[keep],
                 p[keep])
     chi_out[live] = chi
+    # the results' matrices are read-only views of chi_out: an RrhoR
+    # step keeps chi Hermitian and PSD, so no record check is needed
+    chi_out.setflags(write=False)
 
     # one stacked eigvalsh of R at every returned chi; a row of traces
     # does not depend on the stack, so p is the loop's last, bit for bit
@@ -381,7 +401,8 @@ def _mle_batch(counts: np.ndarray, design: TomographyDesign
     ll_traces = np.split(flat, starts[1:])
 
     return [
-        MleResult(ProcessMatrix(chi_out[k], 2), bool(converged[k]),
+        MleResult(_unchecked(ProcessMatrix, matrix=chi_out[k], qubits=2),
+                  bool(converged[k]),
                   len(trace) - 1, float(trace[-1]), trace,
                   int(dilutions[k]), float(gaps[k]))
         for k, trace in enumerate(ll_traces)
@@ -410,6 +431,7 @@ def mle_reconstruct(
     ``experiment_pipeline`` run on many count vectors at once; the
     result is bit-identical to the one the same counts get there.
     """
+    dataset = _record(dataset, "dataset", TomographyDataset)
     return _mle_batch(dataset.counts[None, :], design)[0]
 
 
@@ -434,7 +456,7 @@ def _fidelity_stats(results: Sequence[MleResult],
     """Mean and sample standard deviation of each target's process
     fidelity over the reconstructions."""
     values = {
-        name: [process_fidelity(result.chi, target) for result in results]
+        name: [_process_fidelity(result.chi, target) for result in results]
         for name, target in targets.items()
     }
     return {
@@ -460,7 +482,12 @@ def monte_carlo_errors(
     with the same helpers, in a batch that also holds the phase's main
     reconstruction, with equal results.
     """
+    dataset = _record(dataset, "dataset", TomographyDataset)
     trials, seed = _trials(trials), _seed(seed)
+    targets = {name: _operator(u, "u", 2, stacked=False)
+               for name, u in targets.items()}
+    if any(u.shape[-1] != 4 for u in targets.values()):
+        raise ValueError("process_fidelity requires matching qubit counts")
     results = _mle_batch(_resample(dataset.counts, trials, seed), design)
     return _fidelity_stats(results, targets)
 
@@ -481,10 +508,14 @@ def fit_cosine(
     phase list (reduced to [0, 2*pi)) and a real vector of as many
     fidelities.  Phases equal after rounding to 12 decimals (1e-12 rad)
     count once; a broken rule or < 2 distinct phases raise ValueError."""
-    phases = normalize_phase(_phase_list(phases, "phases"))
+    phases = _wrap(_phase_list(phases, "phases"))
     values = _reals(fidelities, "fidelities", size=phases.size)
     if np.unique(np.round(phases, 12)).size < 2:
         raise ValueError("need at least 2 distinct phases to fit")
+    return _fit_cosine(phases, values)
+
+
+def _fit_cosine(phases: np.ndarray, values: np.ndarray) -> FitResult:
     design = np.column_stack([np.ones_like(phases), np.cos(phases)])
     coef, *_ = np.linalg.lstsq(design, values, rcond=None)
     residuals = values - design @ coef
@@ -555,21 +586,30 @@ def experiment_pipeline(
     at 100, and the CLI's max RSS at 25 trials from 41 to 55-57 MB, to
     save about 0.1-0.2 s at 3 trials.
     """
-    if not isinstance(params, OpticsParams):
-        raise ValueError(f"params must be one OpticsParams, not {params!r}")
+    params = _record(params, "params", OpticsParams)
     trials = _trials(trials, optional=True)
     rate = _real(rate, "rate", positive=True)
     root = _seed(seed)
-    phases = tuple(normalize_phase(_phase_list(
-        standard_phases() if phases is None else phases, "phases")).tolist())
+    phases = _wrap(_phase_list(standard_phases() if phases is None
+                               else phases, "phases"))
+    return _experiment_pipeline(params, phases, rate, trials, root)
+
+
+def _experiment_pipeline(params: OpticsParams, phases: np.ndarray,
+                         rate: float, trials: int,
+                         root: np.random.SeedSequence) -> PipelineReport:
+    """The kernel of ``experiment_pipeline``: a 1-D array of phases
+    reduced to [0, 2*pi), the rate and trials as their rules return
+    them, and the root ``SeedSequence``."""
+    phases = tuple(phases.tolist())
     design = default_design()
     streams = [s.spawn(2) for s in root.spawn(len(phases))]
-    channels = replication_experiment_channel(np.array(phases), params)
+    channels = _experiment_channel(np.array(phases), params)
     # each phase's counts equal simulate_counts on its own Kraus array
     datasets = [
         _draw_counts(p, rate, count_stream, phi)
         for phi, p, (count_stream, _) in zip(
-            phases, design.probabilities(channels), streams)
+            phases, design._probabilities(channels), streams)
     ]
     if trials >= 2:
         # one batch a phase, solved as the loop reaches it, so no more
@@ -584,22 +624,22 @@ def experiment_pipeline(
             design))
     rows = []
     for phi, dataset, (result, *boot) in zip(phases, datasets, solved):
-        u = phase_gate(phi)
-        targets = {"cu": cu_phase(phi), "uu": kron(u, u)}
-        f_cu = process_fidelity(result.chi, targets["cu"])
-        f_uu = process_fidelity(result.chi, targets["uu"])
+        u = _phase_gate(phi)
+        targets = {"cu": _cu_phase(phi), "uu": _kron(u, u)}
+        f_cu = _process_fidelity(result.chi, targets["cu"])
+        f_uu = _process_fidelity(result.chi, targets["uu"])
         f_cu_std = f_uu_std = float("nan")
         if boot:
             stats = _fidelity_stats(boot, targets)
             f_cu_std = stats["cu"].std
             f_uu_std = stats["uu"].std
-        chi_ideal = choi_from_kraus([targets["cu"]])
+        chi_ideal = _choi(targets["cu"][None])
         rows.append(PhaseReport(phi, result.chi, chi_ideal, dataset, f_cu,
                                 f_uu, f_cu_std, f_uu_std, result.iterations,
                                 result.converged, result.optimality_gap))
     fit = None
     if np.unique(np.round(phases, 12)).size >= 2:
-        fit = fit_cosine(phases, [r.f_uu for r in rows])
+        fit = _fit_cosine(np.array(phases), np.array([r.f_uu for r in rows]))
     return PipelineReport(phases, tuple(rows), fit, rate, trials,
                           root.entropy)
 
@@ -623,11 +663,20 @@ def write_datasets_csv(path, datasets: Sequence[TomographyDataset],
     otherwise each count is tested on its own, which also writes an
     integral count of 2^53 or more with all its digits.
     """
+    datasets = _records(datasets, "datasets", TomographyDataset)
     for phase_id, ds in enumerate(datasets):
         if ds.counts.size != design.size:
             raise ValueError(
                 f"dataset of phase id {phase_id} has {ds.counts.size} "
                 f"counts, the design {design.size} rows")
+    _write_datasets_csv(path, datasets, design, header_lines)
+
+
+def _write_datasets_csv(path, datasets: Sequence[TomographyDataset],
+                        design: TomographyDesign,
+                        header_lines: Sequence[str]) -> None:
+    """The kernel of ``write_datasets_csv``: datasets of the design's
+    size, checked or made by the package."""
     counts = np.array([ds.counts for ds in datasets], dtype=np.float64)
     if np.all(counts == np.trunc(counts)) and np.all(np.abs(counts) < 2**53):
         texts = counts.astype(np.int64).tolist()

@@ -350,22 +350,18 @@ def test_optics_scan_rejects_invalid_value(tmp_path):
         assert not (tmp_path / "optics_scan.csv").exists()
 
 
-def test_optics_scan_builds_one_params_per_value(tmp_path, monkeypatch):
-    # the preset and one params a value; checking a value builds nothing
-    # of its own
+def test_optics_scan_rechecks_no_preset_field(tmp_path, monkeypatch):
+    # the presets are made at import; a row copies the preset's checked
+    # fields and takes one value, checked once against its field
     built = []
-    post_init = OpticsParams.__post_init__
-
-    def counting(self):
-        built.append(self)
-        post_init(self)
-
-    monkeypatch.setattr(OpticsParams, "__post_init__", counting)
-    cfg = _write_config(tmp_path, {"values": np.linspace(1.0, 0.45,
-                                                         12).tolist()})
+    monkeypatch.setattr(OpticsParams, "__post_init__", built.append)
+    values = np.linspace(1.0, 0.45, 12).tolist()
+    cfg = _write_config(tmp_path, {"values": values})
     assert main(["optics-scan", "--out-dir", str(tmp_path),
                  "--config", cfg]) == 0
-    assert len(built) == 13
+    assert built == []
+    _, _, rows = _read_csv(tmp_path / "optics_scan.csv")
+    assert [float(row["value"]) for row in rows] == values
 
 
 # scanned parameter -> values, the ideal design value first, then the
@@ -618,6 +614,33 @@ def test_out_dir_collision_exits_1(tmp_path):
     assert blocker.read_text() == ""
 
 
+def test_out_dir_with_a_nul_is_rejected(tmp_path, monkeypatch, capsys):
+    # named in one error line, not the OS's bare "embedded null byte"
+    monkeypatch.chdir(tmp_path)
+    cfg = _write_config(tmp_path, {"out_dir": "a\u0000b"})
+    assert main(["superrep", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: out_dir ") and err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
+def test_out_dir_under_a_file_is_rejected_before_the_run(tmp_path,
+                                                          monkeypatch,
+                                                          capsys):
+    def pipeline(*args):
+        raise AssertionError("the pipeline ran")
+
+    monkeypatch.setattr(cli.tomo, "experiment_pipeline", pipeline)
+    monkeypatch.setattr(cli.tomo, "_experiment_pipeline", pipeline)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert main(["tomo", "--trials", "100",
+                 "--out-dir", str(blocker / "x")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: out_dir ") and err.count("\n") == 1
+    assert blocker.read_text() == ""
+
+
 def test_main_builds_its_parser_once(tmp_path, monkeypatch):
     # in-process drivers call main many times; only the first call
     # builds the parser
@@ -680,6 +703,16 @@ def test_import_loads_no_scipy():
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_cli_imports_svgplot_only_for_figures():
+    # a fresh interpreter; perfbench imports both before its first run
+    code = ("import sys, phaserep, phaserep.cli; "
+            "print('phaserep.svgplot' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_version_matches_pyproject():

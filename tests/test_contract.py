@@ -26,8 +26,10 @@ from phaserep import (
     ProcessMatrix,
     ReplicationSpec,
     TomographyDataset,
+    ancilla_imprint,
     asymptotic_sweep,
     baseline_single_copy,
+    build_V,
     choi_from_kraus,
     cu_phase,
     default_design,
@@ -36,11 +38,13 @@ from phaserep import (
     fidelity_replicas,
     fit_cosine,
     kron,
+    mle_reconstruct,
     monte_carlo_errors,
     normalize_phase,
     optimal_cloner,
     optimal_cloner_fidelity,
     phase_gate,
+    phase_profile,
     process_fidelity,
     process_matrix_from_json,
     process_matrix_to_json,
@@ -144,6 +148,12 @@ def _read_rate(rate):
                                         "# rates: " + json.dumps([rate]))
         path.write_text(text)
         return read_datasets_csv(path, default_design())
+
+
+def _write_counts(datasets):
+    with tempfile.TemporaryDirectory() as tmp:
+        write_datasets_csv(Path(tmp) / "counts.csv", datasets,
+                           default_design())
 
 
 def _sweep_check(rows, x):
@@ -302,6 +312,18 @@ ARRAY_ROWS = {
     "asymptotic_sweep[m_list]": Row(
         lambda x: asymptotic_sweep(0.5, [4], m_list=x), ("none",),
         lambda rows, x: _same(rows[0], asymptotic_sweep(0.5, [4])[0])),
+    # the record rule: one record, or for datasets a list of them
+    "mle_reconstruct": Row(lambda x: mle_reconstruct(x, default_design())),
+    "monte_carlo_errors[dataset]": Row(
+        lambda x: monte_carlo_errors(x, default_design(), 2, _TARGETS, 1)),
+    "write_datasets_csv": Row(_write_counts),
+    "process_matrix_to_json": Row(process_matrix_to_json),
+    "build_V": Row(build_V),
+    "ancilla_imprint": Row(ancilla_imprint),
+    "phase_profile": Row(phase_profile),
+    "replicated_map[spec]": Row(lambda x: replicated_map(x, 0.3)),
+    "replication_fidelity[spec]": Row(lambda x: replication_fidelity(x, 0.3)),
+    "worst_case_fidelity[spec]": Row(worst_case_fidelity),
 }
 
 # the public names with no argument of a checked kind, and why
@@ -314,13 +336,6 @@ NO_CHECKED_ARGUMENT = {
         ["TomographyDesign", "baseline_measure_prepare", "controlled_z",
          "default_design", "standard_phases", "toffoli"],
         "takes no argument"),
-    **dict.fromkeys(
-        ["ancilla_imprint", "build_V", "phase_profile"],
-        "takes a ReplicationSpec, checked when it is made"),
-    **dict.fromkeys(
-        ["mle_reconstruct", "process_matrix_to_json", "write_datasets_csv"],
-        "takes only records (TomographyDataset, ProcessMatrix) and the "
-        "design, each checked when it is made, as a ReplicationSpec is"),
 }
 
 

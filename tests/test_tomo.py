@@ -800,7 +800,7 @@ def _forbid_the_optical_build(monkeypatch):
     def build(*args):
         raise AssertionError("the optical build ran")
 
-    monkeypatch.setattr(tomo, "replication_experiment_channel", build)
+    monkeypatch.setattr(tomo, "_experiment_channel", build)
 
 
 @pytest.mark.parametrize("phi", [math.inf, -math.inf, math.nan])
@@ -830,7 +830,7 @@ def test_a_seed_is_a_non_negative_integer(seed, monkeypatch):
         experiment_pipeline(OpticsParams.measured(), phases=[0.5],
                             rate=10.0, seed=seed)
     design = default_design()
-    monkeypatch.setattr(design, "probabilities", None)
+    monkeypatch.setattr(design, "_probabilities", None)
     with pytest.raises(ValueError, match="seed"):
         simulate_counts(cu_phase(0.3)[None], design, 10.0, seed)
 
