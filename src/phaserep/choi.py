@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .qmat import _integer, _numbers, _operator, _record, _unchecked
+from .qmat import _integer, _numbers, _operator, _record
 
 # the one trace convention, recorded in serialized process matrices
 _NORMALIZATION = "trace_one"
@@ -93,12 +93,10 @@ def choi_from_kraus(operators: Sequence[np.ndarray]) -> ProcessMatrix:
 
 def _choi(kraus: np.ndarray) -> ProcessMatrix:
     """The kernel of ``choi_from_kraus``: the process matrix of one checked
-    (n, d, d) Kraus array.  A sum of outer products v v† is Hermitian
-    and PSD entry for entry, so the record's own checks are skipped."""
-    chi = _choi_matrices(kraus)
-    chi.setflags(write=False)
-    return _unchecked(ProcessMatrix, matrix=chi,
-                      qubits=kraus.shape[-1].bit_length() - 1)
+    (n, d, d) Kraus array.  Finite entries can still overflow to inf in
+    the sum, so the record checks the matrix it is given."""
+    return ProcessMatrix(_choi_matrices(kraus),
+                         kraus.shape[-1].bit_length() - 1)
 
 
 def process_fidelity(
@@ -122,12 +120,19 @@ def process_fidelity(
     own row.
     """
     chi = isinstance(channel, ProcessMatrix)
-    u = _operator(u, "u", 2, stacked=not chi)
     if not chi:
         channel = _operator(channel, "channel", 3)
-    if u.shape[-1] != (channel.dim if chi else channel.shape[-1]):
-        raise ValueError("process_fidelity requires matching qubit counts")
+    u = _gate(u, channel.dim if chi else channel.shape[-1], stacked=not chi)
     return _process_fidelity(channel, u)
+
+
+def _gate(u, d: int, stacked: bool = False) -> np.ndarray:
+    """The target rule of a fidelity: a gate (or, where ``stacked``, a
+    stack of gates) on the channel's ``d``-dimensional space."""
+    u = _operator(u, "u", 2, stacked=stacked)
+    if u.shape[-1] != d:
+        raise ValueError("process_fidelity requires matching qubit counts")
+    return u
 
 
 def _process_fidelity(channel: ProcessMatrix | np.ndarray, u: np.ndarray
@@ -153,11 +158,7 @@ def _process_fidelity(channel: ProcessMatrix | np.ndarray, u: np.ndarray
 
 def process_matrix_to_json(chi: ProcessMatrix) -> dict:
     """JSON-safe dict with real/imag parts and the convention metadata."""
-    return _process_matrix_json(_record(chi, "chi", ProcessMatrix))
-
-
-def _process_matrix_json(chi: ProcessMatrix) -> dict:
-    """The kernel of ``process_matrix_to_json``."""
+    chi = _record(chi, "chi", ProcessMatrix)
     return {
         "qubits": chi.qubits,
         "normalization": _NORMALIZATION,

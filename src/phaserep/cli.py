@@ -8,15 +8,21 @@ Subcommands
 
 Configuration comes from an optional JSON file (--config) overridden by
 command-line flags.  Each command accepts only the keys it reads (plus
-out_dir and svg) and rejects any other.  Every value is checked once,
-with the input rule of its kind, when the config is resolved; the
-commands then call the library's kernels, which check nothing again
-but the params stack, once per optical build.
-Every CSV and JSON artifact carries the run's metadata (artifact
-version, command, the tomo seed, a hash of the command's keys) as
-``# key: value`` lines or a ``metadata`` object.  CSV tables and ``report.json`` write floats as ``%.17g``
+out_dir and svg) and rejects any other.  Every CSV and JSON artifact
+carries the run's metadata (artifact version, command, the tomo seed, a
+hash of the command's keys) as ``# key: value`` lines or a ``metadata``
+object.  CSV tables and ``report.json`` write floats as ``%.17g``
 strings, ``chi_NN.json`` matrices and non-integral counts as the
 shortest ``repr``: reruns are byte-identical and values round-trip.
+
+Every value is checked, with the input rule of its kind, when the
+config is resolved.  ``replicate`` and ``optics-scan`` then call the
+library's kernels, which check nothing again but the params stack, once
+per optical build.  ``tomo`` and ``superrep`` call the public
+``experiment_pipeline`` and ``asymptotic_sweep``, whose rules check the
+resolved values once more: a cost negligible beside the MLE and the
+sweep, which keeps their time under the names perfbench's traced runs
+record.
 
 Exit codes: 0 success, 1 invalid configuration or unusable paths,
 2 runtime or numerical failure.
@@ -37,14 +43,14 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from . import tomo
-from .choi import _process_fidelity, _process_matrix_json
+from .choi import _process_fidelity, process_matrix_to_json
 from .gates import _baseline_single_copy, _cu_phase, _fidelity_replicas, \
     _optimal_cloner_fidelity, _phase_gate, _twirled_mean_fidelity, \
     baseline_measure_prepare, toffoli
 from .optics import OpticsParams, _experiment_channel, _field, \
-    _field_values, _replaced, effective_toffoli
+    _field_values, effective_toffoli
 from .qmat import _integer, _kron, _real, _seed, _sizes, _trials, _wrap
-from .superrep import _asymptotic_sweep
+from .superrep import asymptotic_sweep
 
 ARTIFACT_VERSION = 2
 OUT_DIR_ENV = "PHASEREP_OUT_DIR"
@@ -140,17 +146,17 @@ def _resolve_optics(preset: str, overrides: dict | None) -> OpticsParams:
                      f"unknown optics key {key!r}; accepted: "
                      + ", ".join(_OPTICS_KEYS))
         # each override passes its own field's rule, in field order
-        params = _replaced(params, **{key: _field(key, overrides[key])
-                                      for key in _OPTICS_KEYS
-                                      if key in overrides})
+        params = params._replaced(**{key: _field(key, overrides[key])
+                                     for key in _OPTICS_KEYS
+                                     if key in overrides})
     return params
 
 
 def _resolve(key: str, value, params: dict):
     """Check one key's merged value with the rule of its kind and return
     its resolved form; ``params`` holds the keys before it in the
-    command's table.  Every value is checked here, once: the commands
-    pass the resolved values to the library's kernels."""
+    command's table.  Every value is checked here, before anything is
+    computed."""
     if key == "phases":
         value = _parse_phases(value)
     elif key == "seed":  # the int, hashed and written as the run's seed
@@ -370,8 +376,8 @@ def cmd_replicate(config: SimpleNamespace, out: Path, meta: dict) -> None:
 def cmd_superrep(config: SimpleNamespace, out: Path, meta: dict) -> None:
     """Worst-case replication fidelity along an N -> M = N^(2-alpha) law."""
     grid = np.linspace(0.0, math.pi, config.phi_grid_size)
-    sweep = _asymptotic_sweep(config.alpha, config.n_list, grid,
-                              config.m_list)
+    sweep = asymptotic_sweep(config.alpha, config.n_list, phi_grid=grid,
+                             m_list=config.m_list)
     rows = [[r.copies, r.replicas, r.alpha, r.worst_phi, r.worst_fidelity]
             for r in sweep]
     columns = ["n", "m", "alpha", "phi", "fidelity"]
@@ -382,9 +388,8 @@ def cmd_superrep(config: SimpleNamespace, out: Path, meta: dict) -> None:
 
 def cmd_tomo(config: SimpleNamespace, out: Path, meta: dict) -> None:
     """Simulated counts -> MLE reconstruction -> fidelities and fit."""
-    report = tomo._experiment_pipeline(
-        config.optics, _wrap(np.array(config.phases)), config.rate,
-        config.trials, np.random.SeedSequence(config.seed))
+    report = tomo.experiment_pipeline(config.optics, config.phases,
+                                      config.rate, config.trials, config.seed)
 
     columns = ["phi", "f_cu", "f_cu_std", "f_uu", "f_uu_std",
                "iterations", "converged", "optimality_gap"]
@@ -396,16 +401,17 @@ def cmd_tomo(config: SimpleNamespace, out: Path, meta: dict) -> None:
 
     # after fidelities.csv, whose write made the directory
     counts_tmp = out / "counts.csv.tmp"
-    tomo._write_datasets_csv(counts_tmp, [r.dataset for r in report.rows],
-                             tomo.default_design(), _metadata_lines(meta))
+    tomo.write_datasets_csv(counts_tmp, [r.dataset for r in report.rows],
+                            tomo.default_design(),
+                            header_lines=_metadata_lines(meta))
     os.replace(counts_tmp, out / "counts.csv")
 
     for k, row in enumerate(report.rows):
         doc = {
             "metadata": meta,
             "phi": _f17(row.phi),
-            "reconstructed": _process_matrix_json(row.chi),
-            "ideal": _process_matrix_json(row.chi_ideal),
+            "reconstructed": process_matrix_to_json(row.chi),
+            "ideal": process_matrix_to_json(row.chi_ideal),
         }
         _write_text(out / f"chi_{k:02d}.json", _json_text(doc))
         if config.svg:
@@ -443,7 +449,7 @@ def cmd_optics_scan(config: SimpleNamespace, out: Path, meta: dict) -> None:
     Rows at visibility 1 or 0, or at zero jitter, carry zero-weight
     Kraus operators, which the fidelities ignore.
     """
-    stack = [_replaced(config.optics, **{config.parameter: value})
+    stack = [config.optics._replaced(**{config.parameter: value})
              for value in config.values]
     kraus, success = effective_toffoli(stack)
     f_toffoli = _process_fidelity(kraus, toffoli())

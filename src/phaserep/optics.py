@@ -58,7 +58,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .qmat import _phase_list, _real, _reals, _unchecked, _wrap
+from .qmat import _phase_list, _real, _reals, _wrap
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 _SQRT_THIRD = 1.0 / math.sqrt(3.0)
@@ -117,6 +117,14 @@ class OpticsParams:
         for name in _HIGH:
             object.__setattr__(self, name, _field(name, getattr(self, name)))
 
+    def _replaced(self, **fields: float) -> "OpticsParams":
+        """This record with ``fields`` set to floats that passed their
+        field rules; unlike ``dataclasses.replace``, the fields it keeps
+        are not checked again (a scan row checks only its own value)."""
+        row = object.__new__(OpticsParams)
+        vars(row).update(vars(self), **fields)  # past the frozen setattr
+        return row
+
     @classmethod
     def ideal(cls) -> "OpticsParams":
         return cls(r_v=2.0 / 3.0, r_h=0.0, visibility=1.0,
@@ -129,13 +137,6 @@ class OpticsParams:
 
 
 Params = OpticsParams | Sequence[OpticsParams]
-
-
-def _replaced(params: OpticsParams, **fields: float) -> OpticsParams:
-    """``params`` with ``fields`` set to values that passed their field
-    rules; unlike ``dataclasses.replace``, the fields that
-    ``params`` keeps are not checked again."""
-    return _unchecked(OpticsParams, **{**vars(params), **fields})
 
 
 def _columns(params: Params) -> np.ndarray:

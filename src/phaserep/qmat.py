@@ -18,8 +18,9 @@ Conventions used throughout the package:
 * Every value is checked once, where it enters: a public function
   applies the input rules below to its arguments, then calls one
   private kernel (``kron`` calls ``_kron``).  Calls inside the package,
-  whose values were checked or made there, go straight to the kernels,
-  and a record they make (``_unchecked``) skips its ``__post_init__``.
+  whose values were checked or made there, go straight to the kernels.
+  A record checks its fields when it is made; only an optics scan row
+  (``OpticsParams._replaced``) copies fields that passed their rules.
 """
 from __future__ import annotations
 
@@ -187,15 +188,6 @@ def _records(values, name: str, kind: type) -> list:
         raise ValueError(f"{name} must be a list of {kind.__name__}, "
                          f"not {values!r}")
     return list(values)
-
-
-def _unchecked(kind: type, **fields):
-    """A ``kind`` record holding ``fields`` as given, without running its
-    ``__post_init__``: the record of values that passed their rules or
-    that the package made, in the form its rules would store them."""
-    record = object.__new__(kind)
-    vars(record).update(fields)  # past the frozen __setattr__
-    return record
 
 
 def _wrap(phases: np.ndarray) -> float | np.ndarray:

@@ -27,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .qmat import _check_width, _integer, _phase_list, _real, _record, \
-    _sizes, _unchecked, normalize_phase
+    _sizes, normalize_phase
 
 
 @dataclass(frozen=True)
@@ -274,18 +274,14 @@ def asymptotic_sweep(
     m_list = None if m_list is None else _sizes(m_list, "replicas")
     if m_list is not None and len(m_list) != len(n_list):
         raise ValueError("m_list must pair up with n_list")
-    return _asymptotic_sweep(alpha, n_list, default_phi_grid()
-                             if phi_grid is None
-                             else _phase_list(phi_grid, "phi_grid"), m_list)
-
-
-def _asymptotic_sweep(alpha: float, n_list: Sequence[int], grid: np.ndarray,
-                      m_list: Sequence[int] | None) -> list[SweepRow]:
+    grid = default_phi_grid() if phi_grid is None \
+        else _phase_list(phi_grid, "phi_grid")
     rows = []
     for i, n in enumerate(n_list):
         m = max(1, math.floor(n ** (2.0 - alpha))) if m_list is None \
             else m_list[i]
-        spec = _unchecked(ReplicationSpec, copies=n, replicas=m)
+        # the spec's size rule bounds a power-law M, which can pass 2^63 - 1
+        spec = ReplicationSpec(copies=n, replicas=m)
         a = alpha if m_list is None else effective_alpha(n, m)
         phi, fid = _worst_case_fidelity(spec, grid)
         rows.append(SweepRow(n, m, a, phi, fid))

@@ -24,11 +24,12 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .choi import ProcessMatrix, _choi, _choi_matrices, _process_fidelity
+from .choi import ProcessMatrix, _choi, _choi_matrices, _gate, \
+    _process_fidelity
 from .gates import _cu_phase, _phase_gate
 from .optics import OpticsParams, _experiment_channel
 from .qmat import PROJECTOR_KETS, _kron, _operator, _phase_list, _real, \
-    _reals, _record, _records, _seed, _trials, _unchecked, _wrap
+    _reals, _record, _records, _seed, _trials, _wrap
 
 SINGLE_QUBIT_STATES = ("0", "1", "+", "-", "+i", "-i")
 MEASUREMENT_BASES = ("x", "y", "z")
@@ -213,8 +214,9 @@ def simulate_counts(
     (about 9.2e18) raises ``ValueError``.
     """
     rate, seed = _real(rate, "rate", positive=True), _seed(seed)
-    phase, channel = _real(phase, "phase"), _two_qubit(channel)
-    return _draw_counts(design._probabilities(channel), rate, seed, phase)
+    # the dataset record checks the phase
+    return _draw_counts(design._probabilities(_two_qubit(channel)), rate,
+                        seed, phase)
 
 
 # numpy's Generator.poisson rejects a mean above this (its POISSON_LAM_MAX)
@@ -223,8 +225,7 @@ _POISSON_MEAN_MAX = float(np.iinfo("l").max - np.sqrt(np.iinfo("l").max) * 10)
 
 def _draw_counts(p: np.ndarray, rate: float, seed, phase: float
                  ) -> TomographyDataset:
-    """Poisson counts with mean rate * p, from the stream ``seed``; the
-    arguments are checked or made by the package."""
+    """Poisson counts with mean rate * p, from the stream ``seed``."""
     lam = rate * p
     largest = float(lam.max())
     if largest > _POISSON_MEAN_MAX:
@@ -232,9 +233,7 @@ def _draw_counts(p: np.ndarray, rate: float, seed, phase: float
             f"rate {rate!r} gives a Poisson mean of {largest!r}, above "
             f"the largest numpy can draw from ({_POISSON_MEAN_MAX!r})")
     counts = np.random.default_rng(seed).poisson(lam).astype(np.float64)
-    counts.setflags(write=False)
-    return _unchecked(TomographyDataset, phase=phase, counts=counts,
-                      rate=rate)
+    return TomographyDataset(phase, counts, rate)
 
 
 MAX_ITERATIONS = 5000
@@ -374,9 +373,6 @@ def _mle_batch(counts: np.ndarray, design: TomographyDesign
                 live[keep], n[keep], total[keep], chi[keep], ll[keep],
                 p[keep])
     chi_out[live] = chi
-    # the results' matrices are read-only views of chi_out: an RrhoR
-    # step keeps chi Hermitian and PSD, so no record check is needed
-    chi_out.setflags(write=False)
 
     # one stacked eigvalsh of R at every returned chi; a row of traces
     # does not depend on the stack, so p is the loop's last, bit for bit
@@ -401,8 +397,7 @@ def _mle_batch(counts: np.ndarray, design: TomographyDesign
     ll_traces = np.split(flat, starts[1:])
 
     return [
-        MleResult(_unchecked(ProcessMatrix, matrix=chi_out[k], qubits=2),
-                  bool(converged[k]),
+        MleResult(ProcessMatrix(chi_out[k], 2), bool(converged[k]),
                   len(trace) - 1, float(trace[-1]), trace,
                   int(dilutions[k]), float(gaps[k]))
         for k, trace in enumerate(ll_traces)
@@ -484,10 +479,7 @@ def monte_carlo_errors(
     """
     dataset = _record(dataset, "dataset", TomographyDataset)
     trials, seed = _trials(trials), _seed(seed)
-    targets = {name: _operator(u, "u", 2, stacked=False)
-               for name, u in targets.items()}
-    if any(u.shape[-1] != 4 for u in targets.values()):
-        raise ValueError("process_fidelity requires matching qubit counts")
+    targets = {name: _gate(u, 4) for name, u in targets.items()}
     results = _mle_batch(_resample(dataset.counts, trials, seed), design)
     return _fidelity_stats(results, targets)
 
@@ -590,18 +582,8 @@ def experiment_pipeline(
     trials = _trials(trials, optional=True)
     rate = _real(rate, "rate", positive=True)
     root = _seed(seed)
-    phases = _wrap(_phase_list(standard_phases() if phases is None
-                               else phases, "phases"))
-    return _experiment_pipeline(params, phases, rate, trials, root)
-
-
-def _experiment_pipeline(params: OpticsParams, phases: np.ndarray,
-                         rate: float, trials: int,
-                         root: np.random.SeedSequence) -> PipelineReport:
-    """The kernel of ``experiment_pipeline``: a 1-D array of phases
-    reduced to [0, 2*pi), the rate and trials as their rules return
-    them, and the root ``SeedSequence``."""
-    phases = tuple(phases.tolist())
+    phases = tuple(_wrap(_phase_list(
+        standard_phases() if phases is None else phases, "phases")).tolist())
     design = default_design()
     streams = [s.spawn(2) for s in root.spawn(len(phases))]
     channels = _experiment_channel(np.array(phases), params)
@@ -669,14 +651,6 @@ def write_datasets_csv(path, datasets: Sequence[TomographyDataset],
             raise ValueError(
                 f"dataset of phase id {phase_id} has {ds.counts.size} "
                 f"counts, the design {design.size} rows")
-    _write_datasets_csv(path, datasets, design, header_lines)
-
-
-def _write_datasets_csv(path, datasets: Sequence[TomographyDataset],
-                        design: TomographyDesign,
-                        header_lines: Sequence[str]) -> None:
-    """The kernel of ``write_datasets_csv``: datasets of the design's
-    size, checked or made by the package."""
     counts = np.array([ds.counts for ds in datasets], dtype=np.float64)
     if np.all(counts == np.trunc(counts)) and np.all(np.abs(counts) < 2**53):
         texts = counts.astype(np.int64).tolist()

@@ -193,6 +193,14 @@ def test_choi_from_kraus_validates_shapes():
         choi_from_kraus([np.eye(3)])
 
 
+def test_choi_from_kraus_rejects_a_sum_that_overflows():
+    # finite operators whose outer products overflow: the record rejects
+    # the inf it would hold
+    with np.errstate(over="ignore"), \
+            pytest.raises(ValueError, match="not finite"):
+        choi_from_kraus(np.full((1, 2, 2), 1e200))
+
+
 def test_process_fidelity_rejects_zero_trace():
     chi = choi_from_kraus([X])
     zero = ProcessMatrix(0.0 * chi.matrix, 1)

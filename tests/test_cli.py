@@ -631,7 +631,6 @@ def test_out_dir_under_a_file_is_rejected_before_the_run(tmp_path,
         raise AssertionError("the pipeline ran")
 
     monkeypatch.setattr(cli.tomo, "experiment_pipeline", pipeline)
-    monkeypatch.setattr(cli.tomo, "_experiment_pipeline", pipeline)
     blocker = tmp_path / "file"
     blocker.write_text("")
     assert main(["tomo", "--trials", "100",

@@ -51,9 +51,7 @@ _UNCALLED_PUBLIC_NAMES = {
     # the package calls these through their kernels, whose values it
     # checked or made itself
     "optimal_cloner": "the Kraus pair behind optimal_cloner_fidelity",
-    "process_matrix_to_json": "the chi documents that tomo writes",
     "worst_case_fidelity": "one size of asymptotic_sweep",
-    "write_datasets_csv": "the counts file that tomo writes",
 }
 
 

@@ -400,6 +400,8 @@ def test_sweep_rejects_an_alpha_that_is_not_finite_and_positive(alpha):
     ([math.inf], None, "copies"),
     ([1e300], None, "copies"),
     ([2 ** 70], None, "copies"),
+    # a power-law M = 2^75 fails the spec's size rule before math.comb
+    ([2 ** 50], None, "replicas"),
 ])
 def test_sweep_passes_sizes_to_the_spec_unconverted(n_list, m_list, name):
     with pytest.raises(ValueError, match=name):
