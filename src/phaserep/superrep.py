@@ -17,6 +17,16 @@ cancellation for a whole phase grid at once, in fixed-size blocks:
 about 4 sqrt(L) sines and one small matrix product per phase for L
 tail weights.  It is accurate to a few ulps of itself, also where F
 rounds to 1, and no state vectors are ever built on that path.
+
+The worst case over a phase grid is found by screen and verify.  On the
+grid np.linspace(0, pi, G) the tail sum at every phase is one real FFT.
+Its estimate of 1 - F comes with an error bound Delta that covers the
+FFT, the grid's rounding, the kernel's own error and a floor for tails
+of subnormal mass.  Only the phases whose estimate lies within 2 Delta
+of the largest go to the kernel, so the reported phase and fidelity are
+the kernel's worst over the whole grid.  On any other grid, below 3 or
+above ``_SCREEN_MAX`` phases, or for an empty tail, the kernel evaluates
+every phase.  numpy.fft is loaded by the first screen, not on import.
 """
 from __future__ import annotations
 
@@ -220,11 +230,19 @@ def default_phi_grid() -> np.ndarray:
 def worst_case_fidelity(
     spec: ReplicationSpec, phi_grid: Sequence[float] | None = None
 ) -> tuple[float, float]:
-    """(phi, fidelity) at the grid point of largest infidelity.
+    """(phi, fidelity) at the first grid point of largest infidelity.
 
-    The tail weights are built once per call and the whole grid goes
-    through one kernel in blocks of phases, so memory does not grow with
-    the grid; each value equals ``replication_fidelity`` at that phase.
+    The tail weights are built once per call.  On the grid
+    np.linspace(0, pi, G) with 3 <= G <= ``_SCREEN_MAX`` (the default
+    grid is one) a real FFT estimates the infidelity at every phase to
+    within a stated bound Delta (see ``_estimate``), and the kernel
+    evaluates only the phases within 2 Delta of the largest estimate.
+    On any other grid, or when the window holds every weight, the kernel
+    evaluates every phase, in blocks.  Either way (phi, fidelity) is the
+    kernel's worst over the whole grid, and the fidelity equals
+    ``replication_fidelity`` at phi.  Memory does not grow with the
+    grid: the screen's temporaries stay under about 2 MB, and the
+    kernel's hold at most ``_BLOCK`` x sqrt(M) doubles at any grid size.
     The grid is a non-empty 1-D array of phases.
     """
     spec = _record(spec, "spec", ReplicationSpec)
@@ -234,9 +252,93 @@ def worst_case_fidelity(
 
 def _worst_case_fidelity(spec: ReplicationSpec, grid: np.ndarray
                          ) -> tuple[float, float]:
-    infidelity = _infidelities(_tail_weights(spec), grid)
+    terms = _tail_weights(spec)
+    candidates = _screen(terms, grid)
+    infidelity = _infidelities(terms, grid[candidates])
     i = int(np.argmax(infidelity))
-    return float(grid[i]), 1.0 - float(infidelity[i])
+    return float(grid[candidates[i]]), 1.0 - float(infidelity[i])
+
+
+# Largest grid the screen takes; above it every phase goes to the kernel.
+# The screen's temporaries hold about eight times this many doubles.
+_SCREEN_MAX = 2 ** 15 + 1
+
+
+def _screen(terms: tuple[np.ndarray, int], grid: np.ndarray) -> np.ndarray:
+    """Indices of ``grid`` that can hold the largest ``_infidelities``.
+
+    They are the phases whose ``_estimate`` lies within 2 Delta of the
+    largest estimate.  With every estimate within Delta of the kernel's
+    value, the largest kernel value, and every value that ties with it,
+    lies at a returned index, in grid order.  Every index is returned
+    when the screen does not apply: a grid that is not exactly
+    np.linspace(0, pi, G), G < 3, G above ``_SCREEN_MAX`` or an empty
+    tail.
+    """
+    size = grid.size
+    if not (3 <= size <= _SCREEN_MAX and terms[0].size
+            and np.array_equal(grid, np.linspace(0.0, math.pi, size))):
+        return np.arange(size)
+    estimate, delta = _estimate(terms, size)
+    return np.flatnonzero(estimate >= estimate.max() - 2.0 * delta)
+
+
+def _estimate(terms: tuple[np.ndarray, int], size: int
+              ) -> tuple[np.ndarray, float]:
+    """1 - F at every phase of np.linspace(0, pi, G), G = size >= 3, and a
+    bound Delta on its distance from ``_infidelities`` there.
+
+    Phase m is m pi / (G - 1) = 2 pi m / P with P = 2 (G - 1), so
+    D = tau - sum_k a_k e^{i k phi} at all G phases is one real FFT of
+    length P, whose G outputs np.fft.rfft returns.  a_k is tail entry
+    |k| - 1 for k > 0 and entry |k| - 1 + shift for k < 0, folded mod P,
+    and tau = ||a||_1 <= 1 is their sum.  The FFT's sign conjugates D,
+    which leaves 2 Re D - |D|^2 unchanged.  For L tail weights and
+    u = 2^-53 the bound is
+
+        Delta = (256 Q log2 Q + 128 L) u tau + (Q^2 + L) 2^-1068,
+
+    with Q = 4 P.  Its parts:
+    - FFT.  A pass of radix p adds at most (p + 3) u times the mass of
+      the inputs that feed one output, and those inputs partition the
+      folded vector.  For a large prime factor of P, numpy's pocketfft
+      runs Bluestein's algorithm: two FFTs of a padded length n2 < Q
+      (radices up to 11) around a convolution that sums n2 such errors
+      with weights at most 1.  Either way D is off by at most
+      2 Q (14 log2 Q + 4) u tau.  Folding and tau, each a sum of at
+      most 2 L weights in some order, add at most 4 L u tau, and
+      2 Re D - |D|^2 multiplies an error in D by at most 7, since
+      |D| <= 2 tau <= 2.
+    - Grid.  linspace's points lie within 2 pi u + |pi - fl(pi)| < 8 u
+      of m pi / (G - 1), and |d(1 - F)/d phi| <= 2 (1 + |D|) sum |k a_k|
+      <= 6 L tau, so the points add 48 L u tau.
+    - Kernel.  Its angles k phi are off by at most 2 pi u |k|, which
+      adds under 38 L u tau; its sums, of at most 2 sqrt(L) + 2 terms
+      each, add under 64 (sqrt(L) + 2) u tau.
+    - Floor.  Every rounding errs by at most u |value| + 2^-1075; the
+      first part is counted above.  One output of an FFT of length n
+      depends on at most 8 n roundings, one of Bluestein's on at most
+      9 n2^2, one kernel value on at most 8 L, and 2 Re D - |D|^2 scales
+      those by 7, so the second part adds at most (Q^2 + L) 2^-1068.
+      It bounds the error of a tail whose mass is subnormal, where
+      u tau underflows.
+    The parts sum to less than Delta.  The temporaries hold about eight
+    doubles per phase, at most about 2 MB under ``_SCREEN_MAX``.
+    """
+    tail, shift = terms
+    period = 2 * (size - 1)
+    k = np.arange(1, tail.size + 1)
+    weights = np.concatenate([tail, tail[shift:]])
+    folded = np.bincount(np.concatenate([k, -k[:tail.size - shift]]) % period,
+                         weights=weights, minlength=period)
+    mass = weights.sum()
+    spectrum = np.fft.rfft(folded)
+    re = mass - spectrum.real
+    estimate = 2.0 * re - (re * re + spectrum.imag * spectrum.imag)
+    q = 4 * period
+    delta = (256 * q * math.log2(q) + 128 * tail.size) * mass * 2.0 ** -53 \
+        + (q * q + tail.size) * 2.0 ** -1068
+    return estimate, float(delta)
 
 
 @dataclass(frozen=True)
@@ -267,7 +369,12 @@ def asymptotic_sweep(
 
     Passing ``m_list`` overrides the power law with explicit replica
     counts (paired with ``n_list``); the reported alpha is then the
-    effective exponent of each pair.
+    effective exponent of each pair.  Each size's worst case is
+    ``worst_case_fidelity``'s on ``phi_grid`` (``default_phi_grid()`` when
+    omitted): on that uniform grid, and on np.linspace(0, pi, G) for
+    3 <= G <= ``_SCREEN_MAX``, one FFT screens the phases and the kernel
+    evaluates only the candidates; on any other grid it evaluates every
+    phase.
     """
     alpha = _real(alpha, "alpha", positive=True)
     n_list = _sizes(n_list, "copies")  # before the power law uses N

@@ -704,6 +704,17 @@ def test_import_loads_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
+def test_set_up_loads_no_fft():
+    # numpy.fft costs about 1.2 ms of start-up; only the superrep worst-case
+    # screen uses it, and loads it on its first call
+    code = ("import sys, phaserep.cli; phaserep.tomo.default_design(); "
+            "print('numpy.fft' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_cli_imports_svgplot_only_for_figures():
     # a fresh interpreter; perfbench imports both before its first run
     code = ("import sys, phaserep, phaserep.cli; "

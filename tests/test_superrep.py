@@ -10,8 +10,11 @@ from phaserep.gates import phase_gate, toffoli
 from phaserep.qmat import REGISTER_CAP, normalize_phase
 from phaserep.superrep import (
     _BLOCK,
+    _SCREEN_MAX,
     ReplicationSpec,
+    _estimate,
     _infidelities,
+    _screen,
     _tail_weights,
     _weight_table,
     ancilla_imprint,
@@ -309,6 +312,51 @@ def test_worst_case_scans_the_given_grid():
             assert phi == grid[int(np.argmin(singles))]
 
 
+def _screen_specs():
+    # M = N and N + 1 give empty tails or tails on one side only, 2N and
+    # 3N + 1 both parity shifts; at G = 17 (P = 32) most tails fold, up to
+    # L = 720 at M = 1986.  2^-1041 and 2 x 2^-1072 are subnormal masses.
+    for n in (*range(1, 41), 61, 77, 158, 400):
+        for m in sorted({n, n + 1, 2 * n, math.floor(n ** 1.5), 3 * n + 1}):
+            yield ReplicationSpec(n, m)
+    yield ReplicationSpec(1040, 1041)
+    yield ReplicationSpec(1070, 1072)
+
+
+def test_screen_changes_no_worst_case():
+    # G = 1020 runs P = 2038 = 2 x 1019, a Bluestein length.  The first
+    # assertion holds for a full-grid scan too; the test fails on a tree
+    # without the screen only because it calls _estimate and _screen.
+    single = 0
+    for spec in _screen_specs():
+        terms = _tail_weights(spec)
+        for size in (2, 3, 17, 513, 1000, 1020):
+            grid = np.linspace(0.0, math.pi, size)
+            kernel = _infidelities(terms, grid)
+            i = int(np.argmax(kernel))
+            assert worst_case_fidelity(spec, grid) \
+                == (grid[i], 1.0 - kernel[i])
+            if size < 3 or not terms[0].size:
+                assert _screen(terms, grid).tolist() == list(range(size))
+                continue
+            estimate, delta = _estimate(terms, size)
+            assert np.abs(estimate - kernel).max() <= delta / 8
+            if size == 513 and 16 <= spec.copies <= 158:
+                assert _screen(terms, grid).size == 1
+                single += 1
+    assert single == 112
+
+
+def test_screen_takes_only_the_exact_linspace_grid():
+    spec = ReplicationSpec(10, 100)
+    terms = _tail_weights(spec)
+    grid = np.linspace(0.0, math.pi, 513)
+    assert _screen(terms, grid).size == 1
+    for bad in (np.nextafter(grid, 4.0), grid * (1.0 + 2.0 ** -52),
+                np.linspace(0.0, 2.0 * math.pi, 513), grid[::-1]):
+        assert _screen(terms, bad).tolist() == list(range(513))
+
+
 def test_non_finite_phases_and_non_1d_grids_are_rejected():
     for spec in (ReplicationSpec(2, 4), ReplicationSpec(2, 2)):
         for bad in (math.inf, -math.inf, math.nan):
@@ -345,16 +393,23 @@ def test_infidelity_against_high_precision_tail_sum():
 
 
 def test_worst_case_memory_does_not_grow_with_the_grid():
-    # unblocked, each (grid x sqrt(M)) temporary would take about 7 MB
+    # unblocked, each (grid x sqrt(M)) temporary would take about 7 MB.
+    # The uniform 20000-point grid goes through the screen, the other two
+    # through the blocked kernel alone; about 0.5 s in all.
     spec = ReplicationSpec(copies=158, replicas=1986)
-    grid = np.linspace(0.0, math.pi, 20000)
-    tracemalloc.start()
-    try:
-        worst_case_fidelity(spec, grid)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 4e6
+    terms = _tail_weights(spec)
+    for grid, screened in (
+            (np.linspace(0.0, math.pi, 20000), True),
+            (math.pi * np.linspace(0.0, 1.0, 20000) ** 2, False),
+            (np.linspace(0.0, math.pi, _SCREEN_MAX + 1), False)):
+        assert (_screen(terms, grid).size < grid.size) == screened
+        tracemalloc.start()
+        try:
+            worst_case_fidelity(spec, grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
 
 
 def test_default_grid_covers_half_period():
