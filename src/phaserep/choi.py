@@ -119,10 +119,10 @@ def process_fidelity(
     returns a float, so each entry of the array equals the float of its
     own row.
     """
-    chi = isinstance(channel, ProcessMatrix)
-    if not chi:
-        channel = _operator(channel, "channel", 3)
-    u = _gate(u, channel.dim if chi else channel.shape[-1], stacked=not chi)
+    if isinstance(channel, ProcessMatrix):
+        return float(_chi_fidelity(channel.matrix, _gate(u, channel.dim)))
+    channel = _operator(channel, "channel", 3)
+    u = _gate(u, channel.shape[-1], stacked=True)
     return _process_fidelity(channel, u)
 
 
@@ -135,25 +135,34 @@ def _gate(u, d: int, stacked: bool = False) -> np.ndarray:
     return u
 
 
-def _process_fidelity(channel: ProcessMatrix | np.ndarray, u: np.ndarray
+def _process_fidelity(kraus: np.ndarray, u: np.ndarray
                       ) -> float | np.ndarray:
-    """The kernel of ``process_fidelity``: a process matrix or a Kraus
-    array, and a gate (stack) of its width, all checked or made by the
-    package."""
-    if isinstance(channel, ProcessMatrix):
-        v = choi_vector(u)
-        f, trace = np.real(v.conj() @ channel.matrix @ v), channel.trace
-    else:
-        d = channel.shape[-1]
-        overlap = (u.conj()[..., None, :, :] * channel).sum(axis=(-2, -1))
-        f = (overlap.real ** 2 + overlap.imag ** 2).sum(axis=-1)
-        trace = d * (channel.real ** 2 + channel.imag ** 2).sum(
-            axis=(-3, -2, -1))
+    """The kernel of ``process_fidelity`` on a Kraus array (stack) and a
+    gate (stack) of its width, all checked or made by the package."""
+    d = kraus.shape[-1]
+    overlap = (u.conj()[..., None, :, :] * kraus).sum(axis=(-2, -1))
+    f = _normalized((overlap.real ** 2 + overlap.imag ** 2).sum(axis=-1),
+                    d * (kraus.real ** 2 + kraus.imag ** 2).sum(
+                        axis=(-3, -2, -1)))
+    return float(f) if f.ndim == 0 else f
+
+
+def _chi_fidelity(chi: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """<Phi_U| chi |Phi_U> / Tr chi over a chi stack (..., d², d²), with
+    one gate or a gate stack that broadcasts against it; each entry is
+    the ``process_fidelity`` of its chi's ``ProcessMatrix``, bit for bit.
+    A trace that is not positive (zero or NaN) raises ``ValueError``."""
+    v = choi_vector(u)
+    f = np.real(v.conj()[..., None, :] @ chi @ v[..., :, None])[..., 0, 0]
+    return _normalized(f, np.trace(chi, axis1=-2, axis2=-1).real)
+
+
+def _normalized(f: np.ndarray, trace: np.ndarray) -> np.ndarray:
+    """The overlaps ``f`` over their channels' traces, clipped to [0, 1]."""
     if not np.all(trace > 0.0):
         raise ValueError("channel trace must be positive")
     # Clip float noise; chi is PSD so f is in [0, 1] mathematically.
-    f = np.minimum(np.maximum(f / trace, 0.0), 1.0)
-    return float(f) if f.ndim == 0 else f
+    return np.minimum(np.maximum(f / trace, 0.0), 1.0)
 
 
 def process_matrix_to_json(chi: ProcessMatrix) -> dict:

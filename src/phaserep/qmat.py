@@ -173,8 +173,8 @@ def _operator(value, name: str, ndim: int, stacked: bool = True,
 
 def _record(value, name: str, kind: type):
     """The record rule: one ``kind`` instance (a ``ReplicationSpec``,
-    ``TomographyDataset``, ``ProcessMatrix`` or ``OpticsParams``), whose
-    fields were checked when it was made."""
+    ``TomographyDataset``, ``TomographyDesign``, ``ProcessMatrix`` or
+    ``OpticsParams``), whose fields were checked when it was made."""
     if not isinstance(value, kind):
         raise ValueError(f"{name} must be one {kind.__name__}, not {value!r}")
     return value

@@ -24,8 +24,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .choi import ProcessMatrix, _choi, _choi_matrices, _gate, \
-    _process_fidelity
+from .choi import ProcessMatrix, _chi_fidelity, _choi, _choi_matrices, \
+    _gate
 from .gates import _cu_phase, _phase_gate
 from .optics import OpticsParams, _experiment_channel
 from .qmat import PROJECTOR_KETS, _kron, _operator, _phase_list, _real, \
@@ -213,6 +213,7 @@ def simulate_counts(
     A rate that puts a mean above the largest numpy can draw from
     (about 9.2e18) raises ``ValueError``.
     """
+    design = _record(design, "design", TomographyDesign)
     rate, seed = _real(rate, "rate", positive=True), _seed(seed)
     # the dataset record checks the phase
     return _draw_counts(design._probabilities(_two_qubit(channel)), rate,
@@ -280,17 +281,19 @@ def _unit_trace(m: np.ndarray) -> np.ndarray:
     return m
 
 
-def _mle_batch(counts: np.ndarray, design: TomographyDesign
-               ) -> list[MleResult]:
+def _mle_batch(counts: np.ndarray, design: TomographyDesign) -> tuple[
+        np.ndarray, np.ndarray, np.ndarray, np.ndarray, list[np.ndarray]]:
     """RrhoR ascent for every row of ``counts`` (trials x design rows).
 
-    The trials still running advance together as (trials, 16, 16)
-    stacks.  Every step acts on each matrix or count row on its own, so
-    a trial's result is bit-identical to a solve of that row alone.  A
-    trial leaves the stack when it meets the stopping test and writes
-    back only its chi; its iteration count and final log-likelihood are
-    read off its ``ll_trace``.
+    Returns arrays over the trials: the (trials, 16, 16) chi stack,
+    ``converged``, ``dilutions``, the optimality gaps, and the list of
+    read-only ``ll_trace`` arrays, one entry longer than the iteration
+    count.  It makes no record; callers make those they return.
 
+    The trials still running advance together as stacks.  Every step
+    acts on each matrix or count row on its own, so a trial's result is
+    bit-identical to a solve of that row alone.  A trial leaves the
+    stack when it meets the stopping test and writes back only its chi.
     Each iteration works on fresh stacks in place and records the live
     trials' log-likelihoods as one array; the ``ll_trace`` arrays are cut
     from one buffer at the end, so a batch holds no history beyond the
@@ -394,14 +397,7 @@ def _mle_batch(counts: np.ndarray, design: TomographyDesign
     flat = np.zeros(int(lengths.sum()))
     flat[starts[among] + step] = np.concatenate([v for _, v in history])
     flat.setflags(write=False)
-    ll_traces = np.split(flat, starts[1:])
-
-    return [
-        MleResult(ProcessMatrix(chi_out[k], 2), bool(converged[k]),
-                  len(trace) - 1, float(trace[-1]), trace,
-                  int(dilutions[k]), float(gaps[k]))
-        for k, trace in enumerate(ll_traces)
-    ]
+    return chi_out, converged, dilutions, gaps, np.split(flat, starts[1:])
 
 
 def mle_reconstruct(
@@ -427,7 +423,12 @@ def mle_reconstruct(
     result is bit-identical to the one the same counts get there.
     """
     dataset = _record(dataset, "dataset", TomographyDataset)
-    return _mle_batch(dataset.counts[None, :], design)[0]
+    design = _record(design, "design", TomographyDesign)
+    chi, converged, dilutions, gaps, (trace,) = _mle_batch(
+        dataset.counts[None, :], design)
+    return MleResult(ProcessMatrix(chi[0], 2), bool(converged[0]),
+                     len(trace) - 1, float(trace[-1]), trace,
+                     int(dilutions[0]), float(gaps[0]))
 
 
 @dataclass(frozen=True)
@@ -443,21 +444,6 @@ def _resample(counts: np.ndarray, trials: int, seed) -> np.ndarray:
     from its own stream spawned from ``seed``."""
     return np.array([np.random.default_rng(stream).poisson(counts)
                      for stream in seed.spawn(trials)], dtype=np.float64)
-
-
-def _fidelity_stats(results: Sequence[MleResult],
-                    targets: Mapping[str, np.ndarray]
-                    ) -> dict[str, FidelityStats]:
-    """Mean and sample standard deviation of each target's process
-    fidelity over the reconstructions."""
-    values = {
-        name: [_process_fidelity(result.chi, target) for result in results]
-        for name, target in targets.items()
-    }
-    return {
-        name: FidelityStats(float(np.mean(v)), float(np.std(v, ddof=1)))
-        for name, v in values.items()
-    }
 
 
 def monte_carlo_errors(
@@ -478,10 +464,13 @@ def monte_carlo_errors(
     reconstruction, with equal results.
     """
     dataset = _record(dataset, "dataset", TomographyDataset)
+    design = _record(design, "design", TomographyDesign)
     trials, seed = _trials(trials), _seed(seed)
     targets = {name: _gate(u, 4) for name, u in targets.items()}
-    results = _mle_batch(_resample(dataset.counts, trials, seed), design)
-    return _fidelity_stats(results, targets)
+    chi = _mle_batch(_resample(dataset.counts, trials, seed), design)[0]
+    fids = {name: _chi_fidelity(chi, u) for name, u in targets.items()}
+    return {name: FidelityStats(float(np.mean(f)), float(np.std(f, ddof=1)))
+            for name, f in fids.items()}
 
 
 @dataclass(frozen=True)
@@ -595,30 +584,28 @@ def experiment_pipeline(
     ]
     if trials >= 2:
         # one batch a phase, solved as the loop reaches it, so no more
-        # than trials + 1 solves are held at once
+        # than trials + 1 solves are held at once: row 0 is the phase's
+        # estimate, rows 1..T its resamples
         solved = (
             _mle_batch(np.concatenate([d.counts[None], _resample(
                 d.counts, trials, mc_stream)]), design)
             for d, (_, mc_stream) in zip(datasets, streams))
     else:
-        solved = ([result] for result in _mle_batch(
-            np.array([d.counts for d in datasets]).reshape(-1, design.size),
-            design))
+        # all phases' estimates as one batch, cut into one row a phase
+        batch = _mle_batch(np.array([d.counts for d in datasets]), design)
+        solved = ([a[k:k + 1] for a in batch] for k in range(len(phases)))
     rows = []
-    for phi, dataset, (result, *boot) in zip(phases, datasets, solved):
-        u = _phase_gate(phi)
-        targets = {"cu": _cu_phase(phi), "uu": _kron(u, u)}
-        f_cu = _process_fidelity(result.chi, targets["cu"])
-        f_uu = _process_fidelity(result.chi, targets["uu"])
-        f_cu_std = f_uu_std = float("nan")
-        if boot:
-            stats = _fidelity_stats(boot, targets)
-            f_cu_std = stats["cu"].std
-            f_uu_std = stats["uu"].std
-        chi_ideal = _choi(targets["cu"][None])
-        rows.append(PhaseReport(phi, result.chi, chi_ideal, dataset, f_cu,
-                                f_uu, f_cu_std, f_uu_std, result.iterations,
-                                result.converged, result.optimality_gap))
+    for phi, dataset, (chi, converged, _, gaps, ll_traces) in zip(
+            phases, datasets, solved):
+        u, cu = _phase_gate(phi), _cu_phase(phi)
+        # each target's fidelities over the batch in one call
+        f_cu, f_uu = _chi_fidelity(chi, cu), _chi_fidelity(chi, _kron(u, u))
+        f_cu_std, f_uu_std = (float(np.std(f[1:], ddof=1)) if trials >= 2
+                              else math.nan for f in (f_cu, f_uu))
+        rows.append(PhaseReport(
+            phi, ProcessMatrix(chi[0], 2), _choi(cu[None]), dataset,
+            float(f_cu[0]), float(f_uu[0]), f_cu_std, f_uu_std,
+            len(ll_traces[0]) - 1, bool(converged[0]), float(gaps[0])))
     fit = None
     if np.unique(np.round(phases, 12)).size >= 2:
         fit = _fit_cosine(np.array(phases), np.array([r.f_uu for r in rows]))
@@ -646,6 +633,7 @@ def write_datasets_csv(path, datasets: Sequence[TomographyDataset],
     integral count of 2^53 or more with all its digits.
     """
     datasets = _records(datasets, "datasets", TomographyDataset)
+    design = _record(design, "design", TomographyDesign)
     for phase_id, ds in enumerate(datasets):
         if ds.counts.size != design.size:
             raise ValueError(
@@ -679,6 +667,7 @@ def read_datasets_csv(path, design: TomographyDesign
     design order (``row_index``).  A missing, repeated or misplaced row,
     or a missing or malformed header, raises ``ValueError``.
     """
+    design = _record(design, "design", TomographyDesign)
     headers = {}
     lines = []
     with open(path, newline="") as fh:

@@ -63,12 +63,14 @@ CASES = {
         {"optics": {"phase_jitter_sigma": 0.5}},
         [("_seed", 3), ("_real", 0.375), ("_real", 250.0), ("_trials", 2),
          ("_field", 0.5)],
-        # the dataset, then the estimate, two resamples and the ideal
-        # chi of the one phase, and the written records
+        # the dataset, then the estimate and the ideal chi of the one
+        # phase (the resamples' chi stay arrays), the written datasets
+        # and their design, and the written chi
         [("_record", None), ("_trials", 2), ("_real", 250.0), ("_seed", 3),
          ("_phase_list", (0.375,)), ("_columns", None),
-         ("TomographyDataset", None)] + [("ProcessMatrix", None)] * 4
-        + [("_records", None), ("_record", None), ("_record", None)]),
+         ("TomographyDataset", None)] + [("ProcessMatrix", None)] * 2
+        + [("_records", None), ("_record", None), ("_record", None),
+           ("_record", None)]),
     "optics-scan": (
         [],
         {"preset": "measured", "optics": {"r_v": 0.6875},
@@ -141,6 +143,17 @@ def test_the_config_checks_each_user_value_once(command, rule_calls,
     seen = [(rule, _user_value(value)) for rule, value in rule_calls]
     assert seen[:resolved[0]] == resolving
     assert seen[resolved[0]:] == running
+
+
+@pytest.mark.parametrize("trials", ["0", "5"])
+def test_a_tomo_run_makes_two_process_matrices_a_phase(trials, rule_calls,
+                                                       tmp_path):
+    # each phase's estimate and ideal chi; the solver and the bootstrap
+    # keep their chi as arrays, whatever the number of resamples
+    assert cli.main(["tomo", "--phases", "0.375,1.25,2.5", "--rate", "250",
+                     "--trials", trials, "--preset", "ideal",
+                     "--out-dir", str(tmp_path / "out")]) == 0
+    assert [rule for rule, _ in rule_calls].count("ProcessMatrix") == 2 * 3
 
 
 def test_a_library_call_checks_each_argument_once(rule_calls):

@@ -7,6 +7,7 @@ import pytest
 
 from phaserep.choi import (
     ProcessMatrix,
+    _chi_fidelity,
     _choi_matrices,
     choi_from_kraus,
     choi_vector,
@@ -199,6 +200,13 @@ def test_choi_from_kraus_rejects_a_sum_that_overflows():
     with np.errstate(over="ignore"), \
             pytest.raises(ValueError, match="not finite"):
         choi_from_kraus(np.full((1, 2, 2), 1e200))
+
+
+def test_stacked_chi_fidelity_rejects_a_nan_or_zero_trace_chi():
+    chi = choi_from_kraus([cu_phase(0.3)]).matrix
+    for bad in (np.full((16, 16), math.nan), np.zeros((16, 16))):
+        with pytest.raises(ValueError, match="trace must be positive"):
+            _chi_fidelity(np.array([chi, bad, chi]), cu_phase(0.3))
 
 
 def test_process_fidelity_rejects_zero_trace():

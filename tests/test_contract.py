@@ -120,6 +120,7 @@ _IDEAL = OpticsParams.ideal()
 _KRAUS = cu_phase(0.3)[None]
 _DATASET = TomographyDataset(0.3, np.full(default_design().size, 2.0), 10.0)
 _TARGETS = {"cu": cu_phase(0.3)}
+_NO_FILE = Path(tempfile.gettempdir(), "phaserep-no-such-dir", "counts.csv")
 
 
 def _counts(rate=10.0, seed=1):
@@ -317,6 +318,17 @@ ARRAY_ROWS = {
     "monte_carlo_errors[dataset]": Row(
         lambda x: monte_carlo_errors(x, default_design(), 2, _TARGETS, 1)),
     "write_datasets_csv": Row(_write_counts),
+    "simulate_counts[design]": Row(
+        lambda x: simulate_counts(_KRAUS, x, 10.0, 1)),
+    "mle_reconstruct[design]": Row(lambda x: mle_reconstruct(_DATASET, x)),
+    "monte_carlo_errors[design]": Row(
+        lambda x: monte_carlo_errors(_DATASET, x, 2, _TARGETS, 1)),
+    # the design is checked before the file is opened, so a path in a
+    # missing directory still gives ValueError
+    "write_datasets_csv[design]": Row(
+        lambda x: write_datasets_csv(_NO_FILE, [_DATASET], x)),
+    "read_datasets_csv[design]": Row(
+        lambda x: read_datasets_csv(_NO_FILE, x)),
     "process_matrix_to_json": Row(process_matrix_to_json),
     "build_V": Row(build_V),
     "ancilla_imprint": Row(ancilla_imprint),

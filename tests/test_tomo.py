@@ -13,6 +13,7 @@ from conftest import expected_counts
 from phaserep import (
     FitResult,
     OpticsParams,
+    ProcessMatrix,
     TomographyDataset,
     baseline_single_copy,
     choi_from_kraus,
@@ -32,7 +33,8 @@ from phaserep import (
     standard_phases,
     write_datasets_csv,
 )
-from phaserep import tomo
+from phaserep import choi, tomo
+from phaserep.choi import choi_vector
 from phaserep.qmat import PROJECTOR_KETS
 from phaserep.tomo import (
     MEASUREMENT_BASES,
@@ -545,25 +547,27 @@ def test_batched_solve_matches_single_solves(monkeypatch):
 
     singles = [mle_reconstruct(TomographyDataset(0.0, c, 1.0), design)
                for c in counts]
-    batch = _mle_batch(np.array(counts), design)
+    # the batch's arrays, one (chi, converged, dilutions, gap, ll_trace)
+    # tuple a trial
+    batch = list(zip(*_mle_batch(np.array(counts), design)))
     # the capped solve runs inside a mixed batch
     monkeypatch.setattr(tomo, "MAX_ITERATIONS", 3)
     singles.append(mle_reconstruct(TomographyDataset(0.0, capped, 1.0),
                                    design))
-    batch.append(_mle_batch(np.array([counts[1], capped, counts[3]]),
-                            design)[1])
+    batch.append(list(zip(*_mle_batch(
+        np.array([counts[1], capped, counts[3]]), design)))[1])
 
-    for alone, stacked in zip(singles, batch):
-        assert np.array_equal(alone.chi.matrix, stacked.chi.matrix)
-        assert alone.iterations == stacked.iterations
-        assert alone.converged == stacked.converged
-        assert np.array_equal(alone.ll_trace, stacked.ll_trace)
-        assert alone.dilutions == stacked.dilutions
-        assert alone.optimality_gap == stacked.optimality_gap
+    for alone, (chi, converged, dilutions, gap, trace) in zip(singles,
+                                                              batch):
+        assert np.array_equal(alone.chi.matrix, chi)
+        assert alone.iterations == len(trace) - 1
+        assert alone.converged == converged
+        assert np.array_equal(alone.ll_trace, trace)
+        assert alone.dilutions == dilutions
+        assert alone.optimality_gap == gap
         # the count and the final value are read off the trace
-        for result in (alone, stacked):
-            assert result.iterations == len(result.ll_trace) - 1
-            assert result.log_likelihood == result.ll_trace[-1]
+        assert alone.iterations == len(alone.ll_trace) - 1
+        assert alone.log_likelihood == alone.ll_trace[-1]
     assert [r.converged for r in singles] == [True] * 5 + [False]
     assert singles[3].dilutions >= 1
     assert singles[4].iterations == 0 and singles[4].optimality_gap == 0.0
@@ -584,23 +588,24 @@ def test_a_short_batch_holds_no_history_sized_by_the_cap(monkeypatch):
     def traced_solve():
         tracemalloc.start()
         try:
-            results = _mle_batch(counts, design)
-            return results, tracemalloc.get_traced_memory()[1]
+            solved = _mle_batch(counts, design)
+            return solved, tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
     history_bytes = 8 * (tomo.MAX_ITERATIONS + 1) * trials
-    results, peak = traced_solve()
+    (_, converged, _, _, traces), peak = traced_solve()
     # the same solve with a cap it never reaches sets the working set
     monkeypatch.setattr(tomo, "MAX_ITERATIONS", 2)
-    capped, capped_peak = traced_solve()
+    (_, _, _, _, capped), capped_peak = traced_solve()
     assert peak - capped_peak < history_bytes / 10
-    for result, same in zip(results, capped):
-        assert result.converged and result.iterations == 2
-        assert len(result.ll_trace) == 3
-        assert result.ll_trace[-1] == result.log_likelihood
-        assert not result.ll_trace.flags.writeable
-        assert np.array_equal(result.ll_trace, same.ll_trace)
+    assert converged.all()
+    assert len(traces) == len(capped) == trials
+    for trace, same in zip(traces, capped):
+        # 2 iterations after the seed value
+        assert len(trace) == 3
+        assert not trace.flags.writeable
+        assert np.array_equal(trace, same)
 
 
 def test_optimality_gap_matches_the_dense_formula():
@@ -673,14 +678,14 @@ def test_bootstrap_of_sparse_counts_has_empty_resamples():
     empty = resampled.sum(axis=1) == 0.0
     assert 0 < empty.sum() < trials
 
-    results = _mle_batch(resampled, design)
-    for result, is_empty in zip(results, empty):
-        assert result.converged
-        if is_empty:
-            assert result.iterations == 0
-            assert np.array_equal(result.chi.matrix, np.eye(16) / 16.0)
+    chi, converged, _, _, traces = _mle_batch(resampled, design)
+    assert converged.all()
+    for k in np.flatnonzero(empty):
+        assert len(traces[k]) == 1
+        assert np.array_equal(chi[k], np.eye(16) / 16.0)
     stats = monte_carlo_errors(ds, design, trials, targets, seed)
-    fids = [process_fidelity(r.chi, targets["cu"]) for r in results]
+    fids = [process_fidelity(ProcessMatrix(c, 2), targets["cu"])
+            for c in chi]
     assert stats["cu"].mean == float(np.mean(fids))
     assert stats["cu"].std == float(np.std(fids, ddof=1))
     assert math.isfinite(stats["cu"].mean) and math.isfinite(stats["cu"].std)
@@ -901,6 +906,52 @@ def test_pipeline_counts_equal_simulate_counts_phase_by_phase():
         assert (row.dataset.phase, row.dataset.rate) == (ds.phase, ds.rate)
 
 
+def _one_chi_fidelity(chi, u):
+    """The fidelity of one chi as it was computed per record, on 1-D
+    vectors, as the reference of the stacked kernel."""
+    v = choi_vector(u)
+    f = np.real(v.conj() @ chi @ v) / float(np.trace(chi).real)
+    return float(np.minimum(np.maximum(f, 0.0), 1.0))
+
+
+def test_stacked_chi_fidelity_equals_process_fidelity_per_record():
+    # the golden tomo settings: measured preset with jitter 0.65, rate
+    # 2000, seed 5, 3 bootstrap trials
+    seed, trials = 5, 3
+    design = default_design()
+    report = experiment_pipeline(
+        OpticsParams.measured(phase_jitter_sigma=0.65), rate=2000.0,
+        trials=trials, seed=seed)
+    phases = np.array(report.phases)
+    chi = np.array([row.chi.matrix for row in report.rows])
+    u = phase_gate(phases)
+    # a per-phase gate stack over the phases' estimates
+    for gates in (cu_phase(phases), kron(u, u)):
+        want = [process_fidelity(ProcessMatrix(c, 2), g)
+                for c, g in zip(chi, gates)]
+        assert want == [_one_chi_fidelity(c, g) for c, g in zip(chi, gates)]
+        assert choi._chi_fidelity(chi, gates).tobytes() \
+            == np.array(want).tobytes()
+    # one gate over each phase's bootstrap stack, drawn as the pipeline
+    # draws it: row 0 the estimate, rows 1..3 the resamples
+    streams = np.random.SeedSequence(seed).spawn(len(phases))
+    for phi, stream, row in zip(phases, streams, report.rows):
+        counts = row.dataset.counts
+        stack = _mle_batch(np.concatenate([counts[None], tomo._resample(
+            counts, trials, stream.spawn(2)[1])]), design)[0]
+        assert np.array_equal(stack[0], row.chi.matrix)
+        gate = phase_gate(phi)
+        for target, f, std in ((cu_phase(phi), row.f_cu, row.f_cu_std),
+                               (kron(gate, gate), row.f_uu, row.f_uu_std)):
+            want = [process_fidelity(ProcessMatrix(c, 2), target)
+                    for c in stack]
+            assert want == [_one_chi_fidelity(c, target) for c in stack]
+            got = choi._chi_fidelity(stack, target)
+            assert got.tobytes() == np.array(want).tobytes()
+            assert f == want[0]
+            assert std == float(np.std(want[1:], ddof=1))
+
+
 # ------------------------------------------------------------------- csv
 
 
@@ -1018,3 +1069,39 @@ def test_corrupt_counts_csv_is_rejected(tmp_path, edit, message):
     path = _corrupted_counts_csv(tmp_path, edit)
     with pytest.raises(ValueError, match=message):
         read_datasets_csv(path, default_design())
+
+
+# ---------------------------------------------------------- design rule
+
+
+_DESIGN_CALLS = {
+    "simulate_counts": lambda design, path: simulate_counts(
+        cu_phase(0.3)[None], design, 10.0, 1),
+    "mle_reconstruct": lambda design, path: mle_reconstruct(
+        TomographyDataset(0.3, np.ones(1296), 10.0), design),
+    "monte_carlo_errors": lambda design, path: monte_carlo_errors(
+        TomographyDataset(0.3, np.ones(1296), 10.0), design, 2,
+        {"cu": cu_phase(0.3)}, 1),
+    "write_datasets_csv": lambda design, path: write_datasets_csv(
+        path, [TomographyDataset(0.3, np.ones(1296), 10.0)], design),
+    "read_datasets_csv": lambda design, path: read_datasets_csv(
+        path, design),
+}
+
+
+@pytest.mark.parametrize("value", [None, True, "default_design"],
+                         ids=["none", "bool", "string"])
+@pytest.mark.parametrize("name", sorted(_DESIGN_CALLS))
+def test_design_follows_the_record_rule(name, value, tmp_path, monkeypatch):
+    # the rule runs before any work: no probabilities, no solve, no
+    # resamples, and no file is read or written
+    def unreachable(*args, **kwargs):
+        raise AssertionError("work began before the design was checked")
+
+    for helper in ("_draw_counts", "_mle_batch", "_resample"):
+        monkeypatch.setattr(tomo, helper, unreachable)
+    path = tmp_path / "counts.csv"
+    with pytest.raises(ValueError,
+                       match="design must be one TomographyDesign"):
+        _DESIGN_CALLS[name](value, path)
+    assert not path.exists()
