@@ -11,12 +11,15 @@ here builds a 2^(M+N)-wide matrix.
 Fidelity with the ideal M-fold gate is a binomial sum over weights
 C(M, w) / 2^M.  Only the tails outside the window enter the infidelity
 1 - F, and the tail above mirrors the one below, so only the weights
-below the window are built, from exact integer binomials correctly
-rounded to doubles, until they underflow.  1 - F is computed without
-cancellation for a whole phase grid at once, in fixed-size blocks:
-about 4 sqrt(L) sines and one small matrix product per phase for L
-tail weights.  It is accurate to a few ulps of itself, also where F
-rounds to 1, and no state vectors are ever built on that path.
+below the window are kept, until they underflow.  They come from one
+floating-point cumulative product of binomial ratios, outward from the
+mode M / 2 and about 19.3 sqrt(M) long, each within a stated relative
+bound of C(M, w) / 2^M; no big integer is built.  1 - F is computed
+without cancellation for a whole phase grid at once, in fixed-size
+blocks: about 4 sqrt(L) sines and one small matrix product per phase for
+L tail weights.  Its error is bounded relative to the tail mass (see
+``replication_fidelity``), also where F rounds to 1, and no state
+vectors are ever built on that path.
 
 The worst case over a phase grid is found by screen and verify.  On the
 grid np.linspace(0, pi, G) the tail sum at every phase is one real FFT.
@@ -126,25 +129,57 @@ def replicated_map(spec: ReplicationSpec, phi: float) -> np.ndarray:
     return np.exp(1j * phi * _phase_profile(spec)[_weight_table(m)])
 
 
+# C(M, w) / 2^M <= exp(-2 d^2 / M) at distance d = |w - M/2| (Hoeffding),
+# which is at most 2^-1076, and so rounds to 0, from d = _UNDERFLOW sqrt(M)
+_UNDERFLOW = math.sqrt(1076 * math.log(2) / 2)
+
+
 def _tail_weights(spec: ReplicationSpec) -> tuple[np.ndarray, int]:
     """Weights below the window, nearest first, and the parity shift.
 
     Entry j is C(M, w) / 2^M at w = m_min - 1 - j, with phase exponent
     k = f(w) - w + m_min = j + 1; by C(M, w) = C(M, M - w) the weight at
-    k = -(j + 1), above the window, is entry j + shift.  The exact
-    binomials step outward by C(M, w - 1) = C(M, w) w / (M - w + 1), each
-    quotient by 2^M is correctly rounded, and the tail stops before the
-    first weight that rounds to 0 (the weights fall away from M / 2).
+    k = -(j + 1), above the window, is entry j + shift.  The tail stops
+    before the first weight that rounds to 0 (the weights fall away from
+    M / 2).
+
+    One cumulative product, started at 2^600 at the mode h = floor(M/2),
+    steps outward by C(M, w - 1) = C(M, w) w / (M - w + 1), each ratio
+    the rounded quotient of two exact integers (for M < 2^53), and stops
+    at the distance _UNDERFLOW sqrt(M) + 2 from h, past which every
+    weight rounds to 0.  Every partial product whose weight does not
+    round to 0 is at least 2^-475, a normal double.  The normaliser sums
+    the products over both mirrored halves, and each weight is one
+    division by it, so a subnormal weight is rounded once.
+
+    Error bound, for u = 2^-53: the product at w = h - i carries 2i
+    roundings, and so does its mirror.  Their mean under the binomial
+    weights, which the normaliser carries, is at most 2 E|w - M/2| <=
+    sqrt(M).  Its sum adds at most log2(terms) + 25 more (numpy's
+    pairwise sum: blocks of up to 128 on 8 accumulators), adding the
+    mode's term one and the division one.  So each weight is within
+
+        (2 (h - w) + sqrt(M) + log2(terms) + 32) u
+
+    relative of C(M, w) / 2^M, which leaves a few u for the second
+    order up to M = 10^12, plus at most 2^-1075 below 2^-1022.  Only a
+    weight within that bound of 2^-1075 can land on the other side of
+    the cut; the exact tie C(1075, 0) / 2^1075 = 2^-1075, which rounds
+    to 0, comes out as 2^-1074.  Each array holds at most
+    _UNDERFLOW sqrt(M) + 3 doubles (_UNDERFLOW = 19.3), whatever the
+    window.
     """
-    m, w = spec.replicas, spec.m_min - 1
-    scale = 1 << m
-    binomial = math.comb(m, w) if w >= 0 else 0
-    tail = []
-    while weight := binomial / scale:
-        tail.append(weight)
-        binomial = binomial * w // (m - w + 1)
-        w -= 1
-    return np.array(tail), (m - spec.copies) % 2
+    m, top = spec.replicas, spec.m_min - 1
+    mode = m // 2
+    low = max(0, mode - math.floor(_UNDERFLOW * math.sqrt(m)) - 2)
+    w = np.arange(mode, low, -1, dtype=np.float64)
+    # entry i is 2^600 C(M, mode - i) / C(M, mode)
+    scaled = np.concatenate(([2.0 ** 600], w / (m + 1.0 - w)))
+    np.cumprod(scaled, out=scaled)
+    # both halves: the mode once for even M (h = M - h), twice for odd
+    total = (1 + m % 2) * scaled[0] + 2.0 * scaled[1:].sum()
+    tail = scaled[mode - top:] / total  # empty when top < low
+    return tail[:np.count_nonzero(tail)], (m - spec.copies) % 2
 
 
 # Phases evaluated together; every temporary of the kernel holds at most
@@ -213,9 +248,18 @@ def replication_fidelity(spec: ReplicationSpec, phi: float) -> float:
     Equals |sum_w C(M,w) 2^{-M} e^{i (f(w)-w) phi}|^2, computed as 1 minus
     the cancellation-free infidelity of ``_infidelities`` on a grid of
     this one phase, so it equals ``worst_case_fidelity``'s value at the
-    same phase.  Only the tail weights below the window are built; the
-    infidelity is accurate to a few ulps of itself.  When the window
-    covers every weight (copies >= replicas) the fidelity is exactly 1.
+    same phase.  Only the tail weights below the window are kept, each
+    within the relative bound eps_w of ``_tail_weights``.  For tail mass
+    tau over both tails, L weights and u = 2^-53, 1 - F is then within
+
+        4 eps tau (1 + 2 tau) + (38 L + 64 sqrt(L) + 128) u tau
+
+    of its exact value, eps the mean of eps_w under the tail weights: the
+    weights move D (``_infidelities``) by at most 2 eps tau, and
+    1 - F = 2 Re D - |D|^2 by at most 2 (1 + |D|) <= 2 (1 + 2 tau) times
+    that, to first order; the kernel's own rounding is the second term
+    (see ``_estimate``).  When the window covers every weight
+    (copies >= replicas) the fidelity is exactly 1.
     """
     spec = _record(spec, "spec", ReplicationSpec)
     grid = np.atleast_1d(_phase_list(phi, "phi", (0,)))

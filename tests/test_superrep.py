@@ -225,27 +225,71 @@ def test_fidelity_against_high_precision_sum():
             assert abs(replication_fidelity(spec, phi) - expected) < 1e-13
 
 
+def _assert_weight(got, exact, m, w):
+    """A tail weight within ``_tail_weights``' stated bound of the exact
+    C(M, w) / 2^M, an mpf: (2 (h - w) + sqrt(M) + log2(terms) + 32) u
+    relative, with at most M + 1 terms, and half a subnormal unit more."""
+    bound = (2 * (m // 2 - w) + math.sqrt(m) + math.log2(m + 1) + 32) \
+        * 2.0 ** -53
+    assert abs(got - exact) <= bound * exact + mpmath.mpf(2) ** -1075
+
+
 def test_very_wide_register_weights_and_worst_case():
-    m = 8000
-    binomial = [1]  # C(M, w) for every w, upward from w = 0
-    for w in range(m):
-        binomial.append(binomial[-1] * (m - w) // (w + 1))
-    for spec in (ReplicationSpec(399, m), ReplicationSpec(400, m)):
-        tail, shift = _tail_weights(spec)
-        assert shift == (m - spec.copies) % 2
-        # entry j is the weight at w = m_min - 1 - j, correctly rounded
-        top = spec.m_min - 1
-        for j, weight in enumerate(tail.tolist()):
-            assert weight == binomial[top - j] / (1 << m)
-        # C(M, w) / 2^M rounds to 0 exactly when it is at most half the
-        # smallest subnormal, 2^-1074: so past the tail, not inside it
-        assert (binomial[top - tail.size] << 1075) <= (1 << m)
-        assert (binomial[top - tail.size + 1] << 1075) > (1 << m)
-        # the window's weights, both tails and nothing else sum to 1
-        window = [binomial[w] / (1 << m)
-                  for w in range(spec.m_min, spec.m_max + 1)]
-        assert math.fsum([*window, *tail, *tail[shift:]]) == 1.0
-    spec = ReplicationSpec(400, m)
+    # odd M (8001), odd M - N, N >= M (no tail), windows whose first tail
+    # weight already rounds to 0 (7000 and 7999 copies at M = 8000), and
+    # m_min - 1 = 0 with the subnormal weight 2^-1060 (1059 copies)
+    with mpmath.workdps(40):
+        for m, copies in ((8000, (399, 400, 7000, 7999, 8001, 9000)),
+                          (8001, (400, 401)), (1060, (1059,))):
+            binomial = [1]  # C(M, w) for every w, upward from w = 0
+            for w in range(m):
+                binomial.append(binomial[-1] * (m - w) // (w + 1))
+            scale = mpmath.mpf(2) ** m
+            for n in copies:
+                spec = ReplicationSpec(n, m)
+                tail, shift = _tail_weights(spec)
+                assert shift == (m - n) % 2
+                # entry j is the weight at w = m_min - 1 - j
+                top = spec.m_min - 1
+                for j, weight in enumerate(tail.tolist()):
+                    _assert_weight(weight, binomial[top - j] / scale, m,
+                                   top - j)
+                # C(M, w) / 2^M rounds to 0 exactly when it is at most half
+                # the smallest subnormal, 2^-1074: so past the tail, not
+                # inside it
+                cut = top - tail.size
+                past = binomial[cut] if cut >= 0 else 0
+                assert (past << 1075) <= (1 << m)
+                if tail.size:
+                    assert (binomial[cut + 1] << 1075) > (1 << m)
+                # the window's weights, both tails and nothing else sum to 1
+                window = [binomial[w] / (1 << m) for w in
+                          range(max(spec.m_min, 0), min(spec.m_max, m) + 1)]
+                assert math.fsum([*window, *tail, *tail[shift:]]) == 1.0
+        # math.comb at the first and last entries and the cut, and mpmath's
+        # binomials along the tail and at the cut up to M = 10^7
+        for n, m in ((1000, 31622), (3000, 164316), (10_000, 4_000_000),
+                     (15_811, 10_000_000)):
+            spec = ReplicationSpec(n, m)
+            tail, shift = _tail_weights(spec)
+            assert shift == (m - n) % 2
+            top = spec.m_min - 1
+            cut = top - tail.size
+            scale = mpmath.mpf(2) ** m
+            if m < 10 ** 6:
+                past = math.comb(m, cut)
+                last = past * (m - cut) // (cut + 1)
+                assert (past << 1075) <= (1 << m) < (last << 1075)
+                exact = {top: math.comb(m, top) / scale, cut + 1: last / scale}
+            else:
+                def weight(w):
+                    return mpmath.binomial(m, w) / scale
+                assert weight(cut) <= mpmath.mpf(2) ** -1075 < weight(cut + 1)
+                exact = {top - j: weight(top - j)
+                         for j in (0, tail.size // 2, tail.size - 1)}
+            for w, value in exact.items():
+                _assert_weight(float(tail[top - w]), value, m, w)
+    spec = ReplicationSpec(400, 8000)
     phi, fid = worst_case_fidelity(spec)
     assert abs(fid - _mp_fidelity(spec, phi)) < 1e-13
     assert fid == replication_fidelity(spec, phi)
@@ -371,25 +415,49 @@ def test_non_finite_phases_and_non_1d_grids_are_rejected():
             worst_case_fidelity(spec, [])
 
 
-def test_infidelity_against_high_precision_tail_sum():
-    # at M = 8000 the infidelity is 1.5e-5, where 1 - |S|^2 keeps only
-    # 11 digits; the tail sum D keeps them all
-    spec = ReplicationSpec(copies=400, replicas=8000)
-    phi = math.pi
+def _mp_tail_infidelity(spec, phi):
+    """2 Re D - |D|^2 in 40-digit arithmetic, D summed over both tails.
+
+    The window's terms have k = 0 and drop out.  Each tail starts from
+    mpmath.binomial at the window's edge and steps outward by the
+    binomial's ratio.  Every term has Re(1 - e^{ik phi}) >= 0, so the
+    first, at k = 1 and C(M, m_min - 1) / 2^M, the largest weight, makes
+    |D| >= c (1 - cos phi).  Weights fall away from the window, and the
+    sum stops at the first under 1e-25 c (1 - cos phi): the at most M
+    left out add under 2e-18 |D| for M <= 10^7.
+    """
     m = spec.replicas
-    exponents = phase_profile(spec) - np.arange(m + 1) + spec.m_min
+    if spec.m_min < 1:
+        return 0  # the window holds every weight
     with mpmath.workdps(40):
         angle = mpmath.mpf(phi)
-        tail, binomial = mpmath.mpc(0), 1
-        for w in range(m + 1):
-            k = int(exponents[w])
-            if k:
-                tail += binomial * (1 - mpmath.expj(angle * k))
-            binomial = binomial * (m - w) // (w + 1)
-        tail /= mpmath.mpf(2) ** m
-        expected = 2 * tail.real - abs(tail) ** 2
-    got = _infidelities(_tail_weights(spec), np.array([phi]))[0]
-    assert abs(got - expected) < 1e-13 * expected
+        scale = mpmath.mpf(2) ** m
+        floor = 1e-25 * mpmath.binomial(m, spec.m_min - 1) / scale \
+            * (1 - mpmath.cos(angle))
+        tail = mpmath.mpc(0)
+        # k = f(w) - w + m_min: f = 0 below the window, N above it
+        for w, step in ((spec.m_min - 1, -1), (spec.m_max + 1, 1)):
+            k = (spec.m_min if step < 0 else spec.m_max) - w
+            phasor, turn = mpmath.expj(angle * k), mpmath.expj(-angle * step)
+            weight = mpmath.binomial(m, w) / scale
+            while 0 <= w <= m and weight >= floor:
+                tail += weight * (1 - phasor)
+                phasor *= turn  # e^{i k phi} as k steps by -step
+                weight *= mpmath.mpf(w) / (m - w + 1) if step < 0 \
+                    else mpmath.mpf(m - w) / (w + 1)
+                w += step
+        return 2 * tail.real - abs(tail) ** 2
+
+
+def test_infidelity_against_high_precision_tail_sum():
+    # 1 - F is 1.5e-5, 2.7e-13 and 1.1e-6 at these sizes, where 1 - |S|^2
+    # keeps only 11, 3 and 10 digits; the tail sum D keeps them all, so
+    # the bound is on 1 - F itself
+    for n, m in ((400, 8000), (3000, 164316), (10_000, 4_000_000)):
+        spec = ReplicationSpec(n, m)
+        expected = _mp_tail_infidelity(spec, math.pi)
+        got = _infidelities(_tail_weights(spec), np.array([math.pi]))[0]
+        assert abs(got - expected) < 1e-13 * expected
 
 
 def test_worst_case_memory_does_not_grow_with_the_grid():
@@ -410,6 +478,24 @@ def test_worst_case_memory_does_not_grow_with_the_grid():
         finally:
             tracemalloc.stop()
         assert peak < 4e6
+
+
+def test_worst_case_memory_grows_with_the_tail_not_with_m():
+    # M = 10^8 with N = 5 sqrt(M), where 1 - F is about 1e-6: the window's
+    # lower half and the tail hold N / 2 + L = 191793 weights, while the
+    # M / 2 binomial ratios from the mode down to 0 would take 400 MB.
+    # The tail build keeps three arrays of its Hoeffding span (under 1 %
+    # past N / 2 + L) and the tail; the screen about eight of the tail's
+    # length: so at most 10 doubles a weight.
+    spec = ReplicationSpec(copies=50_000, replicas=100_000_000)
+    weights = spec.copies / 2 + _tail_weights(spec)[0].size
+    tracemalloc.start()
+    try:
+        worst_case_fidelity(spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 8 * weights
 
 
 def test_default_grid_covers_half_period():
