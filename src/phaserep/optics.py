@@ -44,11 +44,12 @@ distinguishable operators, the sector of weight 0 at visibility 1 or 0
 as exactly-zero operators; ``replication_experiment_channel`` gives
 six, whose three dephasing flips are exactly zero at sigma = 0.
 
-A builder applies the params rule (``_columns``) once and passes the
-field columns to its kernel; the kernels call each other, not the
-builders, except that ``replication_experiment_channel`` builds
-through the public ``effective_toffoli``, whose params rule is then
-the only one it runs.
+Each builder has one path.  ``sector_operators`` and
+``effective_toffoli`` apply the params rule (``_columns``) once and pass
+its field columns to the stacked kernels ``_ppbs``, ``_transfer`` and
+``_sectors``; ``replication_experiment_channel`` builds through the
+public ``effective_toffoli``, the only params rule it runs, and then
+dephases in its private step ``_dephase``.
 """
 from __future__ import annotations
 
@@ -152,21 +153,10 @@ def _columns(params: Params) -> np.ndarray:
                      for p in rows], dtype=np.float64).T
 
 
-def _single(params: Params, stacked):
-    # a single OpticsParams gets its one row without the stack axis
-    return stacked[0] if isinstance(params, OpticsParams) else stacked
-
-
-def ppbs_matrix(params: Params) -> np.ndarray:
-    """Unitary 8x8 single-photon matrix of the PPBS, indexed [out, in].
-
-    Each polarization couples l with i and u with x: transmission
-    sqrt(1 - R), reflection i sqrt(R).  A params stack gives (P, 8, 8).
-    """
-    return _single(params, _ppbs(_columns(params)))
-
-
 def _ppbs(columns: np.ndarray) -> np.ndarray:
+    """Unitary (P, 8, 8) single-photon matrices of the PPBS, [out, in]:
+    each polarization couples l with i and u with x, transmission
+    sqrt(1 - R), reflection i sqrt(R)."""
     r_v, r_h = columns[:2]
     ppbs = np.zeros((len(r_h), 8, 8), dtype=np.complex128)
     for pol, refl in ((0, r_h), (1, r_v)):
@@ -178,13 +168,9 @@ def _ppbs(columns: np.ndarray) -> np.ndarray:
     return ppbs
 
 
-def transfer_matrix(params: Params) -> np.ndarray:
-    """Single-photon transfer matrix T of the whole network, [out, in];
-    (P, 8, 8) for a params stack."""
-    return _single(params, _transfer(_columns(params)))
-
-
 def _transfer(columns: np.ndarray) -> np.ndarray:
+    """Single-photon transfer matrices T of the whole network, (P, 8, 8),
+    [out, in]."""
     return _IDLER_HADAMARD @ _ATTENUATION @ _ppbs(columns) @ _IDLER_HADAMARD
 
 
@@ -199,7 +185,10 @@ def sector_operators(
     map is the 2x2 permanent, i.e. the coherent sum of the two
     distinguishable-sector classes.
     """
-    return tuple(_single(params, k) for k in _sectors(_columns(params)))
+    sectors = _sectors(_columns(params))
+    if isinstance(params, OpticsParams):
+        return tuple(k[0] for k in sectors)
+    return sectors
 
 
 def _sectors(columns: np.ndarray
@@ -231,56 +220,43 @@ def effective_toffoli(
     it equals Toffoli/3.  A params stack gives a (P, 3, 8, 8) array and
     the P success probabilities.
     """
-    kraus, success = _effective_toffoli(_columns(params))
-    if isinstance(params, OpticsParams):
-        return kraus[0], float(success[0])
-    return kraus, success
-
-
-def _effective_toffoli(columns: np.ndarray
-                       ) -> tuple[np.ndarray, np.ndarray]:
+    columns = _columns(params)
     m_int, k_tt, k_rr = _sectors(columns)
     v = columns[2][:, None, None]
     w = np.sqrt(1.0 - v)
     kraus = np.stack((np.sqrt(v) * m_int, w * k_tt, w * k_rr), axis=1)
     gram = (kraus.conj().swapaxes(-1, -2) @ kraus).sum(axis=1)
     success = np.trace(gram, axis1=-2, axis2=-1).real / 8.0
+    if isinstance(params, OpticsParams):
+        return kraus[0], float(success[0])
     return kraus, success
 
 
-def dephase_spatial(
-    kraus: Sequence[np.ndarray] | np.ndarray, sigma: float | np.ndarray
-) -> np.ndarray:
+def _dephase(kraus: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     """Gaussian phase jitter on the spatial qubit (qubit 0), analytically.
 
     A random phase e^{i theta} with theta ~ Normal(0, sigma^2) on the
     |1> path damps spatial coherences by lambda = e^{-sigma^2/2};
     equivalently a phase-flip channel with flip weight (1-lambda)/2.
-    Takes a Kraus array, the operators on axis -3 (with leading axes
-    such as one per phase), and returns the operators as an array, twice
-    as many along that axis.  At sigma = 0 the operators are kept as
-    they are and the n flips are zero.  ``sigma`` may also be a 1-D
-    array of one sigma per entry of axis 0 of a (P, n, d, d) array.
-    ``sigma`` is taken as given: its one caller passes the
-    ``phase_jitter_sigma`` column of ``OpticsParams``, whose rule holds
-    it at >= 0.
+    ``kraus`` is an (R, n, d, d) Kraus stack and ``sigma`` the column
+    of jitter sigmas, >= 0 by the ``OpticsParams`` rule: one per row, or
+    one for all R rows.  Returns the (R, 2n, d, d) stack of each row's
+    operators and then their flips; a row at sigma = 0 keeps its
+    operators as they are, and its flips are zero.
     """
-    sigma = np.asarray(sigma, dtype=np.float64)
-    kraus = np.asarray(kraus)
-    # one factor per row, broadcast over the operator axes
-    shape = sigma.shape + (1, 1, 1)
     # math.exp, not np.exp, whose vectorized rounding differs in the
-    # last bit for some arguments
-    lam = np.array([math.exp(-0.5 * s * s) for s in sigma.flat])
-    p_keep = (0.5 * (1.0 + lam)).reshape(shape)
+    # last bit for some arguments; one factor per row, broadcast over the
+    # operator axes
+    lam = np.array([math.exp(-0.5 * s * s) for s in sigma])
+    p_keep = 0.5 * (1.0 + lam[:, None, None, None])
     # Z on the most significant qubit negates the lower half of the rows
     half = kraus.shape[-2] // 2
     flipped = np.concatenate((kraus[..., :half, :], -kraus[..., half:, :]),
                              axis=-2)
     # a row at sigma = 0 keeps its bits: a product with 1.0 can flip the
     # sign of a zero
-    kept = np.where((sigma > 0.0).reshape(shape), np.sqrt(p_keep) * kraus,
-                    kraus)
+    kept = np.where(sigma[:, None, None, None] > 0.0,
+                    np.sqrt(p_keep) * kraus, kraus)
     return np.concatenate((kept, np.sqrt(1.0 - p_keep) * flipped), axis=-3)
 
 
@@ -310,16 +286,15 @@ def replication_experiment_channel(
 def _experiment_channel(phases: float | np.ndarray, params: Params
                         ) -> np.ndarray:
     """The kernel of ``replication_experiment_channel``: phases reduced
-    to [0, 2*pi).  ``params`` goes through the public
-    ``effective_toffoli``, so a tracer sees each optical build, and its
-    params rule is the only one that ``params`` passes here."""
-    kraus3, _ = effective_toffoli(params)
+    to [0, 2*pi).  A single ``OpticsParams`` is the stack of one, built
+    through the public ``effective_toffoli``, so a tracer sees each
+    optical build, and its params rule is the only one that ``params``
+    passes here; one phase with it gives the stack's row 0."""
+    rows = [params] if isinstance(params, OpticsParams) else params
+    kraus3, _ = effective_toffoli(rows)
     phase = np.exp(1j * np.atleast_1d(phases))[:, None, None, None]
-    # [..., operator, signal out, idler out, signal in] at idler input |0>
+    # [P, operator, signal out, idler out, signal in] at idler input |0>
     legs = kraus3.reshape(*kraus3.shape[:-2], 4, 2, 4, 2)[..., 0]
     kraus = (legs[..., 0, :] + legs[..., 1, :] * phase) * _SQRT_HALF
-    sigma = [p.phase_jitter_sigma for p in
-             ([params] if isinstance(params, OpticsParams) else params)]
-    kraus = dephase_spatial(kraus, np.array(sigma))
-    single = np.ndim(phases) == 0 and isinstance(params, OpticsParams)
-    return kraus[0] if single else kraus
+    kraus = _dephase(kraus, np.array([p.phase_jitter_sigma for p in rows]))
+    return kraus[0] if np.ndim(phases) == 0 and rows is not params else kraus

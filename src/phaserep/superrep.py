@@ -14,7 +14,8 @@ C(M, w) / 2^M.  Only the tails outside the window enter the infidelity
 below the window are kept, until they underflow.  They come from one
 floating-point cumulative product of binomial ratios, outward from the
 mode M / 2 and about 19.3 sqrt(M) long, each within a stated relative
-bound of C(M, w) / 2^M; no big integer is built.  1 - F is computed
+bound of C(M, w) / 2^M; no big integer is built, and ``ReplicationSpec``
+refuses an M above 10^12, past that bound.  1 - F is computed
 without cancellation for a whole phase grid at once, in fixed-size
 blocks: about 4 sqrt(L) sines and one small matrix product per phase for
 L tail weights.  Its error is bounded relative to the tail mass (see
@@ -43,9 +44,20 @@ from .qmat import _check_width, _integer, _phase_list, _real, _record, \
     _sizes, normalize_phase
 
 
+# The largest replica count: ``_tail_weights`` states its error bound up
+# to M = 10^12 (its ratios stay quotients of exact integers below 2^53),
+# and holds arrays of about 19.3 sqrt(M) doubles, 155 MB each there.
+_REPLICAS_MAX = 10 ** 12
+
+
 @dataclass(frozen=True)
 class ReplicationSpec:
-    """Protocol size: ``copies`` gate uses produce ``replicas`` outputs."""
+    """Protocol size: ``copies`` gate uses produce ``replicas`` outputs.
+
+    Both are positive integers, and ``replicas`` is at most 10^12, the
+    largest M whose fidelity carries a stated error bound; a larger one
+    raises ``ValueError`` before anything is allocated.
+    """
 
     copies: int
     replicas: int
@@ -54,6 +66,9 @@ class ReplicationSpec:
         for name in ("copies", "replicas"):
             object.__setattr__(self, name, _integer(getattr(self, name),
                                                     name, 1))
+        if self.replicas > _REPLICAS_MAX:
+            raise ValueError(f"replicas {self.replicas} exceeds the limit "
+                             "10^12 of the superreplication weights")
 
     # Window thresholds, recomputed on demand; chosen symmetrically
     # about replicas/2 so the binomial bulk sits inside the window.
@@ -162,12 +177,12 @@ def _tail_weights(spec: ReplicationSpec) -> tuple[np.ndarray, int]:
         (2 (h - w) + sqrt(M) + log2(terms) + 32) u
 
     relative of C(M, w) / 2^M, which leaves a few u for the second
-    order up to M = 10^12, plus at most 2^-1075 below 2^-1022.  Only a
-    weight within that bound of 2^-1075 can land on the other side of
-    the cut; the exact tie C(1075, 0) / 2^1075 = 2^-1075, which rounds
-    to 0, comes out as 2^-1074.  Each array holds at most
-    _UNDERFLOW sqrt(M) + 3 doubles (_UNDERFLOW = 19.3), whatever the
-    window.
+    order up to M = 10^12 (the spec's limit), plus at most 2^-1075
+    below 2^-1022.  Only a weight within that bound of 2^-1075 can land
+    on the other side of the cut; the exact tie C(1075, 0) / 2^1075 =
+    2^-1075, which rounds to 0, comes out as 2^-1074.  Each array holds
+    at most _UNDERFLOW sqrt(M) + 3 doubles (_UNDERFLOW = 19.3), whatever
+    the window.
     """
     m, top = spec.replicas, spec.m_min - 1
     mode = m // 2
@@ -418,7 +433,8 @@ def asymptotic_sweep(
     omitted): on that uniform grid, and on np.linspace(0, pi, G) for
     3 <= G <= ``_SCREEN_MAX``, one FFT screens the phases and the kernel
     evaluates only the candidates; on any other grid it evaluates every
-    phase.
+    phase.  Every size passes the ``ReplicationSpec`` rules, M <= 10^12
+    among them, before any is computed.
     """
     alpha = _real(alpha, "alpha", positive=True)
     n_list = _sizes(n_list, "copies")  # before the power law uses N
@@ -427,13 +443,16 @@ def asymptotic_sweep(
         raise ValueError("m_list must pair up with n_list")
     grid = default_phi_grid() if phi_grid is None \
         else _phase_list(phi_grid, "phi_grid")
+    power_law = m_list is None
+    if power_law:
+        m_list = [max(1, math.floor(n ** (2.0 - alpha))) for n in n_list]
+    # every M, a power-law one too, passes the spec's rules before any
+    # size is computed
+    specs = [ReplicationSpec(n, m) for n, m in zip(n_list, m_list)]
     rows = []
-    for i, n in enumerate(n_list):
-        m = max(1, math.floor(n ** (2.0 - alpha))) if m_list is None \
-            else m_list[i]
-        # the spec's size rule bounds a power-law M, which can pass 2^63 - 1
-        spec = ReplicationSpec(copies=n, replicas=m)
-        a = alpha if m_list is None else effective_alpha(n, m)
+    for spec in specs:
+        n, m = spec.copies, spec.replicas
+        a = alpha if power_law else effective_alpha(n, m)
         phi, fid = _worst_case_fidelity(spec, grid)
         rows.append(SweepRow(n, m, a, phi, fid))
     return rows

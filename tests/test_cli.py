@@ -479,6 +479,7 @@ def test_flag_validation_exits_1(tmp_path):
     (["optics-scan"], {"parameter": "visibility", "values": [1.5]},
      "visibility"),
     (["superrep"], {"n_list": [4, 9], "m_list": [5]}, "m_list"),
+    (["superrep"], {"n_list": [1], "m_list": [10 ** 12 + 1]}, "replicas"),
     (["tomo", "--phases", "0.5", "--seed", "-1"], None, "seed"),
     # the output keys and the optics overrides have a type of their own
     (["superrep"], {"out_dir": 5}, "out_dir"),
@@ -493,7 +494,7 @@ def test_flag_validation_exits_1(tmp_path):
         "bool-phase", "bool-seed", "bool-rate", "empty-phases", "bool-trials",
         "bool-visibility", "inf-jitter", "inf-alpha", "bool-alpha",
         "huge-alpha", "bool-n", "bool-m", "bool-value", "inf-value", "bool-phi",
-        "out-of-range-value", "unpaired-m", "negative-seed",
+        "out-of-range-value", "unpaired-m", "huge-m", "negative-seed",
         "int-out-dir", "list-out-dir", "empty-out-dir", "string-svg", "float-svg",
         "list-optics", "zero-optics", "false-optics"])
 def test_non_finite_numbers_are_rejected(tmp_path, capsys, argv, config,

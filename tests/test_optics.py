@@ -9,12 +9,13 @@ from phaserep.choi import choi_from_kraus, process_fidelity
 from phaserep.gates import cu_phase, toffoli
 from phaserep.optics import (
     OpticsParams,
-    dephase_spatial,
+    _columns,
+    _dephase,
+    _ppbs,
+    _transfer,
     effective_toffoli,
-    ppbs_matrix,
     replication_experiment_channel,
     sector_operators,
-    transfer_matrix,
 )
 from phaserep.tomo import default_design
 
@@ -87,7 +88,7 @@ def _fock_reference(params):
     had = np.eye(8)
     had[I_H:I_V + 1, I_H:I_V + 1] = [[h, h], [h, -h]]
     att = np.diag([a, 1.0, a, 1.0, a, 1.0, 1.0, 1.0])
-    t = had @ att @ ppbs_matrix(params) @ had
+    t = had @ att @ _ppbs(_columns(params))[0] @ had
     pair_map = np.kron(t, t)
     m_int, k_tt, k_rr = (np.zeros((8, 8), dtype=complex) for _ in range(3))
     for col in range(8):
@@ -116,13 +117,13 @@ def test_single_photon_splitting_amplitudes():
     params = OpticsParams.ideal()
     t = math.sqrt(1.0 - params.r_v)
     r = math.sqrt(params.r_v)
-    ppbs = ppbs_matrix(params)
+    ppbs = _ppbs(_columns(params))[0]
     assert ppbs[L_V, L_V] == pytest.approx(t, abs=1e-15)
     assert ppbs[I_V, L_V] == pytest.approx(1j * r, abs=1e-15)
     assert np.linalg.norm(ppbs[:, L_V]) == pytest.approx(1.0, abs=1e-15)
     # in T the idler Hadamard splits the reflected amplitude over iH, iV;
     # lV carries no attenuator
-    big_t = transfer_matrix(params)
+    big_t = _transfer(_columns(params))[0]
     assert big_t[L_V, L_V] == pytest.approx(t, abs=1e-15)
     assert big_t[I_H, L_V] == pytest.approx(1j * r / math.sqrt(2.0),
                                             abs=1e-15)
@@ -133,7 +134,7 @@ def test_single_photon_splitting_amplitudes():
 def test_two_photon_interference_amplitude():
     # both photons V in opposite ports of the R_V = 2/3 splitter: the
     # coincidence amplitude is the permanent t^2 + (i r)^2 = -1/3
-    ppbs = ppbs_matrix(OpticsParams.ideal())
+    ppbs = _ppbs(_columns(OpticsParams.ideal()))[0]
     amp = _perm2(ppbs, (I_V, L_V), (I_V, L_V))
     assert amp == pytest.approx(-1.0 / 3.0, abs=1e-15)
 
@@ -142,7 +143,7 @@ def test_transform_preserves_norm_in_both_sectors():
     # distinguishable sector: U (x) U is unitary exactly when U is
     pairs = [(a, b) for a in range(8) for b in range(a, 8)]
     for params in (OpticsParams.measured(), _random_params(1)):
-        u = ppbs_matrix(params)
+        u = _ppbs(_columns(params))[0]
         assert np.max(np.abs(u.conj().T @ u - np.eye(8))) <= 1e-15
         # bosonic sector: permanents over the normalized symmetric basis
         sym = np.array([
@@ -370,9 +371,9 @@ def test_raising_reflectivity_above_ideal_also_degrades():
 def test_dephasing_scales_spatial_coherence():
     phi = 0.8
     sigma = 0.6
-    kraus = [cu_phase(phi)]
-    chi = choi_from_kraus(kraus)
-    dephased = choi_from_kraus(dephase_spatial(kraus, sigma))
+    kraus = cu_phase(phi)[None, None]
+    chi = choi_from_kraus(kraus[0])
+    dephased = choi_from_kraus(_dephase(kraus, np.array([sigma]))[0])
     # the |0x><1y| blocks of the chi matrix shrink by exp(-sigma^2/2)
     factor = math.exp(-sigma * sigma / 2.0)
     got = dephased.matrix
@@ -391,7 +392,7 @@ def test_dephasing_flip_equals_the_spatial_z_product():
     sigma = 0.65
     p_keep = 0.5 * (1.0 + math.exp(-0.5 * sigma * sigma))
     z = np.kron(np.diag([1.0, -1.0]), np.eye(2))
-    flipped = dephase_spatial(kraus, sigma)[len(kraus):]
+    flipped = _dephase(kraus[None], np.array([sigma]))[0, len(kraus):]
     assert len(flipped) == len(kraus)
     for m, got in zip(kraus, flipped):
         assert np.array_equal(got, math.sqrt(1.0 - p_keep) * (z @ m))
@@ -399,11 +400,11 @@ def test_dephasing_flip_equals_the_spatial_z_product():
 
 def test_dephasing_identity_at_zero_sigma():
     # the operators keep their bits, and their flips are zero
-    kraus = [cu_phase(0.3)]
-    got = dephase_spatial(kraus, 0.0)
-    assert got.shape == (2, 4, 4)
-    assert got[0].tobytes() == kraus[0].tobytes()
-    assert np.all(got[1] == 0.0)
+    kraus = cu_phase(0.3)[None, None]
+    got = _dephase(kraus, np.zeros(1))
+    assert got.shape == (1, 2, 4, 4)
+    assert got[0, 0].tobytes() == kraus[0, 0].tobytes()
+    assert np.all(got[0, 1] == 0.0)
 
 
 def test_measured_point_regression_values():
@@ -436,12 +437,9 @@ STACK = [OpticsParams(r_v=r_v, r_h=r_h, visibility=vis,
 
 
 def test_stacked_builders_equal_the_single_builds():
-    ppbs, t = ppbs_matrix(STACK), transfer_matrix(STACK)
     sectors = sector_operators(STACK)
-    assert ppbs.shape == t.shape == (len(STACK), 8, 8)
+    assert [k.shape for k in sectors] == [(len(STACK), 8, 8)] * 3
     for i, params in enumerate(STACK):
-        assert ppbs[i].tobytes() == ppbs_matrix(params).tobytes()
-        assert t[i].tobytes() == transfer_matrix(params).tobytes()
         for got, want in zip(sectors, sector_operators(params)):
             assert got[i].tobytes() == want.tobytes()
 
@@ -478,8 +476,7 @@ def test_stacked_channel_rows_equal_the_single_builds():
 def test_stack_with_a_phase_array_or_no_rows_is_rejected():
     with pytest.raises(ValueError, match="must be one phase,"):
         replication_experiment_channel(np.array([0.1, 0.2]), STACK)
-    for build in (ppbs_matrix, transfer_matrix, sector_operators,
-                  effective_toffoli):
+    for build in (sector_operators, effective_toffoli):
         with pytest.raises(ValueError, match="at least one"):
             build([])
     with pytest.raises(ValueError, match="at least one"):
@@ -490,11 +487,12 @@ def test_dephasing_takes_one_sigma_per_row():
     # the three operators before dephasing, at two phases
     kraus = replication_experiment_channel(
         np.array([0.3, 0.8]), OpticsParams.measured())[:, :3]
-    got = dephase_spatial(kraus, np.array([0.0, 0.65]))
+    got = _dephase(kraus, np.array([0.0, 0.65]))
     assert got.shape == (2, 6, 4, 4)
     assert got[0, :3].tobytes() == kraus[0].tobytes()
     assert np.all(got[0, 3:] == 0.0)
-    assert got[1].tobytes() == dephase_spatial(kraus[1], 0.65).tobytes()
-    unjittered = dephase_spatial(kraus, np.zeros(2))
+    assert got[1].tobytes() \
+        == _dephase(kraus[1:], np.array([0.65]))[0].tobytes()
+    unjittered = _dephase(kraus, np.zeros(2))
     assert unjittered[:, :3].tobytes() == kraus.tobytes()
     assert np.all(unjittered[:, 3:] == 0.0)

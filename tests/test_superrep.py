@@ -541,12 +541,36 @@ def test_sweep_rejects_an_alpha_that_is_not_finite_and_positive(alpha):
     ([math.inf], None, "copies"),
     ([1e300], None, "copies"),
     ([2 ** 70], None, "copies"),
-    # a power-law M = 2^75 fails the spec's size rule before math.comb
+    # a power-law M = 2^75 fails the spec's size rule before any size is
+    # computed
     ([2 ** 50], None, "replicas"),
 ])
 def test_sweep_passes_sizes_to_the_spec_unconverted(n_list, m_list, name):
     with pytest.raises(ValueError, match=name):
         asymptotic_sweep(0.5, n_list, m_list=m_list)
+
+
+@pytest.mark.parametrize("replicas", [10 ** 12 + 1, 2 ** 62])
+def test_replica_counts_past_the_weights_bound_are_refused(replicas):
+    # the tail weights carry their error bound up to M = 10^12; past it
+    # the spec's replicas rule raises before anything is allocated (a
+    # power law with alpha = 1 gives M = N)
+    calls = [
+        lambda: replication_fidelity(ReplicationSpec(10, replicas), 0.3),
+        lambda: worst_case_fidelity(ReplicationSpec(10, replicas)),
+        lambda: asymptotic_sweep(0.5, [4, 10], m_list=[16, replicas]),
+        lambda: asymptotic_sweep(1.0, [4, replicas]),
+    ]
+    for call in calls:
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"replicas .* 10\^12"):
+                call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+    assert ReplicationSpec(10, 10 ** 12).replicas == 10 ** 12
 
 
 def test_sweep_with_explicit_replica_counts():
