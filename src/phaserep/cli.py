@@ -50,7 +50,7 @@ from .gates import _baseline_single_copy, _cu_phase, _fidelity_replicas, \
 from .optics import OpticsParams, _experiment_channel, _field, \
     _field_values, effective_toffoli
 from .qmat import _integer, _kron, _real, _seed, _sizes, _trials, _wrap
-from .superrep import asymptotic_sweep
+from .superrep import _PHI_GRID_SIZE, asymptotic_sweep
 
 ARTIFACT_VERSION = 2
 OUT_DIR_ENV = "PHASEREP_OUT_DIR"
@@ -67,7 +67,7 @@ _DEFAULTS = {
     "seed": 0, "phases": "standard", "rate": 1e4, "trials": 0,
     "preset": "ideal", "optics": None,
     "alpha": 0.5, "n_list": [4, 9, 16, 25], "m_list": None,
-    "phi_grid_size": 513,
+    "phi_grid_size": _PHI_GRID_SIZE,
     "parameter": "visibility", "values": [1.0, 0.95, 0.9, 0.85, 0.8],
     "phi": math.pi / 2.0,
 }
@@ -375,9 +375,8 @@ def cmd_replicate(config: SimpleNamespace, out: Path, meta: dict) -> None:
 
 def cmd_superrep(config: SimpleNamespace, out: Path, meta: dict) -> None:
     """Worst-case replication fidelity along an N -> M = N^(2-alpha) law."""
-    grid = np.linspace(0.0, math.pi, config.phi_grid_size)
-    sweep = asymptotic_sweep(config.alpha, config.n_list, phi_grid=grid,
-                             m_list=config.m_list)
+    sweep = asymptotic_sweep(config.alpha, config.n_list,
+                             config.phi_grid_size, config.m_list)
     rows = [[r.copies, r.replicas, r.alpha, r.worst_phi, r.worst_fidelity]
             for r in sweep]
     columns = ["n", "m", "alpha", "phi", "fidelity"]

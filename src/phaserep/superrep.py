@@ -22,15 +22,15 @@ L tail weights.  Its error is bounded relative to the tail mass (see
 ``replication_fidelity``), also where F rounds to 1, and no state
 vectors are ever built on that path.
 
-The worst case over a phase grid is found by screen and verify.  On the
-grid np.linspace(0, pi, G) the tail sum at every phase is one real FFT.
-Its estimate of 1 - F comes with an error bound Delta that covers the
-FFT, the grid's rounding, the kernel's own error and a floor for tails
-of subnormal mass.  Only the phases whose estimate lies within 2 Delta
-of the largest go to the kernel, so the reported phase and fidelity are
-the kernel's worst over the whole grid.  On any other grid, below 3 or
-above ``_SCREEN_MAX`` phases, or for an empty tail, the kernel evaluates
-every phase.  numpy.fft is loaded by the first screen, not on import.
+The worst case is taken over the grid np.linspace(0, pi, G), named by
+its size G, and found by screen and verify.  The tail sum at every
+phase of the grid is one real FFT.  Its estimate of 1 - F comes with an
+error bound Delta that covers the FFT, the grid's rounding, the
+kernel's own error and a floor for tails of subnormal mass.  Only the
+phases whose estimate lies within 2 Delta of the largest go to the
+kernel, so the reported phase and fidelity are the kernel's worst over
+the whole grid.  Above ``_SCREEN_MAX`` phases the kernel evaluates every
+phase.  numpy.fft is loaded by the first screen, not on import.
 """
 from __future__ import annotations
 
@@ -281,41 +281,31 @@ def replication_fidelity(spec: ReplicationSpec, phi: float) -> float:
     return 1.0 - float(_infidelities(_tail_weights(spec), grid)[0])
 
 
-def default_phi_grid() -> np.ndarray:
-    # F(phi) = F(2*pi - phi), so [0, pi] covers the full range.
-    return np.linspace(0.0, math.pi, 513)
+# The default size G of the phase grid np.linspace(0, pi, G), the CLI's
+# too; F(phi) = F(2*pi - phi), so [0, pi] covers the full range.
+_PHI_GRID_SIZE = 513
 
 
-def worst_case_fidelity(
-    spec: ReplicationSpec, phi_grid: Sequence[float] | None = None
-) -> tuple[float, float]:
-    """(phi, fidelity) at the first grid point of largest infidelity.
+def worst_case_fidelity(spec: ReplicationSpec,
+                        phi_grid_size: int = _PHI_GRID_SIZE
+                        ) -> tuple[float, float]:
+    """(phi, fidelity) at the first point of largest infidelity on the grid
+    np.linspace(0, pi, phi_grid_size).
 
-    The tail weights are built once per call.  On the grid
-    np.linspace(0, pi, G) with 3 <= G <= ``_SCREEN_MAX`` (the default
-    grid is one) a real FFT estimates the infidelity at every phase to
-    within a stated bound Delta (see ``_estimate``), and the kernel
-    evaluates only the phases within 2 Delta of the largest estimate.
-    On any other grid, or when the window holds every weight, the kernel
-    evaluates every phase, in blocks.  Either way (phi, fidelity) is the
-    kernel's worst over the whole grid, and the fidelity equals
-    ``replication_fidelity`` at phi.  Memory does not grow with the
-    grid: the screen's temporaries stay under about 2 MB, and the
-    kernel's hold at most ``_BLOCK`` x sqrt(M) doubles at any grid size.
-    The grid is a non-empty 1-D array of phases.
+    The size is an integer of at least 2.  The tail weights are built
+    once per call.  Up to ``_SCREEN_MAX`` phases a real FFT estimates the
+    infidelity at every phase to within a stated bound Delta (see
+    ``_estimate``), and the kernel evaluates only the phases within
+    2 Delta of the largest estimate; above it the kernel evaluates every
+    phase, in blocks.  Either way (phi, fidelity) is the kernel's worst
+    over the whole grid, and the fidelity equals ``replication_fidelity``
+    at phi.  Memory does not grow with the grid beyond the grid itself:
+    the screen's temporaries stay under about 2 MB, and the kernel's hold
+    at most ``_BLOCK`` x sqrt(M) doubles at any grid size.
     """
     spec = _record(spec, "spec", ReplicationSpec)
-    return _worst_case_fidelity(spec, default_phi_grid() if phi_grid is None
-                                else _phase_list(phi_grid, "phi_grid"))
-
-
-def _worst_case_fidelity(spec: ReplicationSpec, grid: np.ndarray
-                         ) -> tuple[float, float]:
-    terms = _tail_weights(spec)
-    candidates = _screen(terms, grid)
-    infidelity = _infidelities(terms, grid[candidates])
-    i = int(np.argmax(infidelity))
-    return float(grid[candidates[i]]), 1.0 - float(infidelity[i])
+    size = _integer(phi_grid_size, "phi_grid_size", 2)
+    return _worst_case_fidelity(spec, np.linspace(0.0, math.pi, size))
 
 
 # Largest grid the screen takes; above it every phase goes to the kernel.
@@ -323,28 +313,28 @@ def _worst_case_fidelity(spec: ReplicationSpec, grid: np.ndarray
 _SCREEN_MAX = 2 ** 15 + 1
 
 
-def _screen(terms: tuple[np.ndarray, int], grid: np.ndarray) -> np.ndarray:
-    """Indices of ``grid`` that can hold the largest ``_infidelities``.
+def _worst_case_fidelity(spec: ReplicationSpec, grid: np.ndarray
+                         ) -> tuple[float, float]:
+    """The kernel's worst (phi, fidelity) on grid = np.linspace(0, pi, G).
 
-    They are the phases whose ``_estimate`` lies within 2 Delta of the
-    largest estimate.  With every estimate within Delta of the kernel's
-    value, the largest kernel value, and every value that ties with it,
-    lies at a returned index, in grid order.  Every index is returned
-    when the screen does not apply: a grid that is not exactly
-    np.linspace(0, pi, G), G < 3, G above ``_SCREEN_MAX`` or an empty
-    tail.
+    Up to ``_SCREEN_MAX`` phases only those whose ``_estimate`` lies
+    within 2 Delta of the largest go to the kernel: every estimate is
+    within Delta of the kernel's value, so each phase of the largest
+    kernel value is among them, in grid order, as in a full scan.
     """
-    size = grid.size
-    if not (3 <= size <= _SCREEN_MAX and terms[0].size
-            and np.array_equal(grid, np.linspace(0.0, math.pi, size))):
-        return np.arange(size)
-    estimate, delta = _estimate(terms, size)
-    return np.flatnonzero(estimate >= estimate.max() - 2.0 * delta)
+    terms = _tail_weights(spec)
+    candidates = np.arange(grid.size)
+    if grid.size <= _SCREEN_MAX:
+        estimate, delta = _estimate(terms, grid.size)
+        candidates = np.flatnonzero(estimate >= estimate.max() - 2.0 * delta)
+    infidelity = _infidelities(terms, grid[candidates])
+    i = int(np.argmax(infidelity))
+    return float(grid[candidates[i]]), 1.0 - float(infidelity[i])
 
 
 def _estimate(terms: tuple[np.ndarray, int], size: int
               ) -> tuple[np.ndarray, float]:
-    """1 - F at every phase of np.linspace(0, pi, G), G = size >= 3, and a
+    """1 - F at every phase of np.linspace(0, pi, G), G = size >= 2, and a
     bound Delta on its distance from ``_infidelities`` there.
 
     Phase m is m pi / (G - 1) = 2 pi m / P with P = 2 (G - 1), so
@@ -381,8 +371,11 @@ def _estimate(terms: tuple[np.ndarray, int], size: int
       those by 7, so the second part adds at most (Q^2 + L) 2^-1068.
       It bounds the error of a tail whose mass is subnormal, where
       u tau underflows.
-    The parts sum to less than Delta.  The temporaries hold about eight
-    doubles per phase, at most about 2 MB under ``_SCREEN_MAX``.
+    The parts sum to less than Delta.  At G = 2 (P = 2, Q = 8) the FFT
+    is one radix-2 pass, off by at most u tau, and every other part holds
+    as stated.  An empty tail (L = 0) gives estimates of exactly 0, as the
+    kernel does.  The temporaries hold about eight doubles per phase, at
+    most about 2 MB under ``_SCREEN_MAX``.
     """
     tail, shift = terms
     period = 2 * (size - 1)
@@ -411,38 +404,26 @@ class SweepRow:
     worst_fidelity: float
 
 
-def effective_alpha(copies: int, replicas: int) -> float:
-    """alpha with replicas = copies^(2-alpha); nan for a single copy."""
-    if copies == 1:
-        return float("nan")
-    return 2.0 - math.log(replicas) / math.log(copies)
-
-
-def asymptotic_sweep(
-    alpha: float,
-    n_list: Sequence[int],
-    phi_grid: Sequence[float] | None = None,
-    m_list: Sequence[int] | None = None,
-) -> list[SweepRow]:
+def asymptotic_sweep(alpha: float, n_list: Sequence[int],
+                     phi_grid_size: int = _PHI_GRID_SIZE,
+                     m_list: Sequence[int] | None = None) -> list[SweepRow]:
     """Worst-case fidelity per protocol size with M = floor(N^(2-alpha)).
 
     Passing ``m_list`` overrides the power law with explicit replica
     counts (paired with ``n_list``); the reported alpha is then the
-    effective exponent of each pair.  Each size's worst case is
-    ``worst_case_fidelity``'s on ``phi_grid`` (``default_phi_grid()`` when
-    omitted): on that uniform grid, and on np.linspace(0, pi, G) for
-    3 <= G <= ``_SCREEN_MAX``, one FFT screens the phases and the kernel
-    evaluates only the candidates; on any other grid it evaluates every
-    phase.  Every size passes the ``ReplicationSpec`` rules, M <= 10^12
-    among them, before any is computed.
+    effective exponent of each pair, with M = N^(2-alpha), and nan for a
+    single copy.  Each size's worst case is ``worst_case_fidelity``'s on
+    np.linspace(0, pi, phi_grid_size), a grid built once for all sizes.
+    Every size passes the ``ReplicationSpec`` rules, M <= 10^12 among
+    them, before any is computed.
     """
     alpha = _real(alpha, "alpha", positive=True)
     n_list = _sizes(n_list, "copies")  # before the power law uses N
     m_list = None if m_list is None else _sizes(m_list, "replicas")
     if m_list is not None and len(m_list) != len(n_list):
         raise ValueError("m_list must pair up with n_list")
-    grid = default_phi_grid() if phi_grid is None \
-        else _phase_list(phi_grid, "phi_grid")
+    grid = np.linspace(0.0, math.pi,
+                       _integer(phi_grid_size, "phi_grid_size", 2))
     power_law = m_list is None
     if power_law:
         m_list = [max(1, math.floor(n ** (2.0 - alpha))) for n in n_list]
@@ -452,7 +433,10 @@ def asymptotic_sweep(
     rows = []
     for spec in specs:
         n, m = spec.copies, spec.replicas
-        a = alpha if power_law else effective_alpha(n, m)
+        if power_law:
+            a = alpha
+        else:
+            a = math.nan if n == 1 else 2.0 - math.log(m) / math.log(n)
         phi, fid = _worst_case_fidelity(spec, grid)
         rows.append(SweepRow(n, m, a, phi, fid))
     return rows

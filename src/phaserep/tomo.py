@@ -665,18 +665,20 @@ def read_datasets_csv(path, design: TomographyDesign
     headers, as lists with one entry per phase, and under the column
     names, for phase ids 0..P-1 in turn, every design row exactly once in
     design order (``row_index``).  A missing, repeated or misplaced row,
-    or a missing or malformed header, raises ``ValueError``.
+    a row without exactly 5 cells (a blank line among them), or a missing
+    or malformed header, raises ``ValueError``; a row of the wrong width
+    is named by its 1-based line number.
     """
     design = _record(design, "design", TomographyDesign)
     headers = {}
-    lines = []
+    lines = []  # (1-based line number, text) of the lines not comments
     with open(path, newline="") as fh:
-        for line in fh:
+        for number, line in enumerate(fh, 1):
             if line.startswith(("# phase_values:", "# rates:")):
                 key, value = line[2:].split(":", 1)
                 headers[key] = json.loads(value)
             elif not line.startswith("#"):
-                lines.append(line)
+                lines.append((number, line))
     if set(headers) != {"phase_values", "rates"} \
             or not all(isinstance(v, list) for v in headers.values()) \
             or len(headers["phase_values"]) != len(headers["rates"]):
@@ -685,8 +687,14 @@ def read_datasets_csv(path, design: TomographyDesign
                          "phase")
     phases, rates = headers["phase_values"], headers["rates"]
     # the first line left is the column names
-    data = np.array([line.split(",") for line in lines[1:]],
-                    dtype=np.float64).reshape(-1, 5)
+    rows = []
+    for number, line in lines[1:]:
+        cells = line.split(",")
+        if len(cells) != 5:
+            raise ValueError(f"counts file line {number}: a data row needs "
+                             f"5 comma-separated cells, got {len(cells)}")
+        rows.append(cells)
+    data = np.array(rows, dtype=np.float64).reshape(-1, 5)
     index = _row_layout(len(phases), design)
     if data.shape[0] != index.shape[0] \
             or not np.array_equal(data[:, :4], index):

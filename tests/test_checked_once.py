@@ -39,7 +39,7 @@ VALUE_ARG = {"_field": 1, "_field_values": 1}
 
 # command -> (argv, config file, the outermost rule calls while the
 # config is resolved and then while the command runs, as (rule, value));
-# a value the package built (a params stack, a grid, a record) is None
+# a value the package built (a params stack, a record) is None
 CASES = {
     "replicate": (
         ["--svg"],
@@ -55,7 +55,7 @@ CASES = {
         [("_real", 0.625), ("_sizes", [5, 7]), ("_sizes", [11, 29]),
          ("_integer", 17)],
         [("_real", 0.625), ("_sizes", [5, 7]), ("_sizes", [11, 29]),
-         ("_phase_list", None),
+         ("_integer", 17),
          ("ReplicationSpec", None), ("ReplicationSpec", None)]),
     "tomo": (
         ["--seed", "3", "--phases", "0.375", "--rate", "250",

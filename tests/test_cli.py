@@ -471,6 +471,9 @@ def test_flag_validation_exits_1(tmp_path):
     (["superrep"], {"alpha": 10 ** 400}, "alpha"),
     (["superrep"], {"n_list": [True]}, "n_list"),
     (["superrep"], {"n_list": [4], "m_list": [True]}, "m_list"),
+    (["superrep"], {"phi_grid_size": 1}, "phi_grid_size"),
+    (["superrep"], {"phi_grid_size": True}, "phi_grid_size"),
+    (["superrep"], {"phi_grid_size": 2.5}, "phi_grid_size"),
     (["optics-scan"], {"values": [True]}, "values"),
     (["optics-scan"], {"parameter": "phase_jitter_sigma",
                        "values": [math.inf]}, "values"),
@@ -493,7 +496,8 @@ def test_flag_validation_exits_1(tmp_path):
 ], ids=["nan-phase", "inf-phase", "inf-rate", "nan-phi", "nan-jitter",
         "bool-phase", "bool-seed", "bool-rate", "empty-phases", "bool-trials",
         "bool-visibility", "inf-jitter", "inf-alpha", "bool-alpha",
-        "huge-alpha", "bool-n", "bool-m", "bool-value", "inf-value", "bool-phi",
+        "huge-alpha", "bool-n", "bool-m", "one-point-grid", "bool-grid",
+        "fraction-grid", "bool-value", "inf-value", "bool-phi",
         "out-of-range-value", "unpaired-m", "huge-m", "negative-seed",
         "int-out-dir", "list-out-dir", "empty-out-dir", "string-svg", "float-svg",
         "list-optics", "zero-optics", "false-optics"])

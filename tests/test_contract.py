@@ -212,11 +212,6 @@ ROWS = {
         lambda x: fit_cosine([0.0, 1.0, x], [0.5, 0.6, 0.7])),
     "twirled_mean_fidelity[phi]": _phase_row(
         lambda x: twirled_mean_fidelity(8, x)),
-    # a grid point is reported as the caller gave it, not wrapped
-    "worst_case_fidelity": Row(
-        lambda x: worst_case_fidelity(_SPEC, [x]), PHASES,
-        lambda result, x: _same(
-            result, (float(x), replication_fidelity(_SPEC, x)))),
     "experiment_pipeline[phases]": Row(
         lambda x: _pipeline(phase=x), PHASES,
         lambda report, x: _same(report.phases,
@@ -253,6 +248,10 @@ ROWS = {
     "asymptotic_sweep[m_list]": Row(
         lambda x: asymptotic_sweep(0.5, [4], m_list=[x])),
     "twirled_mean_fidelity[grid_size]": Row(twirled_mean_fidelity),
+    # the phase grid np.linspace(0, pi, G), given by its size G >= 2
+    "worst_case_fidelity": Row(lambda x: worst_case_fidelity(_SPEC, x)),
+    "asymptotic_sweep[phi_grid_size]": Row(
+        lambda x: asymptotic_sweep(0.5, [4], x)),
     "ProcessMatrix": Row(lambda x: ProcessMatrix(np.eye(4) / 4.0, x)),
     "process_matrix_from_json": Row(
         lambda x: process_matrix_from_json(dict(_CHI_DOC, qubits=x))),
@@ -295,10 +294,6 @@ ARRAY_ROWS = {
         lambda x: experiment_pipeline(_IDEAL, x, 10.0), ("none", "int-list"),
         lambda report, x: _same(report.phases, standard_phases()
                                 if x is None else (0.0, 1.0))),
-    "worst_case_fidelity[phi_grid]": Row(
-        lambda x: worst_case_fidelity(_SPEC, x), ("none", "int-list"),
-        lambda result, x: _same(result, worst_case_fidelity(
-            _SPEC, None if x is None else [0.0, 1.0]))),
     # the real-vector rule: a dataset may hold no counts
     "TomographyDataset[counts]": Row(
         lambda x: TomographyDataset(0.0, x, 10.0), ("empty", "int-list"),
@@ -313,6 +308,10 @@ ARRAY_ROWS = {
     "asymptotic_sweep[m_list]": Row(
         lambda x: asymptotic_sweep(0.5, [4], m_list=x), ("none",),
         lambda rows, x: _same(rows[0], asymptotic_sweep(0.5, [4])[0])),
+    # the integer rule: the phase grid is its size, so no list, array or
+    # None stands for it
+    "worst_case_fidelity[phi_grid]": Row(
+        lambda x: worst_case_fidelity(_SPEC, x)),
     # the record rule: one record, or for datasets a list of them
     "mle_reconstruct": Row(lambda x: mle_reconstruct(x, default_design())),
     "monte_carlo_errors[dataset]": Row(

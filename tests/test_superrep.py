@@ -5,6 +5,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from phaserep import superrep
 from phaserep.choi import process_fidelity
 from phaserep.gates import phase_gate, toffoli
 from phaserep.qmat import REGISTER_CAP, normalize_phase
@@ -14,19 +15,31 @@ from phaserep.superrep import (
     ReplicationSpec,
     _estimate,
     _infidelities,
-    _screen,
     _tail_weights,
     _weight_table,
     ancilla_imprint,
     asymptotic_sweep,
     build_V,
-    default_phi_grid,
-    effective_alpha,
     phase_profile,
     replicated_map,
     replication_fidelity,
     worst_case_fidelity,
 )
+
+
+@pytest.fixture
+def kernel_sizes(monkeypatch):
+    """The number of phases of each ``_infidelities`` call that
+    ``worst_case_fidelity`` makes."""
+    sizes = []
+    kernel = superrep._infidelities
+
+    def counted(terms, phases):
+        sizes.append(phases.size)
+        return kernel(terms, phases)
+
+    monkeypatch.setattr(superrep, "_infidelities", counted)
+    return sizes
 
 
 def _all_specs(max_total: int):
@@ -333,7 +346,9 @@ def test_one_to_two_worst_case_is_quarter():
 
 def test_worst_case_scans_the_given_grid():
     # a phase's value must not depend on the grid size or on its position
-    # in the kernel's blocks: every grid value equals the one-phase value
+    # in the kernel's blocks: every grid value equals the one-phase value,
+    # on any phases; the worst case is the kernel's worst on the uniform
+    # grid of the given size
     rng = np.random.default_rng(5)
     sizes = (1, 7, 513, 2 * _BLOCK + 3)
     for n, m in ((1, 2), (2, 4), (2, 2), (10, 100), (158, 1986)):
@@ -342,7 +357,6 @@ def test_worst_case_scans_the_given_grid():
         for size in sizes:
             grid = (np.linspace(0.0, math.pi, size) if size < 100
                     else rng.uniform(-1.0, 7.0, size))
-            phi, fid = worst_case_fidelity(spec, grid)
             values = 1.0 - _infidelities(terms, grid)
             singles = [1.0 - float(_infidelities(terms, grid[j:j + 1])[0])
                        for j in range(size)]
@@ -352,8 +366,12 @@ def test_worst_case_scans_the_given_grid():
             stride = 1 if m < 1000 else 61
             assert all(replication_fidelity(spec, grid[j]) == singles[j]
                        for j in range(0, size, stride))
-            assert fid == min(singles)
-            assert phi == grid[int(np.argmin(singles))]
+        for size in (2, 7, 513, 2 * _BLOCK + 3):
+            grid = np.linspace(0.0, math.pi, size)
+            kernel = _infidelities(terms, grid)
+            i = int(np.argmax(kernel))
+            assert worst_case_fidelity(spec, size) \
+                == (grid[i], 1.0 - kernel[i])
 
 
 def _screen_specs():
@@ -367,10 +385,12 @@ def _screen_specs():
     yield ReplicationSpec(1070, 1072)
 
 
-def test_screen_changes_no_worst_case():
-    # G = 1020 runs P = 2038 = 2 x 1019, a Bluestein length.  The first
+def test_screen_changes_no_worst_case(kernel_sizes):
+    # G = 1020 runs P = 2038 = 2 x 1019, a Bluestein length; G = 2 runs
+    # P = 2, and the empty tails give estimates of exactly 0.  The first
     # assertion holds for a full-grid scan too; the test fails on a tree
-    # without the screen only because it calls _estimate and _screen.
+    # without the screen only because it calls _estimate and counts the
+    # phases the kernel evaluates.
     single = 0
     for spec in _screen_specs():
         terms = _tail_weights(spec)
@@ -378,41 +398,30 @@ def test_screen_changes_no_worst_case():
             grid = np.linspace(0.0, math.pi, size)
             kernel = _infidelities(terms, grid)
             i = int(np.argmax(kernel))
-            assert worst_case_fidelity(spec, grid) \
+            kernel_sizes.clear()
+            assert worst_case_fidelity(spec, size) \
                 == (grid[i], 1.0 - kernel[i])
-            if size < 3 or not terms[0].size:
-                assert _screen(terms, grid).tolist() == list(range(size))
-                continue
             estimate, delta = _estimate(terms, size)
             assert np.abs(estimate - kernel).max() <= delta / 8
-            if size == 513 and 16 <= spec.copies <= 158:
-                assert _screen(terms, grid).size == 1
+            if size == 513 and 16 <= spec.copies <= 158 and terms[0].size:
+                assert kernel_sizes == [1]
                 single += 1
     assert single == 112
 
 
-def test_screen_takes_only_the_exact_linspace_grid():
-    spec = ReplicationSpec(10, 100)
-    terms = _tail_weights(spec)
-    grid = np.linspace(0.0, math.pi, 513)
-    assert _screen(terms, grid).size == 1
-    for bad in (np.nextafter(grid, 4.0), grid * (1.0 + 2.0 ** -52),
-                np.linspace(0.0, 2.0 * math.pi, 513), grid[::-1]):
-        assert _screen(terms, bad).tolist() == list(range(513))
-
-
 def test_non_finite_phases_and_non_1d_grids_are_rejected():
+    # a grid is named by its size: a phase list, an array or a size
+    # below 2 is not one
     for spec in (ReplicationSpec(2, 4), ReplicationSpec(2, 2)):
         for bad in (math.inf, -math.inf, math.nan):
             with pytest.raises(ValueError, match="finite"):
                 replication_fidelity(spec, bad)
-            with pytest.raises(ValueError, match="finite"):
-                worst_case_fidelity(spec, [bad, 1.0])
-        for grid in (np.zeros((2, 3)), 0.5):
-            with pytest.raises(ValueError, match="1-D"):
+        for grid in (np.zeros((2, 3)), [0.5, 1.0], [], 0.5, 2.0, 1, 0,
+                     True, None, np.array(513)):
+            with pytest.raises(ValueError, match="phi_grid_size"):
                 worst_case_fidelity(spec, grid)
-        with pytest.raises(ValueError, match="empty"):
-            worst_case_fidelity(spec, [])
+            with pytest.raises(ValueError, match="phi_grid_size"):
+                asymptotic_sweep(0.5, [2], grid)
 
 
 def _mp_tail_infidelity(spec, phi):
@@ -460,23 +469,20 @@ def test_infidelity_against_high_precision_tail_sum():
         assert abs(got - expected) < 1e-13 * expected
 
 
-def test_worst_case_memory_does_not_grow_with_the_grid():
+def test_worst_case_memory_does_not_grow_with_the_grid(kernel_sizes):
     # unblocked, each (grid x sqrt(M)) temporary would take about 7 MB.
-    # The uniform 20000-point grid goes through the screen, the other two
-    # through the blocked kernel alone; about 0.5 s in all.
+    # The 20000-point grid goes through the screen, the larger one through
+    # the blocked kernel alone; about 0.5 s in all.
     spec = ReplicationSpec(copies=158, replicas=1986)
-    terms = _tail_weights(spec)
-    for grid, screened in (
-            (np.linspace(0.0, math.pi, 20000), True),
-            (math.pi * np.linspace(0.0, 1.0, 20000) ** 2, False),
-            (np.linspace(0.0, math.pi, _SCREEN_MAX + 1), False)):
-        assert (_screen(terms, grid).size < grid.size) == screened
+    for size, screened in ((20000, True), (_SCREEN_MAX + 1, False)):
+        kernel_sizes.clear()
         tracemalloc.start()
         try:
-            worst_case_fidelity(spec, grid)
+            worst_case_fidelity(spec, size)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        assert (kernel_sizes[0] < size) == screened
         assert peak < 4e6
 
 
@@ -499,15 +505,19 @@ def test_worst_case_memory_grows_with_the_tail_not_with_m():
 
 
 def test_default_grid_covers_half_period():
-    grid = default_phi_grid()
-    assert grid[0] == 0.0
-    assert grid[-1] == pytest.approx(math.pi)
+    # the default grid runs from 0, the first of the ties where the
+    # window holds every weight, to pi, the worst phase of 1 -> 2
+    assert worst_case_fidelity(ReplicationSpec(2, 2)) == (0.0, 1.0)
+    assert worst_case_fidelity(ReplicationSpec(1, 2))[0] == math.pi
+    assert worst_case_fidelity(ReplicationSpec(10, 100)) \
+        == worst_case_fidelity(ReplicationSpec(10, 100), 513)
 
 
 def test_effective_alpha_inverts_power_law():
-    assert effective_alpha(4, 8) == pytest.approx(0.5, abs=1e-12)
-    assert effective_alpha(9, 27) == pytest.approx(0.5, abs=1e-12)
-    assert math.isnan(effective_alpha(1, 2))
+    rows = asymptotic_sweep(0.25, [4, 9, 1], m_list=[8, 27, 2])
+    assert rows[0].alpha == pytest.approx(0.5, abs=1e-12)
+    assert rows[1].alpha == pytest.approx(0.5, abs=1e-12)
+    assert math.isnan(rows[2].alpha)
 
 
 def test_sweep_monotone_and_validated():

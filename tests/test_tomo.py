@@ -1060,11 +1060,22 @@ def _header(header):
     (_header("# phase_values: [false, 1.2]"), "^phase must be a finite"),
     (_header("# phase_values: 3"), "header"),
     (_header("# rates: 150.0"), "header"),
+    # a row of the wrong width is named by its 1-based line number: the
+    # 11th, or the blank line after both phases' rows and the 3 headers
+    (lambda lines: lines[:10] + [lines[10] + ",7"] + lines[11:],
+     "^counts file line 11: a data row needs 5 comma-separated cells, "
+     "got 6$"),
+    (lambda lines: lines[:10] + [lines[10].rsplit(",", 1)[0]] + lines[11:],
+     "^counts file line 11: a data row needs 5 comma-separated cells, "
+     "got 4$"),
+    (lambda lines: lines + [""],
+     f"^counts file line {2 * default_design().size + 4}: a data row "
+     "needs 5 comma-separated cells, got 1$"),
 ], ids=["truncated", "duplicated", "reordered", "header-less",
         "rates-missing", "phase-count-short", "rate-string", "rate-negative",
         "rate-zero", "rate-boolean", "rate-infinite", "phase-nan",
         "phase-string", "phase-boolean", "phase-values-scalar",
-        "rates-scalar"])
+        "rates-scalar", "extra-cell", "missing-cell", "trailing-blank-line"])
 def test_corrupt_counts_csv_is_rejected(tmp_path, edit, message):
     path = _corrupted_counts_csv(tmp_path, edit)
     with pytest.raises(ValueError, match=message):
