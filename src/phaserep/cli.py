@@ -42,11 +42,10 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from . import tomo
 from .choi import _process_fidelity, process_matrix_to_json
 from .gates import _baseline_single_copy, _cu_phase, _fidelity_replicas, \
     _optimal_cloner_fidelity, _phase_gate, _twirled_mean_fidelity, \
-    baseline_measure_prepare, toffoli
+    baseline_measure_prepare, standard_phases, toffoli
 from .optics import OpticsParams, _experiment_channel, _field, \
     _field_values, effective_toffoli
 from .qmat import _integer, _kron, _real, _seed, _sizes, _trials, _wrap
@@ -102,7 +101,7 @@ def _require(condition: bool, message: str) -> None:
 def _parse_phases(raw) -> tuple[float, ...]:
     if isinstance(raw, str):
         if raw.strip() == "standard":
-            return tomo.standard_phases()
+            return standard_phases()
         try:
             raw = [float(p) for p in raw.split(",") if p.strip()]
         except ValueError:
@@ -387,6 +386,8 @@ def cmd_superrep(config: SimpleNamespace, out: Path, meta: dict) -> None:
 
 def cmd_tomo(config: SimpleNamespace, out: Path, meta: dict) -> None:
     """Simulated counts -> MLE reconstruction -> fidelities and fit."""
+    # the one command that reconstructs; the others never load tomo
+    from . import tomo
     report = tomo.experiment_pipeline(config.optics, config.phases,
                                       config.rate, config.trials, config.seed)
 

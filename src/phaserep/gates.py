@@ -59,6 +59,11 @@ def _cu_phase(phases: float | np.ndarray) -> np.ndarray:
     return _diagonal(1.0, 1.0, 1.0, np.exp(1j * phases))
 
 
+def standard_phases() -> tuple[float, ...]:
+    """The eight standard phase settings k*pi/8, k = 0..7."""
+    return tuple(k * math.pi / 8.0 for k in range(8))
+
+
 def controlled_z() -> np.ndarray:
     """diag(1, 1, 1, -1); the measured-form feed-forward correction."""
     # written out rather than cu_phase(pi) so the -1 entry is exact

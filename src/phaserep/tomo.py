@@ -26,7 +26,7 @@ import numpy as np
 
 from .choi import ProcessMatrix, _chi_fidelity, _choi, _choi_matrices, \
     _gate
-from .gates import _cu_phase, _phase_gate
+from .gates import _cu_phase, _phase_gate, standard_phases
 from .optics import OpticsParams, _experiment_channel
 from .qmat import PROJECTOR_KETS, _kron, _operator, _phase_list, _real, \
     _reals, _record, _records, _seed, _trials, _wrap
@@ -491,12 +491,16 @@ def fit_cosine(
     count once; a broken rule or < 2 distinct phases raise ValueError."""
     phases = _wrap(_phase_list(phases, "phases"))
     values = _reals(fidelities, "fidelities", size=phases.size)
-    if np.unique(np.round(phases, 12)).size < 2:
+    fit = _fit_cosine(phases, values)
+    if fit is None:
         raise ValueError("need at least 2 distinct phases to fit")
-    return _fit_cosine(phases, values)
+    return fit
 
 
-def _fit_cosine(phases: np.ndarray, values: np.ndarray) -> FitResult:
+def _fit_cosine(phases: np.ndarray, values: np.ndarray) -> FitResult | None:
+    """The fit of ``fit_cosine``; None below 2 distinct phases."""
+    if np.unique(np.round(phases, 12)).size < 2:
+        return None
     design = np.column_stack([np.ones_like(phases), np.cos(phases)])
     coef, *_ = np.linalg.lstsq(design, values, rcond=None)
     residuals = values - design @ coef
@@ -534,11 +538,6 @@ class PipelineReport:
     rate: float
     trials: int
     seed: int  # the root entropy of the run's streams
-
-
-def standard_phases() -> tuple[float, ...]:
-    """The eight standard phase settings k*pi/8, k = 0..7."""
-    return tuple(k * math.pi / 8.0 for k in range(8))
 
 
 def experiment_pipeline(
@@ -606,9 +605,7 @@ def experiment_pipeline(
             phi, ProcessMatrix(chi[0], 2), _choi(cu[None]), dataset,
             float(f_cu[0]), float(f_uu[0]), f_cu_std, f_uu_std,
             len(ll_traces[0]) - 1, bool(converged[0]), float(gaps[0])))
-    fit = None
-    if np.unique(np.round(phases, 12)).size >= 2:
-        fit = _fit_cosine(np.array(phases), np.array([r.f_uu for r in rows]))
+    fit = _fit_cosine(np.array(phases), np.array([r.f_uu for r in rows]))
     return PipelineReport(phases, tuple(rows), fit, rate, trials,
                           root.entropy)
 
@@ -665,9 +662,10 @@ def read_datasets_csv(path, design: TomographyDesign
     headers, as lists with one entry per phase, and under the column
     names, for phase ids 0..P-1 in turn, every design row exactly once in
     design order (``row_index``).  A missing, repeated or misplaced row,
-    a row without exactly 5 cells (a blank line among them), or a missing
-    or malformed header, raises ``ValueError``; a row of the wrong width
-    is named by its 1-based line number.
+    a row that is not 5 comma-separated numbers (a blank line or an empty
+    cell among them), or a missing, repeated or malformed header, raises
+    ``ValueError``; such a row, a repeated header and a header that is
+    not JSON are named by their 1-based line number.
     """
     design = _record(design, "design", TomographyDesign)
     headers = {}
@@ -676,7 +674,15 @@ def read_datasets_csv(path, design: TomographyDesign
         for number, line in enumerate(fh, 1):
             if line.startswith(("# phase_values:", "# rates:")):
                 key, value = line[2:].split(":", 1)
-                headers[key] = json.loads(value)
+                if key in headers:
+                    raise ValueError(f"counts file line {number}: a second "
+                                     f"'# {key}:' header")
+                try:
+                    headers[key] = json.loads(value)
+                except json.JSONDecodeError as exc:
+                    raise ValueError(
+                        f"counts file line {number}: the '# {key}:' header "
+                        f"is not JSON ({exc.msg})") from None
             elif not line.startswith("#"):
                 lines.append((number, line))
     if set(headers) != {"phase_values", "rates"} \
@@ -693,7 +699,11 @@ def read_datasets_csv(path, design: TomographyDesign
         if len(cells) != 5:
             raise ValueError(f"counts file line {number}: a data row needs "
                              f"5 comma-separated cells, got {len(cells)}")
-        rows.append(cells)
+        try:
+            rows.append(list(map(float, cells)))
+        except ValueError:
+            raise ValueError(f"counts file line {number}: a data row needs "
+                             f"5 numbers, got {line.strip()!r}") from None
     data = np.array(rows, dtype=np.float64).reshape(-1, 5)
     index = _row_layout(len(phases), design)
     if data.shape[0] != index.shape[0] \

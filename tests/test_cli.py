@@ -29,7 +29,7 @@ from phaserep import (
     twirled_mean_fidelity,
 )
 import phaserep
-from phaserep import cli
+from phaserep import cli, tomo
 from phaserep.cli import main
 
 PI_HALF = repr(math.pi / 2)
@@ -635,7 +635,7 @@ def test_out_dir_under_a_file_is_rejected_before_the_run(tmp_path,
     def pipeline(*args):
         raise AssertionError("the pipeline ran")
 
-    monkeypatch.setattr(cli.tomo, "experiment_pipeline", pipeline)
+    monkeypatch.setattr(tomo, "experiment_pipeline", pipeline)
     blocker = tmp_path / "file"
     blocker.write_text("")
     assert main(["tomo", "--trials", "100",
@@ -728,6 +728,25 @@ def test_cli_imports_svgplot_only_for_figures():
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_cli_imports_tomo_only_for_tomo(tmp_path):
+    # a fresh interpreter: the three commands that reconstruct nothing
+    # leave the tomography module unloaded, and a tomo run loads it
+    code = (
+        "import sys; from phaserep import cli\n"
+        "for k, argv in enumerate([['replicate'], ['optics-scan'],\n"
+        "                          ['superrep'],\n"
+        "                          ['tomo', '--phases', '0.5',\n"
+        "                           '--rate', '100']]):\n"
+        "    assert cli.main(argv + ['--out-dir', sys.argv[1] + str(k)]) == 0\n"
+        "    print(argv[0], 'phaserep.tomo' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path / "o")],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n") == [
+        "replicate False", "optics-scan False", "superrep False",
+        "tomo True", ""]
 
 
 def test_version_matches_pyproject():

@@ -33,6 +33,34 @@ def test_public_names_resolve():
     assert len(set(phaserep.__all__)) == len(phaserep.__all__)
 
 
+def test_public_names_are_their_modules_objects():
+    # each package name is the object its defining module holds, and
+    # that module is a package attribute too; an unknown name is an
+    # AttributeError
+    assert len(phaserep.__all__) == 46
+    for name in phaserep.__all__:
+        value = getattr(phaserep, name)
+        module = importlib.import_module(value.__module__)
+        assert getattr(module, name) is value, name
+        package, module_name = value.__module__.split(".")
+        assert package == "phaserep", name
+        assert getattr(phaserep, module_name) is module, name
+    with pytest.raises(AttributeError, match="no_such_name"):
+        phaserep.no_such_name
+
+
+def test_import_loads_no_submodule():
+    # a fresh interpreter: the package loads a module when one of its
+    # names is first read, and no sooner
+    code = ("import sys, phaserep; "
+            "print(sorted(m for m in sys.modules "
+            "if m.startswith('phaserep.')))")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_public_names_have_their_own_docstrings():
     # dataclass writes its signature as the docstring of a class that
     # has none, so that does not count as one

@@ -730,6 +730,23 @@ def test_fit_cosine_input_validation():
         fit_cosine([0.4, 0.4, 0.4], [0.5, 0.5, 0.5])
 
 
+@pytest.mark.parametrize("second, fits", [
+    (0.5 + 1e-13, False), (0.5 + 2.0 * math.pi, False), (0.5 + 1e-11, True),
+], ids=["1e-13-apart", "a-period-apart", "1e-11-apart"])
+def test_fit_and_pipeline_share_the_distinct_phase_rule(second, fits):
+    # phases equal after wrapping and rounding to 12 decimals count once:
+    # fit_cosine refuses them, and the pipeline reports no fit
+    phases = [0.5, second]
+    report = experiment_pipeline(OpticsParams.ideal(), phases=phases,
+                                 rate=10.0, seed=1)
+    assert (report.fit is not None) is fits
+    if fits:
+        assert isinstance(fit_cosine(phases, [0.5, 0.6]), FitResult)
+    else:
+        with pytest.raises(ValueError, match="distinct"):
+            fit_cosine(phases, [0.5, 0.6])
+
+
 @pytest.mark.parametrize("phases, values", [
     ([0.0, math.inf, 2.0], [0.5, 0.6, 0.7]),
     ([0.0, math.nan, 2.0], [0.5, 0.6, 0.7]),
@@ -1071,11 +1088,25 @@ def _header(header):
     (lambda lines: lines + [""],
      f"^counts file line {2 * default_design().size + 4}: a data row "
      "needs 5 comma-separated cells, got 1$"),
+    # a header that is not JSON, a count that is not a number and a
+    # second header are named by their line too, not by a position in
+    # the JSON text or by numpy's conversion
+    (_header("# rates: [50.0"),
+     r"^counts file line 2: the '# rates:' header is not JSON \("),
+    (lambda lines: lines[:10] + ["0,1,2,3,0x10"] + lines[11:],
+     "^counts file line 11: a data row needs 5 numbers, "
+     "got '0,1,2,3,0x10'$"),
+    (lambda lines: lines[:10] + ["0,1,2,3,"] + lines[11:],
+     "^counts file line 11: a data row needs 5 numbers, got '0,1,2,3,'$"),
+    (lambda lines: lines[:2] + ["# rates: [70.0, 70.0]"] + lines[2:],
+     "^counts file line 3: a second '# rates:' header$"),
 ], ids=["truncated", "duplicated", "reordered", "header-less",
         "rates-missing", "phase-count-short", "rate-string", "rate-negative",
         "rate-zero", "rate-boolean", "rate-infinite", "phase-nan",
         "phase-string", "phase-boolean", "phase-values-scalar",
-        "rates-scalar", "extra-cell", "missing-cell", "trailing-blank-line"])
+        "rates-scalar", "extra-cell", "missing-cell", "trailing-blank-line",
+        "bad-header-json", "non-numeric-count", "empty-count",
+        "repeated-header"])
 def test_corrupt_counts_csv_is_rejected(tmp_path, edit, message):
     path = _corrupted_counts_csv(tmp_path, edit)
     with pytest.raises(ValueError, match=message):
