@@ -16,13 +16,14 @@ strings, ``chi_NN.json`` matrices and non-integral counts as the
 shortest ``repr``: reruns are byte-identical and values round-trip.
 
 Every value is checked, with the input rule of its kind, when the
-config is resolved.  ``replicate`` and ``optics-scan`` then call the
-library's kernels, which check nothing again but the params stack, once
-per optical build.  ``tomo`` and ``superrep`` call the public
+config is resolved (``phases``, once parsed, as a 1-D list of phases
+and ``phi`` as one phase).  ``replicate`` and ``optics-scan`` then call
+the library's kernels, which check nothing again but the params stack,
+once per optical build.  ``tomo`` and ``superrep`` call the public
 ``experiment_pipeline`` and ``asymptotic_sweep``, whose rules check the
 resolved values once more: a cost negligible beside the MLE and the
 sweep, which keeps their time under the names perfbench's traced runs
-record.
+record.  The sweep also pairs ``m_list`` with ``n_list``.
 
 Exit codes: 0 success, 1 invalid configuration or unusable paths,
 2 runtime or numerical failure.
@@ -48,7 +49,8 @@ from .gates import _baseline_single_copy, _cu_phase, _fidelity_replicas, \
     baseline_measure_prepare, standard_phases, toffoli
 from .optics import OpticsParams, _experiment_channel, _field, \
     _field_values, effective_toffoli
-from .qmat import _integer, _kron, _real, _seed, _sizes, _trials, _wrap
+from .qmat import _integer, _kron, _phase_list, _real, _seed, _sizes, \
+    _trials, _wrap
 from .superrep import _PHI_GRID_SIZE, asymptotic_sweep
 
 ARTIFACT_VERSION = 2
@@ -106,9 +108,7 @@ def _parse_phases(raw) -> tuple[float, ...]:
             raw = [float(p) for p in raw.split(",") if p.strip()]
         except ValueError:
             raise ValueError(f"cannot parse phase list: {raw!r}") from None
-    _require(isinstance(raw, (list, tuple)) and len(raw) > 0,
-             "phases must be 'standard' or a non-empty list")
-    return tuple(_real(p, "phases") for p in raw)
+    return tuple(_phase_list(raw, "phases").tolist())
 
 
 def _load_config_file(path: str, command: str) -> dict:
@@ -172,8 +172,6 @@ def _resolve(key: str, value, params: dict):
                  "n_list must be a non-empty list of positive integers")
     elif key == "m_list" and value is not None:
         value = _sizes(value, key)
-        _require(len(value) == len(params["n_list"]),
-                 "m_list must pair up with n_list")
     elif key == "phi_grid_size":
         value = _integer(value, key, 2)
     elif key == "parameter":
@@ -183,7 +181,7 @@ def _resolve(key: str, value, params: dict):
         value = _field_values(params["parameter"], value)
         _require(value, "values must be a non-empty list of numbers")
     elif key == "phi":
-        value = _real(value, key)
+        value = _phase_list(value, key, (0,))
     return value
 
 

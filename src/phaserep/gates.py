@@ -14,11 +14,12 @@ same two-qubit gate.
 Fidelities between constructions are process fidelities (see ``choi``);
 the closed forms quoted in the docstrings serve as test oracles only.
 The phase gates, the cloner and the fidelity functions take a float
-phase or a 1-D array of P phases; an array gives a stack of P gates (or
-P fidelities) from one broadcast, each row equal to the float call.
+phase or an array of phases of any shape; an array gives one gate (or
+fidelity) per phase from one broadcast, each equal to the float call.
 Each applies the phase rule (``normalize_phase``) and calls its kernel,
 the same name with a leading underscore, which takes phases already
-reduced to [0, 2*pi); calls inside the package go to the kernels.
+reduced to [0, 2*pi); calls inside the package go to the kernels.  The
+measured form and the twirl take one phase and refuse an array.
 """
 from __future__ import annotations
 
@@ -27,7 +28,7 @@ import math
 import numpy as np
 
 from .choi import _process_fidelity
-from .qmat import _integer, _kron, _wrap, normalize_phase
+from .qmat import _integer, _kron, _phase_list, _wrap, normalize_phase
 from .superrep import ReplicationSpec, _build_V
 
 
@@ -94,8 +95,9 @@ def replicate_measured_form(phi: float) -> np.ndarray:
     cu_phase(phi)/sqrt(2) and minus is diag(1, 1, 1, -e^{i*phi})/sqrt(2);
     ``controlled_z() @ minus`` equals plus.  Each branch satisfies
     K^dagger K = I/2, so it fires with probability 1/2 whatever the input.
+    ``phi`` is one phase; an array raises ``ValueError``.
     """
-    phi = normalize_phase(phi)
+    phi = _wrap(_phase_list(phi, "phi", (0,)))
     imprint = _build_V(_ONE_TO_TWO)[0::2] & 1
     phase = np.exp(1j * phi)
     return np.array([np.diag(np.where(imprint, sign * phase, 1.0))
@@ -121,10 +123,11 @@ def twirled_mean_fidelity(grid_size: int, phi: float = 0.0) -> float:
 
     The twirl angle theta runs over a uniform grid of ``grid_size`` points
     on [0, 2*pi); the cosine term of the replica fidelity cancels exactly
-    on any such grid, leaving the phase-independent mean 5/8.
+    on any such grid, leaving the phase-independent mean 5/8.  ``phi``,
+    the twirl's offset, is one phase; an array raises ``ValueError``.
     """
     return _twirled_mean_fidelity(_integer(grid_size, "grid_size", 2),
-                                  normalize_phase(phi))
+                                  _wrap(_phase_list(phi, "phi", (0,))))
 
 
 def _twirled_mean_fidelity(grid_size: int, phi: float) -> float:

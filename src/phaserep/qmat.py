@@ -121,15 +121,15 @@ def _numbers(value, name: str, number=Real, dtype=np.float64) -> np.ndarray:
     return array
 
 
-def _phase_list(phi, name: str, ndims=(1,)) -> np.ndarray:
-    """The phase-list rule: the phase rule, as one phase (ndim 0) or a
+def _phase_list(phi, name: str, ndims=(1,)) -> float | np.ndarray:
+    """The phase rule, shaped: one phase (ndim 0) as a float or a
     non-empty 1-D list (ndim 1), as ``ndims`` allows; not wrapped."""
-    values = _numbers(phi, "phase")
+    values = _numbers(phi, name)
     if values.ndim not in ndims or not values.size:
         forms = " or ".join(("one phase", "a non-empty 1-D list of phases")
                             [n] for n in ndims)
         raise ValueError(f"{name} must be {forms}, got shape {values.shape}")
-    return values
+    return float(values) if values.ndim == 0 else values
 
 
 def _reals(values, name: str, low=-math.inf, size=None) -> np.ndarray:

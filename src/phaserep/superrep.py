@@ -41,7 +41,7 @@ from typing import Sequence
 import numpy as np
 
 from .qmat import _check_width, _integer, _phase_list, _real, _record, \
-    _sizes, normalize_phase
+    _sizes, _wrap
 
 
 # The largest replica count: ``_tail_weights`` states its error bound up
@@ -137,8 +137,10 @@ def _build_V(spec: ReplicationSpec) -> np.ndarray:
 
 
 def replicated_map(spec: ReplicationSpec, phi: float) -> np.ndarray:
-    """Diagonal e^{i f(|m|) phi} of the map induced on the replicas."""
-    spec, phi = _record(spec, "spec", ReplicationSpec), normalize_phase(phi)
+    """Diagonal e^{i f(|m|) phi} of the map induced on the replicas;
+    ``phi`` is one phase, and an array raises ``ValueError``."""
+    spec = _record(spec, "spec", ReplicationSpec)
+    phi = _wrap(_phase_list(phi, "phi", (0,)))
     m = spec.replicas
     _check_width(m)
     return np.exp(1j * phi * _phase_profile(spec)[_weight_table(m)])

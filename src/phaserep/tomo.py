@@ -180,7 +180,8 @@ class TomographyDataset:
     """Counts for one phase setting, aligned with the design's row order.
 
     Counts are non-negative and usually integers; the expected-count
-    (noise-free) variant stores real-valued means instead.
+    (noise-free) variant stores real-valued means instead.  ``phase`` is
+    one phase, stored as a float and not reduced to [0, 2*pi).
     """
 
     phase: float
@@ -189,8 +190,8 @@ class TomographyDataset:
 
     def __post_init__(self):
         c = _reals(self.counts, "counts", 0.0)
-        # phase and rate may come from the headers of a counts file
-        object.__setattr__(self, "phase", _real(self.phase, "phase"))
+        object.__setattr__(self, "phase",
+                           _phase_list(self.phase, "phase", (0,)))
         object.__setattr__(self, "rate",
                            _real(self.rate, "rate", positive=True))
         c.setflags(write=False)
@@ -487,22 +488,38 @@ def fit_cosine(
 ) -> FitResult:
     """Least-squares fit of F(phi) = offset + amplitude * cos(phi) to a
     phase list (reduced to [0, 2*pi)) and a real vector of as many
-    fidelities.  Phases equal after rounding to 12 decimals (1e-12 rad)
-    count once; a broken rule or < 2 distinct phases raise ValueError."""
+    fidelities.  A broken rule raises ValueError, and so do phases that
+    do not identify the fit: those whose design [1, cos phi] has a
+    condition number above ``_FIT_CONDITION_MAX`` (1e8), such as one
+    phase, phases mirrored about pi (equal cosines) or phases whose
+    cosines differ by less than about 4e-8."""
     phases = _wrap(_phase_list(phases, "phases"))
     values = _reals(fidelities, "fidelities", size=phases.size)
     fit = _fit_cosine(phases, values)
     if fit is None:
-        raise ValueError("need at least 2 distinct phases to fit")
+        raise ValueError("need phases with distinct cosines to fit: the "
+                         "design [1, cos phi] has a condition number "
+                         "above 1e8")
     return fit
 
 
+# Rounding moves the fit's coefficients by about
+# (kappa + kappa^2 tan(theta)) u relative, for the condition number
+# kappa of the design [1, cos phi], u = 2^-53 and theta the angle
+# between the fidelities and their fit.  The bound 1e8 ~ u^(-1/2) keeps
+# that below about 1e-8 + tan(theta), so rounding adds no more than the
+# misfit itself.  Phases mirrored about pi, whose cosines differ only by
+# rounding, reach kappa ~ 1/u, where the coefficients are rounding noise.
+_FIT_CONDITION_MAX = 1e8
+
+
 def _fit_cosine(phases: np.ndarray, values: np.ndarray) -> FitResult | None:
-    """The fit of ``fit_cosine``; None below 2 distinct phases."""
-    if np.unique(np.round(phases, 12)).size < 2:
-        return None
+    """The fit of ``fit_cosine``; None where its design's condition
+    number exceeds ``_FIT_CONDITION_MAX``, or for one phase."""
     design = np.column_stack([np.ones_like(phases), np.cos(phases)])
-    coef, *_ = np.linalg.lstsq(design, values, rcond=None)
+    coef, _, _, sv = np.linalg.lstsq(design, values, rcond=None)
+    if sv.size < 2 or sv[0] > _FIT_CONDITION_MAX * sv[1]:
+        return None
     residuals = values - design @ coef
     rms = float(np.sqrt(np.mean(residuals ** 2)))
     return FitResult(float(coef[0]), float(coef[1]), rms)
@@ -534,7 +551,7 @@ class PipelineReport:
 
     phases: tuple[float, ...]
     rows: tuple[PhaseReport, ...]
-    fit: FitResult | None  # None when fewer than 2 distinct phases were run
+    fit: FitResult | None  # None where the phases do not identify a fit
     rate: float
     trials: int
     seed: int  # the root entropy of the run's streams
@@ -664,11 +681,13 @@ def read_datasets_csv(path, design: TomographyDesign
     design order (``row_index``).  A missing, repeated or misplaced row,
     a row that is not 5 comma-separated numbers (a blank line or an empty
     cell among them), or a missing, repeated or malformed header, raises
-    ``ValueError``; such a row, a repeated header and a header that is
-    not JSON are named by their 1-based line number.
+    ``ValueError``; such a row, a repeated header, a header that is not
+    JSON and a header entry that breaks its dataset field's rule (the
+    phase rule, one phase; the rate's real-number rule) are named by
+    their 1-based line number.
     """
     design = _record(design, "design", TomographyDesign)
-    headers = {}
+    headers = {}  # key -> (1-based line number, the header's value)
     lines = []  # (1-based line number, text) of the lines not comments
     with open(path, newline="") as fh:
         for number, line in enumerate(fh, 1):
@@ -678,7 +697,7 @@ def read_datasets_csv(path, design: TomographyDesign
                     raise ValueError(f"counts file line {number}: a second "
                                      f"'# {key}:' header")
                 try:
-                    headers[key] = json.loads(value)
+                    headers[key] = number, json.loads(value)
                 except json.JSONDecodeError as exc:
                     raise ValueError(
                         f"counts file line {number}: the '# {key}:' header "
@@ -686,12 +705,22 @@ def read_datasets_csv(path, design: TomographyDesign
             elif not line.startswith("#"):
                 lines.append((number, line))
     if set(headers) != {"phase_values", "rates"} \
-            or not all(isinstance(v, list) for v in headers.values()) \
-            or len(headers["phase_values"]) != len(headers["rates"]):
+            or not all(isinstance(v, list) for _, v in headers.values()) \
+            or len(headers["phase_values"][1]) != len(headers["rates"][1]):
         raise ValueError("counts file needs '# phase_values:' and "
                          "'# rates:' headers, lists with one entry per "
                          "phase")
-    phases, rates = headers["phase_values"], headers["rates"]
+    # each entry passes the rule of the field it fills at its header's
+    # line, before the records check it again
+    rules = {"phase_values": lambda x: _phase_list(x, "phase", (0,)),
+             "rates": lambda x: _real(x, "rate", positive=True)}
+    for key, (number, values) in headers.items():
+        try:
+            for x in values:
+                rules[key](x)
+        except ValueError as exc:
+            raise ValueError(f"counts file line {number}: {exc}") from None
+    phases, rates = headers["phase_values"][1], headers["rates"][1]
     # the first line left is the column names
     rows = []
     for number, line in lines[1:]:

@@ -45,7 +45,7 @@ CASES = {
         ["--svg"],
         {"phases": [0.125, 7.5], "preset": "measured",
          "optics": {"visibility": 0.875, "r_h": 0.03125}},
-        [("_real", 0.125), ("_real", 7.5), ("_field", 0.03125),
+        [("_phase_list", [0.125, 7.5]), ("_field", 0.03125),
          ("_field", 0.875)],
         [("_columns", None)]),
     "superrep": (
@@ -61,8 +61,8 @@ CASES = {
         ["--seed", "3", "--phases", "0.375", "--rate", "250",
          "--trials", "2", "--preset", "ideal"],
         {"optics": {"phase_jitter_sigma": 0.5}},
-        [("_seed", 3), ("_real", 0.375), ("_real", 250.0), ("_trials", 2),
-         ("_field", 0.5)],
+        [("_seed", 3), ("_phase_list", [0.375]), ("_real", 250.0),
+         ("_trials", 2), ("_field", 0.5)],
         # the dataset, then the estimate and the ideal chi of the one
         # phase (the resamples' chi stay arrays), the written datasets
         # and their design, and the written chi
@@ -77,7 +77,7 @@ CASES = {
          "parameter": "r_h", "values": [0.0, 0.0125, 0.025],
          "phi": 1.375},
         [("_field", 0.6875), ("_field_values", [0.0, 0.0125, 0.025]),
-         ("_real", 1.375)],
+         ("_phase_list", 1.375)],
         [("_columns", None), ("_columns", None)]),
 }
 

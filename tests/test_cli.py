@@ -478,9 +478,14 @@ def test_flag_validation_exits_1(tmp_path):
     (["optics-scan"], {"parameter": "phase_jitter_sigma",
                        "values": [math.inf]}, "values"),
     (["optics-scan"], {"phi": True}, "phi"),
+    # phi is one phase, phases a non-empty 1-D list of them
+    (["optics-scan"], {"phi": [0.5, 1.0]}, "phi"),
+    (["replicate"], {"phases": [[0.5]]}, "phases"),
+    (["replicate"], {"phases": 0.5}, "phases"),
     # rejected by the library call the value feeds, before it computes
     (["optics-scan"], {"parameter": "visibility", "values": [1.5]},
      "visibility"),
+    # the sweep pairs m_list with n_list before it computes
     (["superrep"], {"n_list": [4, 9], "m_list": [5]}, "m_list"),
     (["superrep"], {"n_list": [1], "m_list": [10 ** 12 + 1]}, "replicas"),
     (["tomo", "--phases", "0.5", "--seed", "-1"], None, "seed"),
@@ -497,7 +502,8 @@ def test_flag_validation_exits_1(tmp_path):
         "bool-phase", "bool-seed", "bool-rate", "empty-phases", "bool-trials",
         "bool-visibility", "inf-jitter", "inf-alpha", "bool-alpha",
         "huge-alpha", "bool-n", "bool-m", "one-point-grid", "bool-grid",
-        "fraction-grid", "bool-value", "inf-value", "bool-phi",
+        "fraction-grid", "bool-value", "inf-value", "bool-phi", "list-phi",
+        "nested-phases", "scalar-phases",
         "out-of-range-value", "unpaired-m", "huge-m", "negative-seed",
         "int-out-dir", "list-out-dir", "empty-out-dir", "string-svg", "float-svg",
         "list-optics", "zero-optics", "false-optics"])
@@ -557,6 +563,16 @@ def test_config_digest_covers_exactly_the_command_keys(tmp_path, command):
                                        "svg": True}) == base
     assert _digest(tmp_path, command, {},
                    ["--out-dir", "other", "--svg"]) == base
+
+
+def test_config_digest_reads_each_phase_as_its_float(tmp_path):
+    # integral phases hash as the floats they resolve to, from the
+    # config file or the flag
+    assert _digest(tmp_path, "replicate", {"phases": [0, 1]}) \
+        == _digest(tmp_path, "replicate", {"phases": [0.0, 1.0]}) \
+        == _digest(tmp_path, "replicate", {}, ["--phases", "0,1"])
+    assert _digest(tmp_path, "optics-scan", {"phi": 1}) \
+        == _digest(tmp_path, "optics-scan", {"phi": 1.0})
 
 
 @pytest.mark.parametrize("command", sorted(FLAGS))

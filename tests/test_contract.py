@@ -8,7 +8,9 @@ rule of its kind (see ``phaserep.qmat`` and the README's "Inputs"
 section) or gives the documented result, which the row checks.  Nothing
 may print to stderr.  A name in ``phaserep.__all__`` without a row, or
 without a stated reason for having none, fails
-``test_every_public_name_has_a_row``.
+``test_every_public_name_has_a_row``.  Every phase argument has a row in
+both tables, the array row accepting exactly the shapes the argument
+takes; ``test_every_phase_argument_has_an_array_row`` checks the pairs.
 """
 import dataclasses
 import json
@@ -78,13 +80,22 @@ ARRAY_EDGES = {
     "0-d": np.array(0.5), "empty": np.array([]), "scalar": 0.5,
     "2-d": [[0.5, 0.6]], "3x3": np.eye(3), "2x1": [[1.0], [0.0]],
     "bool-and-string": [True, "2"], "int-list": [0, 1],
+    "4-entry": [0.1, 0.2, 0.3, 0.4],
 }
+# the array edges a phase argument accepts, by the shape it takes
+ANY_SHAPE = ("0-d", "empty", "scalar", "2-d", "3x3", "2x1", "int-list",
+             "4-entry")
+ONE_PHASE = ("0-d", "scalar")
+ONE_OR_LIST = ("0-d", "scalar", "int-list", "4-entry")
+PHASE_LIST = ("int-list", "4-entry")
 
 
 class Row(NamedTuple):
     call: Callable  # the public name with the edge value in one argument
     accepts: tuple[str, ...] = ()  # the edge values that give a result
     check: Callable | None = None  # (result, value): the documented result
+    # a phase argument's shape, as the array edges it accepts
+    shape: tuple[str, ...] | None = None
 
 
 def _same(a, b) -> None:
@@ -95,11 +106,33 @@ def _same(a, b) -> None:
         assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
 
-def _phase_row(call: Callable) -> Row:
-    """A phase argument: the result at any finite phase is, bit for bit,
-    the result at that phase reduced to [0, 2*pi)."""
-    return Row(call, PHASES, lambda result, x: _same(
-        result, call(normalize_phase(float(x)))))
+def _phase_row(call: Callable, shape: tuple[str, ...],
+               check: Callable | None = None) -> Row:
+    """A phase argument of the given shape: by default, the result at
+    any finite phase is, bit for bit, the result at that phase reduced
+    to [0, 2*pi)."""
+    return Row(call, PHASES, check or (lambda result, x: _same(
+        result, call(normalize_phase(float(x))))), shape)
+
+
+def _shape_row(call: Callable, shape: tuple[str, ...],
+               check: Callable | None = None) -> Row:
+    """The array twin of a phase argument: it accepts the array edges of
+    its shape.  By default one phase gives the float call's result, and
+    an array the float calls' results stacked in its shape, bit for
+    bit."""
+    def each_phase(result, x):
+        phases = np.asarray(x, dtype=np.float64)
+        if phases.ndim == 0:
+            return _same(result, call(float(phases)))
+        one = np.asarray(call(0.0))
+        want = np.array([call(float(p)) for p in phases.flat],
+                        dtype=one.dtype).reshape(phases.shape + one.shape)
+        assert type(result) is np.ndarray and result.dtype == want.dtype
+        assert result.shape == want.shape
+        assert result.tobytes() == want.tobytes()
+
+    return Row(call, shape, check or each_phase, shape)
 
 
 def _field_row(name: str, accepts: tuple[str, ...]) -> Row:
@@ -116,6 +149,9 @@ def _field_row(name: str, accepts: tuple[str, ...]) -> Row:
 
 
 _SPEC = ReplicationSpec(2, 4)
+# the 1->2 map has 4 entries, as the 4-point twirl has points, so a
+# 4-entry phase array broadcasts against either unless it is refused
+_ONE_TO_TWO = ReplicationSpec(1, 2)
 _IDEAL = OpticsParams.ideal()
 _KRAUS = cu_phase(0.3)[None]
 _DATASET = TomographyDataset(0.3, np.full(default_design().size, 2.0), 10.0)
@@ -193,38 +229,63 @@ def _kron_row(a=None, b=None, accepts=()) -> Row:
     return Row(lambda x: kron(*factors(x)), accepts, check if accepts
                else None)
 
+
+def _dataset(phase):
+    return TomographyDataset(phase, np.ones(3), 10.0)
+
+
+def _channel(phi):
+    return replication_experiment_channel(phi, OpticsParams.measured())
+
+
+def _fit(phases):
+    # as many fidelities as phases
+    return fit_cosine(phases, np.linspace(0.5, 0.8, np.size(phases)))
+
+
+def _dataset_phase(ds, x):
+    # the phase is stored as its float, not reduced
+    _same(ds.phase, float(x))
+
+
+def _pipeline_phases(report, x):
+    _same(report.phases, standard_phases() if x is None else tuple(
+        normalize_phase(float(p)) for p in np.ravel(x)))
+
+
 ROWS = {
-    # the phase rule
-    "normalize_phase": Row(normalize_phase, PHASES, _modulo_check),
-    "phase_gate": _phase_row(phase_gate),
-    "cu_phase": _phase_row(cu_phase),
-    "fidelity_replicas": _phase_row(fidelity_replicas),
-    "baseline_single_copy": _phase_row(baseline_single_copy),
-    "optimal_cloner": _phase_row(optimal_cloner),
-    "optimal_cloner_fidelity": _phase_row(optimal_cloner_fidelity),
-    "replicate_measured_form": _phase_row(replicate_measured_form),
-    "replicated_map": _phase_row(lambda x: replicated_map(_SPEC, x)),
+    # the phase rule, in the shape each argument takes
+    "normalize_phase": _phase_row(normalize_phase, ANY_SHAPE, _modulo_check),
+    "phase_gate": _phase_row(phase_gate, ANY_SHAPE),
+    "cu_phase": _phase_row(cu_phase, ANY_SHAPE),
+    "fidelity_replicas": _phase_row(fidelity_replicas, ANY_SHAPE),
+    "baseline_single_copy": _phase_row(baseline_single_copy, ANY_SHAPE),
+    "optimal_cloner": _phase_row(optimal_cloner, ANY_SHAPE),
+    "optimal_cloner_fidelity": _phase_row(optimal_cloner_fidelity,
+                                          ANY_SHAPE),
+    "replicate_measured_form": _phase_row(replicate_measured_form,
+                                          ONE_PHASE),
+    "replicated_map": _phase_row(lambda x: replicated_map(_ONE_TO_TWO, x),
+                                 ONE_PHASE),
     "replication_fidelity": _phase_row(
-        lambda x: replication_fidelity(_SPEC, x)),
-    "replication_experiment_channel": _phase_row(
-        lambda x: replication_experiment_channel(x, OpticsParams.measured())),
-    "fit_cosine": _phase_row(
-        lambda x: fit_cosine([0.0, 1.0, x], [0.5, 0.6, 0.7])),
+        lambda x: replication_fidelity(_SPEC, x), ONE_PHASE),
     "twirled_mean_fidelity[phi]": _phase_row(
-        lambda x: twirled_mean_fidelity(8, x)),
-    "experiment_pipeline[phases]": Row(
-        lambda x: _pipeline(phase=x), PHASES,
-        lambda report, x: _same(report.phases,
-                                (normalize_phase(float(x)),))),
+        lambda x: twirled_mean_fidelity(4, x), ONE_PHASE),
+    "TomographyDataset[phase]": _phase_row(_dataset, ONE_PHASE,
+                                           _dataset_phase),
+    "replication_experiment_channel": _phase_row(_channel, ONE_OR_LIST),
+    # a phase as one entry of a phase list
+    "fit_cosine": _phase_row(
+        lambda x: fit_cosine([0.0, 1.0, x], [0.5, 0.6, 0.7]), PHASE_LIST),
+    "experiment_pipeline[phases]": _phase_row(
+        lambda x: _pipeline(phase=x), PHASE_LIST,
+        lambda report, x: _pipeline_phases(report, [x])),
     # the real-number rule
     "OpticsParams[r_v]": _field_row("r_v", ("0", "1.0")),
     "OpticsParams[r_h]": _field_row("r_h", ("0", "1.0")),
     "OpticsParams[visibility]": _field_row("visibility", ("0", "1.0")),
     "OpticsParams[phase_jitter_sigma]": _field_row(
         "phase_jitter_sigma", ("0", "1e300", "2^70", "2.5", "1.0")),
-    "TomographyDataset[phase]": Row(
-        lambda x: TomographyDataset(x, np.ones(3), 10.0), PHASES,
-        lambda ds, x: _same(ds.phase, float(x))),
     "TomographyDataset[rate]": Row(
         lambda x: TomographyDataset(0.0, np.ones(3), x),
         ("1e300", "2^70", "2.5", "1.0"),
@@ -274,9 +335,35 @@ ROWS = {
 }
 
 ARRAY_ROWS = {
+    # the phase rule: each phase argument's array twin
+    "normalize_phase": _shape_row(normalize_phase, ANY_SHAPE),
+    "phase_gate": _shape_row(phase_gate, ANY_SHAPE),
+    "cu_phase": _shape_row(cu_phase, ANY_SHAPE),
+    "fidelity_replicas": _shape_row(fidelity_replicas, ANY_SHAPE),
+    "baseline_single_copy": _shape_row(baseline_single_copy, ANY_SHAPE),
+    "optimal_cloner": _shape_row(optimal_cloner, ANY_SHAPE),
+    "optimal_cloner_fidelity": _shape_row(optimal_cloner_fidelity,
+                                          ANY_SHAPE),
+    "replicate_measured_form": _shape_row(replicate_measured_form,
+                                          ONE_PHASE),
+    "replicated_map": _shape_row(lambda x: replicated_map(_ONE_TO_TWO, x),
+                                 ONE_PHASE),
+    "replication_fidelity": _shape_row(
+        lambda x: replication_fidelity(_SPEC, x), ONE_PHASE),
+    "twirled_mean_fidelity[phi]": _shape_row(
+        lambda x: twirled_mean_fidelity(4, x), ONE_PHASE),
+    "TomographyDataset[phase]": _shape_row(_dataset, ONE_PHASE,
+                                           _dataset_phase),
+    "replication_experiment_channel": _shape_row(_channel, ONE_OR_LIST),
+    "fit_cosine": _shape_row(_fit, PHASE_LIST, lambda fit, x: _same(
+        fit, _fit([normalize_phase(float(p)) for p in x]))),
+    # None gives the documented default
+    "experiment_pipeline[phases]": Row(
+        lambda x: experiment_pipeline(_IDEAL, x, 10.0),
+        ("none",) + PHASE_LIST, _pipeline_phases, PHASE_LIST),
     # the operator-array rule
     "kron[a]": _kron_row(b=_X, accepts=("2-d", "2x1")),
-    "kron[b]": _kron_row(a=[1, 0], accepts=("int-list",)),
+    "kron[b]": _kron_row(a=[1, 0], accepts=("int-list", "4-entry")),
     "process_fidelity[channel]": Row(lambda x: process_fidelity(x, _X)),
     "process_fidelity[u]": Row(
         lambda x: process_fidelity(np.eye(2)[None], x)),
@@ -289,14 +376,10 @@ ARRAY_ROWS = {
         lambda x: replication_experiment_channel(0.3, x)),
     "experiment_pipeline[params]": Row(
         lambda x: experiment_pipeline(x, [0.5], 10.0)),
-    # the phase-list rule; None gives the documented default
-    "experiment_pipeline[phases]": Row(
-        lambda x: experiment_pipeline(_IDEAL, x, 10.0), ("none", "int-list"),
-        lambda report, x: _same(report.phases, standard_phases()
-                                if x is None else (0.0, 1.0))),
     # the real-vector rule: a dataset may hold no counts
     "TomographyDataset[counts]": Row(
-        lambda x: TomographyDataset(0.0, x, 10.0), ("empty", "int-list"),
+        lambda x: TomographyDataset(0.0, x, 10.0),
+        ("empty", "int-list", "4-entry"),
         lambda ds, x: _same(ds.counts, np.array(x, dtype=np.float64))),
     "fit_cosine[fidelities]": Row(
         lambda x: fit_cosine([0.0, 1.0], x), ("int-list",),
@@ -359,6 +442,18 @@ def test_every_public_name_has_a_row():
         for row in rows.values():
             assert set(row.accepts) <= set(edges)
             assert (row.check is None) == (not row.accepts)
+
+
+def test_every_phase_argument_has_an_array_row():
+    # a phase argument's scalar row and its array twin state one shape,
+    # and the twin accepts exactly its array edges (and None where that
+    # gives a documented default), so no phase argument skips the check
+    # of its shape
+    phase_rows = {key: row.shape for key, row in ROWS.items() if row.shape}
+    assert phase_rows == {key: row.shape for key, row in ARRAY_ROWS.items()
+                          if row.shape}
+    for key, shape in phase_rows.items():
+        assert set(ARRAY_ROWS[key].accepts) - {"none"} == set(shape), key
 
 
 def _run(row: Row, edge: str, value, capfd) -> None:

@@ -322,9 +322,16 @@ def test_dataset_validation():
     (0.0, 0.0, "rate"),
     (0.0, True, "rate"),
     (0.0, "x", "rate"),
+    ([0.3, 0.4], 1.0, "phase"),
+    (np.array([[0.3]]), 1.0, "phase"),
 ])
 def test_dataset_rejects_a_bad_phase_or_rate(phase, rate, field):
-    with pytest.raises(ValueError, match=f"^{field} must be a finite"):
+    # the phase rule names the bad entry or the shape, the rate's
+    # real-number rule its bounds
+    message = {"phase": "^phase ([^ ]+ is not (finite|a real number)$"
+                        "|must be one phase, got shape)",
+               "rate": "^rate must be a finite"}[field]
+    with pytest.raises(ValueError, match=message):
         TomographyDataset(phase, np.ones(3), rate)
 
 
@@ -731,11 +738,15 @@ def test_fit_cosine_input_validation():
 
 
 @pytest.mark.parametrize("second, fits", [
-    (0.5 + 1e-13, False), (0.5 + 2.0 * math.pi, False), (0.5 + 1e-11, True),
-], ids=["1e-13-apart", "a-period-apart", "1e-11-apart"])
+    (0.5 + 1e-13, False), (0.5 + 2.0 * math.pi, False), (0.5 + 1e-11, False),
+    (2.0 * math.pi - 0.5, False), (0.5 + 1e-6, True),
+], ids=["1e-13-apart", "a-period-apart", "1e-11-apart", "mirrored",
+        "1e-6-apart"])
 def test_fit_and_pipeline_share_the_distinct_phase_rule(second, fits):
-    # phases equal after wrapping and rounding to 12 decimals count once:
-    # fit_cosine refuses them, and the pipeline reports no fit
+    # a design [1, cos phi] whose condition number exceeds 1e8 does not
+    # identify the fit: equal phases after wrapping, equal cosines
+    # (mirrored about pi) and cosines 5e-12 apart (1e-11 rad at 0.5).
+    # fit_cosine refuses it, and the pipeline reports no fit
     phases = [0.5, second]
     report = experiment_pipeline(OpticsParams.ideal(), phases=phases,
                                  rate=10.0, seed=1)
@@ -831,7 +842,7 @@ def test_pipeline_rejects_a_non_finite_phase(phi, monkeypatch):
     # not the RuntimeWarning of a modulo on inf (the test settings turn
     # warnings into errors)
     _forbid_the_optical_build(monkeypatch)
-    with pytest.raises(ValueError, match=f"phase {phi!r} is not finite"):
+    with pytest.raises(ValueError, match=f"^phases {phi!r} is not finite"):
         experiment_pipeline(OpticsParams.measured(), phases=[0.5, phi],
                             rate=10.0)
 
@@ -1067,14 +1078,26 @@ def _header(header):
      "header"),
     (lambda lines: [ln.replace("[0.6, 1.2]", "[0.6]") for ln in lines],
      "header"),
-    (_header('# rates: ["x", 150.0]'), "^rate must be a finite"),
-    (_header("# rates: [-3, 150.0]"), "^rate must be a finite"),
-    (_header("# rates: [0, 150.0]"), "^rate must be a finite"),
-    (_header("# rates: [true, 150.0]"), "^rate must be a finite"),
-    (_header("# rates: [Infinity, 150.0]"), "^rate must be a finite"),
-    (_header("# phase_values: [NaN, 1.2]"), "^phase must be a finite"),
-    (_header('# phase_values: ["0.6", 1.2]'), "^phase must be a finite"),
-    (_header("# phase_values: [false, 1.2]"), "^phase must be a finite"),
+    # a header entry that breaks its field's rule is named by the
+    # header's line: the phases' is line 1, the rates' line 2
+    (_header('# rates: ["x", 150.0]'),
+     "^counts file line 2: rate must be a finite number > 0, not 'x'$"),
+    (_header("# rates: [-3, 150.0]"),
+     "^counts file line 2: rate must be a finite number > 0, not -3$"),
+    (_header("# rates: [0, 150.0]"),
+     "^counts file line 2: rate must be a finite number > 0, not 0$"),
+    (_header("# rates: [true, 150.0]"),
+     "^counts file line 2: rate must be a finite number > 0, not True$"),
+    (_header("# rates: [Infinity, 150.0]"),
+     "^counts file line 2: rate must be a finite number > 0, not inf$"),
+    (_header("# phase_values: [NaN, 1.2]"),
+     "^counts file line 1: phase nan is not finite$"),
+    (_header('# phase_values: ["0.6", 1.2]'),
+     "^counts file line 1: phase '0.6' is not a real number$"),
+    (_header("# phase_values: [false, 1.2]"),
+     "^counts file line 1: phase False is not a real number$"),
+    (_header("# phase_values: [[0.3, 0.4], 1.2]"),
+     r"^counts file line 1: phase must be one phase, got shape \(2,\)$"),
     (_header("# phase_values: 3"), "header"),
     (_header("# rates: 150.0"), "header"),
     # a row of the wrong width is named by its 1-based line number: the
@@ -1103,10 +1126,10 @@ def _header(header):
 ], ids=["truncated", "duplicated", "reordered", "header-less",
         "rates-missing", "phase-count-short", "rate-string", "rate-negative",
         "rate-zero", "rate-boolean", "rate-infinite", "phase-nan",
-        "phase-string", "phase-boolean", "phase-values-scalar",
-        "rates-scalar", "extra-cell", "missing-cell", "trailing-blank-line",
-        "bad-header-json", "non-numeric-count", "empty-count",
-        "repeated-header"])
+        "phase-string", "phase-boolean", "phase-nested",
+        "phase-values-scalar", "rates-scalar", "extra-cell", "missing-cell",
+        "trailing-blank-line", "bad-header-json", "non-numeric-count",
+        "empty-count", "repeated-header"])
 def test_corrupt_counts_csv_is_rejected(tmp_path, edit, message):
     path = _corrupted_counts_csv(tmp_path, edit)
     with pytest.raises(ValueError, match=message):
