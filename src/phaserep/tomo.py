@@ -3,9 +3,12 @@
 The experiment design prepares product Pauli eigenstates, measures in
 product Pauli bases, and records Poissonian coincidence counts.  The
 reconstruction maximizes the Poisson likelihood over positive
-semidefinite process matrices with an RrhoR fixed-point ascent.  Counts
-are kept as floats so that the exact expected-count (infinite-statistics)
-limit runs through the same code path.
+semidefinite process matrices with an RrhoR fixed-point ascent on a
+square-root factor of chi, accelerated by squared extrapolation
+(SQUAREM): each cycle takes two RrhoR steps, extrapolates along them and
+steps once more, and its iterations count cycles.  Counts are kept as
+floats so that the exact expected-count (infinite-statistics) limit
+runs through the same code path.
 
 One solver advances any number of independent reconstructions as a
 stack: a single dataset is a batch of one, and a bootstrap is one batch.
@@ -239,7 +242,8 @@ def _draw_counts(p: np.ndarray, rate: float, seed, phase: float
 
 
 MAX_ITERATIONS = 5000
-# stop when the log-likelihood gain per observed count drops below this
+# stop when the log-likelihood gain per observed count over one cycle
+# drops below this
 GAIN_TOLERANCE = 1e-10
 
 
@@ -247,11 +251,13 @@ GAIN_TOLERANCE = 1e-10
 class MleResult:
     """One reconstruction and its deterministic diagnostics.
 
-    ``dilutions`` counts the iterations that took the dilution fallback.
-    ``optimality_gap`` is lambda_max(R) / N_total - 1 at the returned
-    chi: it is >= 0 for any unit-trace chi (Tr[R chi] = N_total) and 0
-    exactly at the maximum; an empty dataset, whose likelihood is flat,
-    reports 0.
+    ``iterations`` counts the solver's cycles (three RrhoR steps each,
+    see ``_mle_batch``) and ``ll_trace`` holds the seed's
+    log-likelihood and one value per cycle.  ``dilutions`` counts the
+    plain steps that took the dilution fallback.  ``optimality_gap`` is
+    lambda_max(R) / N_total - 1 at the returned chi: it is >= 0 for any
+    unit-trace chi (Tr[R chi] = N_total) and 0 exactly at the maximum;
+    an empty dataset, whose likelihood is flat, reports 0.
     """
 
     chi: ProcessMatrix
@@ -274,34 +280,56 @@ def _hermitian_part(m: np.ndarray) -> np.ndarray:
     return m
 
 
-def _unit_trace(m: np.ndarray) -> np.ndarray:
-    """Replace each matrix of ``m`` by its Hermitian part scaled to unit
-    trace, in place."""
-    _hermitian_part(m)
-    m /= np.trace(m, axis1=-2, axis2=-1).real[..., None, None]
-    return m
+def _frobenius(a: np.ndarray) -> np.ndarray:
+    """The Frobenius norm of each matrix of the stack ``a``."""
+    x = a.reshape(len(a), -1).view(np.float64)
+    return np.sqrt((x * x).sum(axis=1))
+
+
+def _unit_norm(a: np.ndarray) -> np.ndarray:
+    """Scale each matrix of ``a`` to unit Frobenius norm, in place."""
+    a /= _frobenius(a)[:, None, None]
+    return a
 
 
 def _mle_batch(counts: np.ndarray, design: TomographyDesign) -> tuple[
         np.ndarray, np.ndarray, np.ndarray, np.ndarray, list[np.ndarray]]:
-    """RrhoR ascent for every row of ``counts`` (trials x design rows).
+    """Accelerated RrhoR ascent for every row of ``counts`` (trials x
+    design rows).
+
+    The solver works on a square-root factor A of each chi = A A^dagger,
+    of unit Frobenius norm, from A = I / 4.  An RrhoR step maps A to
+    R A / ||R A||_F, which is chi -> R chi R / Tr[R chi R].  A cycle
+    (SQUAREM: Varadhan & Roland, Scand. J. Stat. 35, 335, 2008) takes
+    two such steps, A1 and A2, each with the dilution fallback; with
+    r = A1 - A and v = A2 - 2 A1 + A it extrapolates to
+    A - 2 alpha r + alpha^2 v, alpha = min(-||r|| / ||v||, -1) (A2
+    itself at alpha = -1), rescaled to unit norm, and takes one plain
+    step from there.  That step is kept where its log-likelihood is at
+    least A2's, and A2 otherwise, so every chi stays PSD and the
+    likelihood never falls over a cycle.  A trial stops when its gain
+    per count over a cycle drops below ``GAIN_TOLERANCE``, or after
+    ``MAX_ITERATIONS`` cycles.
 
     Returns arrays over the trials: the (trials, 16, 16) chi stack,
     ``converged``, ``dilutions``, the optimality gaps, and the list of
-    read-only ``ll_trace`` arrays, one entry longer than the iteration
+    read-only ``ll_trace`` arrays, one entry longer than the cycle
     count.  It makes no record; callers make those they return.
 
-    The trials still running advance together as stacks.  Every step
-    acts on each matrix or count row on its own, so a trial's result is
-    bit-identical to a solve of that row alone.  A trial leaves the
-    stack when it meets the stopping test and writes back only its chi.
-    Each iteration works on fresh stacks in place and records the live
-    trials' log-likelihoods as one array; the ``ll_trace`` arrays are cut
-    from one buffer at the end, so a batch holds no history beyond the
-    iterations it ran.
+    The trials still running advance together as stacks, each with its
+    own alpha.  Every step acts on each matrix or count row on its own,
+    so a trial's result is bit-identical to a solve of that row alone.
+    A trial leaves the stack when it meets the stopping test and writes
+    back only its chi.  Each cycle works on fresh stacks and records the
+    live trials' log-likelihoods as one array; the ``ll_trace`` arrays
+    are cut from one buffer at the end, so a batch holds no history
+    beyond the cycles it ran.
     """
     if counts.shape[1] != design.size:
         raise ValueError("dataset does not match the design size")
+    def chi_of(a: np.ndarray) -> np.ndarray:
+        return _hermitian_part(a @ _dagger(a))
+
     def probs(chi: np.ndarray) -> np.ndarray:
         p = design.traces(chi)
         return np.maximum(p, 1e-300, out=p)
@@ -314,32 +342,17 @@ def _mle_batch(counts: np.ndarray, design: TomographyDesign) -> tuple[
         terms *= n
         return terms.sum(axis=1)
 
-    n_trials = counts.shape[0]
-    n_total = counts.sum(axis=1)
-    chi_out = np.empty((n_trials, 16, 16), dtype=np.complex128)
-    chi_out[:] = np.eye(16) / 16.0
-    dilutions = np.zeros(n_trials, dtype=int)
-    # a trial without counts has a flat likelihood: it keeps the seed
-    # and counts as converged after 0 iterations
-    converged = n_total == 0.0
-
-    live = np.flatnonzero(~converged)
-    n = counts[live]
-    total = np.maximum(n_total[live], 1.0)
-    chi = chi_out[live]
-    p = probs(chi)
-    ll = log_likelihood(n, p)
-    # (live trials, their log-likelihoods) at the seed and after each
-    # iteration
-    history = [(live, ll)]
-
-    for _ in range(MAX_ITERATIONS):
-        if live.size == 0:
-            break
+    def rrhor(a: np.ndarray, p: np.ndarray):
+        """A plain RrhoR step of the live trials: R and the new factors."""
         # R = sum_j (n_j / p_j) O_j; rows without counts have weight 0
         r = _hermitian_part(design.weighted_sum(n / p))
-        step = _unit_trace(r @ chi @ r)
-        p_new = probs(step)
+        return r, _unit_norm(r @ a)
+
+    def ascent(a, p, ll):
+        """One RrhoR step of every live trial, with the dilution fallback
+        where the plain step lowers the likelihood."""
+        r, step = rrhor(a, p)
+        p_new = probs(chi_of(step))
         ll_new = log_likelihood(n, p_new)
         fell = ll_new < ll - 1e-9 * (1.0 + np.abs(ll))
         if fell.any():
@@ -353,10 +366,10 @@ def _mle_batch(counts: np.ndarray, design: TomographyDesign) -> tuple[
                         "likelihood decreased and dilution could not "
                         "restore monotonicity"
                     )
-                mixed = (np.eye(16) + eps * r[pending]
-                         / total[pending, None, None]) / (1.0 + eps)
-                cand = _unit_trace(mixed @ chi[pending] @ _dagger(mixed))
-                p_cand = probs(cand)
+                mixed = np.eye(16) + eps * r[pending] / total[
+                    pending, None, None]
+                cand = _unit_norm(mixed @ a[pending])
+                p_cand = probs(chi_of(cand))
                 ll_cand = log_likelihood(n[pending], p_cand)
                 ll_old = ll[pending]
                 ok = ll_cand >= ll_old - 1e-12 * (1.0 + np.abs(ll_old))
@@ -365,18 +378,60 @@ def _mle_batch(counts: np.ndarray, design: TomographyDesign) -> tuple[
                     cand[ok], p_cand[ok], ll_cand[ok])
                 pending = pending[~ok]
                 eps *= 0.5
+        return step, p_new, ll_new
+
+    n_trials = counts.shape[0]
+    n_total = counts.sum(axis=1)
+    chi_out = np.empty((n_trials, 16, 16), dtype=np.complex128)
+    chi_out[:] = np.eye(16) / 16.0
+    dilutions = np.zeros(n_trials, dtype=int)
+    # a trial without counts has a flat likelihood: it keeps the seed
+    # and counts as converged after 0 cycles
+    converged = n_total == 0.0
+
+    live = np.flatnonzero(~converged)
+    n = counts[live]
+    total = np.maximum(n_total[live], 1.0)
+    a = np.empty((live.size, 16, 16), dtype=np.complex128)
+    a[:] = np.eye(16) / 4.0
+    p = probs(chi_of(a))
+    ll = log_likelihood(n, p)
+    # (live trials, their log-likelihoods) at the seed and after each
+    # cycle
+    history = [(live, ll)]
+
+    for _ in range(MAX_ITERATIONS):
+        if live.size == 0:
+            break
+        a1, p1, ll1 = ascent(a, p, ll)
+        a2, p2, ll2 = ascent(a1, p1, ll1)
+        r = a1 - a
+        v = a2 - a1 - r
+        norm_r, norm_v = _frobenius(r), _frobenius(v)
+        # alpha = -1 where v vanishes (a fixed point to rounding)
+        alpha = np.minimum(-norm_r / np.where(norm_v > 0.0, norm_v, np.inf),
+                           -1.0)[:, None, None]
+        ax = _unit_norm(a - 2.0 * alpha * r + alpha * alpha * v)
+        _, a3 = rrhor(ax, probs(chi_of(ax)))
+        p3 = probs(chi_of(a3))
+        ll3 = log_likelihood(n, p3)
+        # the safeguard: the extrapolated step only where it gains on A2
+        kept = ll3 >= ll2
+        a_new = np.where(kept[:, None, None], a3, a2)
+        p_new = np.where(kept[:, None], p3, p2)
+        ll_new = np.where(kept, ll3, ll2)
         gain = ll_new - ll
-        chi, ll, p = step, ll_new, p_new
+        a, ll, p = a_new, ll_new, p_new
         history.append((live, ll))
         done = gain / total < GAIN_TOLERANCE
         if done.any():
             converged[live[done]] = True
-            chi_out[live[done]] = chi[done]
+            chi_out[live[done]] = chi_of(a[done])
             keep = ~done
-            live, n, total, chi, ll, p = (
-                live[keep], n[keep], total[keep], chi[keep], ll[keep],
+            live, n, total, a, ll, p = (
+                live[keep], n[keep], total[keep], a[keep], ll[keep],
                 p[keep])
-    chi_out[live] = chi
+    chi_out[live] = chi_of(a)
 
     # one stacked eigvalsh of R at every returned chi; a row of traces
     # does not depend on the stack, so p is the loop's last, bit for bit
@@ -387,7 +442,7 @@ def _mle_batch(counts: np.ndarray, design: TomographyDesign) -> tuple[
         lam = np.linalg.eigvalsh(_hermitian_part(r))[:, -1]
         gaps[solved] = lam / n_total[solved] - 1.0
 
-    # trial k's trace is its seed value and one value per iteration it
+    # trial k's trace is its seed value and one value per cycle it
     # ran, from starts[k] on; an empty trial's is [0.0].  Each recorded
     # value belongs to trial among[i] at history entry step[i]
     among = np.concatenate([trials for trials, _ in history])
@@ -405,19 +460,24 @@ def mle_reconstruct(
     dataset: TomographyDataset,
     design: TomographyDesign,
 ) -> MleResult:
-    """Maximum-likelihood process matrix via RrhoR fixed-point ascent.
+    """Maximum-likelihood process matrix via accelerated RrhoR ascent.
 
-    Iterates chi -> R chi R / Tr[...] with R = sum_j (n_j / p_j) O_j,
-    which preserves positivity; a diluted step (I + eps R) replaces any
-    iteration where the plain step would lower the likelihood, so the
-    log-likelihood trace is non-decreasing throughout.  The result is
-    normalized to unit trace (the conditional channel's shape; the
-    postselection scale is profiled out of the likelihood).
+    An RrhoR step maps chi -> R chi R / Tr[...] with
+    R = sum_j (n_j / p_j) O_j, which preserves positivity; the solver
+    takes it on a factor A of chi = A A^dagger, as A -> R A / ||R A||_F.
+    Each cycle takes two such steps, extrapolates A along them and steps
+    once more (SQUAREM; see ``_mle_batch``), keeping the extrapolated
+    step only where it gains on the second plain one.  A diluted step
+    (I + eps R) replaces any plain step that would lower the likelihood,
+    so the log-likelihood trace, one value per cycle, is non-decreasing
+    throughout, and ``iterations`` counts cycles.  The result has unit
+    trace (the conditional channel's shape; the postselection scale is
+    profiled out of the likelihood).
 
     Probabilities and R go through the design's Kronecker factors
     (``TomographyDesign.traces`` and ``weighted_sum``), not the dense
-    design matrix, and the probabilities computed to test the accepted
-    step (plain or diluted) are reused for the next iteration's R.
+    design matrix, and the probabilities computed to test a step are
+    reused for the next step's R.
 
     This is a batch of one of the solver that ``monte_carlo_errors`` and
     ``experiment_pipeline`` run on many count vectors at once; the
@@ -681,10 +741,11 @@ def read_datasets_csv(path, design: TomographyDesign
     design order (``row_index``).  A missing, repeated or misplaced row,
     a row that is not 5 comma-separated numbers (a blank line or an empty
     cell among them), or a missing, repeated or malformed header, raises
-    ``ValueError``; such a row, a repeated header, a header that is not
-    JSON and a header entry that breaks its dataset field's rule (the
-    phase rule, one phase; the rate's real-number rule) are named by
-    their 1-based line number.
+    ``ValueError``; such a row, a count that is not finite or is
+    negative, a repeated header, a header that is not JSON and a header
+    entry that breaks its dataset field's rule (the phase rule, one
+    phase; the rate's real-number rule) are named by their 1-based line
+    number.
     """
     design = _record(design, "design", TomographyDesign)
     headers = {}  # key -> (1-based line number, the header's value)
@@ -734,12 +795,20 @@ def read_datasets_csv(path, design: TomographyDesign
             raise ValueError(f"counts file line {number}: a data row needs "
                              f"5 numbers, got {line.strip()!r}") from None
     data = np.array(rows, dtype=np.float64).reshape(-1, 5)
+    # a count that breaks the dataset's counts rule (finite, >= 0) is
+    # named by its line, before the record checks them all again
+    counts = data[:, 4]
+    for k in np.flatnonzero(~(np.isfinite(counts) & (counts >= 0.0)))[:1]:
+        try:
+            _reals(counts[k:k + 1], "counts", 0.0)
+        except ValueError as exc:
+            raise ValueError(
+                f"counts file line {lines[1 + k][0]}: {exc}") from None
     index = _row_layout(len(phases), design)
     if data.shape[0] != index.shape[0] \
             or not np.array_equal(data[:, :4], index):
         raise ValueError(
             f"counts rows must list phase ids 0..{len(phases) - 1}, each "
             f"with its {design.size} design rows once and in order")
-    counts = data[:, 4].reshape(len(phases), design.size)
-    return [TomographyDataset(phi, c, rate)
-            for phi, c, rate in zip(phases, counts, rates)]
+    return [TomographyDataset(phi, c, rate) for phi, c, rate in zip(
+        phases, counts.reshape(len(phases), design.size), rates)]
